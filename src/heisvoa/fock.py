@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .scalars import (
     GR_ONE,
@@ -298,15 +298,6 @@ def _mode_on_monomial(color: int, n: int, m: FockMonomial) -> State:
 
 
 _MODE_CACHE: dict = {}
-
-
-def apply_alpha_mode(avec: Sequence[Scalar], n: int, s: State) -> State:
-    """alpha(n) = sum_i avec[i] a[i](n) for a Scalar coefficient vector."""
-    out = State.zero(s.rank)
-    for i, c in enumerate(avec, start=1):
-        if not c.is_zero:
-            out = out + apply_mode(i, n, s).scale(c)
-    return out
 
 
 def label_mode_vector(lab: Label) -> tuple[Scalar, ...]:

@@ -29,6 +29,7 @@ from .fock import (
     State,
     apply_mode,
     basis_monomials,
+    label_mode_vector,
     monomial,
     vertex_mode,
     virasoro_mode,
@@ -41,7 +42,6 @@ from .intertwiner import (
     annihilation_coeff,
     apply_e,
     creation_coeff,
-    label_vec,
 )
 from .report import VerificationReport
 from .scalars import (
@@ -201,7 +201,7 @@ class AdjointIntertwinerOp:
         self.label = spec.label
         self.cocycle = spec.cocycle
         self.weight_int = spec.weight_int
-        self._avec = label_vec(self.label)
+        self._avec = label_mode_vector(self.label)
         self._arg_plus = -lam_pow(-2)   # Yminus^+(a,z): modes at z^(+k)
         self._arg_minus = -lam_pow(2)   # Yplus^+(a,z): modes at z^(-k)
         # parts of e^(-z lam^-2 L(1)) (lam/(E(N)z))^(2L(0)) u: for each

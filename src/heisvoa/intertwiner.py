@@ -17,7 +17,6 @@ WindowError instead of ever truncating silently.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from .fock import (
     State,
     apply_mode,
     exp_virasoro_coeffs,
-    label,
     label_mode_vector,
     monomial,
     translate_label,
@@ -139,14 +137,6 @@ def standard_cocycle(rank: int, diagonal_fix: bool = False) -> CocycleSystem:
     return CocycleSystem(rank, zero, zero, diagonal_fix)
 
 
-def epsilon(cs: CocycleSystem, a: Label, b: Label) -> Scalar:
-    return cs.epsilon(a, b)
-
-
-def commutator_C(cs: CocycleSystem, a: Label, b: Label) -> Scalar:
-    return cs.commutator(a, b)
-
-
 def apply_e(cs: CocycleSystem, alpha: Label, s: State) -> State:
     """e^alpha: label beta -> alpha+beta with scalar epsilon(alpha, beta)."""
     out = State.zero(s.rank)
@@ -193,7 +183,6 @@ class IntertwinerSpec:
 # exponentials of label modes (one variable)
 
 _CHAIN_CACHE: dict = {}
-_CHAIN_LOCK = threading.Lock()
 
 
 def _mode_chain(avec: tuple, sign: int, arg: Scalar, mono: FockMonomial,
@@ -202,39 +191,33 @@ def _mode_chain(avec: tuple, sign: int, arg: Scalar, mono: FockMonomial,
 
     sign=-1 is the creation side (coefficients of z^k), sign=+1 the
     annihilation side (coefficients of z^-k); ``arg`` scales the series
-    variable, entering as arg^k on the k-th coefficient.  Extension of a
-    cached chain is serialized: concurrent growth of the same list would
-    interleave entries.
+    variable, entering as arg^k on the k-th coefficient.
     """
     key = (avec, sign, arg, mono)
     if sign > 0:
         order = min(order, mono.levels_sum)
     rank = mono.label.rank
     chain = _CHAIN_CACHE.get(key)
-    if chain is not None and len(chain) > order:
-        return chain
-    with _CHAIN_LOCK:
-        chain = _CHAIN_CACHE.get(key)
-        if chain is None:
-            chain = [State.of(mono)]
-            _CHAIN_CACHE[key] = chain
-        while len(chain) <= order:
-            k = len(chain)
-            acc = State.zero(rank)
-            arg_pow = S_ONE
-            for j in range(1, k + 1):
-                arg_pow = arg_pow * arg
-                prev = chain[k - j]
-                if prev.is_zero:
-                    continue
-                term = State.zero(rank)
-                for i, a in enumerate(avec, start=1):
-                    if not a.is_zero:
-                        term = term + apply_mode(i, sign * j, prev).scale(a)
-                acc = acc + term.scale(arg_pow)
-            if sign > 0:
-                acc = -acc
-            chain.append(acc.scale(Fraction(1, k)))
+    if chain is None:
+        chain = [State.of(mono)]
+        _CHAIN_CACHE[key] = chain
+    while len(chain) <= order:
+        k = len(chain)
+        acc = State.zero(rank)
+        arg_pow = S_ONE
+        for j in range(1, k + 1):
+            arg_pow = arg_pow * arg
+            prev = chain[k - j]
+            if prev.is_zero:
+                continue
+            term = State.zero(rank)
+            for i, a in enumerate(avec, start=1):
+                if not a.is_zero:
+                    term = term + apply_mode(i, sign * j, prev).scale(a)
+            acc = acc + term.scale(arg_pow)
+        if sign > 0:
+            acc = -acc
+        chain.append(acc.scale(Fraction(1, k)))
     return chain
 
 
@@ -256,10 +239,6 @@ def annihilation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> St
     return out
 
 
-def label_vec(lab: Label) -> tuple:
-    return label_mode_vector(lab)
-
-
 def apply_Ypm(alpha: Label, sign: int, s: State, order: int,
               cutoff: int | None = None) -> WindowedSeries:
     """Yplus (sign=+1) or Yminus (sign=-1) of the label modes applied to s.
@@ -267,7 +246,7 @@ def apply_Ypm(alpha: Label, sign: int, s: State, order: int,
     Yminus raises level sums, so its window [0, order] is bounded by the
     cutoff; Yplus terminates on its own and is returned fully known.
     """
-    avec = label_vec(alpha)
+    avec = label_mode_vector(alpha)
     zero = State.zero(s.rank)
     if sign < 0:
         if cutoff is not None and s.max_levels() + order > cutoff:
@@ -287,7 +266,7 @@ def apply_Delta(beta: Label, s: State, cutoff: int | None = None) -> WindowedSer
     Monomials of s must give offsets beta.mu in one coset; otherwise a
     CosetError asks the caller to split per coset first.
     """
-    avec = label_vec(beta)
+    avec = label_mode_vector(beta)
     zero = State.zero(s.rank)
     base: GaussRat | None = None
     coeffs: dict[int, State] = {}
@@ -318,7 +297,36 @@ def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
 # the intertwiner engine
 
 
-class IntertwinerOp:
+class LowerTruncatedOp:
+    """A coefficient operator whose series on a target vanishes below
+    exponent offset - (weight_int + target level sum).
+
+    Subclasses provide ``weight_int``, ``offset_on(target_label)`` (the
+    coset base of the series on that label) and ``coefficient(target,
+    exponent)``; the generic three-term engine relies on the same three
+    plus ``label`` and ``head_state``.
+    """
+
+    def series(self, target: State, hi: int, lo: int | None = None) -> WindowedSeries:
+        """The operator series on the target, exact on [lo_true, hi].
+
+        The window always extends down to the lower-truncation bound so
+        the zero-below-window contract of WindowedSeries holds.
+        """
+        labels = target.labels()
+        if not labels:
+            return WindowedSeries(GR_ZERO, 0, hi, {}, State.zero(target.rank))
+        base = self.offset_on(next(iter(labels)))
+        lo_true = -(self.weight_int + target.max_levels())
+        if lo is not None:
+            lo_true = min(lo, lo_true)
+        coeffs = {}
+        for n in range(lo_true, hi + 1):
+            coeffs[n] = self.coefficient(target, base + n)
+        return WindowedSeries(base, lo_true, hi, coeffs, State.zero(target.rank))
+
+
+class IntertwinerOp(LowerTruncatedOp):
     """Coefficient extractor for one creative intertwiner."""
 
     def __init__(self, spec: IntertwinerSpec, cutoff: int | None = None):
@@ -327,7 +335,7 @@ class IntertwinerOp:
         self.cocycle = spec.cocycle
         self.cutoff = cutoff
         self.weight_int = spec.weight_int
-        self._avec = label_vec(self.label)
+        self._avec = label_mode_vector(self.label)
         self._heads = [(m, c) for m, c in spec.head.items_sorted()]
         self._coeff_cache: dict = {}
 
@@ -383,24 +391,6 @@ class IntertwinerOp:
         self._coeff_cache[key] = out
         return out
 
-    def series(self, target: State, hi: int, lo: int | None = None) -> WindowedSeries:
-        """The intertwiner series on the target, exact on [lo_true, hi].
-
-        The window always extends down to the lower-truncation bound so
-        the zero-below-window contract of WindowedSeries holds.
-        """
-        labels = target.labels()
-        if not labels:
-            return WindowedSeries(GR_ZERO, 0, hi, {}, State.zero(target.rank))
-        base = self.offset_on(next(iter(labels)))
-        lo_true = -(self.weight_int + target.max_levels())
-        if lo is not None:
-            lo_true = min(lo, lo_true)
-        coeffs = {}
-        for n in range(lo_true, hi + 1):
-            coeffs[n] = self.coefficient(target, base + n)
-        return WindowedSeries(base, lo_true, hi, coeffs, State.zero(target.rank))
-
 
 def intertwine(spec: IntertwinerSpec, target: State, hi: int,
                cutoff: int | None = None) -> WindowedSeries:
@@ -408,9 +398,45 @@ def intertwine(spec: IntertwinerSpec, target: State, hi: int,
     return IntertwinerOp(spec, cutoff).series(target, hi)
 
 
-def coefficient_of(spec: IntertwinerSpec, target: State, exponent,
-                   cutoff: int | None = None) -> State:
-    return IntertwinerOp(spec, cutoff).coefficient(target, exponent)
+class DressedOp(LowerTruncatedOp):
+    """Y(Delta(beta,z) head, z) times a scalar per target label.
+
+    Delta(beta,z) head is a finite sum of states at exponent shifts, so
+    the operator is a sum of plain intertwiners; without ``beta`` it is
+    the plain intertwiner of the head.  Subclasses supply the per-label
+    scalar through ``label_factor``.
+    """
+
+    def __init__(self, head: State, cocycle: CocycleSystem,
+                 beta: Label | None = None, cutoff: int | None = None):
+        self.head_state = head
+        self.label = head.single_label()
+        self.weight_int = head.max_levels()
+        self.beta = beta if beta is not None else zero_label(head.rank)
+        dressed = delta_dress(beta, head) if beta is not None else [(GR_ZERO, head)]
+        self._parts = [(exp, IntertwinerOp(IntertwinerSpec(st, cocycle), cutoff))
+                       for exp, st in dressed]
+
+    def offset_on(self, target_label: Label) -> GaussRat:
+        return self.label.dot(self.beta + target_label)
+
+    def label_factor(self, target_label: Label) -> Scalar:
+        """The scalar multiplying the part of the target on this label."""
+        return S_ONE
+
+    def coefficient(self, target: State, exponent) -> State:
+        exponent = as_gauss(exponent)
+        by_label: dict[Label, dict] = {}
+        for m, c in target.terms.items():
+            by_label.setdefault(m.label, {})[m] = c
+        out = State.zero(target.rank)
+        for lab, terms in by_label.items():
+            part = State(target.rank, terms, _clean=True)
+            acc = State.zero(target.rank)
+            for dress_exp, op in self._parts:
+                acc = acc + op.coefficient(part, exponent - dress_exp)
+            out = out + acc.scale(self.label_factor(lab))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +533,7 @@ def verify_ypm_commutation(alpha: Label, beta: Label, s: State, r1: int, r2: int
                              window_used=f"z1^[-{r1},0] z2^[0,{r2}]")
     if cutoff is not None and s.max_levels() + r2 > cutoff:
         raise WindowError("window exceeds cutoff")
-    va, vb = label_vec(alpha), label_vec(beta)
+    va, vb = label_mode_vector(alpha), label_mode_vector(beta)
     ab = alpha.dot(beta)
     # right side grid: creation chains of beta on the Yplus(alpha) tail of s
     right_grid = {}
@@ -540,7 +566,7 @@ def verify_y_conj_minus(alpha: Label, u: State, s: State, w1: tuple[int, int],
                              window_used=f"z1^[{w1[0]},{w1[1]}] z2^[0,{r2}]")
     if cutoff is not None and s.max_levels() + u.max_levels() + r2 > cutoff:
         raise WindowError("window exceeds cutoff")
-    va = label_vec(alpha)
+    va = label_mode_vector(alpha)
     rank = s.rank
     ku = u.max_levels()
     dressed = {(0, 0): u}
@@ -571,7 +597,7 @@ def verify_y_conj_plus(alpha: Label, u: State, s: State, r1: int,
     """Yplus(alpha,z1) Y(u,z2) = Y(Yplus(alpha,z1-z2)u, z2) Yplus(alpha,z1)."""
     rep = VerificationReport("y_conj_plus",
                              window_used=f"z1^[-{r1},0] z2^[{w2[0]},{w2[1]}]")
-    va = label_vec(alpha)
+    va = label_mode_vector(alpha)
     rank = s.rank
     ku = u.max_levels()
     mmax = max(w2[1], 0) + ku + s.max_levels()
@@ -602,7 +628,7 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
        Yminus(alpha,z1+z2) Y(u,z2) Yplus(alpha,z2+z1)."""
     rep = VerificationReport("yy_conj",
                              window_used=f"z1^[0,{r1}] z2^[{w2[0]},{w2[1]}]")
-    va = label_vec(alpha)
+    va = label_mode_vector(alpha)
     rank = s.rank
     ku, ks = u.max_levels(), s.max_levels()
     if cutoff is not None and ku + r1 > cutoff:
@@ -638,7 +664,7 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
             step2[key] = v if acc is None else acc + v
     nmax = r1 + e2cap + ku + 2 * ks  # sound bound on one-shot exponent jumps
     step3 = _exp_apply(step2, _yminus_terms(1, 1, nmax), va, r1, e2cap, rank)
-    vneg = label_vec(-alpha)
+    vneg = label_mode_vector(-alpha)
     step4 = _exp_apply(step3, [(0, n, as_scalar(Fraction(1, n)), -n)
                                for n in range(1, nmax + 1)],
                        vneg, r1, e2cap, rank)
@@ -787,9 +813,7 @@ def verify_e_conjugation(spec: IntertwinerSpec, beta: Label, target: State,
     alpha = spec.label
     rep = VerificationReport("e_conjugation", window_used=f"[lo,{hi}]")
     op = IntertwinerOp(spec, cutoff)
-    dressed = delta_dress(beta, spec.head)
-    ops = [(exp, IntertwinerOp(IntertwinerSpec(st, cs), cutoff))
-           for exp, st in dressed]
+    dop = DressedOp(spec.head, cs, beta, cutoff)
     c_ab = cs.commutator(alpha, beta)
     shifted = apply_e(cs, beta, target)
     gamma = target.single_label()
@@ -798,12 +822,7 @@ def verify_e_conjugation(spec: IntertwinerSpec, beta: Label, target: State,
     for n in range(lo, hi + 1):
         e = base + n
 
-        def compute(e=e):
-            left = apply_e_inverse(cs, beta, op.coefficient(shifted, e))
-            right = State.zero(target.rank)
-            for dress_exp, dop in ops:
-                right = right + dop.coefficient(target, e - dress_exp)
-            return left, right.scale(c_ab)
-
-        rep.guarded((e,), compute)
+        rep.guarded((e,), lambda e=e: (
+            apply_e_inverse(cs, beta, op.coefficient(shifted, e)),
+            dop.coefficient(target, e).scale(c_ab)))
     return rep

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fock import Label, State, apply_mode, label, virasoro_mode
+from .fock import Label, State, apply_mode, label, label_mode_vector, virasoro_mode
 from .intertwiner import (
     CocycleSystem,
+    DressedOp,
     IntertwinerOp,
     IntertwinerSpec,
     apply_e,
     delta_dress,
-    label_vec,
 )
 from .jacobi import three_term_jacobi
 from .report import VerificationReport
@@ -230,10 +230,6 @@ def twist(lattice: IntegralLattice, alpha_coords: Sequence) -> TwistData:
     return TwistData(lattice, lattice.label_of(alpha_coords))
 
 
-def twist_label(lattice: IntegralLattice, alpha: Label) -> TwistData:
-    return TwistData(lattice, alpha)
-
-
 # ---------------------------------------------------------------------------
 # twisted modes and gradings
 
@@ -257,15 +253,6 @@ def twisted_virasoro_mode(td: TwistData, n: int, s: State) -> State:
     return out
 
 
-def twisted_modes(td: TwistData, kind: str, n: int, s: State,
-                  color: int = 1) -> State:
-    if kind == "heisenberg":
-        return twisted_heisenberg_mode(td, color, n, s)
-    if kind == "virasoro":
-        return twisted_virasoro_mode(td, n, s)
-    raise ValueError(f"unknown twisted mode kind {kind!r}")
-
-
 def shifted_virasoro(td: TwistData, n: int, s: State) -> State:
     """L_a(n) = L(n) + (n+1) alpha(n), the modes of omega - alpha(-2)vac."""
     out = virasoro_mode(n, s)
@@ -285,34 +272,14 @@ def shifted_central_charge(td: TwistData) -> GaussRat:
 # twisted vertex operators
 
 
-class TwistedVertexOp:
+class TwistedVertexOp(DressedOp):
     """Y_g(u|mu>, z) = Y(Delta(alpha,z) u|mu>, z) acting on the plain
     lattice module."""
 
     def __init__(self, td: TwistData, head: State, cocycle: CocycleSystem,
                  cutoff: int | None = None):
+        super().__init__(head, cocycle, td.alpha, cutoff)
         self.td = td
-        self.head_state = head
-        self.label = head.single_label()
-        self.weight_int = head.max_levels()
-        self._parts = [(exp, IntertwinerOp(IntertwinerSpec(st, cocycle), cutoff))
-                       for exp, st in delta_dress(td.alpha, head)]
-
-    def offset_on(self, target_label: Label) -> GaussRat:
-        return self.label.dot(self.td.alpha + target_label)
-
-    def coefficient(self, target: State, exponent) -> State:
-        exponent = as_gauss(exponent)
-        out = State.zero(target.rank)
-        for dress_exp, op in self._parts:
-            out = out + op.coefficient(target, exponent - dress_exp)
-        return out
-
-    def series(self, target: State, hi: int) -> WindowedSeries:
-        base = self.offset_on(target.single_label())
-        lo = -(self.weight_int + target.max_levels())
-        coeffs = {n: self.coefficient(target, base + n) for n in range(lo, hi + 1)}
-        return WindowedSeries(base, lo, hi, coeffs, State.zero(target.rank))
 
 
 def twisted_vertex(td: TwistData, x: State, target: State, hi: int,
@@ -418,7 +385,7 @@ def verify_twist_grading(td: TwistData, max_weight: int) -> VerificationReport:
 # complex-parametrized operators on twisted sectors
 
 
-class DlmOp:
+class DlmOp(DressedOp):
     """The generalized vertex operator on twisted sectors, closed form.
 
     For a head u|mu1+a> acting on a target v|mu2+b> (b the declared
@@ -437,6 +404,7 @@ class DlmOp:
                  n_branch: int = 1, cutoff: int | None = None):
         if variant not in ("delta", "hat"):
             raise ValueError("variant must be 'delta' or 'hat'")
+        super().__init__(head, cocycle, cutoff=cutoff)
         self.td = td
         self.lattice = td.lattice
         self.alpha = td.alpha
@@ -444,19 +412,12 @@ class DlmOp:
         self.variant = variant
         self.n_branch = n_branch
         self.cocycle = cocycle
-        self.head_state = head
-        self.label = head.single_label()
-        self.weight_int = head.max_levels()
         self.mu1 = self.label - self.alpha
         if not self.lattice.in_lattice(self.mu1):
             raise ValueError("head label minus twist must be a lattice vector")
-        self._op = IntertwinerOp(IntertwinerSpec(head, cocycle), cutoff)
         self._pref_cache: dict = {}
 
-    def offset_on(self, target_label: Label) -> GaussRat:
-        return self.label.dot(target_label)
-
-    def _prefactor(self, target_label: Label) -> Scalar:
+    def label_factor(self, target_label: Label) -> Scalar:
         hit = self._pref_cache.get(target_label)
         if hit is None:
             mu2 = target_label - self.sector
@@ -469,20 +430,6 @@ class DlmOp:
                 hit = hit * branch_phase(self.alpha.dot(mu2), self.n_branch)
             self._pref_cache[target_label] = hit
         return hit
-
-    def coefficient(self, target: State, exponent) -> State:
-        exponent = as_gauss(exponent)
-        out = State.zero(target.rank)
-        for m, c in target.terms.items():
-            inner = self._op.coefficient(State.of(m, coeff=c), exponent)
-            out = out + inner.scale(self._prefactor(m.label))
-        return out
-
-    def series(self, target: State, hi: int) -> WindowedSeries:
-        base = self.offset_on(target.single_label())
-        lo = -(self.weight_int + target.max_levels())
-        coeffs = {n: self.coefficient(target, base + n) for n in range(lo, hi + 1)}
-        return WindowedSeries(base, lo, hi, coeffs, State.zero(target.rank))
 
 
 def dlm_vertex(td: TwistData, x: State, sector: Label, target: State, hi: int,
@@ -513,7 +460,7 @@ def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,
     beta = sector
     exponent = as_gauss(exponent)
     rank = target.rank
-    avec = label_vec(alpha)
+    avec = label_mode_vector(alpha)
     lab_x = x.single_label()
     # heads: psi_a Delta(b,z) x as (exponent, state) pairs
     heads = [(exp, IntertwinerOp(IntertwinerSpec(translate_label(st, -alpha), cs)))

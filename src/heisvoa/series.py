@@ -74,10 +74,6 @@ class WindowedSeries:
     def coefficient_at(self, exponent):
         return self.coefficient(exponent_index(self.offset, exponent))
 
-    def exponents(self) -> Iterator[GaussRat]:
-        for n in sorted(self.coeffs):
-            yield self.offset + n
-
     def support(self) -> list[int]:
         return sorted(self.coeffs)
 
@@ -115,11 +111,6 @@ class WindowedSeries:
         return WindowedSeries(self.offset, self.lo, self.hi,
                               {n: f(c) for n, c in self.coeffs.items()},
                               self.zero, self.upper)
-
-    def shift(self, dexp) -> "WindowedSeries":
-        """Multiply by z**dexp (the offset absorbs the shift)."""
-        return WindowedSeries(self.offset + as_gauss(dexp), self.lo, self.hi,
-                              self.coeffs, self.zero, self.upper)
 
     def mul(self, other: "WindowedSeries", mul: Callable = operator.mul,
             zero=None) -> "WindowedSeries":
@@ -210,15 +201,6 @@ def exponent_index(offset: GaussRat, exponent) -> int:
 def constant_series(value, zero, offset=GR_ZERO, hi: int | None = None) -> WindowedSeries:
     """The series value * z**offset, known everywhere below and up to ``hi``."""
     return WindowedSeries(offset, 0, hi, {0: value}, zero)
-
-
-def series_mul(a: WindowedSeries, b: WindowedSeries,
-               mul: Callable = operator.mul) -> WindowedSeries:
-    return a.mul(b, mul)
-
-
-def series_derive(a: WindowedSeries) -> WindowedSeries:
-    return a.derive()
 
 
 def binom_expand(kappa, sign: int, mmax: int) -> Iterator[tuple[GaussRat, int, GaussRat]]:

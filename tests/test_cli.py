@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from heisvoa.cli import ConfigError, Scenario, load_scenario, main
+from heisvoa.cli import SUITES, ConfigError, Scenario, load_scenario, main
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -115,3 +116,56 @@ def test_load_scenario_and_defaults(tmp_path):
     status, text = run(tmp_path, config)
     assert status == 0
     assert "dlm_jacobi_delta" in text and "dlm_jacobi_hat" in text
+
+
+# Configs that no suite can use: each must be refused before any suite runs.
+MALFORMED = {
+    "gram_not_positive_definite": dict(gram=[[0]], suites=["lattice-twist"]),
+    "head_color_above_rank": dict(heads=[[[2, -1]]], suites=["jacobi"]),
+    "jacobi_without_instances": dict(jacobi_instances=[], suites=["jacobi"]),
+    "skew_without_instances": dict(jacobi_instances=[], suites=["skew"]),
+    "dlm_without_twists": dict(twists=[], suites=["dlm"]),
+    "lattice_twist_without_twists": dict(twists=[], suites=["lattice-twist"]),
+    "label_does_not_parse": dict(labels=[["1/0"]]),
+    "twist_longer_than_lattice_rank": dict(twists=[["1/2", "0"]],
+                                           suites=["lattice-twist"]),
+    "pairs_below_one": dict(pairs=-1),
+    "windows_not_an_object": dict(windows=[2]),
+    "windows_not_suite_to_integer": dict(windows={"no-such-suite": 2}),
+}
+
+
+@pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_exits_2(tmp_path, overrides):
+    config = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError):
+        load_scenario(config)
+    assert main(["verify", config]) == 2
+
+
+def test_starved_suite_keeps_the_rest(tmp_path):
+    # y_conj_minus needs level sums 4 at window 3, past cutoff 3
+    config = write_config(tmp_path, suites=["intertwiner-props", "virasoro"],
+                          window=3, cutoff=3)
+    status, text = run(tmp_path, config)
+    assert status == 3
+    assert "suite virasoro case 000 brackets\n  virasoro_brackets: PASS" in text
+    assert "suite intertwiner-props case 000 window_starvation\n" \
+           "  intertwiner-props: STARVED" in text
+    assert "meta error = window exceeds cutoff" in text
+    assert "verdict: FAIL" in text
+
+
+# sha256 of the report body of a small config that runs all nine suites,
+# recorded before the twisted and DLM operators shared one implementation
+GOLDEN_BODY_SHA256 = "eddd4b26373029f94e8f37d14d370d5e0ca317d520f92948e4d6263aff04524d"
+
+
+def test_golden_report_body_all_suites(tmp_path):
+    config = write_config(
+        tmp_path, cutoff=4, window=1, seed=5, suites=list(SUITES),
+        jacobi_instances=[["1/2", "1/3", "-1/4"]], heads=[[], [[1, -1]]],
+        gram=[[2]], twists=["1/2", "1/3"])
+    status, text = run(tmp_path, config)
+    assert status == 0
+    assert hashlib.sha256(body_of(text).encode()).hexdigest() == GOLDEN_BODY_SHA256

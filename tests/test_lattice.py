@@ -14,6 +14,7 @@ from heisvoa.form import FormConfig, verify_invariance
 from heisvoa.intertwiner import IntertwinerSpec, intertwine
 from heisvoa.lattice import (
     DlmOp,
+    TwistData,
     dlm_vertex,
     dlm_vertex_defining,
     integral_lattice,
@@ -22,7 +23,6 @@ from heisvoa.lattice import (
     shifted_central_charge,
     shifted_virasoro,
     twist,
-    twist_label,
     twisted_heisenberg_mode,
     twisted_vertex,
     twisted_virasoro_mode,
@@ -138,7 +138,7 @@ def test_shifted_virasoro():
         rhs = shifted_virasoro(td, 0, one).scale(4) + one.scale(c_a / 2)
         assert lhs == rhs
     # complex twist: L_a(0) = L(0) + a(0) and the normalized-grading match
-    td = twist_label(Z1, label(["1/2*i"]))
+    td = TwistData(Z1, label(["1/2*i"]))
     c_a = shifted_central_charge(td)
     for bm in basis_monomials(1, 4, Z1.label_of([1])):
         s = State.of(bm)
@@ -151,7 +151,7 @@ def test_shifted_virasoro():
 
 
 def test_shifted_virasoro_algebra():
-    td = twist_label(Z1, label(["1/2"]))
+    td = TwistData(Z1, label(["1/2"]))
     c_a = shifted_central_charge(td)
     basis = [State.of(bm) for bm in basis_monomials(1, 2, Z1.label_of([1]))]
     for s in basis:
@@ -300,7 +300,7 @@ def test_dlm_eta_values():
 def test_shifted_virasoro_invariant_set():
     # c_a = l - 12 a.a for a in {1/2, 1/3, i/2}, brackets on weight <= 4
     for a in ("1/2", "1/3", "1/2*i"):
-        td = twist_label(Z1, label([a]))
+        td = TwistData(Z1, label([a]))
         c_a = shifted_central_charge(td)
         states = [State.of(bm) for bm in basis_monomials(1, 4, Z1.label_of([1]))]
         for s in states:
