@@ -20,7 +20,6 @@ from .scalars import (
     branch_phase,
     gr,
     lam_pow,
-    tau_pow,
     zeta_pow,
 )
 from .series import CosetError, WindowError, WindowedSeries
@@ -50,7 +49,6 @@ __all__ = [
     "label",
     "lam_pow",
     "monomial",
-    "tau_pow",
     "zero_label",
     "zeta_pow",
 ]

@@ -134,6 +134,11 @@ class Scenario:
             if key in kw and kw[key] is not None:
                 kw[key] = _freeze(kw[key])
         scn = cls(**kw)
+        bad = [k for k in ("rank", "cutoff", "window", "n_branch", "max_weight",
+                           "pairs", "numerator_bound", "denominator_bound")
+               if type(getattr(scn, k)) is not int]
+        if bad:
+            raise ConfigError(f"fields must be integers: {bad}")
         if scn.rank < 1:
             raise ConfigError("rank must be positive")
         if scn.n_branch % 2 == 0:
@@ -145,6 +150,10 @@ class Scenario:
             raise ConfigError(f"unknown suites: {bad}")
         if scn.pairs < 1:
             raise ConfigError("pairs must be at least 1")
+        if scn.max_weight < 0 or scn.numerator_bound < 0 \
+                or scn.denominator_bound < 1:
+            raise ConfigError("max_weight and numerator_bound must be at least "
+                              "0, denominator_bound at least 1")
         if not isinstance(scn.windows, dict) or any(
                 k not in SUITES or type(v) is not int
                 for k, v in scn.windows.items()):
@@ -154,7 +163,8 @@ class Scenario:
             raise ConfigError("cutoff must be at least every window radius")
         for head in scn.heads:
             for part in head:
-                if len(part) != 2 or part[1] >= 0 or not 1 <= part[0] <= scn.rank:
+                if len(part) != 2 or any(type(v) is not int for v in part) \
+                        or part[1] >= 0 or not 1 <= part[0] <= scn.rank:
                     raise ConfigError(f"malformed head part {part}")
         for row in scn.labels:
             if len(row) != scn.rank:
@@ -171,11 +181,12 @@ class Scenario:
             for row in scn.labels + scn.jacobi_instances:
                 for v in row:
                     gr(v)
+            scn.cocycle()
             lat = integral_lattice(scn.gram, scn.embedding)
             for t in scn.twists:
                 _twist_of(lat, t)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad label, lattice or twist: {exc}") from exc
+            raise ConfigError(f"bad label, cocycle, lattice or twist: {exc}") from exc
         return scn
 
 

@@ -3,12 +3,8 @@
 States are finite linear combinations of monomials
 a[i1](-k1)...a[ir](-kr)|alpha> with exact Scalar coefficients, where the
 module label alpha is an l-tuple of Gaussian rationals.  Colors i are
-1-based throughout, matching the text format ``a[i,-k]``.
-
-A label may carry an auxiliary tau-part: the zero-mode eigenvalue of
-a[i](0) on |alpha + tau*beta> is alpha_i + tau*beta_i.  Only the mode
-algebra supports tau-parts; anything needing dot products of labels
-(exponent offsets, weights) insists on tau-free labels.
+1-based throughout, matching the text format ``a[i,-k]``.  The zero
+mode a[i](0) acts on |alpha> by the eigenvalue alpha_i.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from .scalars import (
     as_scalar,
     binom,
     parse_scalar,
-    tau_pow,
 )
 
 Part = tuple[int, int]  # (color, level), level >= 1
@@ -35,23 +30,16 @@ Part = tuple[int, int]  # (color, level), level >= 1
 
 class Label(NamedTuple):
     alpha: tuple[GaussRat, ...]
-    tau: tuple[GaussRat, ...]
 
     @property
     def rank(self) -> int:
         return len(self.alpha)
 
     @property
-    def is_tau_free(self) -> bool:
-        return all(t.is_zero for t in self.tau)
-
-    @property
     def is_zero(self) -> bool:
-        return self.is_tau_free and all(a.is_zero for a in self.alpha)
+        return all(a.is_zero for a in self.alpha)
 
     def dot(self, other: "Label") -> GaussRat:
-        if not (self.is_tau_free and other.is_tau_free):
-            raise ValueError("dot product undefined for tau-carrying labels")
         if self.rank != other.rank:
             raise ValueError("label rank mismatch")
         out = GR_ZERO
@@ -62,51 +50,34 @@ class Label(NamedTuple):
     def norm2(self) -> GaussRat:
         return self.dot(self)
 
-    def a0_eigenvalue(self, color: int) -> Scalar:
-        """Eigenvalue of a[color](0), a Scalar when a tau-part is present."""
-        base = Scalar.rational(self.alpha[color - 1])
-        t = self.tau[color - 1]
-        if t.is_zero:
-            return base
-        return base + tau_pow(1).scale(t)
-
     def __add__(self, other: "Label") -> "Label":
         if self.rank != other.rank:
             raise ValueError("label rank mismatch")
-        return Label(tuple(a + b for a, b in zip(self.alpha, other.alpha)),
-                     tuple(a + b for a, b in zip(self.tau, other.tau)))
+        return Label(tuple(a + b for a, b in zip(self.alpha, other.alpha)))
 
     def __neg__(self) -> "Label":
-        return Label(tuple(-a for a in self.alpha), tuple(-t for t in self.tau))
+        return Label(tuple(-a for a in self.alpha))
 
     def __sub__(self, other: "Label") -> "Label":
         return self + (-other)
 
     def scale(self, c) -> "Label":
         c = as_gauss(c)
-        return Label(tuple(a * c for a in self.alpha),
-                     tuple(t * c for t in self.tau))
+        return Label(tuple(a * c for a in self.alpha))
 
     def sort_key(self):
-        return tuple(x.sort_key() for x in self.alpha + self.tau)
+        return tuple(x.sort_key() for x in self.alpha)
 
     def __str__(self) -> str:
-        body = ",".join(str(a) for a in self.alpha)
-        if not self.is_tau_free:
-            body += ";tau:" + ",".join(str(t) for t in self.tau)
-        return body
+        return ",".join(str(a) for a in self.alpha)
 
 
-def label(values: Iterable, tau: Iterable | None = None) -> Label:
-    alpha = tuple(as_gauss(v) for v in values)
-    taup = tuple(as_gauss(v) for v in tau) if tau is not None else (GR_ZERO,) * len(alpha)
-    if len(taup) != len(alpha):
-        raise ValueError("tau part must match label rank")
-    return Label(alpha, taup)
+def label(values: Iterable) -> Label:
+    return Label(tuple(as_gauss(v) for v in values))
 
 
 def zero_label(rank: int) -> Label:
-    return Label((GR_ZERO,) * rank, (GR_ZERO,) * rank)
+    return Label((GR_ZERO,) * rank)
 
 
 class FockMonomial(NamedTuple):
@@ -235,10 +206,6 @@ class State:
         """Largest level sum over the monomials (0 for the zero state)."""
         return max((m.levels_sum for m in self.terms), default=0)
 
-    def truncate_tau(self, order: int) -> "State":
-        return State(self.rank, {m: c.truncate_tau(order)
-                                 for m, c in self.terms.items()})
-
     def items_sorted(self) -> list[tuple[FockMonomial, Scalar]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
@@ -284,7 +251,7 @@ def _mode_on_monomial(color: int, n: int, m: FockMonomial) -> State:
         if n < 0:
             hit = State.of(monomial(m.label, m.parts + ((color, -n),)))
         elif n == 0:
-            hit = State.of(m, coeff=m.label.a0_eigenvalue(color))
+            hit = State.of(m, coeff=m.label.alpha[color - 1])
         else:
             mult = sum(1 for i, k in m.parts if i == color and k == n)
             if mult == 0:
@@ -298,17 +265,6 @@ def _mode_on_monomial(color: int, n: int, m: FockMonomial) -> State:
 
 
 _MODE_CACHE: dict = {}
-
-
-def label_mode_vector(lab: Label) -> tuple[Scalar, ...]:
-    """Coefficient vector of alpha(n) for a (possibly tau-carrying) label."""
-    out = []
-    for a, t in zip(lab.alpha, lab.tau):
-        c = Scalar.rational(a)
-        if not t.is_zero:
-            c = c + tau_pow(1).scale(t)
-        out.append(c)
-    return tuple(out)
 
 
 def virasoro_mode(n: int, s: State) -> State:

@@ -29,7 +29,6 @@ from .fock import (
     State,
     apply_mode,
     basis_monomials,
-    label_mode_vector,
     monomial,
     vertex_mode,
     virasoro_mode,
@@ -201,7 +200,7 @@ class AdjointIntertwinerOp:
         self.label = spec.label
         self.cocycle = spec.cocycle
         self.weight_int = spec.weight_int
-        self._avec = label_mode_vector(self.label)
+        self._avec = self.label.alpha
         self._arg_plus = -lam_pow(-2)   # Yminus^+(a,z): modes at z^(+k)
         self._arg_minus = -lam_pow(2)   # Yplus^+(a,z): modes at z^(-k)
         # parts of e^(-z lam^-2 L(1)) (lam/(E(N)z))^(2L(0)) u: for each
@@ -270,11 +269,6 @@ class AdjointIntertwinerOp:
                   for n in range(lo, hi_true + 1)}
         return WindowedSeries(base, lo, hi_true, coeffs,
                               State.zero(target.rank), upper=True)
-
-
-def adjoint_intertwiner(spec: IntertwinerSpec, cfg: FormConfig,
-                        cutoff: int | None = None) -> AdjointIntertwinerOp:
-    return AdjointIntertwinerOp(spec, cfg, cutoff)
 
 
 def verify_invariance(x: IntertwinerSpec, y: State, t: State, cfg: FormConfig,

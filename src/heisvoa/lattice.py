@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fock import Label, State, apply_mode, label, label_mode_vector, virasoro_mode
+from .fock import Label, State, apply_mode, label, virasoro_mode
 from .intertwiner import (
     CocycleSystem,
     DressedOp,
@@ -353,9 +353,9 @@ def verify_li_equivalence(td: TwistData, x: State, target: State,
         meta={"mu": str(mu), "alpha": str(td.alpha), "C(mu,alpha)": str(c_fix)})
     for n in range(lo, order + 1):
         e = base + n
-        left = direct.coefficient(shifted, e)
-        right = apply_e(cs, td.alpha, li.coefficient(target, e)).scale(c_fix)
-        rep.record((e,), left, right)
+        rep.guarded((e,), lambda e=e: (
+            direct.coefficient(shifted, e),
+            apply_e(cs, td.alpha, li.coefficient(target, e)).scale(c_fix)))
     return rep
 
 
@@ -365,6 +365,9 @@ def verify_twist_grading(td: TwistData, max_weight: int) -> VerificationReport:
     rep = VerificationReport("twist_grading", window_used=f"weight<= {max_weight}")
     lat = td.lattice
     rank = td.rank
+    # the record key prints the label's sort key padded with one zero pair
+    # per coordinate, the fixed key text of this report
+    pad = ((Fraction(0), Fraction(0)),) * rank
     for mu_val in (0, 1, -1):
         mu = lat.label_of([mu_val] + [0] * (lat.rank - 1))
         for m in basis_monomials(rank, max_weight, mu):
@@ -375,7 +378,7 @@ def verify_twist_grading(td: TwistData, max_weight: int) -> VerificationReport:
             l0 = virasoro_mode(0, shifted)
             want = l0.terms.get(next(iter(shifted.terms)))
             got = lg.terms.get(m)
-            rep.record((str(m.sort_key()),),
+            rep.record((str((m.label.sort_key() + pad, m.parts)),),
                        got if got is not None else Scalar.rational(0),
                        want if want is not None else Scalar.rational(0))
     return rep
@@ -460,7 +463,7 @@ def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,
     beta = sector
     exponent = as_gauss(exponent)
     rank = target.rank
-    avec = label_mode_vector(alpha)
+    avec = alpha.alpha
     lab_x = x.single_label()
     # heads: psi_a Delta(b,z) x as (exponent, state) pairs
     heads = [(exp, IntertwinerOp(IntertwinerSpec(translate_label(st, -alpha), cs)))

@@ -1,7 +1,7 @@
 """Exact coefficient arithmetic.
 
 Every identity this package checks is decided in the group algebra of a
-formal unit group over the Gaussian rationals.  The unit group has four
+formal unit group over the Gaussian rationals.  The unit group has three
 commuting generators:
 
 * ``E(kappa)`` for Gaussian-rational ``kappa``, subject only to
@@ -10,9 +10,6 @@ commuting generators:
   with the odd integer ``N`` folded into the exponent.
 * ``lam`` (the Moebius-map constant) and ``zeta`` (a free cocycle
   constant), both with Gaussian-rational exponents and no relations.
-* ``tau``, an auxiliary commuting parameter with natural-number degree,
-  used by the conjugation checkers to expand exponentiated shift
-  operators order by order.
 
 No floating point ever appears; equality of scalars is literal equality
 of normalized terms.
@@ -225,10 +222,9 @@ class Unit(NamedTuple):
     e_exp: GaussRat
     lam_exp: GaussRat
     zeta_exp: GaussRat
-    tau_exp: int
 
 
-UNIT_ONE = Unit(GR_ZERO, GR_ZERO, GR_ZERO, 0)
+UNIT_ONE = Unit(GR_ZERO, GR_ZERO, GR_ZERO)
 
 
 def _normalize_e(kappa: GaussRat) -> tuple[int, GaussRat]:
@@ -268,14 +264,14 @@ class Scalar:
 
     @classmethod
     def from_unit(cls, e_exp=GR_ZERO, lam_exp=GR_ZERO, zeta_exp=GR_ZERO,
-                  tau_exp: int = 0, coeff=GR_ONE) -> "Scalar":
+                  coeff=GR_ONE) -> "Scalar":
         coeff = as_gauss(coeff)
         if coeff.is_zero:
             return S_ZERO
         sign, e_norm = _normalize_e(as_gauss(e_exp))
         if sign < 0:
             coeff = -coeff
-        unit = Unit(e_norm, as_gauss(lam_exp), as_gauss(zeta_exp), tau_exp)
+        unit = Unit(e_norm, as_gauss(lam_exp), as_gauss(zeta_exp))
         return cls({unit: coeff}, _clean=True)
 
     # -- queries ----------------------------------------------------------
@@ -348,8 +344,7 @@ class Scalar:
         for u1, c1 in self.terms.items():
             for u2, c2 in other.terms.items():
                 sign, e_norm = _normalize_e(u1.e_exp + u2.e_exp)
-                u = Unit(e_norm, u1.lam_exp + u2.lam_exp,
-                         u1.zeta_exp + u2.zeta_exp, u1.tau_exp + u2.tau_exp)
+                u = Unit(e_norm, u1.lam_exp + u2.lam_exp, u1.zeta_exp + u2.zeta_exp)
                 c = c1 * c2
                 if sign < 0:
                     c = -c
@@ -382,13 +377,11 @@ class Scalar:
                 "only group-algebra monomials are invertible "
                 f"(got {len(self.terms)} terms)")
         (u, c), = self.terms.items()
-        if u.tau_exp:
-            raise ZeroDivisionError("tau-carrying scalars are not invertible")
         sign, e_norm = _normalize_e(-u.e_exp)
         coeff = GR_ONE / c
         if sign < 0:
             coeff = -coeff
-        inv = Unit(e_norm, -u.lam_exp, -u.zeta_exp, 0)
+        inv = Unit(e_norm, -u.lam_exp, -u.zeta_exp)
         return Scalar({inv: coeff}, _clean=True)
 
     def __pow__(self, n: int) -> "Scalar":
@@ -399,14 +392,6 @@ class Scalar:
             out = out * self
         return out
 
-    def truncate_tau(self, order: int) -> "Scalar":
-        """Drop all terms of tau-degree above ``order``."""
-        return Scalar({u: c for u, c in self.terms.items()
-                       if u.tau_exp <= order}, _clean=True)
-
-    def max_tau_degree(self) -> int:
-        return max((u.tau_exp for u in self.terms), default=0)
-
     def specialize_lambda_i(self) -> "Scalar":
         """Evaluate lam at sqrt(-1); requires integer lam exponents."""
         out = S_ZERO
@@ -416,7 +401,7 @@ class Scalar:
             k = int(u.lam_exp.re)
             i_pow = GR_I ** (k % 4)
             out = out + Scalar.from_unit(u.e_exp, GR_ZERO, u.zeta_exp,
-                                         u.tau_exp, coeff=c * i_pow)
+                                         coeff=c * i_pow)
         return out
 
     # -- container protocol ----------------------------------------------
@@ -437,8 +422,8 @@ class Scalar:
     def sorted_terms(self) -> list[tuple[Unit, GaussRat]]:
         return sorted(
             self.terms.items(),
-            key=lambda t: (t[0].tau_exp, t[0].e_exp.sort_key(),
-                           t[0].lam_exp.sort_key(), t[0].zeta_exp.sort_key()))
+            key=lambda t: (t[0].e_exp.sort_key(), t[0].lam_exp.sort_key(),
+                           t[0].zeta_exp.sort_key()))
 
     def __iter__(self) -> Iterator[tuple[Unit, GaussRat]]:
         return iter(self.sorted_terms())
@@ -455,8 +440,6 @@ class Scalar:
                 factors.append(f"lam^({u.lam_exp})")
             if not u.zeta_exp.is_zero:
                 factors.append(f"zeta^({u.zeta_exp})")
-            if u.tau_exp:
-                factors.append(f"tau^{u.tau_exp}")
             parts.append("*".join(factors))
         return " + ".join(parts)
 
@@ -490,10 +473,6 @@ def zeta_pow(e) -> Scalar:
     return Scalar.from_unit(zeta_exp=as_gauss(e))
 
 
-def tau_pow(n: int) -> Scalar:
-    return Scalar.from_unit(tau_exp=n)
-
-
 def sign_pow(n: int) -> Scalar:
     """(-1)**n as a Scalar."""
     return S_MINUS_ONE if n % 2 else S_ONE
@@ -512,7 +491,6 @@ def parse_scalar(text: str) -> Scalar:
     for piece in _split_terms(text):
         coeff = GR_ONE
         e_exp = lam_exp = zeta_exp = GR_ZERO
-        tau_exp = 0
         for factor in _split_factors(piece):
             f = factor.strip()
             if f.startswith("E(") and f.endswith(")"):
@@ -521,11 +499,9 @@ def parse_scalar(text: str) -> Scalar:
                 lam_exp = lam_exp + GaussRat.parse(f[4:].strip("()"))
             elif f.startswith("zeta^"):
                 zeta_exp = zeta_exp + GaussRat.parse(f[5:].strip("()"))
-            elif f.startswith("tau^"):
-                tau_exp += int(f[4:])
             else:
                 coeff = coeff * GaussRat.parse(f.strip("()"))
-        out = out + Scalar.from_unit(e_exp, lam_exp, zeta_exp, tau_exp, coeff)
+        out = out + Scalar.from_unit(e_exp, lam_exp, zeta_exp, coeff)
     return out
 
 

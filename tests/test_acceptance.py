@@ -109,12 +109,11 @@ def test_criterion_2_conjugation_identities():
         assert rep.verdict, f"conj+ pair {k}: " + rep.failures_detail
         rep = verify_yy_conj(alpha, u, s, r, (-r, r))
         assert rep.verdict, f"yy pair {k}: " + rep.failures_detail
-        rep = verify_shift_conj_lminus(alpha, s, r, tau_order=3)
+        rep = verify_shift_conj_lminus(alpha, s, r)
         assert rep.verdict, f"L- pair {k}: " + rep.failures_detail
-        rep = verify_shift_conj_lplus(alpha, State.of(monomial(gamma, ((1, 3),))),
-                                      tau_order=3)
+        rep = verify_shift_conj_lplus(alpha, State.of(monomial(gamma, ((1, 3),))))
         assert rep.verdict, f"L+ pair {k}: " + rep.failures_detail
-        rep = verify_shift_conj_vertex(alpha, u, s, (-r, r), tau_order=3)
+        rep = verify_shift_conj_vertex(alpha, u, s, (-r, r))
         assert rep.verdict, f"q-conj pair {k}: " + rep.failures_detail
     elapsed = _passline(2, "exponential-operator conjugation identities", t0)
     assert elapsed < 60

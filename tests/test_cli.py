@@ -132,6 +132,14 @@ MALFORMED = {
     "pairs_below_one": dict(pairs=-1),
     "windows_not_an_object": dict(windows=[2]),
     "windows_not_suite_to_integer": dict(windows={"no-such-suite": 2}),
+    "rank_not_integer": dict(rank=1.5),
+    "pairs_not_integer": dict(pairs=1.5, suites=["skew"]),
+    "numerator_bound_negative": dict(numerator_bound=-1, suites=["form"]),
+    "denominator_bound_zero": dict(denominator_bound=0, suites=["form"]),
+    "n_branch_not_integer": dict(n_branch=1.5, suites=["form"]),
+    "cocycle_not_rank_by_rank": dict(cocycle_f=[[1, 2]]),
+    "max_weight_negative": dict(max_weight=-1),
+    "head_level_not_integer": dict(heads=[[[1, -1.5]]], suites=["jacobi"]),
 }
 
 
@@ -144,16 +152,34 @@ def test_malformed_config_exits_2(tmp_path, overrides):
 
 
 def test_starved_suite_keeps_the_rest(tmp_path):
-    # y_conj_minus needs level sums 4 at window 3, past cutoff 3
+    # y_conj_minus needs level sums 4 at window 3, past cutoff 3; the
+    # cases that fit the cutoff keep their outcomes
     config = write_config(tmp_path, suites=["intertwiner-props", "virasoro"],
                           window=3, cutoff=3)
     status, text = run(tmp_path, config)
     assert status == 3
+    assert "suite intertwiner-props case 000 pair000/ypm_commutation\n" \
+           "  ypm_commutation: PASS" in text
+    assert "suite intertwiner-props case 001 pair000/y_conj_minus\n" \
+           "  y_conj_minus: STARVED" in text
+    assert "window needs level sums up to 4 > cutoff 3" in text
     assert "suite virasoro case 000 brackets\n  virasoro_brackets: PASS" in text
-    assert "suite intertwiner-props case 000 window_starvation\n" \
-           "  intertwiner-props: STARVED" in text
-    assert "meta error = window exceeds cutoff" in text
+    assert "window_starvation" not in text
     assert "verdict: FAIL" in text
+
+
+def test_starved_lattice_case_keeps_the_rest(tmp_path):
+    # li_equivalence reaches level sums 2, past cutoff 1, at its top exponent
+    config = write_config(tmp_path, suites=["lattice-twist"], window=1,
+                          cutoff=1, twists=["1/2"])
+    status, text = run(tmp_path, config)
+    assert status == 0
+    assert "  li_equivalence: PASS checked=2 failed=0 skipped=1" in text
+    assert "suite lattice-twist case 002 alpha=1/2/grading\n" \
+           "  twist_grading: PASS" in text
+    assert "suite lattice-twist case 003 alpha=1/2/shifted_virasoro\n" \
+           "  shifted_virasoro[1/2]: PASS" in text
+    assert "window_starvation" not in text
 
 
 # sha256 of the report body of a small config that runs all nine suites,

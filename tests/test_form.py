@@ -13,7 +13,6 @@ from heisvoa.intertwiner import CocycleSystem, IntertwinerSpec, apply_e
 from heisvoa.form import (
     AdjointIntertwinerOp,
     FormConfig,
-    adjoint_intertwiner,
     adjoint_mode,
     det_scalar,
     e_dagger,
@@ -110,7 +109,7 @@ def test_adjoint_intertwiner_uncharged_matches_mode_adjoints():
     cs = cfg.cocycle
     a = apply_mode(1, -1, State.vacuum(1))
     spec = IntertwinerSpec(a, cs)
-    adj = adjoint_intertwiner(spec, cfg)
+    adj = AdjointIntertwinerOp(spec, cfg)
     t = State.of(monomial(zero_label(1), ((1, 2),)))
     for e in range(-3, 3):
         got = adj.coefficient(t, gr(e))
@@ -122,7 +121,7 @@ def test_adjoint_intertwiner_identity_and_e_dagger():
     cfg = cfg_for(1)
     cs = cfg.cocycle
     one_spec = IntertwinerSpec(State.vacuum(1), cs)
-    adj = adjoint_intertwiner(one_spec, cfg)
+    adj = AdjointIntertwinerOp(one_spec, cfg)
     t = State.of(monomial(zero_label(1), ((1, 1),)))
     assert adj.coefficient(t, gr(0)) == t
     assert adj.coefficient(t, gr(2)).is_zero

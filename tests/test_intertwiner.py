@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from heisvoa import intertwiner
 from heisvoa.fock import (
     State,
     apply_mode,
@@ -284,13 +285,43 @@ def test_shift_conjugation_identities():
     for _ in range(2):
         alpha = rand_label(rng, rank)
         s = State.of(monomial(label(["1/3"]), ((1, 1),)))
-        rep = verify_shift_conj_lminus(alpha, s, order=3, tau_order=None)
+        rep = verify_shift_conj_lminus(alpha, s, order=3)
         assert rep.verdict, rep.failures_detail
-        rep = verify_shift_conj_lplus(alpha, s, tau_order=None)
+        rep = verify_shift_conj_lplus(alpha, s)
         assert rep.verdict, rep.failures_detail
         u = State.of(monomial(zero_label(rank), ((1, 2),)))
-        rep = verify_shift_conj_vertex(alpha, u, s, window=(-3, 2), tau_order=None)
+        rep = verify_shift_conj_vertex(alpha, u, s, window=(-3, 2))
         assert rep.verdict, rep.failures_detail
+
+
+def _doubled(coeff):
+    """A creation/annihilation coefficient that acts with 2*alpha."""
+    def wrong(avec, k, s, arg=S_ONE):
+        return coeff(tuple(a * 2 for a in avec), k, s, arg)
+    return wrong
+
+
+# each verifier compares at t = 0..D; corrupting only its right side
+# (the Yminus/Yplus side) must come out as a failure
+SHIFT_CONJ_MUTANTS = {
+    "lminus": ("creation_coeff", lambda alpha, s, u:
+               verify_shift_conj_lminus(alpha, s, order=3)),
+    "lplus": ("annihilation_coeff", lambda alpha, s, u:
+              verify_shift_conj_lplus(alpha, s)),
+    "vertex": ("annihilation_coeff", lambda alpha, s, u:
+               verify_shift_conj_vertex(alpha, u, s, window=(-3, 2))),
+}
+
+
+@pytest.mark.parametrize("name", SHIFT_CONJ_MUTANTS)
+def test_shift_conjugation_designed_failure(monkeypatch, name):
+    target, verify = SHIFT_CONJ_MUTANTS[name]
+    alpha = label(["2/3"])
+    s = State.of(monomial(label(["1/3"]), ((1, 1),)))
+    u = State.of(monomial(zero_label(1), ((1, 2),)))
+    assert verify(alpha, s, u).outcome == "PASS"
+    monkeypatch.setattr(intertwiner, target, _doubled(getattr(intertwiner, target)))
+    assert verify(alpha, s, u).outcome == "FAIL"
 
 
 def test_mixed_coset_target_rejected():

@@ -17,7 +17,6 @@ from heisvoa.scalars import (
     gr,
     lam_pow,
     parse_scalar,
-    tau_pow,
     zeta_pow,
 )
 
@@ -95,7 +94,6 @@ def test_unit_relations():
     assert E(1) * x == -x                                        # E(1) = -1 folds
     assert lam_pow(2) * lam_pow(-2) == S_ONE
     assert zeta_pow(gr(0, 1)) * zeta_pow(gr(0, -1)) == S_ONE
-    assert tau_pow(2) * tau_pow(1) == tau_pow(3)
     # stored E exponents never sit in Z unless zero
     for k in (gr(Fraction(7, 2)), gr(-3), gr(4), gr(Fraction(-1, 2), 1)):
         s = E(k)
@@ -124,12 +122,6 @@ def test_inverse_monomial_only():
         S_ZERO.inverse()
 
 
-def test_tau_truncation():
-    s = S_ONE + tau_pow(1) * 2 + tau_pow(4).scale(gr(Fraction(1, 2)))
-    assert s.truncate_tau(3) == S_ONE + tau_pow(1) * 2
-    assert s.max_tau_degree() == 4
-
-
 def test_lambda_specialization():
     s = lam_pow(2) + lam_pow(-2)
     assert s.specialize_lambda_i() == as_scalar(-2)
@@ -140,5 +132,5 @@ def test_lambda_specialization():
 def test_scalar_text_roundtrip():
     rng = random.Random(7)
     for _ in range(60):
-        s = rand_scalar(rng) + tau_pow(rng.randint(0, 2))
+        s = rand_scalar(rng)
         assert parse_scalar(str(s)) == s
