@@ -5,10 +5,7 @@ from .intertwiner import (
     CocycleSystem,
     IntertwinerOp,
     IntertwinerSpec,
-    apply_Delta,
-    apply_Ypm,
     apply_e,
-    intertwine,
 )
 from .scalars import (
     E,
@@ -22,7 +19,7 @@ from .scalars import (
     lam_pow,
     zeta_pow,
 )
-from .series import CosetError, WindowError, WindowedSeries
+from .series import CosetError, WindowError
 
 __all__ = [
     "CocycleSystem",
@@ -36,16 +33,12 @@ __all__ = [
     "Scalar",
     "State",
     "WindowError",
-    "WindowedSeries",
-    "apply_Delta",
-    "apply_Ypm",
     "apply_e",
     "as_gauss",
     "as_scalar",
     "binom",
     "branch_phase",
     "gr",
-    "intertwine",
     "label",
     "lam_pow",
     "monomial",

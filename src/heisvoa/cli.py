@@ -108,8 +108,8 @@ class Scenario:
     def radius(self, suite: str) -> int:
         return int(self.windows.get(suite, self.window))
 
-    def cocycle(self, rank: int | None = None, corruption=None) -> CocycleSystem:
-        r = rank if rank is not None else self.rank
+    def cocycle(self, corruption=None) -> CocycleSystem:
+        r = self.rank
         if self.cocycle_f is not None:
             f = tuple(tuple(gr(v) for v in row) for row in self.cocycle_f)
         else:
@@ -134,11 +134,16 @@ class Scenario:
             if key in kw and kw[key] is not None:
                 kw[key] = _freeze(kw[key])
         scn = cls(**kw)
-        bad = [k for k in ("rank", "cutoff", "window", "n_branch", "max_weight",
-                           "pairs", "numerator_bound", "denominator_bound")
+        bad = [k for k in ("rank", "cutoff", "window", "n_branch", "seed",
+                           "max_weight", "pairs", "numerator_bound",
+                           "denominator_bound")
                if type(getattr(scn, k)) is not int]
         if bad:
             raise ConfigError(f"fields must be integers: {bad}")
+        bad = [k for k in ("diagonal_fix", "negative_controls")
+               if type(getattr(scn, k)) is not bool]
+        if bad:
+            raise ConfigError(f"fields must be booleans: {bad}")
         if scn.rank < 1:
             raise ConfigError("rank must be positive")
         if scn.n_branch % 2 == 0:
@@ -159,6 +164,8 @@ class Scenario:
                 for k, v in scn.windows.items()):
             raise ConfigError("windows must map suite names to integers")
         radii = [scn.window] + list(scn.windows.values())
+        if min(radii) < 0:
+            raise ConfigError("window radii must be nonnegative")
         if scn.cutoff < max(radii):
             raise ConfigError("cutoff must be at least every window radius")
         for head in scn.heads:
@@ -170,6 +177,10 @@ class Scenario:
             if len(row) != scn.rank:
                 raise ConfigError(f"label sample {row} does not match rank "
                                   f"{scn.rank}")
+        if not isinstance(scn.gram, tuple) or any(
+                not isinstance(row, tuple) or any(type(v) is not int for v in row)
+                for row in scn.gram):
+            raise ConfigError("gram must be a matrix of integers")
         selected = set(scn.suites)
         if not scn.jacobi_instances and selected & {"jacobi", "skew"}:
             raise ConfigError("jacobi and skew need jacobi_instances")
@@ -207,12 +218,10 @@ def load_scenario(path: str) -> Scenario:
     return Scenario.from_dict(data)
 
 
-def sample_labels(scn: Scenario, rng: random.Random, count: int, rank=None):
+def sample_labels(scn: Scenario, rng: random.Random, count: int):
     """Gaussian-rational label tuples from the configured bounded ranges."""
-    r = rank if rank is not None else scn.rank
-    explicit = [label([gr(v) for v in row]) for row in scn.labels
-                if len(row) == r]
-    out = list(explicit)
+    r = scn.rank
+    out = [label([gr(v) for v in row]) for row in scn.labels]
     nb, db = scn.numerator_bound, scn.denominator_bound
     while len(out) < count:
         out.append(label([GaussRat(Fraction(rng.randint(-nb, nb), rng.randint(1, db)),
@@ -293,7 +302,8 @@ def suite_intertwiner_props(scn: Scenario) -> list[Case]:
                       verify_shift_conj_lplus(alpha, State.of(
                           monomial(gamma, ((1, 1),))))))
         cases.append((f"{tag}/shift_conj_vertex",
-                      verify_shift_conj_vertex(alpha, u, s, (-r, r))))
+                      verify_shift_conj_vertex(alpha, u, s, (-r, r),
+                                               scn.cutoff)))
         spec = IntertwinerSpec(head_state(scn, ((1, -1),), alpha), cs)
         cases.append((f"{tag}/e_conjugation",
                       verify_e_conjugation(spec, beta, s, r, scn.cutoff)))

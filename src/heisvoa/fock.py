@@ -373,12 +373,6 @@ def _sign(k: int) -> GaussRat:
     return GR_ONE if k % 2 == 0 else -GR_ONE
 
 
-def clear_caches() -> None:
-    _MODE_CACHE.clear()
-    _VIRASORO_CACHE.clear()
-    _VERTEX_CACHE.clear()
-
-
 def translate_label(s: State, dalpha: Label) -> State:
     """Pure label shift |beta> -> |beta + dalpha| with no scalar factor.
 

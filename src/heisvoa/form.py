@@ -53,7 +53,7 @@ from .scalars import (
     lam_pow,
     sign_pow,
 )
-from .series import WindowError, WindowedSeries
+from .series import WindowError, exponent_index
 
 
 @dataclass
@@ -226,12 +226,7 @@ class AdjointIntertwinerOp:
         alpha = self.label
         for tm, tc in target.terms.items():
             gamma = tm.label
-            e_rel = exponent - self.offset_on(gamma)
-            if not e_rel.is_integer:
-                from .series import CosetError
-                raise CosetError(f"exponent {exponent} not in coset "
-                                 f"({self.offset_on(gamma)})+Z")
-            n_rel = int(e_rel.re)
+            n_rel = exponent_index(self.offset_on(gamma), exponent)
             level_out = tm.levels_sum - self.weight_int - n_rel
             if self.cutoff is not None and level_out > self.cutoff:
                 raise WindowError("adjoint coefficient beyond cutoff")
@@ -258,17 +253,6 @@ class AdjointIntertwinerOp:
                         acc = acc + term.scale(uscale * mode_scale)
             out = out + acc
         return out
-
-    def series(self, target: State, lo: int, hi: int | None = None) -> WindowedSeries:
-        labels = target.labels()
-        base = self.offset_on(next(iter(labels)))
-        hi_true = target.max_levels() - self.weight_int
-        if hi is not None:
-            hi_true = max(hi, hi_true)
-        coeffs = {n: self.coefficient(target, base + n)
-                  for n in range(lo, hi_true + 1)}
-        return WindowedSeries(base, lo, hi_true, coeffs,
-                              State.zero(target.rank), upper=True)
 
 
 def verify_invariance(x: IntertwinerSpec, y: State, t: State, cfg: FormConfig,

@@ -45,7 +45,7 @@ from .scalars import (
     binom,
     zeta_pow,
 )
-from .series import WindowError, WindowedSeries, exponent_index
+from .series import WindowError, exponent_index
 
 
 def _bilinear(matrix, a: Label, b: Label) -> GaussRat:
@@ -234,95 +234,44 @@ def annihilation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> St
     return out
 
 
-def apply_Ypm(alpha: Label, sign: int, s: State, order: int,
-              cutoff: int | None = None) -> WindowedSeries:
-    """Yplus (sign=+1) or Yminus (sign=-1) of the label modes applied to s.
-
-    Yminus raises level sums, so its window [0, order] is bounded by the
-    cutoff; Yplus terminates on its own and is returned fully known.
-    """
-    avec = alpha.alpha
-    zero = State.zero(s.rank)
-    if sign < 0:
-        if cutoff is not None and s.max_levels() + order > cutoff:
-            raise WindowError(
-                f"Yminus to order {order} needs level sums up to "
-                f"{s.max_levels() + order} > cutoff {cutoff}")
-        coeffs = {k: creation_coeff(avec, k, s) for k in range(order + 1)}
-        return WindowedSeries(GR_ZERO, 0, order, coeffs, zero)
-    kmax = s.max_levels()
-    coeffs = {-k: annihilation_coeff(avec, k, s) for k in range(kmax + 1)}
-    return WindowedSeries(GR_ZERO, -kmax, None, coeffs, zero)
-
-
-def apply_Delta(beta: Label, s: State, cutoff: int | None = None) -> WindowedSeries:
-    """Delta(beta,z) = z^(beta(0)) Yplus(beta,-z): exact and fully known.
+def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
+    """Delta(beta,z)s = z^(beta(0)) Yplus(beta,-z)s as a finite list of
+    (exponent, state) pairs in ascending exponent order.
 
     Monomials of s must give offsets beta.mu in one coset; otherwise a
     CosetError asks the caller to split per coset first.
     """
     avec = beta.alpha
-    zero = State.zero(s.rank)
     base: GaussRat | None = None
     coeffs: dict[int, State] = {}
-    lo = 0
     for m, c in s.terms.items():
         off = beta.dot(m.label)
         if base is None:
             base = off
         shift = exponent_index(base, off)
         for k in range(m.levels_sum + 1):
-            idx = shift - k
             v = _mode_chain(avec, 1, S_MINUS_ONE, m, k)[k].scale(c)
             if not v.is_zero:
-                coeffs[idx] = coeffs.get(idx, zero) + v
-            lo = min(lo, idx)
-    if base is None:
-        base = GR_ZERO
-    return WindowedSeries(base, min(lo, 0), None, coeffs, zero)
-
-
-def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
-    """Delta(beta,z)s as a finite list of (exponent, state) pairs."""
-    series = apply_Delta(beta, s)
-    return [(series.offset + n, series.coeffs[n]) for n in series.support()]
+                acc = coeffs.get(shift - k)
+                coeffs[shift - k] = v if acc is None else acc + v
+    return [(base + n, coeffs[n]) for n in sorted(coeffs)
+            if not coeffs[n].is_zero]
 
 
 # ---------------------------------------------------------------------------
 # the intertwiner engine
 
 
-class LowerTruncatedOp:
-    """A coefficient operator whose series on a target vanishes below
-    exponent offset - (weight_int + target level sum).
+class IntertwinerOp:
+    """Coefficient extractor for one creative intertwiner.
 
-    Subclasses provide ``weight_int``, ``offset_on(target_label)`` (the
-    coset base of the series on that label) and ``coefficient(target,
-    exponent)``; the generic three-term engine relies on the same three
-    plus ``label`` and ``head_state``.
+    Its attributes are the coefficient-operator protocol that
+    ``DressedOp`` and the lattice operators share and the three-term
+    engine relies on: ``label``, ``head_state``, ``weight_int``,
+    ``offset_on(target_label)`` (the coset base of the exponents on that
+    label) and ``coefficient(target, exponent)``, the only way an
+    operator is read.
     """
-
-    def series(self, target: State, hi: int, lo: int | None = None) -> WindowedSeries:
-        """The operator series on the target, exact on [lo_true, hi].
-
-        The window always extends down to the lower-truncation bound so
-        the zero-below-window contract of WindowedSeries holds.
-        """
-        labels = target.labels()
-        if not labels:
-            return WindowedSeries(GR_ZERO, 0, hi, {}, State.zero(target.rank))
-        base = self.offset_on(next(iter(labels)))
-        lo_true = -(self.weight_int + target.max_levels())
-        if lo is not None:
-            lo_true = min(lo, lo_true)
-        coeffs = {}
-        for n in range(lo_true, hi + 1):
-            coeffs[n] = self.coefficient(target, base + n)
-        return WindowedSeries(base, lo_true, hi, coeffs, State.zero(target.rank))
-
-
-class IntertwinerOp(LowerTruncatedOp):
-    """Coefficient extractor for one creative intertwiner."""
 
     def __init__(self, spec: IntertwinerSpec, cutoff: int | None = None):
         self.spec = spec
@@ -387,13 +336,7 @@ class IntertwinerOp(LowerTruncatedOp):
         return out
 
 
-def intertwine(spec: IntertwinerSpec, target: State, hi: int,
-               cutoff: int | None = None) -> WindowedSeries:
-    """The creative intertwiner series of spec applied to target."""
-    return IntertwinerOp(spec, cutoff).series(target, hi)
-
-
-class DressedOp(LowerTruncatedOp):
+class DressedOp:
     """Y(Delta(beta,z) head, z) times a scalar per target label.
 
     Delta(beta,z) head is a finite sum of states at exponent shifts, so
@@ -602,8 +545,12 @@ def verify_y_conj_plus(alpha: Label, u: State, s: State, r1: int,
                              window_used=f"z1^[-{r1},0] z2^[{w2[0]},{w2[1]}]")
     va = alpha.alpha
     rank = s.rank
-    ku = u.max_levels()
-    mmax = max(w2[1], 0) + ku + s.max_levels()
+    ku, ks = u.max_levels(), s.max_levels()
+    # u(-e2-1)s at the top of the window has the largest level sum; the
+    # right side's z2-shifts c2 >= 0 never take it higher
+    if _starved(rep, ku + ks + w2[1], cutoff):
+        return rep
+    mmax = max(w2[1], 0) + ku + ks
     dressed = {(0, 0): u}
     dressed = _exp_apply(dressed, _yplus_terms(1, -1, ku, mmax),
                          va, None, None, rank)
@@ -741,7 +688,8 @@ def verify_shift_conj_lplus(alpha: Label, s: State) -> VerificationReport:
 
 
 def verify_shift_conj_vertex(alpha: Label, u: State, s: State,
-                             window: tuple[int, int]) -> VerificationReport:
+                             window: tuple[int, int],
+                             cutoff: int | None = None) -> VerificationReport:
     """exp(-t a.q) Y(u,z) exp(t a.q) = Y(Yplus(t*alpha,-z)u, z).
 
     Each coefficient has degree at most the level sum of u in t, so it is
@@ -749,6 +697,8 @@ def verify_shift_conj_vertex(alpha: Label, u: State, s: State,
     """
     rep = VerificationReport("shift_conj_vertex",
                              window_used=f"z^[{window[0]},{window[1]}]")
+    if _starved(rep, u.max_levels() + s.max_levels() + window[1], cutoff):
+        return rep
     shifts = [alpha.scale(t) for t in range(u.max_levels() + 1)]
     dressed = [[annihilation_coeff(shift.alpha, p, u, arg=S_MINUS_ONE)
                 for p in range(u.max_levels() + 1)] for shift in shifts]

@@ -39,7 +39,7 @@ from .scalars import (
     gr,
     sign_pow,
 )
-from .series import WindowedSeries, exponent_index
+from .series import exponent_index
 
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -282,16 +282,6 @@ class TwistedVertexOp(DressedOp):
         self.td = td
 
 
-def twisted_vertex(td: TwistData, x: State, target: State, hi: int,
-                   cocycle: CocycleSystem | None = None,
-                   cutoff: int | None = None) -> WindowedSeries:
-    """The g-twisted operator of x applied to a plain-sector target."""
-    cs = cocycle if cocycle is not None else lattice_cocycle(td.lattice)
-    if not td.lattice.in_lattice(x.single_label()):
-        raise ValueError("twisted_vertex heads must carry lattice labels")
-    return TwistedVertexOp(td, x, cs, cutoff).series(target, hi)
-
-
 def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State,
                           radius: int = 3, cutoff: int | None = None,
                           cocycle: CocycleSystem | None = None) -> VerificationReport:
@@ -433,14 +423,6 @@ class DlmOp(DressedOp):
                 hit = hit * branch_phase(self.alpha.dot(mu2), self.n_branch)
             self._pref_cache[target_label] = hit
         return hit
-
-
-def dlm_vertex(td: TwistData, x: State, sector: Label, target: State, hi: int,
-               variant: str = "delta", n_branch: int = 1,
-               cocycle: CocycleSystem | None = None,
-               cutoff: int | None = None) -> WindowedSeries:
-    cs = cocycle if cocycle is not None else lattice_cocycle(td.lattice)
-    return DlmOp(td, x, sector, cs, variant, n_branch, cutoff).series(target, hi)
 
 
 def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,

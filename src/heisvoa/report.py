@@ -75,10 +75,6 @@ class VerificationReport:
             return "XFAIL" if failed else "XPASS"
         return "FAIL" if failed else "PASS"
 
-    @property
-    def ok(self) -> bool:
-        return self.outcome in ("PASS", "XFAIL")
-
     def summary(self) -> str:
         return (f"{self.name}: {self.outcome} checked={len(self.checked)} "
                 f"failed={len(self.failures)} skipped={len(self.skipped)} "

@@ -140,6 +140,15 @@ MALFORMED = {
     "cocycle_not_rank_by_rank": dict(cocycle_f=[[1, 2]]),
     "max_weight_negative": dict(max_weight=-1),
     "head_level_not_integer": dict(heads=[[[1, -1.5]]], suites=["jacobi"]),
+    "window_negative": dict(window=-1, suites=["jacobi"]),
+    "windows_value_negative": dict(windows={"jacobi": -1}, suites=["jacobi"]),
+    "seed_not_integer": dict(seed=1.5),
+    "seed_a_list": dict(seed=[1]),
+    "gram_entry_not_integer": dict(gram=[[1.5]], suites=["lattice-twist"]),
+    "gram_entry_boolean": dict(gram=[[True]], suites=["lattice-twist"]),
+    "negative_controls_not_boolean": dict(negative_controls="no",
+                                          suites=["locality"]),
+    "diagonal_fix_not_boolean": dict(diagonal_fix="yes"),
 }
 
 
@@ -163,6 +172,12 @@ def test_starved_suite_keeps_the_rest(tmp_path):
     assert "suite intertwiner-props case 001 pair000/y_conj_minus\n" \
            "  y_conj_minus: STARVED" in text
     assert "window needs level sums up to 4 > cutoff 3" in text
+    # u(-e2-1)s at the top of the window reaches level sum 5
+    for idx, name, window in ((2, "y_conj_plus", "z1^[-3,0] z2^[-3,3]"),
+                              (6, "shift_conj_vertex", "z^[-3,3]")):
+        assert f"suite intertwiner-props case {idx:03d} pair000/{name}\n" \
+               f"  {name}: STARVED checked=0 failed=0 skipped=1 window={window}\n" \
+               "    skip () window needs level sums up to 5 > cutoff 3\n" in text
     assert "suite virasoro case 000 brackets\n  virasoro_brackets: PASS" in text
     assert "window_starvation" not in text
     assert "verdict: FAIL" in text

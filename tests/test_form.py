@@ -138,9 +138,11 @@ def test_adjoint_intertwiner_charged_series_window():
     spec = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cfg.cocycle)
     adj = AdjointIntertwinerOp(spec, cfg)
     t = State.vacuum(1, label(["1/3"]))
-    ser = adj.series(t, lo=-3)
-    assert ser.upper
-    assert ser.coefficient(1).is_zero  # above the upper truncation
+    base = adj.offset_on(t.single_label())
+    # the exponents are bounded above by base + (kt - ku) = base
+    assert not adj.coefficient(t, base).is_zero
+    for n in range(1, 4):
+        assert adj.coefficient(t, base + n).is_zero
 
 
 def test_invariance_trivial_and_uncharged():

@@ -11,11 +11,11 @@ from heisvoa.fock import (
     zero_label,
 )
 from heisvoa.form import FormConfig, verify_invariance
-from heisvoa.intertwiner import IntertwinerSpec, intertwine
+from heisvoa.intertwiner import IntertwinerOp, IntertwinerSpec
 from heisvoa.lattice import (
     DlmOp,
     TwistData,
-    dlm_vertex,
+    TwistedVertexOp,
     dlm_vertex_defining,
     integral_lattice,
     lattice_cocycle,
@@ -24,7 +24,6 @@ from heisvoa.lattice import (
     shifted_virasoro,
     twist,
     twisted_heisenberg_mode,
-    twisted_vertex,
     twisted_virasoro_mode,
     verify_dlm_jacobi,
     verify_li_equivalence,
@@ -171,17 +170,17 @@ def test_twisted_vertex_examples():
     x = State.vacuum(1, Z1.label_of([1]))
     # zero twist reduces to the plain operator
     td0 = twist(Z1, [0])
-    plain = intertwine(IntertwinerSpec(x, cs), one, hi=2)
-    twisted = twisted_vertex(td0, x, one, hi=2)
-    assert plain == twisted
+    plain = IntertwinerOp(IntertwinerSpec(x, cs))
+    twisted = TwistedVertexOp(td0, x, cs)
+    for n in range(0, 3):
+        assert plain.coefficient(one, gr(n)) == twisted.coefficient(one, gr(n))
     # vacuum head acts as the identity
     td = twist(Z1, [Fraction(1, 2)])
-    ser = twisted_vertex(td, one, one, hi=1)
-    assert ser.coefficient_at(gr(0)) == one
+    assert TwistedVertexOp(td, one, cs).coefficient(one, gr(0)) == one
     # leading coefficient of the twisted operator carries z^(mu.alpha)
-    ser = twisted_vertex(td, x, one, hi=1)
-    assert ser.offset == gr("1/2") + ser.lo  # coset 1/2 + Z
-    assert ser.coefficient_at(gr("1/2")) == x
+    op = TwistedVertexOp(td, x, cs)
+    assert op.offset_on(one.single_label()) == gr("1/2")  # coset 1/2 + Z
+    assert op.coefficient(one, gr("1/2")) == x
 
 
 def test_twisted_jacobi():
@@ -231,9 +230,13 @@ def test_dlm_vertex_reduction_and_prefactor():
     td0 = twist(lat, [0])
     x = State.vacuum(1, lat.label_of([1]))
     t = State.vacuum(1, lat.label_of([1]))
+    plain = IntertwinerOp(IntertwinerSpec(x, cs))
+    base = plain.offset_on(t.single_label())
     for variant in ("delta", "hat"):
-        ser = dlm_vertex(td0, x, zero_label(1), t, hi=2, variant=variant)
-        assert ser == intertwine(IntertwinerSpec(x, cs), t, hi=2)
+        op = DlmOp(td0, x, zero_label(1), cs, variant)
+        assert op.offset_on(t.single_label()) == base
+        for n in range(0, 3):
+            assert op.coefficient(t, base + n) == plain.coefficient(t, base + n)
     # branch phase appears only in the delta variant
     td = twist(lat, [Fraction(1, 2)])
     xh = State.vacuum(1, td.alpha + lat.label_of([1]))
