@@ -124,6 +124,15 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        try:
+            return cls._checked(data)
+        except TypeError as exc:
+            # a value of the wrong JSON type, e.g. a boolean or a float
+            # where an exact rational belongs
+            raise ConfigError(f"malformed config value: {exc}") from exc
+
+    @classmethod
+    def _checked(cls, data: dict) -> "Scenario":
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(data) - known
         if unknown:
@@ -585,6 +594,8 @@ def main(argv: list[str] | None = None) -> int:
     v.add_argument("--branch-N", type=int, dest="n_branch", default=None)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--report", default=None, help="report file (default stdout)")
+    v.add_argument("--profile", default=None, metavar="PATH",
+                   help="write a cProfile dump of the run to PATH")
     args = parser.parse_args(argv)
 
     try:
@@ -598,11 +609,19 @@ def main(argv: list[str] | None = None) -> int:
             if val is not None:
                 data["suites" if key == "suite" else key] = val
         scn = Scenario.from_dict(data)
-    except (OSError, json.JSONDecodeError, ConfigError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    profiler = None
+    if args.profile:
+        import cProfile
+        profiler = cProfile.Profile()
+        profiler.enable()
     text, status = render_report(scn, run_suites(scn), config_text)
+    if profiler is not None:
+        profiler.disable()
+        profiler.dump_stats(args.profile)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -34,6 +34,7 @@ from .scalars import (
     GaussRat,
     S_ONE,
     Scalar,
+    _frac,
     as_gauss,
     branch_phase,
     gr,
@@ -45,7 +46,7 @@ Mat = tuple[tuple[Fraction, ...], ...]
 
 
 def _mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(_frac(x) for x in row) for row in rows)
 
 
 def _mat_inv(m: Mat) -> Mat:

@@ -17,9 +17,9 @@ of normalized terms.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
+from math import factorial, gcd
 from typing import Iterator, Mapping, NamedTuple, Union
 
 Rat = Union[int, Fraction]
@@ -28,74 +28,121 @@ Rat = Union[int, Fraction]
 def _frac(x: Rat | str) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and x.__class__ is not bool:
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 class GaussRat:
-    """A Gaussian rational re + im*i with arbitrary-precision parts."""
+    """A Gaussian rational (a + b*i)/d stored as three ints.
 
-    __slots__ = ("re", "im", "_hash")
+    The triple is normalized, d > 0 and gcd(a, b, d) = 1, so equal values
+    have equal fields; zero is (0, 0, 1).
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Rat | str = 0, im: Rat | str = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
-        object.__setattr__(self, "_hash", None)
+        re, im = _frac(re), _frac(im)
+        rd, id_ = re.denominator, im.denominator
+        # over the lcm of two reduced denominators the triple is normalized
+        d = rd * id_ // gcd(rd, id_)
+        _set_a(self, re.numerator * (d // rd))
+        _set_b(self, im.numerator * (d // id_))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    # -- parts ---------------------------------------------------------
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     # -- predicates ---------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self.b
 
     @property
     def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
+        return not self.b and self.d == 1
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other) -> "GaussRat":
-        other = as_gauss(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussRat:
+            other = as_gauss(other)
+        d = self.d
+        e = other.d
+        if d == e:
+            a = self.a + other.a
+            b = self.b + other.b
+            if d == 1:
+                return _make(a, b, 1)
+        else:
+            a = self.a * e + other.a * d
+            b = self.b * e + other.b * d
+            d *= e
+        return _reduce(a, b, d)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussRat":
-        other = as_gauss(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussRat:
+            other = as_gauss(other)
+        d = self.d
+        e = other.d
+        if d == e:
+            a = self.a - other.a
+            b = self.b - other.b
+            if d == 1:
+                return _make(a, b, 1)
+        else:
+            a = self.a * e - other.a * d
+            b = self.b * e - other.b * d
+            d *= e
+        return _reduce(a, b, d)
 
     def __rsub__(self, other) -> "GaussRat":
         return as_gauss(other) - self
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other) -> "GaussRat":
-        other = as_gauss(other)
-        if not self.im and not other.im:
-            return GaussRat(self.re * other.re)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussRat:
+            other = as_gauss(other)
+        a, b, d = self.a, self.b, self.d
+        c, e, f = other.a, other.b, other.d
+        if not b and not e:
+            a *= c
+            d *= f
+            g = gcd(a, d)
+            if g == 1:
+                return _make(a, 0, d)
+            return _make(a // g, 0, d // g)
+        return _reduce(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussRat":
-        other = as_gauss(other)
-        n = other.re * other.re + other.im * other.im
+        if other.__class__ is not GaussRat:
+            other = as_gauss(other)
+        c, e, f = other.a, other.b, other.d
+        n = c * c + e * e
         if not n:
             raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b = self.a, self.b
+        # (a + b i)/d * f/(c + e i) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        return _reduce((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other) -> "GaussRat":
         return as_gauss(other) / self
@@ -116,18 +163,15 @@ class GaussRat:
 
     # -- container protocol -------------------------------------------
     def __eq__(self, other) -> bool:
+        if other.__class__ is GaussRat:
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
+            return not self.b and self.a == other.numerator \
+                and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.re, self.im))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.a, self.b, self.d))
 
     def sort_key(self):
         return (self.re, self.im)
@@ -136,50 +180,80 @@ class GaussRat:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        if not self.im:
-            return str(self.re)
-        imag = f"{abs(self.im)}*i"
-        if not self.re:
-            return imag if self.im > 0 else "-" + imag
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{imag}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        imag = f"{abs(im)}*i"
+        if not re:
+            return imag if im > 0 else "-" + imag
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{imag}"
 
     def __repr__(self) -> str:
         return f"GaussRat({self.re!r}, {self.im!r})"
 
     @classmethod
     def parse(cls, text: str) -> "GaussRat":
-        """Parse the ``a/b+c/d*i`` form (either term optional, signs explicit)."""
+        """Parse the ``a/b+c/d*i`` form (either term optional, signs explicit).
+
+        Terms after the first start with their sign; ``i`` stands alone or
+        follows ``*``, so ``2i``, ``ii`` and ``1/2i`` are refused.
+        """
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty GaussRat literal")
         re_part = Fraction(0)
         im_part = Fraction(0)
-        for term in _TERM_RE.findall(s):
-            if not term:
-                continue
-            if term in ("i", "+i", "-i"):
-                im_part += -1 if term.startswith("-") else 1
-            elif term.endswith("*i") or term.endswith("i"):
-                body = term[:-2] if term.endswith("*i") else term[:-1]
-                im_part += Fraction(body)
+        pos = 0
+        while pos < len(s):
+            m = _TERM_RE.match(s, pos)
+            if m is None or (pos and not m["sign"]):
+                raise ValueError(f"malformed GaussRat literal: {text!r}")
+            pos = m.end()
+            sign = -1 if m["sign"] == "-" else 1
+            if m["num"] is None:
+                im_part += sign
+            elif m["imag"]:
+                im_part += sign * Fraction(m["num"])
             else:
-                re_part += Fraction(term)
-        joined = "".join(_TERM_RE.findall(s))
-        if joined != s:
-            raise ValueError(f"malformed GaussRat literal: {text!r}")
+                re_part += sign * Fraction(m["num"])
         return cls(re_part, im_part)
 
 
-_TERM_RE = re.compile(r"[+-]?(?:\d+(?:/\d+)?(?:\*i)?|i)")
+_TERM_RE = re.compile(r"(?P<sign>[+-]?)(?:(?P<num>\d+(?:/\d+)?)(?P<imag>\*i)?|i)")
+
+_new = object.__new__
+_set_a = GaussRat.a.__set__
+_set_b = GaussRat.b.__set__
+_set_d = GaussRat.d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussRat:
+    """The GaussRat of an already normalized triple."""
+    x = _new(GaussRat)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduce(a: int, b: int, d: int) -> GaussRat:
+    """The GaussRat (a + b*i)/d for d > 0, normalized with one gcd."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
 
 
 def as_gauss(x) -> GaussRat:
     """Coerce an int, Fraction, string, or GaussRat to a GaussRat."""
-    if isinstance(x, GaussRat):
+    cls = x.__class__
+    if cls is GaussRat:
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRat(x)
+    if cls is int:
+        return _make(x, 0, 1)
+    if isinstance(x, (int, Fraction)) and cls is not bool:
+        return _make(x.numerator, 0, x.denominator)
     if isinstance(x, str):
         return GaussRat.parse(x)
     raise TypeError(f"cannot coerce {x!r} to GaussRat")
@@ -208,7 +282,7 @@ def binom(kappa, m: int) -> GaussRat:
     out = GR_ONE
     for j in range(m):
         out = out * (kappa - j)
-    out = out / GaussRat(math.factorial(m))
+    out = out / factorial(m)
     _BINOM_CACHE[key] = out
     return out
 
@@ -233,23 +307,30 @@ def _normalize_e(kappa: GaussRat) -> tuple[int, GaussRat]:
     The stored exponent has real part in [0, 1); it equals an integer only
     when it is exactly zero.
     """
-    m = math.floor(kappa.re)
+    m, a = divmod(kappa.a, kappa.d)
     sign = -1 if m % 2 else 1
-    return sign, GaussRat(kappa.re - m, kappa.im)
+    # gcd(a - m*d, b, d) = gcd(a, b, d): the triple stays normalized
+    return sign, _make(a, kappa.b, kappa.d)
 
 
 class Scalar:
-    """Element of the group algebra: a finite sum coeff * unit."""
+    """Element of the group algebra: a finite sum coeff * unit.
 
-    __slots__ = ("terms", "_hash")
+    A scalar whose unit part is trivial keeps its coefficient in ``_rat``
+    (``GR_ZERO`` for zero, ``None`` when some unit is nontrivial), so the
+    ring operations on rational scalars skip the term loop.
+    """
+
+    __slots__ = ("terms", "_rat", "_hash")
 
     def __init__(self, terms: Mapping[Unit, GaussRat] | None = None, *, _clean=False):
         if terms is None:
             terms = {}
         if not _clean:
             terms = {u: c for u, c in terms.items() if not c.is_zero}
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+        _set_terms(self, terms)
+        _set_rat(self, _rat_of(terms))
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -257,10 +338,7 @@ class Scalar:
     # -- constructors ---------------------------------------------------
     @classmethod
     def rational(cls, x) -> "Scalar":
-        x = as_gauss(x)
-        if x.is_zero:
-            return S_ZERO
-        return cls({UNIT_ONE: x}, _clean=True)
+        return _rational(as_gauss(x))
 
     @classmethod
     def from_unit(cls, e_exp=GR_ZERO, lam_exp=GR_ZERO, zeta_exp=GR_ZERO,
@@ -281,7 +359,8 @@ class Scalar:
 
     @property
     def is_one(self) -> bool:
-        return self.terms.get(UNIT_ONE) == GR_ONE and len(self.terms) == 1
+        r = self._rat
+        return r is not None and r.a == 1 and r.d == 1 and not r.b
 
     @property
     def is_monomial(self) -> bool:
@@ -289,18 +368,20 @@ class Scalar:
 
     def as_rational(self) -> GaussRat | None:
         """The coefficient if this scalar is rational (unit part trivial)."""
-        if self.is_zero:
-            return GR_ZERO
-        if len(self.terms) == 1 and UNIT_ONE in self.terms:
-            return self.terms[UNIT_ONE]
-        return None
+        return self._rat
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other) -> "Scalar":
-        other = as_scalar(other)
-        if self.is_zero:
+        if other.__class__ is not Scalar:
+            other = as_scalar(other)
+        r = self._rat
+        if r is not None:
+            s = other._rat
+            if s is not None:
+                return _rational(r + s)
+        if not self.terms:
             return other
-        if other.is_zero:
+        if not other.terms:
             return self
         out = dict(self.terms)
         for u, c in other.terms.items():
@@ -324,20 +405,21 @@ class Scalar:
         return as_scalar(other) + (-self)
 
     def __neg__(self) -> "Scalar":
+        r = self._rat
+        if r is not None:
+            return _rational(-r)
         return Scalar({u: -c for u, c in self.terms.items()}, _clean=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return self.scale(other)
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
+            if other.__class__ is GaussRat or isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return S_ZERO
         # pure rationals multiply without touching the unit group
-        r = self.as_rational()
+        r = self._rat
         if r is not None:
             return other.scale(r)
-        r = other.as_rational()
+        r = other._rat
         if r is not None:
             return self.scale(r)
         out: dict[Unit, GaussRat] = {}
@@ -360,13 +442,17 @@ class Scalar:
         return Scalar(out, _clean=True)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if other.__class__ is GaussRat or isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
     def scale(self, x) -> "Scalar":
-        x = as_gauss(x)
-        if x.is_zero or self.is_zero:
+        if x.__class__ is not GaussRat:
+            x = as_gauss(x)
+        r = self._rat
+        if r is not None:
+            return _rational(r * x)
+        if not x.a and not x.b:
             return S_ZERO
         return Scalar({u: c * x for u, c in self.terms.items()}, _clean=True)
 
@@ -398,25 +484,25 @@ class Scalar:
         for u, c in self.terms.items():
             if not u.lam_exp.is_integer:
                 raise ValueError("lam exponent not an integer; cannot set lam=i")
-            k = int(u.lam_exp.re)
-            i_pow = GR_I ** (k % 4)
+            i_pow = GR_I ** (u.lam_exp.a % 4)
             out = out + Scalar.from_unit(u.e_exp, GR_ZERO, u.zeta_exp,
                                          coeff=c * i_pow)
         return out
 
     # -- container protocol ----------------------------------------------
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            if other.__class__ is GaussRat or isinstance(other, (int, Fraction)):
+                other = Scalar.rational(other)
+            else:
+                return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def sorted_terms(self) -> list[tuple[Unit, GaussRat]]:
@@ -433,7 +519,7 @@ class Scalar:
             return "0"
         parts = []
         for u, c in self.sorted_terms():
-            factors = [str(c) if (c.is_real and c.im == 0) else f"({c})"]
+            factors = [str(c) if c.is_real else f"({c})"]
             if not u.e_exp.is_zero:
                 factors.append(f"E({u.e_exp})")
             if not u.lam_exp.is_zero:
@@ -447,12 +533,39 @@ class Scalar:
         return f"<Scalar {self}>"
 
 
+_set_terms = Scalar.terms.__set__
+_set_rat = Scalar._rat.__set__
+_set_hash = Scalar._hash.__set__
+
+
+def _rat_of(terms: Mapping[Unit, GaussRat]) -> GaussRat | None:
+    """The coefficient of a unit-free term dict, or None."""
+    if not terms:
+        return GR_ZERO
+    if len(terms) == 1:
+        return terms.get(UNIT_ONE)
+    return None
+
+
+_UNIT_ONE_KEY = {UNIT_ONE: None}
+
+
+def _rational(c: GaussRat) -> Scalar:
+    """The unit-free scalar c."""
+    if not c.a and not c.b:
+        return S_ZERO
+    x = _new(Scalar)
+    # fromkeys of a dict reuses its stored hashes: UNIT_ONE is not rehashed
+    _set_terms(x, dict.fromkeys(_UNIT_ONE_KEY, c))
+    _set_rat(x, c)
+    _set_hash(x, None)
+    return x
+
+
 def as_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
+    if x.__class__ is Scalar:
         return x
-    if isinstance(x, (int, Fraction, GaussRat, str)):
-        return Scalar.rational(as_gauss(x))
-    raise TypeError(f"cannot coerce {x!r} to Scalar")
+    return _rational(as_gauss(x))
 
 
 S_ZERO = Scalar({}, _clean=True)

@@ -25,4 +25,4 @@ def exponent_index(offset: GaussRat, exponent) -> int:
     d = as_gauss(exponent) - offset
     if not d.is_integer:
         raise CosetError(f"exponent {exponent} not in coset ({offset})+Z")
-    return int(d.re)
+    return d.a

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pstats
 
 import pytest
 
@@ -107,6 +108,17 @@ def test_flag_overrides(tmp_path):
     assert "seed: 9" in text
 
 
+def test_profile_dump_leaves_the_body_alone(tmp_path):
+    config = write_config(tmp_path, suites=["virasoro", "skew"], pairs=1)
+    _, plain = run(tmp_path, config)
+    dump = tmp_path / "run.prof"
+    status, profiled = run(tmp_path, config, "--profile", str(dump))
+    assert status == 0
+    assert body_of(profiled) == body_of(plain)
+    stats = pstats.Stats(str(dump))
+    assert any(fn == "run_suites" for _, _, fn in stats.stats)
+
+
 def test_load_scenario_and_defaults(tmp_path):
     config = write_config(tmp_path, suites=["dlm"], gram=[[1]],
                           twists=["1/2", "1/3"])
@@ -149,6 +161,14 @@ MALFORMED = {
     "negative_controls_not_boolean": dict(negative_controls="no",
                                           suites=["locality"]),
     "diagonal_fix_not_boolean": dict(diagonal_fix="yes"),
+    "jacobi_label_i_without_star": dict(jacobi_instances=[["1/2i", "0", "0"]],
+                                        suites=["jacobi"]),
+    "label_boolean": dict(labels=[[True]]),
+    "embedding_boolean": dict(embedding=[[True]], suites=["lattice-twist"]),
+    "twist_boolean": dict(twists=[True], suites=["dlm"]),
+    "cocycle_boolean": dict(cocycle_f=[[True]]),
+    "jacobi_instance_float_and_boolean": dict(jacobi_instances=[[1, 0.5, True]],
+                                              suites=["jacobi"]),
 }
 
 

@@ -51,8 +51,9 @@ def test_gauss_text_roundtrip():
     for text in cases:
         v = GaussRat.parse(text)
         assert GaussRat.parse(str(v)) == v
-    with pytest.raises(ValueError):
-        GaussRat.parse("1..2")
+    for bad in ("1..2", "2i", "ii", "1/2i", "i2", "-3i"):
+        with pytest.raises(ValueError):
+            GaussRat.parse(bad)
 
 
 def test_binom_examples():
