@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import workspace
 from .fock import (
     State,
     apply_mode,
@@ -159,6 +160,10 @@ class Scenario:
             raise ConfigError("branch parameter N must be odd")
         if scn.cutoff < scn.window:
             raise ConfigError("cutoff must be at least the window radius")
+        if not isinstance(scn.suites, tuple):
+            raise ConfigError("suites must be a list of suite names")
+        if not scn.suites:
+            raise ConfigError("suites must name at least one suite")
         bad = [s for s in scn.suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites: {bad}")
@@ -220,7 +225,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -527,8 +532,11 @@ def run_suites(scn: Scenario) -> dict[str, list[Case]]:
     """Run the selected suites in name order.
 
     A suite whose window outruns the cutoff becomes one STARVED case that
-    carries the error; the other suites keep their results.
+    carries the error; the other suites keep their results.  The run
+    starts on a fresh workspace, so its memo tables hold only its own
+    work.
     """
+    workspace.fresh()
     results: dict[str, list[Case]] = {}
     for name in sorted(set(scn.suites)):
         try:
@@ -609,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
             if val is not None:
                 data["suites" if key == "suite" else key] = val
         scn = Scenario.from_dict(data)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,18 +18,51 @@ from .scalars import (
     GR_ZERO,
     GaussRat,
     S_ONE,
+    UNIT_ONE,
     Scalar,
+    _rational,
     as_gauss,
     as_scalar,
     binom,
     parse_scalar,
 )
+from .workspace import current
 
 Part = tuple[int, int]  # (color, level), level >= 1
 
 
-class Label(NamedTuple):
-    alpha: tuple[GaussRat, ...]
+class Label:
+    """A module label: an l-tuple of Gaussian rationals.
+
+    Immutable, and it stores the hash of ``alpha``: labels key every Fock
+    dict through ``FockMonomial``, so a probe costs one stored read
+    instead of one Python-level ``GaussRat.__hash__`` per coordinate.
+    """
+
+    __slots__ = ("alpha", "_hash")
+
+    def __init__(self, alpha: tuple[GaussRat, ...]):
+        alpha = tuple(alpha)
+        _set_alpha(self, alpha)
+        _set_label_hash(self, hash(alpha))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Label is immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Label:
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self.alpha == other.alpha)
+
+    def __lt__(self, other: "Label") -> bool:
+        return self.alpha < other.alpha
+
+    def __repr__(self) -> str:
+        return f"Label(alpha={self.alpha!r})"
 
     @property
     def rank(self) -> int:
@@ -70,6 +103,10 @@ class Label(NamedTuple):
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.alpha)
+
+
+_set_alpha = Label.alpha.__set__
+_set_label_hash = Label._hash.__set__
 
 
 def label(values: Iterable) -> Label:
@@ -232,52 +269,130 @@ class State:
 # mode actions
 
 
+# The kernels below act on one monomial and return a rational term dict
+# dict[FockMonomial, GaussRat], memoized in the run's workspace.  A State
+# under construction is a unit sum: one rational term dict per unit of the
+# formal unit group, keyed None for the unit-free part.  Products and sums
+# stay Gaussian-rational, and each finished coefficient becomes a Scalar
+# once, in ``_state``.
+
+Terms = dict  # dict[FockMonomial, GaussRat]
+UnitSum = dict  # dict[Unit | None, Terms]
+
+
+def _accumulate(out: Terms, c: GaussRat, terms: Terms) -> None:
+    """out += c * terms in place, deleting entries that cancel to zero."""
+    for m, x in terms.items():
+        v = c * x
+        acc = out.get(m)
+        if acc is None:
+            out[m] = v
+        else:
+            v = acc + v
+            if v.is_zero:
+                del out[m]
+            else:
+                out[m] = v
+
+
+def _add_scaled(out: UnitSum, c: Scalar, terms: Terms) -> None:
+    """out += c * terms, one rational product per unit of c."""
+    if not c.terms:
+        return  # a zero product of nonzero Scalars must add no zero entries
+    r = c._rat
+    parts = ((None, r),) if r is not None else (
+        (None if u == UNIT_ONE else u, q) for u, q in c.terms.items())
+    for u, q in parts:
+        t = out.get(u)
+        if t is None:
+            t = out[u] = {}
+        _accumulate(t, q, terms)
+
+
+def _add_state(out: UnitSum, q: GaussRat, s: State) -> None:
+    """out += q * s for a rational q."""
+    rat = out.get(None)
+    if rat is None:
+        rat = out[None] = {}
+    for m, x in s.terms.items():
+        r = x._rat
+        if r is None:
+            _add_scaled(out, x, {m: q})
+            continue
+        v = q * r
+        acc = rat.get(m)
+        if acc is None:
+            rat[m] = v
+        else:
+            v = acc + v
+            if v.is_zero:
+                del rat[m]
+            else:
+                rat[m] = v
+
+
+def _state(rank: int, out: UnitSum) -> State:
+    """The State sum over units u of u * out[u]."""
+    rat = out.pop(None, {})
+    if not out:
+        return State(rank, {m: _rational(q) for m, q in rat.items()}, _clean=True)
+    merged = {m: {UNIT_ONE: q} for m, q in rat.items()}
+    for u, terms in out.items():
+        for m, q in terms.items():
+            merged.setdefault(m, {})[u] = q
+    return State(rank, {m: Scalar(t, _clean=True) for m, t in merged.items()},
+                 _clean=True)
+
+
 def apply_mode(color: int, n: int, s: State) -> State:
     """The Heisenberg mode a[color](n) acting on a state.
 
     Creation for n < 0, zero-mode eigenvalue for n = 0, contraction
     against matching creation parts for n > 0 via [a(n), a(-n)] = n.
     """
-    out = State.zero(s.rank)
+    out: UnitSum = {}
     for m, c in s.terms.items():
-        out = out + _mode_on_monomial(color, n, m).scale(c)
-    return out
+        _add_scaled(out, c, _mode_on_monomial(color, n, m))
+    return _state(s.rank, out)
 
 
-def _mode_on_monomial(color: int, n: int, m: FockMonomial) -> State:
+def _mode_on_monomial(color: int, n: int, m: FockMonomial) -> Terms:
     key = (color, n, m)
-    hit = _MODE_CACHE.get(key)
+    table = current().mode
+    hit = table.get(key)
     if hit is None:
         if n < 0:
-            hit = State.of(monomial(m.label, m.parts + ((color, -n),)))
+            hit = {monomial(m.label, m.parts + ((color, -n),)): GR_ONE}
         elif n == 0:
-            hit = State.of(m, coeff=m.label.alpha[color - 1])
+            a = m.label.alpha[color - 1]
+            hit = {} if a.is_zero else {m: a}
         else:
-            mult = sum(1 for i, k in m.parts if i == color and k == n)
+            mult = m.parts.count((color, n))
             if mult == 0:
-                hit = State.zero(m.label.rank)
+                hit = {}
             else:
                 rest = list(m.parts)
                 rest.remove((color, n))
-                hit = State.of(monomial(m.label, rest), coeff=as_scalar(n * mult))
-        _MODE_CACHE[key] = hit
+                hit = {FockMonomial(m.label, tuple(rest)): as_gauss(n * mult)}
+        table[key] = hit
     return hit
-
-
-_MODE_CACHE: dict = {}
 
 
 def virasoro_mode(n: int, s: State) -> State:
     """L(n) by the direct normal-ordered bilinear sum over the modes."""
-    out = State.zero(s.rank)
+    out: UnitSum = {}
     for m, c in s.terms.items():
-        out = out + _virasoro_on_monomial(n, m).scale(c)
-    return out
+        _add_scaled(out, c, _virasoro_on_monomial(n, m))
+    return _state(s.rank, out)
 
 
-def _virasoro_on_monomial(n: int, m: FockMonomial) -> State:
+_HALF = as_gauss(Fraction(1, 2))
+
+
+def _virasoro_on_monomial(n: int, m: FockMonomial) -> Terms:
     key = (n, m)
-    hit = _VIRASORO_CACHE.get(key)
+    table = current().virasoro
+    hit = table.get(key)
     if hit is not None:
         return hit
     rank = m.label.rank
@@ -287,22 +402,16 @@ def _virasoro_on_monomial(n: int, m: FockMonomial) -> State:
     for _, k in m.parts:
         candidates.add(k)
         candidates.add(n - k)
-    acc = State.zero(rank)
-    base = State.of(m)
+    acc: dict = {}
     for j in sorted(candidates):
         k = n - j
         cr, an = min(j, k), max(j, k)
         for i in range(1, rank + 1):
-            t = apply_mode(i, an, base)
-            if t.is_zero:
-                continue
-            acc = acc + apply_mode(i, cr, t)
-    hit = acc.scale(Fraction(1, 2))
-    _VIRASORO_CACHE[key] = hit
+            for tm, tc in _mode_on_monomial(i, an, m).items():
+                _accumulate(acc, tc, _mode_on_monomial(i, cr, tm))
+    hit = {mono: c * _HALF for mono, c in acc.items()}
+    table[key] = hit
     return hit
-
-
-_VIRASORO_CACHE: dict = {}
 
 
 def vertex_mode(u: State, n: int, s: State) -> State:
@@ -312,65 +421,53 @@ def vertex_mode(u: State, n: int, s: State) -> State:
     Y(a[j](-k-1)v, z) = (1/k!) :d_z^k Y(a[j],z) Y(v,z): starting from
     Y(vacuum,z) = Id and Y(a[j],z) = sum a[j](m) z^(-m-1).
     """
-    out = State.zero(s.rank)
+    out: UnitSum = {}
     for um, uc in u.terms.items():
         if not (um.label.is_zero):
             raise ValueError("vertex_mode requires a label-0 (untwisted) head; "
                              "use the intertwiner for charged heads")
-        part = State.zero(s.rank)
         for sm, sc in s.terms.items():
-            part = part + _vertex_on_monomials(um.parts, n, sm).scale(sc)
-        out = out + part.scale(uc)
-    return out
+            _add_scaled(out, uc * sc, _vertex_on_monomials(um.parts, n, sm))
+    return _state(s.rank, out)
 
 
-def _vertex_on_monomials(uparts: tuple[Part, ...], n: int, sm: FockMonomial) -> State:
+def _vertex_on_monomials(uparts: tuple[Part, ...], n: int, sm: FockMonomial) -> Terms:
     key = (uparts, n, sm)
-    hit = _VERTEX_CACHE.get(key)
+    table = current().vertex
+    hit = table.get(key)
     if hit is not None:
         return hit
-    rank = sm.label.rank
     if not uparts:
-        hit = State.of(sm) if n == -1 else State.zero(rank)
-        _VERTEX_CACHE[key] = hit
+        hit = {sm: GR_ONE} if n == -1 else {}
+        table[key] = hit
         return hit
     (j_color, level), rest = uparts[0], uparts[1:]
     k = level - 1
     kv = sum(lev for _, lev in rest)
     ks = sm.levels_sum
-    acc = State.zero(rank)
+    acc: dict = {}
     # annihilation-right part: sum_{m>=0} (-1)^k binom(m+k,k) v(n-m-k-1) a(m) s
     ann_indices = {0} | {lev for _, lev in sm.parts}
     for m in sorted(ann_indices):
         b = binom(m + k, k)
         if b.is_zero:
             continue
-        t = _mode_on_monomial(j_color, m, sm)
-        if t.is_zero:
-            continue
-        inner = State.zero(rank)
-        for tm, tc in t.terms.items():
-            inner = inner + _vertex_on_monomials(rest, n - m - k - 1, tm).scale(tc)
-        acc = acc + inner.scale(_sign(k) * b)
+        if k % 2:
+            b = -b
+        for tm, tc in _mode_on_monomial(j_color, m, sm).items():
+            _accumulate(acc, tc * b, _vertex_on_monomials(rest, n - m - k - 1, tm))
     # creation-left part: sum_{m<=-1} (-1)^k binom(m+k,k) a(m) v(n-m-k-1) s
     m_lo = n - k - kv - ks  # below this v(n-m-k-1) s dies by truncation
     for m in range(m_lo, 0):
         b = binom(m + k, k)
         if b.is_zero:
             continue
-        inner = _vertex_on_monomials(rest, n - m - k - 1, sm)
-        if inner.is_zero:
-            continue
-        acc = acc + apply_mode(j_color, m, inner).scale(_sign(k) * b)
-    _VERTEX_CACHE[key] = acc
+        if k % 2:
+            b = -b
+        for im, ic in _vertex_on_monomials(rest, n - m - k - 1, sm).items():
+            _accumulate(acc, ic * b, _mode_on_monomial(j_color, m, im))
+    table[key] = acc
     return acc
-
-
-_VERTEX_CACHE: dict = {}
-
-
-def _sign(k: int) -> GaussRat:
-    return GR_ONE if k % 2 == 0 else -GR_ONE
 
 
 def translate_label(s: State, dalpha: Label) -> State:

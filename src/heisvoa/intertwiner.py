@@ -24,6 +24,13 @@ from .fock import (
     FockMonomial,
     Label,
     State,
+    Terms,
+    UnitSum,
+    _accumulate,
+    _add_scaled,
+    _mode_on_monomial,
+    _state,
+    _vertex_on_monomials,
     apply_mode,
     exp_virasoro_coeffs,
     monomial,
@@ -35,6 +42,7 @@ from .fock import (
 from .report import VerificationReport
 from .scalars import (
     E,
+    GR_ONE,
     GR_ZERO,
     GaussRat,
     S_MINUS_ONE,
@@ -46,6 +54,7 @@ from .scalars import (
     zeta_pow,
 )
 from .series import WindowError, exponent_index
+from .workspace import current
 
 
 def _bilinear(matrix, a: Label, b: Label) -> GaussRat:
@@ -136,11 +145,10 @@ def standard_cocycle(rank: int, diagonal_fix: bool = False) -> CocycleSystem:
 
 def apply_e(cs: CocycleSystem, alpha: Label, s: State) -> State:
     """e^alpha: label beta -> alpha+beta with scalar epsilon(alpha, beta)."""
-    out = State.zero(s.rank)
-    for m, c in s.terms.items():
-        out = out + State.of(monomial(m.label + alpha, m.parts),
-                             coeff=c * cs.epsilon(alpha, m.label))
-    return out
+    # the shift is injective, so no two terms meet
+    return State(s.rank, {FockMonomial(m.label + alpha, m.parts):
+                          c * cs.epsilon(alpha, m.label)
+                          for m, c in s.terms.items()})
 
 
 def apply_e_inverse(cs: CocycleSystem, alpha: Label, s: State) -> State:
@@ -177,61 +185,57 @@ class IntertwinerSpec:
 # ---------------------------------------------------------------------------
 # exponentials of label modes (one variable)
 
-_CHAIN_CACHE: dict = {}
 
-
-def _mode_chain(avec: tuple, sign: int, arg: Scalar, mono: FockMonomial,
-                order: int) -> list[State]:
-    """Coefficients B_0..B_order of exp(-+ sum_{n>0} a(+-n)/n (arg*z)^(+-n)).
+def _mode_chain(lab: Label, sign: int, mono: FockMonomial, order: int) -> list[Terms]:
+    """Coefficients B_0..B_order of exp(-+ sum_{n>0} a(+-n)/n z^(+-n)).
 
     sign=-1 is the creation side (coefficients of z^k), sign=+1 the
-    annihilation side (coefficients of z^-k); ``arg`` scales the series
-    variable, entering as arg^k on the k-th coefficient.
+    annihilation side (coefficients of z^-k).  A series argument enters
+    B_k as the factor arg^k, which the callers apply when they read a
+    coefficient, so one chain serves every argument.
     """
-    key = (avec, sign, arg, mono)
     if sign > 0:
         order = min(order, mono.levels_sum)
-    rank = mono.label.rank
-    chain = _CHAIN_CACHE.get(key)
+    table = current().chain
+    key = (lab, sign, mono)
+    chain = table.get(key)
     if chain is None:
-        chain = [State.of(mono)]
-        _CHAIN_CACHE[key] = chain
+        chain = [{mono: GR_ONE}]
+        table[key] = chain
+    if len(chain) > order:
+        return chain
+    modes = [(i, a) for i, a in enumerate(lab.alpha, start=1) if not a.is_zero]
     while len(chain) <= order:
         k = len(chain)
-        acc = State.zero(rank)
-        arg_pow = S_ONE
+        acc: dict = {}
         for j in range(1, k + 1):
-            arg_pow = arg_pow * arg
-            prev = chain[k - j]
-            if prev.is_zero:
-                continue
-            term = State.zero(rank)
-            for i, a in enumerate(avec, start=1):
-                if not a.is_zero:
-                    term = term + apply_mode(i, sign * j, prev).scale(a)
-            acc = acc + term.scale(arg_pow)
-        if sign > 0:
-            acc = -acc
-        chain.append(acc.scale(Fraction(1, k)))
+            for pm, pc in chain[k - j].items():
+                for i, a in modes:
+                    _accumulate(acc, pc * a, _mode_on_monomial(i, sign * j, pm))
+        inv_k = as_gauss(Fraction(-sign, k))
+        chain.append({m: c * inv_k for m, c in acc.items()})
     return chain
 
 
-def creation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> State:
-    """Coefficient of z^k in Yminus applied to s."""
-    out = State.zero(s.rank)
+def _ypm_coeff(sign: int, avec: tuple, k: int, s: State, arg: Scalar) -> State:
+    lab = Label(avec)
+    factor = arg ** k
+    out: UnitSum = {}
     for m, c in s.terms.items():
-        out = out + _mode_chain(avec, -1, arg, m, k)[k].scale(c)
-    return out
+        if sign > 0 and k > m.levels_sum:
+            continue
+        _add_scaled(out, c * factor, _mode_chain(lab, sign, m, k)[k])
+    return _state(s.rank, out)
+
+
+def creation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> State:
+    """Coefficient of z^k in Yminus applied to s, times arg^k."""
+    return _ypm_coeff(-1, avec, k, s, arg)
 
 
 def annihilation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> State:
-    """Coefficient of z^-k in Yplus applied to s."""
-    out = State.zero(s.rank)
-    for m, c in s.terms.items():
-        if k > m.levels_sum:
-            continue
-        out = out + _mode_chain(avec, 1, arg, m, k)[k].scale(c)
-    return out
+    """Coefficient of z^-k in Yplus applied to s, times arg^k."""
+    return _ypm_coeff(1, avec, k, s, arg)
 
 
 def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
@@ -241,25 +245,64 @@ def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
     Monomials of s must give offsets beta.mu in one coset; otherwise a
     CosetError asks the caller to split per coset first.
     """
-    avec = beta.alpha
     base: GaussRat | None = None
-    coeffs: dict[int, State] = {}
+    coeffs: dict[int, UnitSum] = {}
     for m, c in s.terms.items():
         off = beta.dot(m.label)
         if base is None:
             base = off
         shift = exponent_index(base, off)
-        for k in range(m.levels_sum + 1):
-            v = _mode_chain(avec, 1, S_MINUS_ONE, m, k)[k].scale(c)
-            if not v.is_zero:
-                acc = coeffs.get(shift - k)
-                coeffs[shift - k] = v if acc is None else acc + v
-    return [(base + n, coeffs[n]) for n in sorted(coeffs)
-            if not coeffs[n].is_zero]
+        chain = _mode_chain(beta, 1, m, m.levels_sum)
+        for k, terms in enumerate(chain):
+            _add_scaled(coeffs.setdefault(shift - k, {}),
+                        -c if k % 2 else c, terms)
+    out = []
+    for n in sorted(coeffs):
+        st = _state(s.rank, coeffs[n])
+        if not st.is_zero:
+            out.append((base + n, st))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the intertwiner engine
+
+
+def _coeff_mono(lab: Label, head_parts: tuple, tmono: FockMonomial,
+                n_rel: int) -> Terms:
+    """The rational part of one intertwiner coefficient.
+
+    The z^(n_rel) coefficient (relative to the coset base) of
+    e^lab Yminus Y(u) Yplus z^(lab(0)) on the monomial tmono, for the
+    label-0 head u = a(head_parts)|0>, with the cocycle factor of e^lab
+    left out: the terms carry the shifted label lab + tmono.label and
+    rational coefficients.  Every operator of the run shares it.
+    """
+    key = (lab, head_parts, tmono, n_rel)
+    ws = current()
+    table = ws.coeff
+    hit = table.get(key)
+    if hit is not None:
+        return hit
+    kt = tmono.levels_sum
+    kp_max = sum(lev for _, lev in head_parts) + kt + n_rel
+    acc: dict = {}
+    if kp_max >= 0:
+        for k, fk in enumerate(_mode_chain(lab, 1, tmono, kt)):
+            if not fk:
+                continue
+            for kp in range(kp_max + 1):
+                p = kp - k - n_rel - 1
+                g: dict = {}
+                for fm, fc in fk.items():
+                    _accumulate(g, fc, _vertex_on_monomials(head_parts, p, fm))
+                for gm, gc in g.items():
+                    _accumulate(acc, gc, _mode_chain(lab, -1, gm, kp)[kp])
+    shifted = lab + tmono.label
+    shifted = ws.labels.setdefault(shifted, shifted)
+    hit = {FockMonomial(shifted, m.parts): c for m, c in acc.items()}
+    table[key] = hit
+    return hit
 
 
 class IntertwinerOp:
@@ -279,9 +322,7 @@ class IntertwinerOp:
         self.cocycle = spec.cocycle
         self.cutoff = cutoff
         self.weight_int = spec.weight_int
-        self._avec = self.label.alpha
-        self._heads = [(m, c) for m, c in spec.head.items_sorted()]
-        self._coeff_cache: dict = {}
+        self._heads = [(m.parts, c) for m, c in spec.head.items_sorted()]
 
     @property
     def head_state(self) -> State:
@@ -294,46 +335,22 @@ class IntertwinerOp:
         """The exact coefficient of z**exponent in the intertwiner applied
         to the target state."""
         exponent = as_gauss(exponent)
-        out = State.zero(target.rank)
+        lab = self.label
+        out: UnitSum = {}
         for m, c in target.terms.items():
             n_rel = exponent_index(self.offset_on(m.label), exponent)
-            out = out + self._coeff_mono(m, n_rel).scale(c)
-        return out
-
-    def _coeff_mono(self, tmono: FockMonomial, n_rel: int) -> State:
-        key = (tmono, n_rel)
-        hit = self._coeff_cache.get(key)
-        if hit is not None:
-            return hit
-        rank = tmono.label.rank
-        kt = tmono.levels_sum
-        max_out = self.weight_int + kt + n_rel
-        if max_out < 0:
-            out = State.zero(rank)
-            self._coeff_cache[key] = out
-            return out
-        if self.cutoff is not None and max_out > self.cutoff:
-            raise WindowError(
-                f"coefficient at relative exponent {n_rel} needs level sums up "
-                f"to {max_out} > cutoff {self.cutoff}")
-        target = State.of(tmono)
-        acc = State.zero(rank)
-        for k in range(kt + 1):
-            fk = annihilation_coeff(self._avec, k, target)
-            if fk.is_zero:
+            max_out = self.weight_int + m.levels_sum + n_rel
+            if max_out < 0:
                 continue
-            for hm, hc in self._heads:
-                u0 = State.of(monomial(zero_label(rank), hm.parts))
-                kp_max = hm.levels_sum + kt + n_rel
-                for kp in range(kp_max + 1):
-                    p = kp - k - n_rel - 1
-                    g = vertex_mode(u0, p, fk)
-                    if g.is_zero:
-                        continue
-                    acc = acc + creation_coeff(self._avec, kp, g).scale(hc)
-        out = apply_e(self.cocycle, self.label, acc)
-        self._coeff_cache[key] = out
-        return out
+            # the memo key has no cutoff: decide it before the lookup
+            if self.cutoff is not None and max_out > self.cutoff:
+                raise WindowError(
+                    f"coefficient at relative exponent {n_rel} needs level sums "
+                    f"up to {max_out} > cutoff {self.cutoff}")
+            ce = c * self.cocycle.epsilon(lab, m.label)
+            for parts, hc in self._heads:
+                _add_scaled(out, ce * hc, _coeff_mono(lab, parts, m, n_rel))
+        return _state(target.rank, out)
 
 
 class DressedOp:
@@ -390,36 +407,36 @@ def _exp_apply(entries: Entries, terms: list[tuple[int, int, Scalar, int]],
     Exponent caps prune anything that can no longer reach the requested
     window (exponents only grow in capped directions).
     """
-    def one(cur: Entries) -> Entries:
-        new: Entries = {}
+    modes = [(i, a) for i, a in enumerate(avec, start=1) if not a.is_zero]
+
+    def one(cur: Entries, k: int) -> Entries:
+        """A/k applied to the entries."""
+        scaled = [(i, a * Fraction(1, k)) for i, a in modes]
+        new: dict[tuple[int, int], UnitSum] = {}
         for (e1, e2), st in cur.items():
             for d1, d2, c, n in terms:
                 f1, f2 = e1 + d1, e2 + d2
                 if (cap1 is not None and f1 > cap1) or \
                    (cap2 is not None and f2 > cap2):
                     continue
-                t = State.zero(rank)
-                for i, a in enumerate(avec, start=1):
-                    if not a.is_zero:
-                        t = t + apply_mode(i, n, st).scale(a)
-                t = t.scale(c)
-                if t.is_zero:
-                    continue
-                key = (f1, f2)
-                acc = new.get(key)
-                new[key] = t if acc is None else acc + t
-        return new
+                acc = new.setdefault((f1, f2), {})
+                for m, x in st.terms.items():
+                    xc = x * c
+                    for i, a in scaled:
+                        _add_scaled(acc, xc.scale(a), _mode_on_monomial(i, n, m))
+        out: Entries = {}
+        for key, acc in new.items():
+            st = _state(rank, acc)
+            if not st.is_zero:
+                out[key] = st
+        return out
 
     out = dict(entries)
     cur = entries
     k = 1
     while cur:
-        cur = one(cur)
-        if k > 1:
-            cur = {key: st.scale(Fraction(1, k)) for key, st in cur.items()}
+        cur = one(cur, k)
         for key, st in cur.items():
-            if st.is_zero:
-                continue
             acc = out.get(key)
             out[key] = st if acc is None else acc + st
         k += 1

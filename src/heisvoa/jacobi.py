@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .fock import State, vertex_mode, virasoro_mode
+from .fock import State, UnitSum, _add_state, _state, vertex_mode, virasoro_mode
 from .intertwiner import IntertwinerOp, IntertwinerSpec
 from .report import CheckRecord, VerificationReport
 from .scalars import (
@@ -64,24 +64,28 @@ __all__ = [
 
 
 class _ProductGrid:
-    """Lazy cache of coefficients of OUTER(z_a) INNER(z_b) target."""
+    """Lazy cache of coefficients of OUTER(z_a) INNER(z_b) target, keyed by
+    the integer offsets of the two exponents from their coset bases."""
 
-    def __init__(self, outer, inner, target: State):
+    def __init__(self, outer, inner, target: State, outer_base: GaussRat,
+                 inner_base: GaussRat):
         self.outer = outer
         self.inner = inner
         self.target = target
+        self.outer_base = outer_base
+        self.inner_base = inner_base
         self._inner_cache: dict = {}
         self._cache: dict = {}
 
-    def get(self, e_outer: GaussRat, e_inner: GaussRat) -> State:
-        key = (e_outer, e_inner)
+    def get(self, n_outer: int, n_inner: int) -> State:
+        key = (n_outer, n_inner)
         hit = self._cache.get(key)
         if hit is None:
-            mid = self._inner_cache.get(e_inner)
+            mid = self._inner_cache.get(n_inner)
             if mid is None:
-                mid = self.inner.coefficient(self.target, e_inner)
-                self._inner_cache[e_inner] = mid
-            hit = self.outer.coefficient(mid, e_outer)
+                mid = self.inner.coefficient(self.target, self.inner_base + n_inner)
+                self._inner_cache[n_inner] = mid
+            hit = self.outer.coefficient(mid, self.outer_base + n_outer)
             self._cache[key] = hit
         return hit
 
@@ -131,17 +135,27 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
     rep.meta["z2_coset"] = f"({c_base})+Z"
     rep.meta["inner_shifts"] = f"lhs2={shift_b2},{shift_c2} rhs={shift_r}"
 
-    grid12 = _ProductGrid(op1, op2, target)
-    grid21 = _ProductGrid(op2_lhs2, op1_lhs2, target)
+    grid12 = _ProductGrid(op1, op2, target, a_base + b_base + 1, c_base)
+    grid21 = _ProductGrid(op2_lhs2, op1_lhs2, target, a_base + c_base + 1, b_base)
     heads: dict = {}
     rhs_ops: dict = {}
 
     rng = range(-radius, radius + 1)
+    # the kernel coefficients (-1)^m binom(kappa12-ia-1, m) of the left
+    # sums per ia, and (-1)^m binom(b+m, m) of the right sum per ib
+    n_lhs = max(ky + ks, kx + ks + shift_b2) + radius + 1
+    n_rhs = kx + ky + shift_r + radius + 1
+    lhs_coefs = {ia: [(-1) ** m * binom(kappa12 - ia - 1, m) for m in range(n_lhs)]
+                 for ia in rng}
+    rhs_coefs = {ib: [(-1) ** m * binom(b_base + ib + m, m) for m in range(n_rhs)]
+                 for ib in rng}
     for ia in rng:
+        a = a_base + ia
+        lhs_coef = lhs_coefs[ia]
         for ib in rng:
+            b = b_base + ib
+            rhs_coef = rhs_coefs[ib]
             for ic in rng:
-                a = a_base + ia
-                b = b_base + ib
                 c = c_base + ic
                 k_out = kx + ky + ks + ia + ib + ic + 1
                 need = max(k_out, ky + ks + ic, kx + ks + ib + shift_b2,
@@ -149,41 +163,38 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
                 if cutoff is not None and need > cutoff:
                     rep.skip((a, b, c), f"needs level sums {need} > cutoff {cutoff}")
                     continue
-                barg = kappa12 - ia - 1
-                lhs = State.zero(target.rank)
+                first: UnitSum = {}
                 for m in range(ky + ks + ic + 1):
-                    coef = binom(barg, m)
-                    if m % 2:
-                        coef = -coef
+                    coef = lhs_coef[m]
                     if not coef.is_zero:
-                        lhs = lhs + grid12.get(b + a + 1 + m, c - m).scale(coef)
-                sign2 = c12 if ia % 2 == 0 else -c12
+                        _add_state(first, coef, grid12.get(ia + ib + m, ic - m))
+                # the second ordering carries C12 (-1)^ia, applied once below
+                second: UnitSum = {}
                 for m in range(kx + ks + ib + shift_b2 + 1):
-                    coef = binom(barg, m)
-                    if m % 2:
-                        coef = -coef
+                    coef = lhs_coef[m]
                     if not coef.is_zero:
-                        term = grid21.get(c + a + 1 + m, b - m)
-                        lhs = lhs + term.scale(sign2 * coef)
-                rhs = State.zero(target.rank)
+                        _add_state(second, -coef if ia % 2 else coef,
+                                   grid21.get(ia + ic + m, ib - m))
+                rhs: UnitSum = {}
+                bc1 = b + c + 1
                 for m in range(kx + ky + ia + shift_r + 1):
-                    coef = binom(b + m, m)
-                    if m % 2:
-                        coef = -coef
+                    coef = rhs_coef[m]
                     if coef.is_zero:
                         continue
-                    d = a - m
-                    head = heads.get(d)
+                    head = heads.get(ia - m)
                     if head is None:
-                        head = op1_rhs.coefficient(y_state, d)
-                        heads[d] = head
+                        head = op1_rhs.coefficient(y_state, a - m)
+                        heads[ia - m] = head
                     if head.is_zero:
                         continue
                     op = rhs_ops.get(head)
                     if op is None:
                         op = op12_factory(head)
                         rhs_ops[head] = op
-                    rhs = rhs + op.coefficient(target, b + c + m + 1).scale(coef)
+                    _add_state(rhs, coef, op.coefficient(target, bc1 + m))
+                lhs = (_state(target.rank, first)
+                       + _state(target.rank, second).scale(c12))
+                rhs = _state(target.rank, rhs)
                 rep.record((a, b, c), lhs, rhs)
     return rep
 

@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterator, Mapping, NamedTuple, Union
 
+from .workspace import current
+
 Rat = Union[int, Fraction]
 
 
@@ -276,18 +278,16 @@ def binom(kappa, m: int) -> GaussRat:
         raise ValueError("binomial lower index must be a natural number")
     kappa = as_gauss(kappa)
     key = (kappa, m)
-    hit = _BINOM_CACHE.get(key)
+    table = current().binom
+    hit = table.get(key)
     if hit is not None:
         return hit
     out = GR_ONE
     for j in range(m):
         out = out * (kappa - j)
     out = out / factorial(m)
-    _BINOM_CACHE[key] = out
+    table[key] = out
     return out
-
-
-_BINOM_CACHE: dict = {}
 
 
 class Unit(NamedTuple):

@@ -1,0 +1,49 @@
+"""The memo tables of one verification run.
+
+Every memo that outlives a single operator lives in one ``Workspace``:
+
+* ``binom``: generalized binomials, keyed (kappa, m);
+* ``mode``, ``virasoro``, ``vertex``: the Fock kernels on one monomial,
+  keyed by the mode data and the monomial;
+* ``chain``: the coefficients of the label-mode exponentials, keyed
+  (label, side, monomial), without the series argument;
+* ``coeff``: one intertwiner coefficient, keyed (label, head parts,
+  target monomial, relative exponent);
+* ``labels``: one ``Label`` object per value for the labels that
+  ``coeff`` entries carry, so that monomials of equal labels compare by
+  identity in every dict probe (hash-consing).
+
+The kernel tables hold ``dict[FockMonomial, GaussRat]`` values, which
+callers never mutate.  The unit group enters only outside them, so two
+operators that differ in their cocycle or in their scalar coefficients
+share every entry.  ``heisvoa verify`` starts each run on a fresh
+workspace; library callers and tests use the current one.
+"""
+
+from __future__ import annotations
+
+
+class Workspace:
+    __slots__ = ("binom", "mode", "virasoro", "vertex", "chain", "coeff", "labels")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, {})
+
+    def sizes(self) -> dict[str, int]:
+        """Entry count of every table."""
+        return {name: len(getattr(self, name)) for name in self.__slots__}
+
+
+_current = Workspace()
+
+
+def current() -> Workspace:
+    return _current
+
+
+def fresh() -> Workspace:
+    """Replace the current workspace with an empty one and return it."""
+    global _current
+    _current = Workspace()
+    return _current

@@ -169,6 +169,8 @@ MALFORMED = {
     "cocycle_boolean": dict(cocycle_f=[[True]]),
     "jacobi_instance_float_and_boolean": dict(jacobi_instances=[[1, 0.5, True]],
                                               suites=["jacobi"]),
+    "suites_empty": dict(suites=[]),
+    "suites_string": dict(suites="jacobi"),
 }
 
 
@@ -178,6 +180,23 @@ def test_malformed_config_exits_2(tmp_path, overrides):
     with pytest.raises(ConfigError):
         load_scenario(config)
     assert main(["verify", config]) == 2
+
+
+def test_suites_must_be_a_list(tmp_path):
+    # a string would otherwise be read as a sequence of one-letter suites
+    with pytest.raises(ConfigError, match="suites must be a list"):
+        load_scenario(write_config(tmp_path, suites="jacobi"))
+    with pytest.raises(ConfigError, match="suites must name at least one"):
+        load_scenario(write_config(tmp_path, suites=[]))
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"rank": 1, "labels": ["\xff"]}')
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    with pytest.raises(ConfigError):
+        load_scenario(str(path))
 
 
 def test_starved_suite_keeps_the_rest(tmp_path):

@@ -16,7 +16,7 @@ from heisvoa.fock import (
     virasoro_mode,
     zero_label,
 )
-from heisvoa.scalars import as_scalar, gr
+from heisvoa.scalars import GR_I, S_ONE, E, as_scalar, gr
 
 
 def mono_state(rank, parts, lab=None):
@@ -156,3 +156,14 @@ def test_state_text_roundtrip():
     assert parse_state("0", rank).is_zero
     with pytest.raises(ValueError):
         parse_state("a[1,-1]|1/2>", 2)
+
+
+def test_zero_divisor_coefficients_leave_no_zero_terms():
+    # (1 + i E(1/2)) (1 - i E(1/2)) = 1 + E(1) = 0 in the group algebra
+    x = S_ONE + E("1/2").scale(GR_I)
+    y = S_ONE - E("1/2").scale(GR_I)
+    u = State.of(monomial(zero_label(1), ((1, 1),)), coeff=x)
+    s = State.of(monomial(label(["1/3"]), ((1, 1),)), coeff=y)
+    out = vertex_mode(u, 0, s)
+    assert out.is_zero and out == State.zero(1)
+    assert apply_mode(1, -1, s).scale(x).is_zero

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heisvoa import intertwiner
+from heisvoa import intertwiner, workspace
 from heisvoa.fock import (
     State,
     apply_mode,
@@ -33,8 +33,8 @@ from heisvoa.intertwiner import (
     verify_ypm_commutation,
     verify_yy_conj,
 )
-from heisvoa.scalars import S_ONE, as_scalar, gr, zeta_pow
-from heisvoa.series import CosetError
+from heisvoa.scalars import S_ONE, as_scalar, gr, lam_pow, zeta_pow
+from heisvoa.series import CosetError, WindowError
 
 
 def rand_label(rng, rank=1, den=3, num=3):
@@ -310,6 +310,66 @@ def test_mixed_coset_target_rejected():
     mixed = State.vacuum(1, label(["1/3"])) + State.vacuum(1, label(["1/4"]))
     with pytest.raises(CosetError):
         IntertwinerOp(x).coefficient(mixed, gr("1/6"))
+
+
+def test_cutoff_is_decided_before_the_shared_memo():
+    cs = standard_cocycle(1)
+    spec = IntertwinerSpec(apply_mode(1, -1, State.vacuum(1, label(["1/2"]))), cs)
+    target = State.of(monomial(label(["1/3"]), ((1, 1),)))
+    # head weight 1, target level 1, relative exponent 2: level sums up to 4
+    e = spec.label.dot(target.single_label()) + 2
+    full = IntertwinerOp(spec).coefficient(target, e)
+    assert not full.is_zero
+    with pytest.raises(WindowError):
+        IntertwinerOp(spec, cutoff=3).coefficient(target, e)
+    assert IntertwinerOp(spec, cutoff=4).coefficient(target, e) == full
+
+
+def test_shared_memo_matches_a_fresh_workspace(monkeypatch):
+    alpha, gamma = label(["1/2"]), label(["1/3"])
+    good = standard_cocycle(1)
+    bad = CocycleSystem(1, good.f, good.g, corruption=gr(1))
+    u = apply_mode(1, -1, State.vacuum(1, alpha))
+    v = apply_mode(1, -2, State.vacuum(1, alpha))
+    target = (State.of(monomial(gamma, ((1, 1),)))
+              + State.vacuum(1, gamma).scale(gr("2/3")))
+    exponents = [alpha.dot(gamma) + n for n in range(-2, 3)]
+
+    def value(cs, head, e):
+        return IntertwinerOp(IntertwinerSpec(head, cs)).coefficient(target, e)
+
+    # the two cocycles interleaved on the same heads share every memo entry
+    monkeypatch.setattr(workspace, "_current", workspace.Workspace())
+    cases = [(cs, head, e) for e in exponents for cs in (good, bad)
+             for head in (u, v, u.scale(2) + v)]
+    shared = [value(*case) for case in cases]
+    entries = workspace.current().sizes()["coeff"]
+    monkeypatch.setattr(workspace, "_current", workspace.Workspace())
+    for e in exponents:
+        for head in (u, v, u.scale(2) + v):
+            value(good, head, e)
+    assert workspace.current().sizes()["coeff"] == entries
+    assert any(value(good, u, e) != value(bad, u, e) for e in exponents)
+    for (cs, head, e), got in zip(cases, shared):
+        monkeypatch.setattr(workspace, "_current", workspace.Workspace())
+        assert got == value(cs, head, e), (cs.corruption, head, e)
+    for e in exponents:
+        for cs in (good, bad):
+            assert value(cs, u.scale(2) + v, e) == \
+                value(cs, u, e).scale(2) + value(cs, v, e)
+
+
+def test_series_argument_scales_the_kth_coefficient():
+    avec = label(["2/3"]).alpha
+    gamma = label(["1/3"])
+    s = (State.of(monomial(gamma, ((1, 1), (1, 2))))
+         + State.vacuum(1, gamma).scale(gr("1/2")))
+    for k in range(4):
+        for coeff in (creation_coeff, annihilation_coeff):
+            plain = coeff(avec, k, s)
+            assert not plain.is_zero
+            assert coeff(avec, k, s, arg=lam_pow(1)) == plain.scale(lam_pow(k)), \
+                (coeff.__name__, k)
 
 
 def test_prop_conjugation_identities_rank2():
