@@ -266,7 +266,7 @@ def suite_heisenberg(scn: Scenario) -> list[Case]:
                         lhs = (apply_mode(i, n, apply_mode(j, m, s))
                                - apply_mode(j, m, apply_mode(i, n, s)))
                         rhs = s.scale(n) if (i == j and n == -m) else State.zero(rank)
-                        rep.record((gr(i), gr(j), gr(n), gr(m), gr(bi)), lhs, rhs)
+                        rep.record((i, j, n, m, bi), lhs, rhs)
     return [("brackets", rep)]
 
 
@@ -286,7 +286,7 @@ def suite_virasoro(scn: Scenario) -> list[Case]:
                     rhs = virasoro_mode(m + n, s).scale(m - n)
                     if m == -n:
                         rhs = rhs + s.scale(Fraction(rank * (m ** 3 - m), 12))
-                    rep.record((gr(li_), gr(bi), gr(m), gr(n)), lhs, rhs)
+                    rep.record((li_, bi, m, n), lhs, rhs)
     return [("brackets", rep)]
 
 

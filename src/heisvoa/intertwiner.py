@@ -33,7 +33,6 @@ from .fock import (
     _vertex_on_monomials,
     apply_mode,
     exp_virasoro_coeffs,
-    monomial,
     translate_label,
     vertex_mode,
     virasoro_mode,
@@ -153,12 +152,12 @@ def apply_e(cs: CocycleSystem, alpha: Label, s: State) -> State:
 
 def apply_e_inverse(cs: CocycleSystem, alpha: Label, s: State) -> State:
     """(e^alpha)^(-1): label beta -> beta-alpha dividing the cocycle factor."""
-    out = State.zero(s.rank)
+    # the shift is injective, so no two terms meet
+    terms = {}
     for m, c in s.terms.items():
-        new_label = m.label - alpha
-        out = out + State.of(monomial(new_label, m.parts),
-                             coeff=c * cs.epsilon(alpha, new_label).inverse())
-    return out
+        lab = m.label - alpha
+        terms[FockMonomial(lab, m.parts)] = c * cs.epsilon(alpha, lab).inverse()
+    return State(s.rank, terms)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .fock import State, UnitSum, _add_state, _state, vertex_mode, virasoro_mode
 from .intertwiner import IntertwinerOp, IntertwinerSpec
 from .report import CheckRecord, VerificationReport
 from .scalars import (
-    GaussRat,
     Scalar,
     as_gauss,
     binom,
@@ -63,31 +62,24 @@ __all__ = [
 ]
 
 
-class _ProductGrid:
-    """Lazy cache of coefficients of OUTER(z_a) INNER(z_b) target, keyed by
-    the integer offsets of the two exponents from their coset bases."""
+class _OffsetGrid(dict):
+    """A lazily filled table of one engine call, keyed by two integer
+    exponent offsets: ``grid[p, q]`` is ``outer(inner(p), q)``, with
+    ``inner`` read once per p and every entry computed once."""
 
-    def __init__(self, outer, inner, target: State, outer_base: GaussRat,
-                 inner_base: GaussRat):
-        self.outer = outer
+    def __init__(self, inner: Callable, outer: Callable):
+        super().__init__()
         self.inner = inner
-        self.target = target
-        self.outer_base = outer_base
-        self.inner_base = inner_base
-        self._inner_cache: dict = {}
-        self._cache: dict = {}
+        self.outer = outer
+        self.mids: dict = {}
 
-    def get(self, n_outer: int, n_inner: int) -> State:
-        key = (n_outer, n_inner)
-        hit = self._cache.get(key)
-        if hit is None:
-            mid = self._inner_cache.get(n_inner)
-            if mid is None:
-                mid = self.inner.coefficient(self.target, self.inner_base + n_inner)
-                self._inner_cache[n_inner] = mid
-            hit = self.outer.coefficient(mid, self.outer_base + n_outer)
-            self._cache[key] = hit
-        return hit
+    def __missing__(self, key):
+        p, q = key
+        mids = self.mids
+        if p not in mids:
+            mids[p] = self.inner(p)
+        value = self[key] = self.outer(mids[p], q)
+        return value
 
 
 def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
@@ -135,10 +127,23 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
     rep.meta["z2_coset"] = f"({c_base})+Z"
     rep.meta["inner_shifts"] = f"lhs2={shift_b2},{shift_c2} rhs={shift_r}"
 
-    grid12 = _ProductGrid(op1, op2, target, a_base + b_base + 1, c_base)
-    grid21 = _ProductGrid(op2_lhs2, op1_lhs2, target, a_base + c_base + 1, b_base)
-    heads: dict = {}
-    rhs_ops: dict = {}
+    # the three sums read operator products at integer offsets p of the
+    # inner and q of the outer exponent from their coset bases; on the
+    # right the inner offset ia-m picks the head H(a-m) and its operator
+    base12, base21 = a_base + b_base + 1, a_base + c_base + 1
+    base_r = b_base + c_base + 1
+    zero = State.zero(target.rank)
+
+    def rhs_op(d: int):
+        head = op1_rhs.coefficient(y_state, a_base + d)
+        return None if head.is_zero else op12_factory(head)
+
+    grid12 = _OffsetGrid(lambda p: op2.coefficient(target, c_base + p),
+                         lambda mid, q: op1.coefficient(mid, base12 + q))
+    grid21 = _OffsetGrid(lambda p: op1_lhs2.coefficient(target, b_base + p),
+                         lambda mid, q: op2_lhs2.coefficient(mid, base21 + q))
+    grid_r = _OffsetGrid(rhs_op, lambda op, q: zero if op is None
+                         else op.coefficient(target, base_r + q))
 
     rng = range(-radius, radius + 1)
     # the kernel coefficients (-1)^m binom(kappa12-ia-1, m) of the left
@@ -167,31 +172,19 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
                 for m in range(ky + ks + ic + 1):
                     coef = lhs_coef[m]
                     if not coef.is_zero:
-                        _add_state(first, coef, grid12.get(ia + ib + m, ic - m))
+                        _add_state(first, coef, grid12[ic - m, ia + ib + m])
                 # the second ordering carries C12 (-1)^ia, applied once below
                 second: UnitSum = {}
                 for m in range(kx + ks + ib + shift_b2 + 1):
                     coef = lhs_coef[m]
                     if not coef.is_zero:
                         _add_state(second, -coef if ia % 2 else coef,
-                                   grid21.get(ia + ic + m, ib - m))
+                                   grid21[ib - m, ia + ic + m])
                 rhs: UnitSum = {}
-                bc1 = b + c + 1
                 for m in range(kx + ky + ia + shift_r + 1):
                     coef = rhs_coef[m]
-                    if coef.is_zero:
-                        continue
-                    head = heads.get(ia - m)
-                    if head is None:
-                        head = op1_rhs.coefficient(y_state, a - m)
-                        heads[ia - m] = head
-                    if head.is_zero:
-                        continue
-                    op = rhs_ops.get(head)
-                    if op is None:
-                        op = op12_factory(head)
-                        rhs_ops[head] = op
-                    _add_state(rhs, coef, op.coefficient(target, bc1 + m))
+                    if not coef.is_zero:
+                        _add_state(rhs, coef, grid_r[ia - m, ib + ic + m])
                 lhs = (_state(target.rank, first)
                        + _state(target.rank, second).scale(c12))
                 rhs = _state(target.rank, rhs)

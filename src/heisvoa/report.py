@@ -34,6 +34,9 @@ class VerificationReport:
 
     def record(self, exponents: tuple, left, right, note: str = "") -> bool:
         ok = left == right
+        if ok:
+            # only a mismatch prints both sides; keep one copy of equal ones
+            right = left
         self.checked.append(CheckRecord(tuple(exponents), left, right, ok, note))
         return ok
 

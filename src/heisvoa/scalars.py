@@ -180,16 +180,14 @@ class GaussRat:
 
     # -- text form ------------------------------------------------------
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        imag = f"{abs(im)}*i"
-        if not re:
-            return imag if im > 0 else "-" + imag
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{imag}"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            # gcd(a, d) = 1 on the real line, so a/d is already reduced
+            return str(a) if d == 1 else f"{a}/{d}"
+        imag = _ratio_str(abs(b), d) + "*i"
+        if not a:
+            return imag if b > 0 else "-" + imag
+        return f"{_ratio_str(a, d)}{'+' if b > 0 else '-'}{imag}"
 
     def __repr__(self) -> str:
         return f"GaussRat({self.re!r}, {self.im!r})"
@@ -228,6 +226,12 @@ _new = object.__new__
 _set_a = GaussRat.a.__set__
 _set_b = GaussRat.b.__set__
 _set_d = GaussRat.d.__set__
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """The text of the Fraction n/d for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _make(a: int, b: int, d: int) -> GaussRat:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import pstats
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heisvoa
 from heisvoa.cli import SUITES, ConfigError, Scenario, load_scenario, main
 
 
@@ -117,6 +122,20 @@ def test_profile_dump_leaves_the_body_alone(tmp_path):
     assert body_of(profiled) == body_of(plain)
     stats = pstats.Stats(str(dump))
     assert any(fn == "run_suites" for _, _, fn in stats.stats)
+
+
+def test_python_m_heisvoa_matches_main(tmp_path):
+    config = write_config(tmp_path, max_weight=1)
+    report = tmp_path / "module.txt"
+    src = str(Path(heisvoa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "heisvoa", "verify", config,
+                           "--report", str(report)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, text = run(tmp_path, config)
+    assert status == 0
+    assert body_of(report.read_text()) == body_of(text)
 
 
 def test_load_scenario_and_defaults(tmp_path):

@@ -128,6 +128,24 @@ def test_text_matches_reference_and_round_trips(p):
     assert gr(str(x)) == x
 
 
+@pytest.mark.parametrize("re, im, text", [
+    ("0", "0", "0"),
+    ("-7/12", "0", "-7/12"),
+    ("0", "1", "1*i"),
+    ("0", "-1", "-1*i"),
+    ("0", "5/12", "5/12*i"),
+    ("0", "-10/21", "-10/21*i"),
+    ("1/2", "-1/3", "1/2-1/3*i"),
+    ("-25/36", "7/12", "-25/36+7/12*i"),
+    ("3/14", "-5/21", "3/14-5/21*i"),
+    ("4", "-123/1000", "4-123/1000*i"),
+])
+def test_text_of_explicit_values(re, im, text):
+    x = GaussRat(re, im)
+    assert str(x) == text == reference_str(Fraction(re), Fraction(im))
+    assert GaussRat.parse(text) == x
+
+
 @PROPS
 @given(pairs)
 def test_normalize_e_matches_floor_formula(p):

@@ -119,6 +119,11 @@ def test_apply_e_examples():
     swapped = apply_e(cs, b, apply_e(cs, a, s)).scale(cs.commutator(a, b))
     assert lhs == swapped
     assert apply_e_inverse(cs, a, apply_e(cs, a, s)) == s
+    # several terms on several labels: the shift keeps them apart
+    mixed = s + State.of(monomial(b, ((1, 1), (2, 2)))) + State.vacuum(2, a)
+    assert len(mixed.terms) == 3
+    assert apply_e_inverse(cs, a, apply_e(cs, a, mixed)) == mixed
+    assert apply_e(cs, a, apply_e_inverse(cs, a, mixed)) == mixed
 
 
 def test_ypm_examples():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from heisvoa import jacobi
 from heisvoa.fock import (
     State,
     apply_mode,
@@ -313,3 +314,37 @@ def test_associativity():
     one = State.vacuum(1)
     rep = verify_associativity(one, w, s, 0, r0=1, r2=1)
     assert rep.verdict, rep.failures_detail
+
+
+def test_jacobi_reads_each_right_hand_coefficient_once(monkeypatch):
+    # every right-hand operator counts its reads per (head, exponent)
+    engine = jacobi.three_term_jacobi
+    reads: dict = {}
+
+    def counting_engine(**kw):
+        factory = kw["op12_factory"]
+
+        def counting_factory(head):
+            op = factory(head)
+            read = op.coefficient
+
+            def coefficient(target, exponent):
+                key = (head, str(exponent))
+                reads[key] = reads.get(key, 0) + 1
+                return read(target, exponent)
+
+            op.coefficient = coefficient
+            return op
+
+        return engine(**{**kw, "op12_factory": counting_factory})
+
+    monkeypatch.setattr(jacobi, "three_term_jacobi", counting_engine)
+    x = head_spec(((1, 1),), alpha="1/2")
+    y = head_spec(((1, 1),), alpha="1/3")
+    s = State.vacuum(1, label(["-1/4"]))
+    rep = verify_generalized_jacobi(x, y, s, radius=2, cutoff=8)
+    assert rep.verdict, rep.failures_detail
+    # the verdict and the counts of the same check before the right-hand grid
+    assert (len(rep.checked), len(rep.skipped)) == (124, 1)
+    assert len({head for head, _ in reads}) > 1
+    assert max(reads.values()) == 1, sum(reads.values()) - len(reads)
