@@ -31,10 +31,12 @@ from .fock import (
     basis_monomials,
     label,
     monomial,
+    verify_heisenberg_brackets,
+    verify_virasoro_brackets,
     virasoro_mode,
     zero_label,
 )
-from .form import FormConfig, det_scalar, gram, gram_matrix, verify_invariance
+from .form import FormConfig, verify_gram_slices, verify_invariance
 from .intertwiner import (
     CocycleSystem,
     IntertwinerSpec,
@@ -61,16 +63,14 @@ from .jacobi import (
 from .lattice import (
     integral_lattice,
     lattice_cocycle,
-    shifted_central_charge,
-    shifted_virasoro,
     twist,
-    twisted_virasoro_mode,
     verify_dlm_jacobi,
     verify_li_equivalence,
+    verify_shifted_virasoro,
     verify_twist_grading,
     verify_twisted_jacobi,
 )
-from .scalars import GaussRat, as_scalar, gr, lam_pow
+from .scalars import GaussRat, as_scalar, gr
 from .series import WindowError
 
 SUITES = ("heisenberg", "virasoro", "intertwiner-props", "jacobi", "skew",
@@ -253,41 +253,19 @@ Case = tuple[str, VerificationReport]
 
 
 def suite_heisenberg(scn: Scenario) -> list[Case]:
-    rep = VerificationReport("heisenberg_brackets",
-                             f"weight<={scn.max_weight}, |n|,|m|<=3")
-    rank = scn.rank
-    basis = basis_monomials(rank, scn.max_weight)
-    for bi, bm in enumerate(basis):
-        s = State.of(bm)
-        for i in range(1, rank + 1):
-            for j in range(1, rank + 1):
-                for n in range(-3, 4):
-                    for m in range(-3, 4):
-                        lhs = (apply_mode(i, n, apply_mode(j, m, s))
-                               - apply_mode(j, m, apply_mode(i, n, s)))
-                        rhs = s.scale(n) if (i == j and n == -m) else State.zero(rank)
-                        rep.record((i, j, n, m, bi), lhs, rhs)
-    return [("brackets", rep)]
+    return [("brackets", verify_heisenberg_brackets(scn.rank, scn.max_weight))]
 
 
 def suite_virasoro(scn: Scenario) -> list[Case]:
     rng = random.Random(f"{scn.seed}:virasoro")
     rank = scn.rank
+    labs = [zero_label(rank)] + sample_labels(scn, rng, 2)
+    states = (((li_, bi), State.of(bm)) for li_, lab in enumerate(labs)
+              for bi, bm in enumerate(basis_monomials(rank, min(scn.max_weight, 3), lab)))
     rep = VerificationReport("virasoro_brackets",
                              f"weight<={scn.max_weight}, |m|,|n|<=3")
-    labs = [zero_label(rank)] + sample_labels(scn, rng, 2)
-    for li_, lab in enumerate(labs):
-        for bi, bm in enumerate(basis_monomials(rank, min(scn.max_weight, 3), lab)):
-            s = State.of(bm)
-            for m in range(-3, 4):
-                for n in range(-3, 4):
-                    lhs = (virasoro_mode(m, virasoro_mode(n, s))
-                           - virasoro_mode(n, virasoro_mode(m, s)))
-                    rhs = virasoro_mode(m + n, s).scale(m - n)
-                    if m == -n:
-                        rhs = rhs + s.scale(Fraction(rank * (m ** 3 - m), 12))
-                    rep.record((li_, bi, m, n), lhs, rhs)
-    return [("brackets", rep)]
+    return [("brackets", verify_virasoro_brackets(virasoro_mode, rank, states,
+                                                  report=rep))]
 
 
 def suite_intertwiner_props(scn: Scenario) -> list[Case]:
@@ -418,24 +396,8 @@ def suite_form(scn: Scenario) -> list[Case]:
     rank = scn.rank
     cs = scn.cocycle()
     cfg = FormConfig(scn.n_branch, cs)
-    cases: list[Case] = []
-    rep = VerificationReport("gram_slices", "weight<=3")
-    for bstr in ("0", "1/2", "1/3*i"):
-        beta = label([bstr] + ["0"] * (rank - 1))
-        val = gram(State.vacuum(rank, beta), State.vacuum(rank, -beta), cfg)
-        rep.record((gr(bstr), gr(-1)), val,
-                   cs.epsilon(beta, -beta) * lam_pow(-beta.norm2()),
-                   note="vacuum pairing")
-        for k in range(0, 4):
-            rows, cols, mat = gram_matrix(beta, k, cfg)
-            _, _, tmat = gram_matrix(-beta, k, cfg)
-            sym = all(mat[i][j] == tmat[j][i]
-                      for i in range(len(rows)) for j in range(len(cols)))
-            det = det_scalar(mat)
-            rep.record((gr(bstr), gr(k)),
-                       as_scalar(int(sym and det.is_monomial)), as_scalar(1),
-                       note=f"symmetric slice with unit determinant, dim {len(rows)}")
-    cases.append(("gram", rep))
+    cases: list[Case] = [("gram",
+                          verify_gram_slices(("0", "1/2", "1/3*i"), 3, cfg))]
     for idx in range(max(1, scn.pairs // 2)):
         alpha, beta = sample_labels(scn, rng, 2)
         gamma = -(alpha + beta)
@@ -472,28 +434,9 @@ def suite_lattice_twist(scn: Scenario) -> list[Case]:
                       verify_li_equivalence(td, x, State.vacuum(lat.heis_rank),
                                             2, scn.cutoff, cs)))
         cases.append((f"{tag}/grading", verify_twist_grading(td, 3)))
-        rep = VerificationReport(f"shifted_virasoro[{tstr}]",
-                                 "weight<=4, |m|,|n|<=3")
-        c_a = shifted_central_charge(td)
-        basis = basis_monomials(lat.heis_rank, min(scn.max_weight, 4),
-                                lat.label_of(e1))
-        for bi, bm in enumerate(basis):
-            st = State.of(bm)
-            low = (shifted_virasoro(td, 0, st)
-                   - st.scale(c_a / 24))
-            rig = (twisted_virasoro_mode(td, 0, st)
-                   - st.scale(Fraction(lat.heis_rank, 24)))
-            rep.record((gr(bi), gr(0)), low, rig, note="normalized grading match")
-        for m in range(-3, 4):
-            for n in range(-3, 4):
-                st = State.of(basis[0])
-                lhs = (shifted_virasoro(td, m, shifted_virasoro(td, n, st))
-                       - shifted_virasoro(td, n, shifted_virasoro(td, m, st)))
-                rhs = shifted_virasoro(td, m + n, st).scale(m - n)
-                if m == -n:
-                    rhs = rhs + st.scale(c_a * Fraction(m ** 3 - m, 12))
-                rep.record((gr(m), gr(n)), lhs, rhs)
-        cases.append((f"{tag}/shifted_virasoro", rep))
+        rep = VerificationReport(f"shifted_virasoro[{tstr}]", "weight<=4, |m|,|n|<=3")
+        cases.append((f"{tag}/shifted_virasoro",
+                      verify_shifted_virasoro(td, min(scn.max_weight, 4), rep)))
     return cases
 
 

@@ -26,6 +26,7 @@ from .scalars import (
     binom,
     parse_scalar,
 )
+from .report import VerificationReport
 from .workspace import current
 
 Part = tuple[int, int]  # (color, level), level >= 1
@@ -124,9 +125,6 @@ class FockMonomial(NamedTuple):
     @property
     def levels_sum(self) -> int:
         return sum(k for _, k in self.parts)
-
-    def weight(self) -> GaussRat:
-        return self.label.norm2() / 2 + self.levels_sum
 
     def sort_key(self):
         return (self.label.sort_key(), self.parts)
@@ -532,6 +530,51 @@ def basis_monomials(rank: int, max_levels: int, lab: Label | None = None,
         for parts in partitions_colored(rank, t):
             out.append(FockMonomial(lab, tuple(sorted(parts))))
     return sorted(out, key=lambda m: (m.levels_sum, m.sort_key()))
+
+
+# ---------------------------------------------------------------------------
+# bracket verifiers
+
+
+def verify_heisenberg_brackets(rank: int, max_weight: int,
+                               radius: int = 3) -> VerificationReport:
+    """[a_i(n), a_j(m)] = n delta_{ij} delta_{n,-m} on every basis state of
+    level sum <= max_weight, for |n|, |m| <= radius."""
+    rep = VerificationReport("heisenberg_brackets",
+                             f"weight<={max_weight}, |n|,|m|<={radius}")
+    window = range(-radius, radius + 1)
+    for bi, bm in enumerate(basis_monomials(rank, max_weight)):
+        s = State.of(bm)
+        for i in range(1, rank + 1):
+            for j in range(1, rank + 1):
+                for n in window:
+                    for m in window:
+                        lhs = (apply_mode(i, n, apply_mode(j, m, s))
+                               - apply_mode(j, m, apply_mode(i, n, s)))
+                        rhs = s.scale(n) if (i == j and n == -m) else State.zero(rank)
+                        rep.record((i, j, n, m, bi), lhs, rhs)
+    return rep
+
+
+def verify_virasoro_brackets(mode, central_charge, states, radius: int = 3,
+                             report: VerificationReport | None = None
+                             ) -> VerificationReport:
+    """[L(m), L(n)] = (m-n) L(m+n) + c (m^3-m)/12 delta_{m,-n} for |m|,|n| <=
+    radius, L(n) s = mode(n, s) and c = central_charge, on each (key, state)
+    of ``states``; records are keyed key + (m, n) and go into ``report``."""
+    rep = report if report is not None else VerificationReport(
+        "virasoro_brackets", f"|m|,|n|<={radius}")
+    c = as_gauss(central_charge)
+    window = range(-radius, radius + 1)
+    for key, s in states:
+        for m in window:
+            for n in window:
+                lhs = mode(m, mode(n, s)) - mode(n, mode(m, s))
+                rhs = mode(m + n, s).scale(m - n)
+                if m == -n:
+                    rhs = rhs + s.scale(c * Fraction(m ** 3 - m, 12))
+                rep.record(key + (m, n), lhs, rhs)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .fock import (
     State,
     apply_mode,
     basis_monomials,
+    label,
     monomial,
     vertex_mode,
     virasoro_mode,
@@ -177,12 +178,29 @@ def det_scalar(mat: list[list[Scalar]]) -> Scalar:
     return rec(0, (1 << n) - 1)
 
 
-def format_gram_matrix(rows, cols, mat) -> str:
-    lines = []
-    for r, row in zip(rows, mat):
-        cells = "  ".join(str(v) for v in row)
-        lines.append(f"{State.of(r)} | {cells}")
-    return "\n".join(lines)
+def verify_gram_slices(betas, levels: int, cfg: FormConfig) -> VerificationReport:
+    """For each charge b, beta = b e_1: <|beta>, |-beta>> = eps(beta,-beta)
+    lam^(-beta.beta), and at each level sum k <= levels a Gram slice of
+    M_beta x M_(-beta) that transposes to the (-beta, beta) slice and has a
+    unit (one-term) determinant."""
+    rank = cfg.cocycle.rank
+    rep = VerificationReport("gram_slices", f"weight<={levels}")
+    for b in betas:
+        b = as_gauss(b)
+        beta = label([b] + [0] * (rank - 1))
+        val = gram(State.vacuum(rank, beta), State.vacuum(rank, -beta), cfg)
+        rep.record((b, -1), val,
+                   cfg.cocycle.epsilon(beta, -beta) * lam_pow(-beta.norm2()),
+                   note="vacuum pairing")
+        for k in range(levels + 1):
+            rows, cols, mat = gram_matrix(beta, k, cfg)
+            _, _, tmat = gram_matrix(-beta, k, cfg)
+            sym = all(mat[i][j] == tmat[j][i]
+                      for i in range(len(rows)) for j in range(len(cols)))
+            ok = sym and det_scalar(mat).is_monomial
+            rep.record((b, k), S_ONE if ok else S_ZERO, S_ONE,
+                       note=f"symmetric slice with unit determinant, dim {len(rows)}")
+    return rep
 
 
 class AdjointIntertwinerOp:

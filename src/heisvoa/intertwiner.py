@@ -31,7 +31,6 @@ from .fock import (
     _mode_on_monomial,
     _state,
     _vertex_on_monomials,
-    apply_mode,
     exp_virasoro_coeffs,
     translate_label,
     vertex_mode,

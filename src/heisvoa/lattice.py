@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fock import Label, State, apply_mode, label, virasoro_mode
+from .fock import (
+    Label,
+    State,
+    apply_mode,
+    basis_monomials,
+    label,
+    verify_virasoro_brackets,
+    virasoro_mode,
+)
 from .intertwiner import (
     CocycleSystem,
     DressedOp,
@@ -33,6 +41,7 @@ from .scalars import (
     GR_ZERO,
     GaussRat,
     S_ONE,
+    S_ZERO,
     Scalar,
     _frac,
     as_gauss,
@@ -173,17 +182,15 @@ def integral_lattice(gram: Sequence[Sequence[int]],
             if g[i][j] != g[j][i]:
                 raise ValueError("gram matrix must be symmetric")
     b = _mat(embedding) if embedding is not None else rational_embedding(g)
+    if any(len(row) != r for row in b):
+        raise ValueError("each embedding row must have one entry per lattice "
+                         "basis vector")
     for j in range(r):
         for k in range(r):
             got = sum(b[i][j] * b[i][k] for i in range(len(b)))
             if got != g[j][k]:
                 raise ValueError("embedding does not reproduce the gram matrix")
     return IntegralLattice(g, b)
-
-
-def parity(lattice: IntegralLattice, coords: Sequence[int]) -> int:
-    """mu.mu mod 2 for a lattice vector."""
-    return lattice.pairing(coords, coords) % 2
 
 
 def lattice_cocycle(lattice: IntegralLattice) -> CocycleSystem:
@@ -235,14 +242,6 @@ def twist(lattice: IntegralLattice, alpha_coords: Sequence) -> TwistData:
 # twisted modes and gradings
 
 
-def twisted_heisenberg_mode(td: TwistData, color: int, n: int, s: State) -> State:
-    """a_g[i](n) = a[i](n) + alpha^i delta_{n,0}."""
-    out = apply_mode(color, n, s)
-    if n == 0:
-        out = out + s.scale(td.alpha.alpha[color - 1])
-    return out
-
-
 def twisted_virasoro_mode(td: TwistData, n: int, s: State) -> State:
     """L_g(n) = L(n) + alpha(n) + alpha.alpha/2 delta_{n,0}."""
     out = virasoro_mode(n, s)
@@ -267,6 +266,27 @@ def shifted_virasoro(td: TwistData, n: int, s: State) -> State:
 def shifted_central_charge(td: TwistData) -> GaussRat:
     """c_a = l - 12 alpha.alpha for the shifted conformal vector."""
     return gr(td.rank) - td.alpha.norm2() * 12
+
+
+def verify_shifted_virasoro(td: TwistData, max_weight: int,
+                            report: VerificationReport | None = None
+                            ) -> VerificationReport:
+    """On the sector of the first lattice basis vector: the normalized
+    grading match L_a(0) - c_a/24 = L_g(0) - l/24 on each basis state of
+    level sum <= max_weight, then the Virasoro brackets of the L_a(n) at
+    central charge c_a on the lowest one; records go into ``report``."""
+    rep = report if report is not None else VerificationReport(
+        "shifted_virasoro", f"weight<={max_weight}, |m|,|n|<=3")
+    c_a = shifted_central_charge(td)
+    basis = basis_monomials(td.rank, max_weight, td.lattice.label_of(
+        [1] + [0] * (td.lattice.rank - 1)))
+    for bi, bm in enumerate(basis):
+        st = State.of(bm)
+        low = shifted_virasoro(td, 0, st) - st.scale(c_a / 24)
+        rig = twisted_virasoro_mode(td, 0, st) - st.scale(Fraction(td.rank, 24))
+        rep.record((bi, 0), low, rig, note="normalized grading match")
+    return verify_virasoro_brackets(lambda n, s: shifted_virasoro(td, n, s), c_a,
+                                    [((), State.of(basis[0]))], report=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +372,6 @@ def verify_li_equivalence(td: TwistData, x: State, target: State,
 
 def verify_twist_grading(td: TwistData, max_weight: int) -> VerificationReport:
     """L_g(0) spectrum on the plain sector matches L(0) on the shifted one."""
-    from .fock import basis_monomials
     rep = VerificationReport("twist_grading", window_used=f"weight<= {max_weight}")
     lat = td.lattice
     rank = td.rank
@@ -370,8 +389,8 @@ def verify_twist_grading(td: TwistData, max_weight: int) -> VerificationReport:
             want = l0.terms.get(next(iter(shifted.terms)))
             got = lg.terms.get(m)
             rep.record((str((m.label.sort_key() + pad, m.parts)),),
-                       got if got is not None else Scalar.rational(0),
-                       want if want is not None else Scalar.rational(0))
+                       got if got is not None else S_ZERO,
+                       want if want is not None else S_ZERO)
     return rep
 
 

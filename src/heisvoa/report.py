@@ -97,11 +97,3 @@ class VerificationReport:
         for exps, reason in self.skipped:
             lines.append("  skip (" + ",".join(str(e) for e in exps) + f") {reason}")
         return lines
-
-    def require(self, minimum_checked: int = 1) -> "VerificationReport":
-        """Raise if the compared set is smaller than requested (anti-vacuity)."""
-        if len(self.checked) < minimum_checked:
-            raise ValueError(
-                f"{self.name}: only {len(self.checked)} coefficients comparable "
-                f"(need {minimum_checked}); enlarge the window or the cutoff")
-        return self

@@ -273,7 +273,6 @@ def gr(re=0, im=0) -> GaussRat:
 
 GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
-GR_I = GaussRat(0, 1)
 
 
 def binom(kappa, m: int) -> GaussRat:
@@ -340,10 +339,6 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def rational(cls, x) -> "Scalar":
-        return _rational(as_gauss(x))
-
     @classmethod
     def from_unit(cls, e_exp=GR_ZERO, lam_exp=GR_ZERO, zeta_exp=GR_ZERO,
                   coeff=GR_ONE) -> "Scalar":
@@ -482,22 +477,11 @@ class Scalar:
             out = out * self
         return out
 
-    def specialize_lambda_i(self) -> "Scalar":
-        """Evaluate lam at sqrt(-1); requires integer lam exponents."""
-        out = S_ZERO
-        for u, c in self.terms.items():
-            if not u.lam_exp.is_integer:
-                raise ValueError("lam exponent not an integer; cannot set lam=i")
-            i_pow = GR_I ** (u.lam_exp.a % 4)
-            out = out + Scalar.from_unit(u.e_exp, GR_ZERO, u.zeta_exp,
-                                         coeff=c * i_pow)
-        return out
-
     # -- container protocol ----------------------------------------------
     def __eq__(self, other) -> bool:
         if other.__class__ is not Scalar:
             if other.__class__ is GaussRat or isinstance(other, (int, Fraction)):
-                other = Scalar.rational(other)
+                other = as_scalar(other)
             else:
                 return NotImplemented
         return self.terms == other.terms

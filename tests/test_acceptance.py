@@ -13,10 +13,12 @@ from heisvoa.fock import (
     basis_monomials,
     label,
     monomial,
+    verify_heisenberg_brackets,
+    verify_virasoro_brackets,
     virasoro_mode,
     zero_label,
 )
-from heisvoa.form import FormConfig, det_scalar, gram, gram_matrix, verify_invariance
+from heisvoa.form import FormConfig, verify_gram_slices, verify_invariance
 from heisvoa.intertwiner import (
     CocycleSystem,
     IntertwinerSpec,
@@ -36,14 +38,12 @@ from heisvoa.jacobi import (
 from heisvoa.lattice import (
     integral_lattice,
     lattice_cocycle,
-    shifted_central_charge,
-    shifted_virasoro,
     twist,
-    twisted_virasoro_mode,
     verify_li_equivalence,
+    verify_shifted_virasoro,
     verify_twisted_jacobi,
 )
-from heisvoa.scalars import gr, lam_pow
+from heisvoa.scalars import gr
 import random
 
 CS = CocycleSystem(1, ((gr("1/2"),),), ((gr("1/3"),),))
@@ -63,26 +63,14 @@ def _passline(num, name, t0):
 
 def test_criterion_1_heisenberg_virasoro():
     t0 = time.monotonic()
-    for rank in (1, 2):
-        for bm in basis_monomials(rank, 5):
-            s = State.of(bm)
-            for i in range(1, rank + 1):
-                for j in range(1, rank + 1):
-                    for n in range(-3, 4):
-                        for m in range(-3, 4):
-                            lhs = (apply_mode(i, n, apply_mode(j, m, s))
-                                   - apply_mode(j, m, apply_mode(i, n, s)))
-                            rhs = (s.scale(n) if (i == j and n == -m)
-                                   else State.zero(rank))
-                            assert lhs == rhs
-            for m in range(-3, 4):
-                for n in range(-3, 4):
-                    lhs = (virasoro_mode(m, virasoro_mode(n, s))
-                           - virasoro_mode(n, virasoro_mode(m, s)))
-                    rhs = virasoro_mode(m + n, s).scale(m - n)
-                    if m == -n:
-                        rhs = rhs + s.scale(Fraction(rank * (m ** 3 - m), 12))
-                    assert lhs == rhs
+    for rank, n_states in ((1, 19), (2, 74)):  # basis sizes at weight <= 5
+        rep = verify_heisenberg_brackets(rank, 5)
+        assert rep.verdict, rep.failures_detail
+        assert len(rep.checked) == n_states * rank * rank * 49
+        states = [((), State.of(bm)) for bm in basis_monomials(rank, 5)]
+        rep = verify_virasoro_brackets(virasoro_mode, rank, states)
+        assert rep.verdict, rep.failures_detail
+        assert len(rep.checked) == n_states * 49
     elapsed = _passline(1, "heisenberg+virasoro algebras", t0)
     assert elapsed < 10
 
@@ -158,17 +146,9 @@ def test_criterion_4_skew_symmetry():
 def test_criterion_5_invariant_form():
     t0 = time.monotonic()
     cfg = FormConfig(1, CS)
-    for bstr in ("0", "1/2", "1/3*i"):
-        beta = label([bstr])
-        got = gram(State.vacuum(1, beta), State.vacuum(1, -beta), cfg)
-        assert got == CS.epsilon(beta, -beta) * lam_pow(-beta.norm2())
-        for k in range(0, 4):
-            rows, cols, mat = gram_matrix(beta, k, cfg)
-            _, _, tmat = gram_matrix(-beta, k, cfg)
-            for i in range(len(rows)):
-                for j in range(len(cols)):
-                    assert mat[i][j] == tmat[j][i]
-            assert det_scalar(mat).is_monomial
+    rep = verify_gram_slices(("0", "1/2", "1/3*i"), 3, cfg)
+    assert rep.verdict, rep.failures_detail
+    assert len(rep.checked) == 3 * (1 + 4)  # vacuum pairing and 4 slices each
     instances = (("0", "0"), ("1/2", "1/3"), ("1/2*i", "1/2"))
     for astr, bstr in instances:
         alpha, beta = label([astr]), label([bstr])
@@ -197,23 +177,9 @@ def test_criterion_6_lattice_twists():
             rep = verify_li_equivalence(td, x, State.vacuum(rank), order=2,
                                         cocycle=cs)
             assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
-            c_a = shifted_central_charge(td)
-            basis = basis_monomials(rank, 4, lat.label_of([1]))
-            st0 = State.of(basis[0])
-            for m in range(-3, 4):
-                for n in range(-3, 4):
-                    lhs = (shifted_virasoro(td, m, shifted_virasoro(td, n, st0))
-                           - shifted_virasoro(td, n, shifted_virasoro(td, m, st0)))
-                    rhs = shifted_virasoro(td, m + n, st0).scale(m - n)
-                    if m == -n:
-                        rhs = rhs + st0.scale(c_a * Fraction(m ** 3 - m, 12))
-                    assert lhs == rhs, (gram_mat, tstr, m, n)
-            for bm in basis:
-                st = State.of(bm)
-                lhs = shifted_virasoro(td, 0, st) - st.scale(c_a / 24)
-                rhs = (twisted_virasoro_mode(td, 0, st)
-                       - st.scale(Fraction(rank, 24)))
-                assert lhs == rhs
+            rep = verify_shifted_virasoro(td, 4)
+            assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
+            assert len(rep.checked) == {1: 12, 2: 38}[rank] + 49  # basis + 7 x 7
     elapsed = _passline(6, "lattice twisted modules", t0)
     assert elapsed < 180
 

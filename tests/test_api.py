@@ -1,7 +1,9 @@
+import ast
 import importlib
 import json
 import pkgutil
 import re
+from pathlib import Path
 
 import heisvoa
 from heisvoa import cli, workspace
@@ -37,6 +39,36 @@ def test_public_api_is_pinned():
     exec("from heisvoa import *", namespace)
     assert sorted(heisvoa.__all__) == PUBLIC_API
     assert all(name in namespace for name in PUBLIC_API)
+
+
+# Public names that no code under src/ uses, kept on purpose, with the reason.
+KEPT_WITHOUT_A_CALLER_IN_SRC = {
+    "as_rational": "bench/spans.py tells rational from unit-carrying scalars with it",
+    "load_scenario": "bench/worker.py loads its workload configs with it",
+    "sizes": "the table sizes of a workspace, for cache counters and the fresh-run test",
+    "failures_detail": "the failure message of a report, used in test assertions",
+    "coeff_product": "oracle: the naive product coefficient of two intertwiners",
+    "dlm_vertex_defining": "oracle: the defining composition of the DLM operator",
+    "conformal_vector": "oracle: its vertex modes must equal the Virasoro modes",
+    "standard_cocycle": "fixture: the trivial cocycle of the intertwiner and Jacobi tests",
+    "parse_state": "oracle: the inverse of the report's state text format",
+}
+
+
+def test_no_public_code_without_a_caller_in_src():
+    # a public def or class that src/ never names and __all__ lacks is test-only code
+    used, defined = set(), set()
+    for path in Path(heisvoa.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    dead = {name for name in defined - used - set(heisvoa.__all__)
+            if not name.startswith("_")}
+    assert dead == set(KEPT_WITHOUT_A_CALLER_IN_SRC)
 
 
 def test_no_module_level_caches():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import heisvoa
-from heisvoa.cli import SUITES, ConfigError, Scenario, load_scenario, main
+from heisvoa.cli import SUITES, ConfigError, load_scenario, main
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -52,14 +52,6 @@ def test_unreadable_and_malformed_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", str(bad)]) == 2
-    worse = tmp_path / "worse.json"
-    worse.write_text(json.dumps({"rank": 1, "suites": ["no-such-suite"]}))
-    assert main(["verify", str(worse)]) == 2
-    even = tmp_path / "even.json"
-    even.write_text(json.dumps({"rank": 1, "n_branch": 2}))
-    assert main(["verify", str(even)]) == 2
-    with pytest.raises(ConfigError):
-        Scenario.from_dict({"frobnicate": 1})
 
 
 def test_jacobi_instance_run(tmp_path):
@@ -184,10 +176,17 @@ MALFORMED = {
                                         suites=["jacobi"]),
     "label_boolean": dict(labels=[[True]]),
     "embedding_boolean": dict(embedding=[[True]], suites=["lattice-twist"]),
+    "embedding_row_too_short": dict(gram=[[2, 1], [1, 2]], embedding=[[1], [1]],
+                                    twists=[["1/2", "0"]], suites=["dlm"]),
+    "embedding_row_too_long": dict(gram=[[1]], embedding=[[1, 2]],
+                                   suites=["lattice-twist"]),
     "twist_boolean": dict(twists=[True], suites=["dlm"]),
     "cocycle_boolean": dict(cocycle_f=[[True]]),
     "jacobi_instance_float_and_boolean": dict(jacobi_instances=[[1, 0.5, True]],
                                               suites=["jacobi"]),
+    "field_unknown": dict(frobnicate=1),
+    "suite_unknown": dict(suites=["no-such-suite"]),
+    "n_branch_even": dict(n_branch=2),
     "suites_empty": dict(suites=[]),
     "suites_string": dict(suites="jacobi"),
 }

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from heisvoa import fock
 from heisvoa.fock import (
     State,
     apply_mode,
@@ -12,24 +13,17 @@ from heisvoa.fock import (
     monomial,
     parse_state,
     translate_label,
+    verify_heisenberg_brackets,
+    verify_virasoro_brackets,
     vertex_mode,
     virasoro_mode,
     zero_label,
 )
-from heisvoa.scalars import GR_I, S_ONE, E, as_scalar, gr
+from heisvoa.scalars import S_ONE, E, as_scalar, gr
 
 
 def mono_state(rank, parts, lab=None):
     return State.of(monomial(lab if lab is not None else zero_label(rank), parts))
-
-
-def bracket_a(i, n, j, m, s):
-    return (apply_mode(i, n, apply_mode(j, m, s))
-            - apply_mode(j, m, apply_mode(i, n, s)))
-
-
-def bracket_l(m, n, s):
-    return virasoro_mode(m, virasoro_mode(n, s)) - virasoro_mode(n, virasoro_mode(m, s))
 
 
 def test_mode_examples():
@@ -43,25 +37,33 @@ def test_mode_examples():
 
 def test_heisenberg_brackets_exhaustive():
     # [a_i(n), a_j(m)] = n delta_{n,-m} delta_{ij} on all states of weight <= 5
-    for rank in (1, 2):
-        basis = basis_monomials(rank, 5)
-        for bm in basis:
-            s = State.of(bm)
-            for i in range(1, rank + 1):
-                for j in range(1, rank + 1):
-                    for n in range(-4, 5):
-                        for m in range(-4, 5):
-                            expect = s.scale(n) if (n == -m and i == j) else State.zero(rank)
-                            assert bracket_a(i, n, j, m, s) == expect
+    for rank, n_states in ((1, 19), (2, 74)):
+        rep = verify_heisenberg_brackets(rank, 5, radius=4)
+        assert rep.verdict, rep.failures_detail
+        assert len(rep.checked) == n_states * rank * rank * 81
+
+
+def test_heisenberg_verifier_fails_on_a_doubled_annihilator(monkeypatch):
+    # 2a(n) for n > 0 breaks exactly the [a_i(n), a_i(-n)], n != 0, records:
+    # 2 colors x 6 values of n on each of the 8 states of weight <= 2
+    plain = fock.apply_mode
+    monkeypatch.setattr(fock, "apply_mode", lambda i, n, s: (
+        plain(i, n, s).scale(2) if n > 0 else plain(i, n, s)))
+    rep = verify_heisenberg_brackets(2, 2)
+    assert rep.outcome == "FAIL" and len(rep.checked) == 8 * 4 * 49
+    assert [r.exponents for r in rep.failures] == [
+        (i, i, n, -n, bi) for bi in range(8) for i in (1, 2)
+        for n in (-3, -2, -1, 1, 2, 3)]
 
 
 def test_virasoro_examples():
-    one = State.vacuum(1)
     s = mono_state(1, [(1, 2)])
     assert virasoro_mode(0, s) == s.scale(2)
     for rank in (1, 2):
         vac = State.vacuum(rank)
-        assert bracket_l(2, -2, vac) == vac.scale(Fraction(rank, 2))
+        bracket = (virasoro_mode(2, virasoro_mode(-2, vac))
+                   - virasoro_mode(-2, virasoro_mode(2, vac)))
+        assert bracket == vac.scale(Fraction(rank, 2))
     alpha = label([gr("1/2", "1/3")])
     va = State.vacuum(1, alpha)
     assert virasoro_mode(-1, va) == apply_mode(1, -1, va).scale(gr("1/2", "1/3"))
@@ -70,18 +72,20 @@ def test_virasoro_examples():
 def test_virasoro_algebra():
     # [L(m), L(n)] = (m-n) L(m+n) + (rank/12)(m^3 - m) delta_{m,-n}
     for rank in (1, 2):
-        basis = basis_monomials(rank, 3)
-        lab = label(["1/2"] + ["0"] * (rank - 1))
-        states = [State.of(bm) for bm in basis[:6]]
-        states.append(State.vacuum(rank, lab))
-        for s in states:
-            for m in range(-3, 4):
-                for n in range(-3, 4):
-                    lhs = bracket_l(m, n, s)
-                    rhs = virasoro_mode(m + n, s).scale(m - n)
-                    if m == -n:
-                        rhs = rhs + s.scale(Fraction(rank * (m**3 - m), 12))
-                    assert lhs == rhs, (rank, m, n)
+        states = [State.of(bm) for bm in basis_monomials(rank, 3)[:6]]
+        states.append(State.vacuum(rank, label(["1/2"] + ["0"] * (rank - 1))))
+        rep = verify_virasoro_brackets(virasoro_mode, rank, [((), s) for s in states])
+        assert rep.verdict, rep.failures_detail
+        assert len(rep.checked) == 7 * 49
+
+
+def test_virasoro_verifier_fails_on_a_wrong_central_charge():
+    # c + 1 breaks exactly the m = -n records with |m| >= 2, 4 per state
+    states = [((bi,), State.of(bm)) for bi, bm in enumerate(basis_monomials(1, 2))]
+    rep = verify_virasoro_brackets(virasoro_mode, 2, states)
+    assert rep.outcome == "FAIL" and len(rep.checked) == 4 * 49
+    assert [r.exponents for r in rep.failures] == [
+        (bi, m, -m) for bi in range(4) for m in (-3, -2, 2, 3)]
 
 
 def test_vertex_mode_base_case():
@@ -160,8 +164,8 @@ def test_state_text_roundtrip():
 
 def test_zero_divisor_coefficients_leave_no_zero_terms():
     # (1 + i E(1/2)) (1 - i E(1/2)) = 1 + E(1) = 0 in the group algebra
-    x = S_ONE + E("1/2").scale(GR_I)
-    y = S_ONE - E("1/2").scale(GR_I)
+    x = S_ONE + E("1/2").scale(gr(0, 1))
+    y = S_ONE - E("1/2").scale(gr(0, 1))
     u = State.of(monomial(zero_label(1), ((1, 1),)), coeff=x)
     s = State.of(monomial(label(["1/3"]), ((1, 1),)), coeff=y)
     out = vertex_mode(u, 0, s)

@@ -14,11 +14,9 @@ from heisvoa.form import (
     AdjointIntertwinerOp,
     FormConfig,
     adjoint_mode,
-    det_scalar,
     e_dagger,
-    format_gram_matrix,
     gram,
-    gram_matrix,
+    verify_gram_slices,
     verify_invariance,
 )
 from heisvoa.scalars import S_ONE, S_ZERO, branch_phase, gr, lam_pow
@@ -89,19 +87,9 @@ def test_gram_diagonal_fix_uniqueness():
 
 def test_gram_matrix_symmetric_unit_determinant():
     for rank in (1, 2):
-        cfg = cfg_for(rank)
-        for b in ("0", "1/2", "1/3*i"):
-            beta = label([b] + ["0"] * (rank - 1))
-            for k in range(0, 4):
-                rows, cols, mat = gram_matrix(beta, k, cfg)
-                # symmetry of the pairing across the two slices
-                _, _, tmat = gram_matrix(-beta, k, cfg)
-                for i in range(len(rows)):
-                    for j in range(len(cols)):
-                        assert mat[i][j] == tmat[j][i]
-                d = det_scalar(mat)
-                assert d.is_monomial, (rank, b, k)
-                assert format_gram_matrix(rows, cols, mat)
+        rep = verify_gram_slices(("0", "1/2", "1/3*i"), 3, cfg_for(rank))
+        assert rep.verdict, (rank, rep.failures_detail)
+        assert len(rep.checked) == 3 * (1 + 4)  # vacuum pairing and 4 slices each
 
 
 def test_adjoint_intertwiner_uncharged_matches_mode_adjoints():

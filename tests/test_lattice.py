@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -7,6 +8,7 @@ from heisvoa.fock import (
     apply_mode,
     basis_monomials,
     label,
+    verify_virasoro_brackets,
     virasoro_mode,
     zero_label,
 )
@@ -19,14 +21,13 @@ from heisvoa.lattice import (
     dlm_vertex_defining,
     integral_lattice,
     lattice_cocycle,
-    parity,
     shifted_central_charge,
     shifted_virasoro,
     twist,
-    twisted_heisenberg_mode,
     twisted_virasoro_mode,
     verify_dlm_jacobi,
     verify_li_equivalence,
+    verify_shifted_virasoro,
     verify_twist_grading,
     verify_twisted_jacobi,
 )
@@ -85,45 +86,29 @@ def test_lattice_cocycle_examples():
 
 
 def test_parity():
-    assert parity(Z1, [1]) == 1
-    assert parity(Z2, [1]) == 0
-    assert parity(Z1, [0]) == 0
+    # the parity of a lattice vector is its norm mod 2
+    assert Z1.pairing([1], [1]) % 2 == 1
+    assert Z2.pairing([1], [1]) % 2 == 0
+    assert Z1.pairing([0], [0]) % 2 == 0
 
 
 def test_twisted_modes():
     td = twist(Z1, [Fraction(1, 2)])
     mu = Z1.label_of([1])
     s = State.vacuum(1, mu)
-    got = twisted_heisenberg_mode(td, 1, 0, s)
-    assert got == s.scale(gr(1) + gr("1/2"))
-    lg0 = twisted_virasoro_mode(td, 0, s)
-    assert lg0 == s.scale((mu + td.alpha).norm2() / 2)
+    assert twisted_virasoro_mode(td, 0, s) == s.scale((mu + td.alpha).norm2() / 2)
     td0 = twist(Z1, [0])
     for n in (-2, 0, 1):
-        assert twisted_heisenberg_mode(td0, 1, n, s) == apply_mode(1, n, s)
         assert twisted_virasoro_mode(td0, n, s) == virasoro_mode(n, s)
 
 
 def test_twisted_algebra_brackets():
-    # a_g and L_g satisfy the untwisted algebras
+    # L_g satisfies the untwisted Virasoro algebra of central charge l = 1
     td = twist(Z1, [Fraction(1, 3)])
-    basis = basis_monomials(1, 3, Z1.label_of([1]))
-    for bm in basis[:5]:
-        s = State.of(bm)
-        for n in range(-2, 3):
-            for m in range(-2, 3):
-                lhs = (twisted_heisenberg_mode(td, 1, n,
-                                               twisted_heisenberg_mode(td, 1, m, s))
-                       - twisted_heisenberg_mode(td, 1, m,
-                                                 twisted_heisenberg_mode(td, 1, n, s)))
-                want = s.scale(n) if n == -m else State.zero(1)
-                assert lhs == want
-                lhs = (twisted_virasoro_mode(td, n, twisted_virasoro_mode(td, m, s))
-                       - twisted_virasoro_mode(td, m, twisted_virasoro_mode(td, n, s)))
-                rhs = twisted_virasoro_mode(td, n + m, s).scale(n - m)
-                if n == -m:
-                    rhs = rhs + s.scale(Fraction((n ** 3 - n), 12))
-                assert lhs == rhs
+    states = [((), State.of(bm)) for bm in basis_monomials(1, 3, Z1.label_of([1]))[:5]]
+    rep = verify_virasoro_brackets(partial(twisted_virasoro_mode, td), 1, states, radius=2)
+    assert rep.verdict, rep.failures_detail
+    assert len(rep.checked) == 5 * 25
 
 
 def test_shifted_virasoro():
@@ -138,30 +123,14 @@ def test_shifted_virasoro():
         assert lhs == rhs
     # complex twist: L_a(0) = L(0) + a(0) and the normalized-grading match
     td = TwistData(Z1, label(["1/2*i"]))
-    c_a = shifted_central_charge(td)
-    for bm in basis_monomials(1, 4, Z1.label_of([1])):
+    basis = basis_monomials(1, 4, Z1.label_of([1]))
+    for bm in basis:
         s = State.of(bm)
-        l0 = virasoro_mode(0, s)
         a0 = apply_mode(1, 0, s).scale(td.alpha.alpha[0])
-        assert shifted_virasoro(td, 0, s) == l0 + a0
-        lhs = shifted_virasoro(td, 0, s) - s.scale(c_a / 24)
-        rhs = twisted_virasoro_mode(td, 0, s) - s.scale(Fraction(1, 24))
-        assert lhs == rhs
-
-
-def test_shifted_virasoro_algebra():
-    td = TwistData(Z1, label(["1/2"]))
-    c_a = shifted_central_charge(td)
-    basis = [State.of(bm) for bm in basis_monomials(1, 2, Z1.label_of([1]))]
-    for s in basis:
-        for m in range(-2, 3):
-            for n in range(-2, 3):
-                lhs = (shifted_virasoro(td, m, shifted_virasoro(td, n, s))
-                       - shifted_virasoro(td, n, shifted_virasoro(td, m, s)))
-                rhs = shifted_virasoro(td, m + n, s).scale(m - n)
-                if m == -n:
-                    rhs = rhs + s.scale(c_a * Fraction(m ** 3 - m, 12))
-                assert lhs == rhs, (m, n)
+        assert shifted_virasoro(td, 0, s) == virasoro_mode(0, s) + a0
+    rep = verify_shifted_virasoro(td, 4)
+    assert rep.verdict, rep.failures_detail
+    assert len(rep.checked) == len(basis) + 49
 
 
 def test_twisted_vertex_examples():
@@ -216,7 +185,7 @@ def test_lattice_invariant_form_parity_prefactor():
     cfg = FormConfig(1, cs)
     mu1, mu2 = lat.label_of([1]), lat.label_of([1])
     pref = branch_phase(-mu1.dot(mu2), 1) * cs.commutator(mu1, mu2)
-    assert pref == sign_pow(parity(lat, [1]) * parity(lat, [1]))
+    assert pref == sign_pow(lat.pairing([1], [1]) ** 2)
     x = IntertwinerSpec(State.vacuum(1, mu1), cs)
     y = State.vacuum(1, mu2)
     t = State.vacuum(1, lat.label_of([-2]))
@@ -302,19 +271,13 @@ def test_dlm_eta_values():
 
 def test_shifted_virasoro_invariant_set():
     # c_a = l - 12 a.a for a in {1/2, 1/3, i/2}, brackets on weight <= 4
+    states = [((), State.of(bm)) for bm in basis_monomials(1, 4, Z1.label_of([1]))]
     for a in ("1/2", "1/3", "1/2*i"):
         td = TwistData(Z1, label([a]))
-        c_a = shifted_central_charge(td)
-        states = [State.of(bm) for bm in basis_monomials(1, 4, Z1.label_of([1]))]
-        for s in states:
-            for m in range(-3, 4):
-                for n in range(-3, 4):
-                    lhs = (shifted_virasoro(td, m, shifted_virasoro(td, n, s))
-                           - shifted_virasoro(td, n, shifted_virasoro(td, m, s)))
-                    rhs = shifted_virasoro(td, m + n, s).scale(m - n)
-                    if m == -n:
-                        rhs = rhs + s.scale(c_a * Fraction(m ** 3 - m, 12))
-                    assert lhs == rhs, (a, m, n)
+        rep = verify_virasoro_brackets(partial(shifted_virasoro, td),
+                                       shifted_central_charge(td), states)
+        assert rep.verdict, (a, rep.failures_detail)
+        assert len(rep.checked) == 12 * 49
 
 
 def test_twisted_jacobi_zero_twist_reduction():

@@ -123,13 +123,6 @@ def test_inverse_monomial_only():
         S_ZERO.inverse()
 
 
-def test_lambda_specialization():
-    s = lam_pow(2) + lam_pow(-2)
-    assert s.specialize_lambda_i() == as_scalar(-2)
-    with pytest.raises(ValueError):
-        lam_pow(gr(Fraction(1, 2))).specialize_lambda_i()
-
-
 def test_scalar_text_roundtrip():
     rng = random.Random(7)
     for _ in range(60):
