@@ -133,6 +133,15 @@ def test_shifted_virasoro():
     assert len(rep.checked) == len(basis) + 49
 
 
+def test_shifted_virasoro_algebra():
+    td = TwistData(Z1, label(["1/2"]))
+    states = [((), State.of(bm)) for bm in basis_monomials(1, 2, Z1.label_of([1]))]
+    rep = verify_virasoro_brackets(partial(shifted_virasoro, td),
+                                   shifted_central_charge(td), states, radius=2)
+    assert rep.verdict, rep.failures_detail
+    assert len(rep.checked) == len(states) * 25
+
+
 def test_twisted_vertex_examples():
     cs = lattice_cocycle(Z1)
     one = State.vacuum(1)
