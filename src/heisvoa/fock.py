@@ -21,6 +21,7 @@ from .scalars import (
     UNIT_ONE,
     Scalar,
     _rational,
+    _reduce,
     as_gauss,
     as_scalar,
     binom,
@@ -279,18 +280,39 @@ UnitSum = dict  # dict[Unit | None, Terms]
 
 
 def _accumulate(out: Terms, c: GaussRat, terms: Terms) -> None:
-    """out += c * terms in place, deleting entries that cancel to zero."""
+    """out += c * terms in place, deleting entries that cancel to zero.
+
+    A fused multiply-add on the int triples: one normalization per term.
+    """
+    ca, cb, cd = c.a, c.b, c.d
+    if not ca and not cb:
+        return
+    one = not cb and ca == cd  # normalized, so c == 1
     for m, x in terms.items():
-        v = c * x
         acc = out.get(m)
-        if acc is None:
-            out[m] = v
+        if one:
+            if acc is None:
+                out[m] = x  # immutable, so the entry can be shared
+                continue
+            a, b, d = x.a, x.b, x.d
         else:
-            v = acc + v
-            if v.is_zero:
-                del out[m]
+            xa, xb = x.a, x.b
+            a = ca * xa - cb * xb
+            b = ca * xb + cb * xa
+            d = cd * x.d
+        if acc is not None:
+            e = acc.d
+            if e == d:
+                a += acc.a
+                b += acc.b
             else:
-                out[m] = v
+                a = a * e + acc.a * d
+                b = b * e + acc.b * d
+                d *= e
+            if not a and not b:
+                del out[m]
+                continue
+        out[m] = _reduce(a, b, d)
 
 
 def _add_scaled(out: UnitSum, c: Scalar, terms: Terms) -> None:
@@ -309,24 +331,15 @@ def _add_scaled(out: UnitSum, c: Scalar, terms: Terms) -> None:
 
 def _add_state(out: UnitSum, q: GaussRat, s: State) -> None:
     """out += q * s for a rational q."""
-    rat = out.get(None)
-    if rat is None:
-        rat = out[None] = {}
+    rat = {}
     for m, x in s.terms.items():
         r = x._rat
         if r is None:
             _add_scaled(out, x, {m: q})
-            continue
-        v = q * r
-        acc = rat.get(m)
-        if acc is None:
-            rat[m] = v
         else:
-            v = acc + v
-            if v.is_zero:
-                del rat[m]
-            else:
-                rat[m] = v
+            rat[m] = r
+    if rat:
+        _accumulate(out.setdefault(None, {}), q, rat)
 
 
 def _state(rank: int, out: UnitSum) -> State:

@@ -28,6 +28,7 @@ from .fock import (
     UnitSum,
     _accumulate,
     _add_scaled,
+    _add_state,
     _mode_on_monomial,
     _state,
     _vertex_on_monomials,
@@ -47,7 +48,6 @@ from .scalars import (
     S_ONE,
     Scalar,
     as_gauss,
-    as_scalar,
     binom,
     zeta_pow,
 )
@@ -266,41 +266,33 @@ def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
 # the intertwiner engine
 
 
-def _coeff_mono(lab: Label, head_parts: tuple, tmono: FockMonomial,
-                n_rel: int) -> Terms:
-    """The rational part of one intertwiner coefficient.
+def _half_kernel(lab: Label, head_parts: tuple, tmono: FockMonomial, lo: int,
+                 j_max: int) -> list[Terms]:
+    """H(j) = [z^j] Y(u,z) Yplus(lab,z) tmono for j = lo..j_max at least.
 
-    The z^(n_rel) coefficient (relative to the coset base) of
-    e^lab Yminus Y(u) Yplus z^(lab(0)) on the monomial tmono, for the
-    label-0 head u = a(head_parts)|0>, with the cocycle factor of e^lab
-    left out: the terms carry the shifted label lab + tmono.label and
-    rational coefficients.  Every operator of the run shares it.
+    u = a(head_parts)|0> is the label-0 head and lo = -(level sum of the
+    head part and tmono), below which H vanishes, so entry i is H(lo + i).
+    H(j) = sum_k u(-j-k-1) A_k tmono for the annihilation chain A_k.  The
+    terms already carry the shifted label lab + tmono.label and rational
+    coefficients; the cocycle factor of e^lab stays out, so every
+    operator of the run shares the list.  It grows lazily like the mode
+    chains.
     """
-    key = (lab, head_parts, tmono, n_rel)
     ws = current()
-    table = ws.coeff
-    hit = table.get(key)
-    if hit is not None:
-        return hit
-    kt = tmono.levels_sum
-    kp_max = sum(lev for _, lev in head_parts) + kt + n_rel
-    acc: dict = {}
-    if kp_max >= 0:
-        for k, fk in enumerate(_mode_chain(lab, 1, tmono, kt)):
-            if not fk:
-                continue
-            for kp in range(kp_max + 1):
-                p = kp - k - n_rel - 1
-                g: dict = {}
-                for fm, fc in fk.items():
-                    _accumulate(g, fc, _vertex_on_monomials(head_parts, p, fm))
-                for gm, gc in g.items():
-                    _accumulate(acc, gc, _mode_chain(lab, -1, gm, kp)[kp])
+    half = ws.coeff.setdefault((lab, head_parts, tmono), [])
+    if len(half) > j_max - lo:
+        return half
     shifted = lab + tmono.label
     shifted = ws.labels.setdefault(shifted, shifted)
-    hit = {FockMonomial(shifted, m.parts): c for m, c in acc.items()}
-    table[key] = hit
-    return hit
+    chain = _mode_chain(lab, 1, tmono, tmono.levels_sum)
+    while len(half) <= j_max - lo:
+        j = lo + len(half)
+        acc: dict = {}
+        for k, fk in enumerate(chain):
+            for fm, fc in fk.items():
+                _accumulate(acc, fc, _vertex_on_monomials(head_parts, -j - k - 1, fm))
+        half.append({FockMonomial(shifted, m.parts): c for m, c in acc.items()})
+    return half
 
 
 class IntertwinerOp:
@@ -320,7 +312,8 @@ class IntertwinerOp:
         self.cocycle = spec.cocycle
         self.cutoff = cutoff
         self.weight_int = spec.weight_int
-        self._heads = [(m.parts, c) for m, c in spec.head.items_sorted()]
+        self._heads = [(m.parts, c, m.levels_sum)
+                       for m, c in spec.head.items_sorted()]
 
     @property
     def head_state(self) -> State:
@@ -331,13 +324,21 @@ class IntertwinerOp:
 
     def coefficient(self, target: State, exponent) -> State:
         """The exact coefficient of z**exponent in the intertwiner applied
-        to the target state."""
+        to the target state.
+
+        At relative exponent n it is sum_kp B_kp H(n - kp) for the
+        creation chain B of the label and the half-kernels H of
+        ``_half_kernel``: the half-kernels of every target monomial and
+        head part are summed per creation order kp first, so each chain
+        is applied once per (kp, monomial) of that sum.
+        """
         exponent = as_gauss(exponent)
         lab = self.label
-        out: UnitSum = {}
+        by_order: dict[int, UnitSum] = {}
         for m, c in target.terms.items():
             n_rel = exponent_index(self.offset_on(m.label), exponent)
-            max_out = self.weight_int + m.levels_sum + n_rel
+            kt = m.levels_sum
+            max_out = self.weight_int + kt + n_rel
             if max_out < 0:
                 continue
             # the memo key has no cutoff: decide it before the lookup
@@ -346,8 +347,22 @@ class IntertwinerOp:
                     f"coefficient at relative exponent {n_rel} needs level sums "
                     f"up to {max_out} > cutoff {self.cutoff}")
             ce = c * self.cocycle.epsilon(lab, m.label)
-            for parts, hc in self._heads:
-                _add_scaled(out, ce * hc, _coeff_mono(lab, parts, m, n_rel))
+            for parts, hc, kh in self._heads:
+                lo = -(kh + kt)
+                if n_rel < lo:
+                    continue
+                half = _half_kernel(lab, parts, m, lo, n_rel)
+                x = ce * hc
+                for kp in range(n_rel - lo + 1):
+                    terms = half[n_rel - kp - lo]
+                    if terms:
+                        _add_scaled(by_order.setdefault(kp, {}), x, terms)
+        out: UnitSum = {}
+        for kp, us in by_order.items():
+            for u, terms in us.items():
+                acc = out.setdefault(u, {})
+                for gm, gc in terms.items():
+                    _accumulate(acc, gc, _mode_chain(lab, -1, gm, kp)[kp])
         return _state(target.rank, out)
 
 
@@ -398,47 +413,50 @@ class DressedOp:
 Entries = dict[tuple[int, int], State]
 
 
-def _exp_apply(entries: Entries, terms: list[tuple[int, int, Scalar, int]],
+def _exp_apply(entries: Entries, terms: list[tuple[int, int, GaussRat, int]],
                avec: tuple, cap1: int | None, cap2: int | None, rank: int) -> Entries:
     """exp(A) on two-variable entries, A = sum_t c_t alpha(n_t) z1^d1 z2^d2.
 
     Exponent caps prune anything that can no longer reach the requested
-    window (exponents only grow in capped directions).
+    window (exponents only grow in capped directions).  The entries are
+    carried as unit sums and become States once, when they are finished.
     """
     modes = [(i, a) for i, a in enumerate(avec, start=1) if not a.is_zero]
 
-    def one(cur: Entries, k: int) -> Entries:
+    def one(cur: dict[tuple[int, int], UnitSum], k: int) -> dict:
         """A/k applied to the entries."""
-        scaled = [(i, a * Fraction(1, k)) for i, a in modes]
+        inv_k = as_gauss(Fraction(1, k))
+        folded = [(d1, d2, n, [(i, c * a * inv_k) for i, a in modes])
+                  for d1, d2, c, n in terms]
         new: dict[tuple[int, int], UnitSum] = {}
-        for (e1, e2), st in cur.items():
-            for d1, d2, c, n in terms:
+        for (e1, e2), us in cur.items():
+            for d1, d2, n, scaled in folded:
                 f1, f2 = e1 + d1, e2 + d2
                 if (cap1 is not None and f1 > cap1) or \
                    (cap2 is not None and f2 > cap2):
                     continue
-                acc = new.setdefault((f1, f2), {})
-                for m, x in st.terms.items():
-                    xc = x * c
-                    for i, a in scaled:
-                        _add_scaled(acc, xc.scale(a), _mode_on_monomial(i, n, m))
-        out: Entries = {}
-        for key, acc in new.items():
-            st = _state(rank, acc)
-            if not st.is_zero:
-                out[key] = st
-        return out
+                dst = new.setdefault((f1, f2), {})
+                for u, src in us.items():
+                    acc = dst.setdefault(u, {})
+                    for m, x in src.items():
+                        for i, ca in scaled:
+                            _accumulate(acc, x * ca, _mode_on_monomial(i, n, m))
+        return {key: us for key, us in new.items() if any(us.values())}
 
-    out = dict(entries)
-    cur = entries
+    out: dict[tuple[int, int], UnitSum] = {}
+    for key, st in entries.items():
+        _add_state(out.setdefault(key, {}), GR_ONE, st)
+    cur = out
     k = 1
     while cur:
         cur = one(cur, k)
-        for key, st in cur.items():
-            acc = out.get(key)
-            out[key] = st if acc is None else acc + st
+        for key, us in cur.items():
+            dst = out.setdefault(key, {})
+            for u, src in us.items():
+                _accumulate(dst.setdefault(u, {}), GR_ONE, src)
         k += 1
-    return {key: st for key, st in out.items() if not st.is_zero}
+    done = {key: _state(rank, us) for key, us in out.items()}
+    return {key: st for key, st in done.items() if not st.is_zero}
 
 
 def _yplus_terms(s1: int, s2: int, nmax: int, mmax: int) -> list:
@@ -451,7 +469,7 @@ def _yplus_terms(s1: int, s2: int, nmax: int, mmax: int) -> list:
                 c = -c
             if m % 2 and s2 < 0:
                 c = -c
-            out.append((-n - m, m, as_scalar(c), n))
+            out.append((-n - m, m, as_gauss(c), n))
     return out
 
 
@@ -465,7 +483,7 @@ def _yminus_terms(s1: int, s2: int, nmax: int) -> list:
                 c = -c
             if m % 2 and s2 < 0:
                 c = -c
-            out.append((n - m, m, as_scalar(c), -n))
+            out.append((n - m, m, as_gauss(c), -n))
     return out
 
 
@@ -630,7 +648,7 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
     nmax = r1 + e2cap + ku + 2 * ks  # sound bound on one-shot exponent jumps
     step3 = _exp_apply(step2, _yminus_terms(1, 1, nmax), va, r1, e2cap, rank)
     vneg = (-alpha).alpha
-    step4 = _exp_apply(step3, [(0, n, as_scalar(Fraction(1, n)), -n)
+    step4 = _exp_apply(step3, [(0, n, as_gauss(Fraction(1, n)), -n)
                                for n in range(1, nmax + 1)],
                        vneg, r1, e2cap, rank)
     for j in range(r1 + 1):

@@ -14,6 +14,7 @@ ambient algebra is the embedding rank l.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -80,18 +81,16 @@ def four_squares(n: int) -> list[int]:
     """n = a^2+b^2+c^2+d^2 by bounded search (n is a small pivot here)."""
     if n < 0:
         raise ValueError("lattice must be positive definite")
-    best = None
-    import math
-    top = int(math.isqrt(n))
+    top = math.isqrt(n)
     for a in range(top, -1, -1):
         r1 = n - a * a
-        t1 = int(math.isqrt(r1))
+        t1 = math.isqrt(r1)
         for b in range(t1, -1, -1):
             r2 = r1 - b * b
-            t2 = int(math.isqrt(r2))
+            t2 = math.isqrt(r2)
             for c in range(t2, -1, -1):
                 r3 = r2 - c * c
-                d = int(math.isqrt(r3))
+                d = math.isqrt(r3)
                 if d * d == r3:
                     return [x for x in (a, b, c, d) if x]
     raise AssertionError("unreachable")

@@ -7,8 +7,9 @@ Every memo that outlives a single operator lives in one ``Workspace``:
   keyed by the mode data and the monomial;
 * ``chain``: the coefficients of the label-mode exponentials, keyed
   (label, side, monomial), without the series argument;
-* ``coeff``: one intertwiner coefficient, keyed (label, head parts,
-  target monomial, relative exponent);
+* ``coeff``: the intertwiner half-kernels H(j) = [z^j] Y(u,z) Yplus t,
+  one lazily grown list per (label, head parts, target monomial), over
+  the exponents j read so far;
 * ``labels``: one ``Label`` object per value for the labels that
   ``coeff`` entries carry, so that monomials of equal labels compare by
   identity in every dict probe (hash-consing).

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisvoa import fock
 from heisvoa.fock import (
@@ -19,7 +22,7 @@ from heisvoa.fock import (
     virasoro_mode,
     zero_label,
 )
-from heisvoa.scalars import S_ONE, E, as_scalar, gr
+from heisvoa.scalars import GR_ONE, GR_ZERO, S_ONE, E, GaussRat, as_scalar, gr
 
 
 def mono_state(rank, parts, lab=None):
@@ -171,3 +174,36 @@ def test_zero_divisor_coefficients_leave_no_zero_terms():
     out = vertex_mode(u, 0, s)
     assert out.is_zero and out == State.zero(1)
     assert apply_mode(1, -1, s).scale(x).is_zero
+
+
+small_fracs = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+gauss = st.builds(GaussRat, small_fracs, small_fracs)
+nonzero_gauss = gauss.filter(lambda x: not x.is_zero)
+term_dicts = st.dictionaries(st.integers(0, 5), nonzero_gauss, max_size=6)
+factors = st.one_of(st.sampled_from([GR_ZERO, GR_ONE]), gauss)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(term_dicts, factors, term_dicts, st.sets(st.integers(0, 5)))
+def test_accumulate_matches_the_multiply_then_add_oracle(out, c, terms, cancel):
+    # complex values over unequal denominators; the keys in cancel that out
+    # already holds get the term that cancels them exactly
+    if not c.is_zero:
+        for m in cancel & out.keys():
+            terms[m] = -out[m] / c
+    want = dict(out)
+    for m, x in terms.items():
+        v = want.get(m, GR_ZERO) + c * x
+        if v.is_zero:
+            want.pop(m, None)
+        else:
+            want[m] = v
+    got = dict(out)
+    before = dict(terms)
+    fock._accumulate(got, c, terms)
+    assert got == want
+    assert terms == before
+    for x in got.values():
+        assert not x.is_zero and x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    if c.is_zero:
+        assert got == out  # c = 0 adds no entry, not even a zero one

@@ -33,8 +33,8 @@ from heisvoa.intertwiner import (
     verify_ypm_commutation,
     verify_yy_conj,
 )
-from heisvoa.scalars import S_ONE, as_scalar, gr, lam_pow, zeta_pow
-from heisvoa.series import CosetError, WindowError
+from heisvoa.scalars import E, S_ONE, as_gauss, as_scalar, gr, lam_pow, zeta_pow
+from heisvoa.series import CosetError, WindowError, exponent_index
 
 
 def rand_label(rng, rank=1, den=3, num=3):
@@ -328,6 +328,70 @@ def test_cutoff_is_decided_before_the_shared_memo():
     with pytest.raises(WindowError):
         IntertwinerOp(spec, cutoff=3).coefficient(target, e)
     assert IntertwinerOp(spec, cutoff=4).coefficient(target, e) == full
+
+
+def per_monomial_coefficient(op, target, exponent):
+    """The intertwiner coefficient as one full kernel per target monomial:
+    sum_kp sum_k B_kp u(kp - k - n - 1) A_k t at relative exponent n, for
+    each head monomial u, through the public Fock and chain functions."""
+    lab, rank = op.label, target.rank
+    exponent = as_gauss(exponent)
+    out = State.zero(rank)
+    for m, c in target.terms.items():
+        n = exponent_index(op.offset_on(m.label), exponent)
+        kt = m.levels_sum
+        if op.weight_int + kt + n < 0:
+            continue
+        if op.cutoff is not None and op.weight_int + kt + n > op.cutoff:
+            raise WindowError("past the cutoff")
+        t = State.of(m)
+        for hm, hc in op.head_state.terms.items():
+            u = State.of(monomial(zero_label(rank), hm.parts))
+            for k in range(kt + 1):
+                a_k = annihilation_coeff(lab.alpha, k, t)
+                for kp in range(hm.levels_sum + kt + n + 1):
+                    g = vertex_mode(u, kp - k - n - 1, a_k)
+                    b = creation_coeff(lab.alpha, kp, g)
+                    out = out + apply_e(op.cocycle, lab, b).scale(c * hc)
+    return out
+
+
+def test_coefficient_matches_the_per_monomial_kernels(monkeypatch):
+    cs = generic_cocycle(2)
+    alpha = label(["1/2+1/3*i", "-1/4*i"])
+    g1 = label(["1/3+1/2*i", "-1/4"])
+    g2 = g1 + label(["0", "4*i"])  # alpha.g2 = alpha.g1 + 1: one coset
+    va = State.vacuum(2, alpha)
+    head = (apply_mode(1, -1, apply_mode(2, -1, va)).scale(zeta_pow(gr("1/3")))
+            + apply_mode(2, -2, va).scale(E("1/2"))
+            + va.scale(gr("2/3", "1")))
+    target = (State.of(monomial(g1, ((1, 1),)))
+              + State.of(monomial(g1, ((2, 2),)), coeff=E("1/3").scale(gr("1/2")))
+              + State.vacuum(2, g2).scale(lam_pow(1))
+              + State.of(monomial(g2, ((1, 1), (1, 1))), coeff=gr("-3/5")))
+    spec = IntertwinerSpec(head, cs)
+    exponents = [alpha.dot(g1) + n for n in range(-7, 4)]
+    monkeypatch.setattr(workspace, "_current", workspace.Workspace())
+    op = IntertwinerOp(spec)
+    values = [op.coefficient(target, e) for e in exponents]
+    assert any(not v.is_zero for v in values)
+    for e, got in zip(exponents, values):
+        assert got == per_monomial_coefficient(op, target, e), e
+    # one half-kernel list per (label, head part, target monomial)
+    assert workspace.current().sizes()["coeff"] == 3 * 4
+    capped = IntertwinerOp(spec, cutoff=5)
+    raised = 0
+    for e in exponents:
+        try:
+            want = per_monomial_coefficient(capped, target, e)
+        except WindowError:
+            raised += 1
+            with pytest.raises(WindowError):
+                capped.coefficient(target, e)
+        else:
+            assert capped.coefficient(target, e) == want, e
+    assert 0 < raised < len(exponents)
+    assert workspace.current().sizes()["coeff"] == 3 * 4
 
 
 def test_shared_memo_matches_a_fresh_workspace(monkeypatch):
