@@ -20,6 +20,8 @@ from .scalars import (
     S_ONE,
     UNIT_ONE,
     Scalar,
+    Unit,
+    _normalize_e,
     _rational,
     _reduce,
     as_gauss,
@@ -329,17 +331,30 @@ def _add_scaled(out: UnitSum, c: Scalar, terms: Terms) -> None:
         _accumulate(t, q, terms)
 
 
-def _add_state(out: UnitSum, q: GaussRat, s: State) -> None:
-    """out += q * s for a rational q."""
-    rat = {}
-    for m, x in s.terms.items():
-        r = x._rat
-        if r is None:
-            _add_scaled(out, x, {m: q})
-        else:
-            rat[m] = r
-    if rat:
-        _accumulate(out.setdefault(None, {}), q, rat)
+def _add_units(out: UnitSum, q: GaussRat, us: UnitSum,
+               c: Scalar | None = None) -> None:
+    """out += q * c * us for a rational q and an optional Scalar c.
+
+    A rational c folds into q; otherwise each unit of c multiplies each
+    unit of us, with the sign of the wrapped E-exponent folded into q.
+    """
+    if c is not None and c._rat is not None:
+        q = q * c._rat
+        c = None
+    if c is None:
+        for u, terms in us.items():
+            _accumulate(out.setdefault(u, {}), q, terms)
+        return
+    for cu, cq in c.terms.items():
+        x = q * cq
+        for u, terms in us.items():
+            if u is None:
+                v, y = cu, x
+            else:
+                sign, e_norm = _normalize_e(u.e_exp + cu.e_exp)
+                v = Unit(e_norm, u.lam_exp + cu.lam_exp, u.zeta_exp + cu.zeta_exp)
+                y = -x if sign < 0 else x
+            _accumulate(out.setdefault(None if v == UNIT_ONE else v, {}), y, terms)
 
 
 def _state(rank: int, out: UnitSum) -> State:

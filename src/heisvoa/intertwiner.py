@@ -28,7 +28,7 @@ from .fock import (
     UnitSum,
     _accumulate,
     _add_scaled,
-    _add_state,
+    _add_units,
     _mode_on_monomial,
     _state,
     _vertex_on_monomials,
@@ -302,8 +302,10 @@ class IntertwinerOp:
     ``DressedOp`` and the lattice operators share and the three-term
     engine relies on: ``label``, ``head_state``, ``weight_int``,
     ``offset_on(target_label)`` (the coset base of the exponents on that
-    label) and ``coefficient(target, exponent)``, the only way an
-    operator is read.
+    label) and the two reads of one coefficient,
+    ``coefficient_units(target, exponent)``, the unit sum that the
+    three-term engine reads, and ``coefficient(target, exponent)``, the
+    same value as a ``State``.
     """
 
     def __init__(self, spec: IntertwinerSpec, cutoff: int | None = None):
@@ -323,8 +325,11 @@ class IntertwinerOp:
         return self.label.dot(target_label)
 
     def coefficient(self, target: State, exponent) -> State:
+        return _state(target.rank, self.coefficient_units(target, exponent))
+
+    def coefficient_units(self, target: State, exponent) -> UnitSum:
         """The exact coefficient of z**exponent in the intertwiner applied
-        to the target state.
+        to the target state, as a unit sum.
 
         At relative exponent n it is sum_kp B_kp H(n - kp) for the
         creation chain B of the label and the half-kernels H of
@@ -363,7 +368,7 @@ class IntertwinerOp:
                 acc = out.setdefault(u, {})
                 for gm, gc in terms.items():
                     _accumulate(acc, gc, _mode_chain(lab, -1, gm, kp)[kp])
-        return _state(target.rank, out)
+        return out
 
 
 class DressedOp:
@@ -393,17 +398,20 @@ class DressedOp:
         return S_ONE
 
     def coefficient(self, target: State, exponent) -> State:
+        return _state(target.rank, self.coefficient_units(target, exponent))
+
+    def coefficient_units(self, target: State, exponent) -> UnitSum:
         exponent = as_gauss(exponent)
         by_label: dict[Label, dict] = {}
         for m, c in target.terms.items():
             by_label.setdefault(m.label, {})[m] = c
-        out = State.zero(target.rank)
+        out: UnitSum = {}
         for lab, terms in by_label.items():
             part = State(target.rank, terms, _clean=True)
-            acc = State.zero(target.rank)
+            factor = self.label_factor(lab)
             for dress_exp, op in self._parts:
-                acc = acc + op.coefficient(part, exponent - dress_exp)
-            out = out + acc.scale(self.label_factor(lab))
+                _add_units(out, GR_ONE,
+                           op.coefficient_units(part, exponent - dress_exp), factor)
         return out
 
 
@@ -445,7 +453,9 @@ def _exp_apply(entries: Entries, terms: list[tuple[int, int, GaussRat, int]],
 
     out: dict[tuple[int, int], UnitSum] = {}
     for key, st in entries.items():
-        _add_state(out.setdefault(key, {}), GR_ONE, st)
+        dst = out.setdefault(key, {})
+        for m, c in st.terms.items():
+            _add_units(dst, GR_ONE, {None: {m: GR_ONE}}, c)
     cur = out
     k = 1
     while cur:

@@ -31,6 +31,13 @@ The m-sums stop at the exact lower-truncation bounds derived from
 level-sum nonnegativity; a configured cutoff never truncates a sum,
 it only marks coefficients as skipped when their exact evaluation
 would need level sums beyond budget.
+
+The engine reads every summand through ``coefficient_units``, the
+unit-sum form of an operator coefficient (one rational term dict per
+unit of the formal unit group).  Each side of a triple is summed as one
+unit sum, C12 entering unit by unit; the two sums are compared as they
+are, and only the record becomes a ``State``: one when the sides agree,
+two on a mismatch.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .fock import State, UnitSum, _add_state, _state, vertex_mode, virasoro_mode
+from .fock import State, UnitSum, _add_units, _state, vertex_mode, virasoro_mode
 from .intertwiner import IntertwinerOp, IntertwinerSpec
 from .report import CheckRecord, VerificationReport
 from .scalars import (
@@ -132,18 +139,17 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
     # right the inner offset ia-m picks the head H(a-m) and its operator
     base12, base21 = a_base + b_base + 1, a_base + c_base + 1
     base_r = b_base + c_base + 1
-    zero = State.zero(target.rank)
 
     def rhs_op(d: int):
         head = op1_rhs.coefficient(y_state, a_base + d)
         return None if head.is_zero else op12_factory(head)
 
     grid12 = _OffsetGrid(lambda p: op2.coefficient(target, c_base + p),
-                         lambda mid, q: op1.coefficient(mid, base12 + q))
+                         lambda mid, q: op1.coefficient_units(mid, base12 + q))
     grid21 = _OffsetGrid(lambda p: op1_lhs2.coefficient(target, b_base + p),
-                         lambda mid, q: op2_lhs2.coefficient(mid, base21 + q))
-    grid_r = _OffsetGrid(rhs_op, lambda op, q: zero if op is None
-                         else op.coefficient(target, base_r + q))
+                         lambda mid, q: op2_lhs2.coefficient_units(mid, base21 + q))
+    grid_r = _OffsetGrid(rhs_op, lambda op, q: {} if op is None
+                         else op.coefficient_units(target, base_r + q))
 
     rng = range(-radius, radius + 1)
     # the kernel coefficients (-1)^m binom(kappa12-ia-1, m) of the left
@@ -168,27 +174,28 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
                 if cutoff is not None and need > cutoff:
                     rep.skip((a, b, c), f"needs level sums {need} > cutoff {cutoff}")
                     continue
-                first: UnitSum = {}
+                lhs: UnitSum = {}
                 for m in range(ky + ks + ic + 1):
                     coef = lhs_coef[m]
                     if not coef.is_zero:
-                        _add_state(first, coef, grid12[ic - m, ia + ib + m])
-                # the second ordering carries C12 (-1)^ia, applied once below
-                second: UnitSum = {}
+                        _add_units(lhs, coef, grid12[ic - m, ia + ib + m])
+                # the second ordering carries C12 (-1)^ia
                 for m in range(kx + ks + ib + shift_b2 + 1):
                     coef = lhs_coef[m]
                     if not coef.is_zero:
-                        _add_state(second, -coef if ia % 2 else coef,
-                                   grid21[ib - m, ia + ic + m])
+                        _add_units(lhs, -coef if ia % 2 else coef,
+                                   grid21[ib - m, ia + ic + m], c12)
                 rhs: UnitSum = {}
                 for m in range(kx + ky + ia + shift_r + 1):
                     coef = rhs_coef[m]
                     if not coef.is_zero:
-                        _add_state(rhs, coef, grid_r[ia - m, ib + ic + m])
-                lhs = (_state(target.rank, first)
-                       + _state(target.rank, second).scale(c12))
-                rhs = _state(target.rank, rhs)
-                rep.record((a, b, c), lhs, rhs)
+                        _add_units(rhs, coef, grid_r[ia - m, ib + ic + m])
+                # compare before _state, which pops the unit-free slot
+                same = ({u: t for u, t in lhs.items() if t}
+                        == {u: t for u, t in rhs.items() if t})
+                left = _state(target.rank, lhs)
+                rep.record((a, b, c), left,
+                           left if same else _state(target.rank, rhs))
     return rep
 
 

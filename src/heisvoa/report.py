@@ -83,16 +83,15 @@ class VerificationReport:
                 f"failed={len(self.failures)} skipped={len(self.skipped)} "
                 f"window={self.window_used}")
 
-    def to_lines(self, verbose: bool = False) -> list[str]:
+    def to_lines(self) -> list[str]:
         lines = [self.summary()]
         for k in sorted(self.meta):
             lines.append(f"  meta {k} = {self.meta[k]}")
         for r in self.checked:
-            if r.passed and not verbose:
+            if r.passed:
                 lines.append(f"  coeff ({r.key()}) ok")
             else:
-                status = "ok" if r.passed else "MISMATCH"
-                lines.append(f"  coeff ({r.key()}) {status} left={r.left} "
+                lines.append(f"  coeff ({r.key()}) MISMATCH left={r.left} "
                              f"right={r.right}{' ' + r.note if r.note else ''}")
         for exps, reason in self.skipped:
             lines.append("  skip (" + ",".join(str(e) for e in exps) + f") {reason}")

@@ -22,7 +22,19 @@ from heisvoa.fock import (
     virasoro_mode,
     zero_label,
 )
-from heisvoa.scalars import GR_ONE, GR_ZERO, S_ONE, E, GaussRat, as_scalar, gr
+from heisvoa.scalars import (
+    GR_ONE,
+    GR_ZERO,
+    S_ONE,
+    UNIT_ONE,
+    E,
+    GaussRat,
+    Scalar,
+    as_scalar,
+    gr,
+    lam_pow,
+    zeta_pow,
+)
 
 
 def mono_state(rank, parts, lab=None):
@@ -207,3 +219,71 @@ def test_accumulate_matches_the_multiply_then_add_oracle(out, c, terms, cancel):
         assert not x.is_zero and x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
     if c.is_zero:
         assert got == out  # c = 0 adds no entry, not even a zero one
+
+
+# unit sums for _add_units: the unit-free slot and units whose E-exponents
+# wrap past 1 when multiplied (2/3 + 2/3, 1/2 + 2/3), lam and zeta units
+UNIT_KEYS = [None] + [next(iter(x.terms)) for x in (
+    E("1/3"), E("2/3"), E("1/2"), lam_pow("1/2"), zeta_pow("-1/3"),
+    E("3/4") * lam_pow(1) * zeta_pow("1/2"))]
+SUM_MONOS = [monomial(zero_label(1), p) for p in ((), ((1, 1),), ((1, 2),),
+                                                  ((1, 1), (1, 1)))]
+unit_sums = st.dictionaries(
+    st.sampled_from(UNIT_KEYS),
+    st.dictionaries(st.sampled_from(SUM_MONOS), nonzero_gauss, max_size=4),
+    max_size=4)
+unit_factors = st.one_of(
+    st.none(),
+    gauss.map(as_scalar),
+    st.lists(st.tuples(st.sampled_from(UNIT_KEYS), nonzero_gauss), min_size=1,
+             max_size=3).map(lambda ts: sum(
+                 (as_scalar(x) if u is None else
+                  Scalar({u: GR_ONE}, _clean=True).scale(x) for u, x in ts),
+                 as_scalar(0))))
+
+
+def sum_state(us):
+    # _state pops the unit-free slot, so it reads a copy
+    return fock._state(1, {u: dict(t) for u, t in us.items()})
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(unit_sums, factors, unit_sums, unit_factors, st.sets(st.sampled_from(SUM_MONOS)))
+def test_add_units_matches_the_scalar_oracle(out, q, us, c, cancel):
+    qc = as_scalar(q) if c is None else c.scale(q)
+    add = sum_state(us).scale(qc)
+    # out takes -q*c*us on the monomials of cancel, which must then vanish
+    for m in cancel:
+        for u in list(out):
+            out[u].pop(m, None)
+        for v, x in add.terms.get(m, as_scalar(0)).terms.items():
+            out.setdefault(None if v == UNIT_ONE else v, {})[m] = -x
+    want = sum_state(out) + add
+    got = {u: dict(t) for u, t in out.items()}
+    before = {u: dict(t) for u, t in us.items()}
+    fock._add_units(got, q, us, c)
+    assert sum_state(got) == want
+    assert us == before
+    assert UNIT_ONE not in got
+    for t in got.values():
+        for x in t.values():
+            assert not x.is_zero and x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    for m in cancel:
+        assert all(m not in t for t in got.values())
+    if q == GR_ONE and (c is None or c.is_one):
+        # q = 1 shares the entries it adds to empty places
+        for u, t in us.items():
+            for m, x in t.items():
+                if m not in out.get(u, {}):
+                    assert got[u][m] is x
+
+
+def test_add_units_multiplies_units_with_the_wrapped_sign():
+    m = SUM_MONOS[1]
+    us = {None: {m: gr(2)}, UNIT_KEYS[2]: {m: GR_ONE}}
+    out = {}
+    fock._add_units(out, gr(3), us, E("2/3"))
+    # E(2/3) E(2/3) = E(4/3) = -E(1/3)
+    assert out == {UNIT_KEYS[2]: {m: gr(6)}, UNIT_KEYS[1]: {m: gr(-3)}}
+    fock._add_units(out, gr(-3), us, E("2/3"))
+    assert not any(out.values())

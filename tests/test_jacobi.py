@@ -26,7 +26,7 @@ from heisvoa.jacobi import (
     verify_normal_order,
     verify_skew_symmetry,
 )
-from heisvoa.scalars import binom, gr
+from heisvoa.scalars import E, binom, gr
 from heisvoa.series import CosetError
 
 
@@ -320,14 +320,14 @@ def test_jacobi_reads_each_right_hand_coefficient_once(monkeypatch):
 
         def counting_factory(head):
             op = factory(head)
-            read = op.coefficient
+            read = op.coefficient_units
 
-            def coefficient(target, exponent):
+            def coefficient_units(target, exponent):
                 key = (head, str(exponent))
                 reads[key] = reads.get(key, 0) + 1
                 return read(target, exponent)
 
-            op.coefficient = coefficient
+            op.coefficient_units = coefficient_units
             return op
 
         return engine(**{**kw, "op12_factory": counting_factory})
@@ -342,3 +342,43 @@ def test_jacobi_reads_each_right_hand_coefficient_once(monkeypatch):
     assert (len(rep.checked), len(rep.skipped)) == (124, 1)
     assert len({head for head, _ in reads}) > 1
     assert max(reads.values()) == 1, sum(reads.values()) - len(reads)
+
+
+def test_jacobi_fails_on_a_commutator_off_by_a_unit(monkeypatch):
+    # CS1 puts every coefficient on a nontrivial unit; E(1/3) moves the
+    # second ordering to another unit, so the unit-free slots stay empty
+    built = []
+    to_state = jacobi._state
+
+    def counting_state(rank, us):
+        built.append(rank)
+        return to_state(rank, us)
+
+    monkeypatch.setattr(jacobi, "_state", counting_state)
+    x, y = vac_spec(gr("1/2")), vac_spec(gr("1/3"))
+    s = State.vacuum(1, label(["-1/4"]))
+    alpha, beta, gamma = x.label, y.label, s.single_label()
+
+    def run(c12):
+        return jacobi.three_term_jacobi(
+            name="generalized_jacobi", op1=IntertwinerOp(x), op2=IntertwinerOp(y),
+            op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, CS1)),
+            target=s, kappa12=-alpha.dot(beta), kappa_rhs=alpha.dot(gamma),
+            c12=c12, radius=1)
+
+    c12 = CS1.commutator(alpha, beta)
+    rep = run(c12)
+    # the engine builds one State per agreeing record, two per mismatch
+    assert rep.verdict and len(built) == len(rep.checked)
+    built.clear()
+    rep = run(c12 * E("1/3"))
+    assert rep.outcome == "FAIL"
+    assert len(built) == len(rep.checked) + len(rep.failures)
+    for r in rep.failures:
+        for side in (r.left, r.right):
+            assert all(c.as_rational() is None for c in side.terms.values())
+    mismatches = [ln for ln in rep.to_lines() if " MISMATCH " in ln]
+    assert len(mismatches) == len(rep.failures) > 0
+    for ln in mismatches:
+        left, right = ln.split(" left=", 1)[1].split(" right=")
+        assert left != right, ln

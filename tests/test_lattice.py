@@ -307,3 +307,24 @@ def test_dlm_jacobi_zero_twist_reduction():
                                 variant=variant, radius=2)
         assert rep.verdict, rep.failures_detail
         assert rep.meta["eta12"] == "0"
+
+
+def test_dlm_coefficient_scales_each_label_part_by_its_factor():
+    # target labels 1 and 3 give the delta factors E(1/2) and E(3/2) = -E(1/2)
+    lat = Z1
+    cs = lattice_cocycle(lat)
+    td = twist(lat, [Fraction(1, 2)])
+    x = apply_mode(1, -1, State.vacuum(1, td.alpha + lat.label_of([1])))
+    low = State.vacuum(1, lat.label_of([1]))
+    high = apply_mode(1, -1, State.vacuum(1, lat.label_of([3]))).scale(gr("1/2"))
+    op = DlmOp(td, x, zero_label(1), cs, "delta", 1)
+    factors = [op.label_factor(p.single_label()) for p in (low, high)]
+    assert all(f.as_rational() is None for f in factors)
+    plain = IntertwinerOp(IntertwinerSpec(x, cs))
+    base = op.offset_on(low.single_label())
+    for n in range(-2, 3):
+        e = base + n
+        want = (plain.coefficient(low, e).scale(factors[0])
+                + plain.coefficient(high, e).scale(factors[1]))
+        assert op.coefficient(low + high, e) == want, n
+    assert not op.coefficient(low + high, base + 2).is_zero
