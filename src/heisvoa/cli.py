@@ -556,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         for key in ("suite", "window", "cutoff", "n_branch", "seed"):
-            val = getattr(args, key if key != "suite" else "suite")
+            val = getattr(args, key)
             if val is not None:
                 data["suites" if key == "suite" else key] = val
         scn = Scenario.from_dict(data)

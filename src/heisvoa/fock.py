@@ -1,10 +1,13 @@
 """Fock states over the rank-l free-boson algebra and their mode actions.
 
 States are finite linear combinations of monomials
-a[i1](-k1)...a[ir](-kr)|alpha> with exact Scalar coefficients, where the
-module label alpha is an l-tuple of Gaussian rationals.  Colors i are
-1-based throughout, matching the text format ``a[i,-k]``.  The zero
-mode a[i](0) acts on |alpha> by the eigenvalue alpha_i.
+a[i1](-k1)...a[ir](-kr)|alpha> with exact coefficients in the group
+algebra of the units, where the module label alpha is an l-tuple of
+Gaussian rationals.  A State stores them as a unit sum, one rational
+term dict per unit, and builds a per-monomial Scalar only when it is
+read through ``items_sorted``.  Colors i are 1-based throughout,
+matching the text format ``a[i,-k]``.  The zero mode a[i](0) acts on
+|alpha> by the eigenvalue alpha_i.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from .scalars import (
     UNIT_ONE,
     Scalar,
     Unit,
-    _normalize_e,
-    _rational,
     _reduce,
+    _unit_product,
     as_gauss,
     as_scalar,
     binom,
@@ -143,19 +145,28 @@ def monomial(lab: Label, parts: Iterable[Part] = ()) -> FockMonomial:
     return FockMonomial(lab, ps)
 
 
+Terms = dict  # dict[FockMonomial, GaussRat]
+UnitSum = dict  # dict[Unit | None, Terms]
+
+
 class State:
-    """A finite Scalar-linear combination of Fock monomials."""
+    """A finite linear combination of Fock monomials with coefficients in
+    the group algebra of the units over the Gaussian rationals.
 
-    __slots__ = ("rank", "terms", "_hash")
+    It is stored as a unit sum: ``units[u][m]`` is the rational coefficient
+    of the unit ``u`` on the monomial ``m``, and the key ``None`` holds the
+    unit-free part.  The form is canonical (no empty slot, no zero entry,
+    never the key ``UNIT_ONE``), so equal states have equal dicts.  A State
+    owns its dicts: the constructor takes freshly built ones, never a memo
+    table's or another State's.
+    """
 
-    def __init__(self, rank: int, terms: dict[FockMonomial, Scalar] | None = None,
-                 *, _clean: bool = False):
-        if terms is None:
-            terms = {}
-        if not _clean:
-            terms = {m: c for m, c in terms.items() if not c.is_zero}
+    __slots__ = ("rank", "units", "_hash")
+
+    def __init__(self, rank: int, units: UnitSum | None = None):
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "units",
+                           {u: t for u, t in units.items() if t} if units else {})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -164,14 +175,12 @@ class State:
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, rank: int) -> "State":
-        return cls(rank, {}, _clean=True)
+        return cls(rank)
 
     @classmethod
     def of(cls, mono: FockMonomial, coeff=S_ONE) -> "State":
-        coeff = as_scalar(coeff)
-        if coeff.is_zero:
-            return cls.zero(mono.label.rank)
-        return cls(mono.label.rank, {mono: coeff}, _clean=True)
+        return cls(mono.label.rank, {None if u == UNIT_ONE else u: {mono: q}
+                                     for u, q in as_scalar(coeff).terms.items()})
 
     @classmethod
     def vacuum(cls, rank: int, lab: Label | None = None) -> "State":
@@ -180,7 +189,7 @@ class State:
     # -- linear structure ----------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.units
 
     def __add__(self, other: "State") -> "State":
         if not isinstance(other, State):
@@ -191,18 +200,9 @@ class State:
             return self
         if self.rank != other.rank:
             raise ValueError("state rank mismatch")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
-            else:
-                s = acc + c
-                if s.is_zero:
-                    del out[m]
-                else:
-                    out[m] = s
-        return State(self.rank, out, _clean=True)
+        out = {u: dict(t) for u, t in self.units.items()}
+        _add_units(out, GR_ONE, other.units)
+        return State(self.rank, out)
 
     def __sub__(self, other: "State") -> "State":
         return self + other.scale(-1)
@@ -211,17 +211,12 @@ class State:
         return self.scale(-1)
 
     def scale(self, c) -> "State":
-        if isinstance(c, Scalar):
-            if c.is_zero:
-                return State.zero(self.rank)
-            if c.is_one:
-                return self
-            return State(self.rank, {m: x * c for m, x in self.terms.items()})
-        c = as_gauss(c)
-        if c.is_zero:
-            return State.zero(self.rank)
-        return State(self.rank, {m: x.scale(c) for m, x in self.terms.items()},
-                     _clean=True)
+        c = as_scalar(c)
+        if c.is_one:
+            return self
+        out: UnitSum = {}
+        _add_units(out, GR_ONE, self.units, c)
+        return State(self.rank, out)
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction, GaussRat, Scalar)):
@@ -232,7 +227,7 @@ class State:
 
     # -- structure queries ------------------------------------------------------
     def labels(self) -> set[Label]:
-        return {m.label for m in self.terms}
+        return {m.label for t in self.units.values() for m in t}
 
     def single_label(self) -> Label:
         labs = self.labels()
@@ -240,22 +235,37 @@ class State:
             raise ValueError(f"state is not label-homogeneous ({len(labs)} labels)")
         return labs.pop()
 
+    def by_label(self) -> dict[Label, "State"]:
+        """The label-homogeneous parts of the state."""
+        parts: dict[Label, UnitSum] = {}
+        for u, t in self.units.items():
+            for m, q in t.items():
+                parts.setdefault(m.label, {}).setdefault(u, {})[m] = q
+        return {lab: State(self.rank, us) for lab, us in parts.items()}
+
     def max_levels(self) -> int:
         """Largest level sum over the monomials (0 for the zero state)."""
-        return max((m.levels_sum for m in self.terms), default=0)
+        return max((m.levels_sum for t in self.units.values() for m in t), default=0)
 
     def items_sorted(self) -> list[tuple[FockMonomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+        """The (monomial, Scalar coefficient) pairs in monomial order."""
+        merged: dict[FockMonomial, dict] = {}
+        for u, t in self.units.items():
+            for m, q in t.items():
+                merged.setdefault(m, {})[UNIT_ONE if u is None else u] = q
+        return sorted(((m, Scalar(c, _clean=True)) for m, c in merged.items()),
+                      key=lambda t: t[0].sort_key())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, State):
             return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
+        return self.rank == other.rank and self.units == other.units
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.rank, frozenset(self.terms.items())))
+            h = hash((self.rank, frozenset((u, frozenset(t.items()))
+                                           for u, t in self.units.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -271,14 +281,11 @@ class State:
 
 
 # The kernels below act on one monomial and return a rational term dict
-# dict[FockMonomial, GaussRat], memoized in the run's workspace.  A State
-# under construction is a unit sum: one rational term dict per unit of the
-# formal unit group, keyed None for the unit-free part.  Products and sums
-# stay Gaussian-rational, and each finished coefficient becomes a Scalar
-# once, in ``_state``.
-
-Terms = dict  # dict[FockMonomial, GaussRat]
-UnitSum = dict  # dict[Unit | None, Terms]
+# dict[FockMonomial, GaussRat], memoized in the run's workspace; callers
+# never mutate it.  The public functions apply them unit slot by unit
+# slot of a State and accumulate into fresh dicts, so products and sums
+# stay Gaussian-rational and the unit group is multiplied only where a
+# unit-bearing Scalar or a second State enters.
 
 
 def _accumulate(out: Terms, c: GaussRat, terms: Terms) -> None:
@@ -317,18 +324,14 @@ def _accumulate(out: Terms, c: GaussRat, terms: Terms) -> None:
         out[m] = _reduce(a, b, d)
 
 
-def _add_scaled(out: UnitSum, c: Scalar, terms: Terms) -> None:
-    """out += c * terms, one rational product per unit of c."""
-    if not c.terms:
-        return  # a zero product of nonzero Scalars must add no zero entries
-    r = c._rat
-    parts = ((None, r),) if r is not None else (
-        (None if u == UNIT_ONE else u, q) for u, q in c.terms.items())
-    for u, q in parts:
-        t = out.get(u)
-        if t is None:
-            t = out[u] = {}
-        _accumulate(t, q, terms)
+def _unit_mul(u: Unit | None, v: Unit | None) -> tuple[int, Unit | None]:
+    """The product of two unit-sum keys as a sign and a key."""
+    if u is None:
+        return 1, v
+    if v is None:
+        return 1, u
+    sign, w = _unit_product(u, v)
+    return sign, None if w == UNIT_ONE else w
 
 
 def _add_units(out: UnitSum, q: GaussRat, us: UnitSum,
@@ -337,6 +340,7 @@ def _add_units(out: UnitSum, q: GaussRat, us: UnitSum,
 
     A rational c folds into q; otherwise each unit of c multiplies each
     unit of us, with the sign of the wrapped E-exponent folded into q.
+    Slots that cancel stay behind empty; ``State`` drops them.
     """
     if c is not None and c._rat is not None:
         q = q * c._rat
@@ -346,28 +350,21 @@ def _add_units(out: UnitSum, q: GaussRat, us: UnitSum,
             _accumulate(out.setdefault(u, {}), q, terms)
         return
     for cu, cq in c.terms.items():
+        cu = None if cu == UNIT_ONE else cu
         x = q * cq
         for u, terms in us.items():
-            if u is None:
-                v, y = cu, x
-            else:
-                sign, e_norm = _normalize_e(u.e_exp + cu.e_exp)
-                v = Unit(e_norm, u.lam_exp + cu.lam_exp, u.zeta_exp + cu.zeta_exp)
-                y = -x if sign < 0 else x
-            _accumulate(out.setdefault(None if v == UNIT_ONE else v, {}), y, terms)
+            sign, v = _unit_mul(u, cu)
+            _accumulate(out.setdefault(v, {}), -x if sign < 0 else x, terms)
 
 
-def _state(rank: int, out: UnitSum) -> State:
-    """The State sum over units u of u * out[u]."""
-    rat = out.pop(None, {})
-    if not out:
-        return State(rank, {m: _rational(q) for m, q in rat.items()}, _clean=True)
-    merged = {m: {UNIT_ONE: q} for m, q in rat.items()}
-    for u, terms in out.items():
-        for m, q in terms.items():
-            merged.setdefault(m, {})[u] = q
-    return State(rank, {m: Scalar(t, _clean=True) for m, t in merged.items()},
-                 _clean=True)
+def _map(s: State, kernel) -> State:
+    """The linear extension of kernel: FockMonomial -> Terms to a State."""
+    out: UnitSum = {}
+    for u, t in s.units.items():
+        acc = out[u] = {}
+        for m, q in t.items():
+            _accumulate(acc, q, kernel(m))
+    return State(s.rank, out)
 
 
 def apply_mode(color: int, n: int, s: State) -> State:
@@ -376,10 +373,7 @@ def apply_mode(color: int, n: int, s: State) -> State:
     Creation for n < 0, zero-mode eigenvalue for n = 0, contraction
     against matching creation parts for n > 0 via [a(n), a(-n)] = n.
     """
-    out: UnitSum = {}
-    for m, c in s.terms.items():
-        _add_scaled(out, c, _mode_on_monomial(color, n, m))
-    return _state(s.rank, out)
+    return _map(s, lambda m: _mode_on_monomial(color, n, m))
 
 
 def _mode_on_monomial(color: int, n: int, m: FockMonomial) -> Terms:
@@ -406,10 +400,7 @@ def _mode_on_monomial(color: int, n: int, m: FockMonomial) -> Terms:
 
 def virasoro_mode(n: int, s: State) -> State:
     """L(n) by the direct normal-ordered bilinear sum over the modes."""
-    out: UnitSum = {}
-    for m, c in s.terms.items():
-        _add_scaled(out, c, _virasoro_on_monomial(n, m))
-    return _state(s.rank, out)
+    return _map(s, lambda m: _virasoro_on_monomial(n, m))
 
 
 _HALF = as_gauss(Fraction(1, 2))
@@ -448,13 +439,19 @@ def vertex_mode(u: State, n: int, s: State) -> State:
     Y(vacuum,z) = Id and Y(a[j],z) = sum a[j](m) z^(-m-1).
     """
     out: UnitSum = {}
-    for um, uc in u.terms.items():
-        if not (um.label.is_zero):
+    for hu, ht in u.units.items():
+        if not all(um.label.is_zero for um in ht):
             raise ValueError("vertex_mode requires a label-0 (untwisted) head; "
                              "use the intertwiner for charged heads")
-        for sm, sc in s.terms.items():
-            _add_scaled(out, uc * sc, _vertex_on_monomials(um.parts, n, sm))
-    return _state(s.rank, out)
+        for su, st in s.units.items():
+            sign, v = _unit_mul(hu, su)
+            acc = out.setdefault(v, {})
+            for um, uq in ht.items():
+                if sign < 0:
+                    uq = -uq
+                for sm, sq in st.items():
+                    _accumulate(acc, uq * sq, _vertex_on_monomials(um.parts, n, sm))
+    return State(s.rank, out)
 
 
 def _vertex_on_monomials(uparts: tuple[Part, ...], n: int, sm: FockMonomial) -> Terms:
@@ -502,10 +499,9 @@ def translate_label(s: State, dalpha: Label) -> State:
     This is the exponentiated shift operator of the conjugation identities;
     the cocycle-dressed shift lives in the intertwiner layer.
     """
-    out: dict[FockMonomial, Scalar] = {}
-    for m, c in s.terms.items():
-        out[monomial(m.label + dalpha, m.parts)] = c
-    return State(s.rank, out, _clean=True)
+    return State(s.rank, {u: {FockMonomial(m.label + dalpha, m.parts): q
+                              for m, q in t.items()}
+                          for u, t in s.units.items()})
 
 
 def exp_virasoro_coeffs(n: int, s: State, order: int, sign: int = 1) -> list[State]:

@@ -72,7 +72,7 @@ def e_dagger(cocycle: CocycleSystem, alpha: Label, s: State, n_branch: int) -> S
     """e^(a+) = E(-N a(0)) lam^(2a(0) - a.a) e^a, zero modes after the shift."""
     shifted = apply_e(cocycle, alpha, s)
     out = State.zero(s.rank)
-    for m, c in shifted.terms.items():
+    for m, c in shifted.items_sorted():
         eig = alpha.dot(m.label)
         out = out + State.of(m, coeff=c * branch_phase(-eig, n_branch)
                              * lam_pow(2 * eig - alpha.norm2()))
@@ -104,8 +104,9 @@ def gram(x: State, y: State, cfg: FormConfig) -> Scalar:
     eps(b,-b) lam^(-b.b).
     """
     out = S_ZERO
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
+    ys = y.items_sorted()
+    for mx, cx in x.items_sorted():
+        for my, cy in ys:
             v = _gram_mono(mx, my, cfg)
             if not v.is_zero:
                 out = out + v * cx * cy
@@ -130,7 +131,7 @@ def _gram_mono(mx: FockMonomial, my: FockMonomial, cfg: FormConfig) -> Scalar:
         moved = adjoint_mode(color, -level)
         partner = moved.apply(State.of(my))
         out = S_ZERO
-        for m2, c2 in partner.terms.items():
+        for m2, c2 in partner.items_sorted():
             out = out + _gram_mono(monomial(beta, rest), m2, cfg) * c2
     cfg._gram_cache[key] = out
     return out
@@ -242,7 +243,7 @@ class AdjointIntertwinerOp:
         out = State.zero(target.rank)
         n_b = self.cfg.n_branch
         alpha = self.label
-        for tm, tc in target.terms.items():
+        for tm, tc in target.items_sorted():
             gamma = tm.label
             n_rel = exponent_index(self.offset_on(gamma), exponent)
             level_out = tm.levels_sum - self.weight_int - n_rel

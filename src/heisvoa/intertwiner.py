@@ -27,10 +27,10 @@ from .fock import (
     Terms,
     UnitSum,
     _accumulate,
-    _add_scaled,
     _add_units,
+    _map,
     _mode_on_monomial,
-    _state,
+    _unit_mul,
     _vertex_on_monomials,
     exp_virasoro_coeffs,
     translate_label,
@@ -141,22 +141,23 @@ def standard_cocycle(rank: int, diagonal_fix: bool = False) -> CocycleSystem:
     return CocycleSystem(rank, zero, zero, diagonal_fix)
 
 
+def _shift_scaled(s: State, dalpha: Label, factor) -> State:
+    """Shift each label beta of s by dalpha and scale its part by factor(beta)."""
+    out: UnitSum = {}
+    for beta, part in s.by_label().items():
+        _add_units(out, GR_ONE, translate_label(part, dalpha).units, factor(beta))
+    return State(s.rank, out)
+
+
 def apply_e(cs: CocycleSystem, alpha: Label, s: State) -> State:
     """e^alpha: label beta -> alpha+beta with scalar epsilon(alpha, beta)."""
-    # the shift is injective, so no two terms meet
-    return State(s.rank, {FockMonomial(m.label + alpha, m.parts):
-                          c * cs.epsilon(alpha, m.label)
-                          for m, c in s.terms.items()})
+    return _shift_scaled(s, alpha, lambda beta: cs.epsilon(alpha, beta))
 
 
 def apply_e_inverse(cs: CocycleSystem, alpha: Label, s: State) -> State:
     """(e^alpha)^(-1): label beta -> beta-alpha dividing the cocycle factor."""
-    # the shift is injective, so no two terms meet
-    terms = {}
-    for m, c in s.terms.items():
-        lab = m.label - alpha
-        terms[FockMonomial(lab, m.parts)] = c * cs.epsilon(alpha, lab).inverse()
-    return State(s.rank, terms)
+    return _shift_scaled(s, -alpha,
+                         lambda beta: cs.epsilon(alpha, beta - alpha).inverse())
 
 
 @dataclass(frozen=True)
@@ -217,13 +218,9 @@ def _mode_chain(lab: Label, sign: int, mono: FockMonomial, order: int) -> list[T
 
 def _ypm_coeff(sign: int, avec: tuple, k: int, s: State, arg: Scalar) -> State:
     lab = Label(avec)
-    factor = arg ** k
-    out: UnitSum = {}
-    for m, c in s.terms.items():
-        if sign > 0 and k > m.levels_sum:
-            continue
-        _add_scaled(out, c * factor, _mode_chain(lab, sign, m, k)[k])
-    return _state(s.rank, out)
+    # the annihilation chain of m stops at its level sum
+    return _map(s, lambda m: {} if sign > 0 and k > m.levels_sum
+                else _mode_chain(lab, sign, m, k)[k]).scale(arg ** k)
 
 
 def creation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> State:
@@ -245,18 +242,19 @@ def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
     """
     base: GaussRat | None = None
     coeffs: dict[int, UnitSum] = {}
-    for m, c in s.terms.items():
-        off = beta.dot(m.label)
-        if base is None:
-            base = off
-        shift = exponent_index(base, off)
-        chain = _mode_chain(beta, 1, m, m.levels_sum)
-        for k, terms in enumerate(chain):
-            _add_scaled(coeffs.setdefault(shift - k, {}),
-                        -c if k % 2 else c, terms)
+    for u, t in s.units.items():
+        for m, q in t.items():
+            off = beta.dot(m.label)
+            if base is None:
+                base = off
+            shift = exponent_index(base, off)
+            chain = _mode_chain(beta, 1, m, m.levels_sum)
+            for k, terms in enumerate(chain):
+                _accumulate(coeffs.setdefault(shift - k, {}).setdefault(u, {}),
+                            -q if k % 2 else q, terms)
     out = []
     for n in sorted(coeffs):
-        st = _state(s.rank, coeffs[n])
+        st = State(s.rank, coeffs[n])
         if not st.is_zero:
             out.append((base + n, st))
     return out
@@ -302,10 +300,8 @@ class IntertwinerOp:
     ``DressedOp`` and the lattice operators share and the three-term
     engine relies on: ``label``, ``head_state``, ``weight_int``,
     ``offset_on(target_label)`` (the coset base of the exponents on that
-    label) and the two reads of one coefficient,
-    ``coefficient_units(target, exponent)``, the unit sum that the
-    three-term engine reads, and ``coefficient(target, exponent)``, the
-    same value as a ``State``.
+    label) and ``coefficient(target, exponent)``, the one read of a
+    coefficient, a ``State``.
     """
 
     def __init__(self, spec: IntertwinerSpec, cutoff: int | None = None):
@@ -314,8 +310,8 @@ class IntertwinerOp:
         self.cocycle = spec.cocycle
         self.cutoff = cutoff
         self.weight_int = spec.weight_int
-        self._heads = [(m.parts, c, m.levels_sum)
-                       for m, c in spec.head.items_sorted()]
+        self._heads = [(m.parts, u, q, m.levels_sum)
+                       for u, t in spec.head.units.items() for m, q in t.items()]
 
     @property
     def head_state(self) -> State:
@@ -325,50 +321,54 @@ class IntertwinerOp:
         return self.label.dot(target_label)
 
     def coefficient(self, target: State, exponent) -> State:
-        return _state(target.rank, self.coefficient_units(target, exponent))
-
-    def coefficient_units(self, target: State, exponent) -> UnitSum:
         """The exact coefficient of z**exponent in the intertwiner applied
-        to the target state, as a unit sum.
+        to the target state.
 
         At relative exponent n it is sum_kp B_kp H(n - kp) for the
         creation chain B of the label and the half-kernels H of
         ``_half_kernel``: the half-kernels of every target monomial and
         head part are summed per creation order kp first, so each chain
-        is applied once per (kp, monomial) of that sum.
+        is applied once per (kp, monomial) of that sum.  The cocycle
+        factor enters once per target label and kp.
         """
         exponent = as_gauss(exponent)
         lab = self.label
-        by_order: dict[int, UnitSum] = {}
-        for m, c in target.terms.items():
-            n_rel = exponent_index(self.offset_on(m.label), exponent)
-            kt = m.levels_sum
-            max_out = self.weight_int + kt + n_rel
-            if max_out < 0:
-                continue
-            # the memo key has no cutoff: decide it before the lookup
-            if self.cutoff is not None and max_out > self.cutoff:
-                raise WindowError(
-                    f"coefficient at relative exponent {n_rel} needs level sums "
-                    f"up to {max_out} > cutoff {self.cutoff}")
-            ce = c * self.cocycle.epsilon(lab, m.label)
-            for parts, hc, kh in self._heads:
-                lo = -(kh + kt)
-                if n_rel < lo:
+        sums: dict[tuple[Label, int], UnitSum] = {}  # by (target label, kp)
+        for tu, t in target.units.items():
+            for m, tq in t.items():
+                n_rel = exponent_index(self.offset_on(m.label), exponent)
+                kt = m.levels_sum
+                max_out = self.weight_int + kt + n_rel
+                if max_out < 0:
                     continue
-                half = _half_kernel(lab, parts, m, lo, n_rel)
-                x = ce * hc
-                for kp in range(n_rel - lo + 1):
-                    terms = half[n_rel - kp - lo]
-                    if terms:
-                        _add_scaled(by_order.setdefault(kp, {}), x, terms)
+                # the memo key has no cutoff: decide it before the lookup
+                if self.cutoff is not None and max_out > self.cutoff:
+                    raise WindowError(
+                        f"coefficient at relative exponent {n_rel} needs level sums "
+                        f"up to {max_out} > cutoff {self.cutoff}")
+                for parts, hu, hq, kh in self._heads:
+                    lo = -(kh + kt)
+                    if n_rel < lo:
+                        continue
+                    half = _half_kernel(lab, parts, m, lo, n_rel)
+                    sign, u = _unit_mul(tu, hu)
+                    x = -tq * hq if sign < 0 else tq * hq
+                    for kp in range(n_rel - lo + 1):
+                        terms = half[n_rel - kp - lo]
+                        if terms:
+                            _accumulate(sums.setdefault((m.label, kp), {})
+                                        .setdefault(u, {}), x, terms)
+        by_order: dict[int, UnitSum] = {}
+        for (beta, kp), us in sums.items():
+            _add_units(by_order.setdefault(kp, {}), GR_ONE, us,
+                       self.cocycle.epsilon(lab, beta))
         out: UnitSum = {}
         for kp, us in by_order.items():
             for u, terms in us.items():
                 acc = out.setdefault(u, {})
                 for gm, gc in terms.items():
                     _accumulate(acc, gc, _mode_chain(lab, -1, gm, kp)[kp])
-        return out
+        return State(target.rank, out)
 
 
 class DressedOp:
@@ -398,21 +398,14 @@ class DressedOp:
         return S_ONE
 
     def coefficient(self, target: State, exponent) -> State:
-        return _state(target.rank, self.coefficient_units(target, exponent))
-
-    def coefficient_units(self, target: State, exponent) -> UnitSum:
         exponent = as_gauss(exponent)
-        by_label: dict[Label, dict] = {}
-        for m, c in target.terms.items():
-            by_label.setdefault(m.label, {})[m] = c
         out: UnitSum = {}
-        for lab, terms in by_label.items():
-            part = State(target.rank, terms, _clean=True)
+        for lab, part in target.by_label().items():
             factor = self.label_factor(lab)
             for dress_exp, op in self._parts:
                 _add_units(out, GR_ONE,
-                           op.coefficient_units(part, exponent - dress_exp), factor)
-        return out
+                           op.coefficient(part, exponent - dress_exp).units, factor)
+        return State(target.rank, out)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +446,7 @@ def _exp_apply(entries: Entries, terms: list[tuple[int, int, GaussRat, int]],
 
     out: dict[tuple[int, int], UnitSum] = {}
     for key, st in entries.items():
-        dst = out.setdefault(key, {})
-        for m, c in st.terms.items():
-            _add_units(dst, GR_ONE, {None: {m: GR_ONE}}, c)
+        _add_units(out.setdefault(key, {}), GR_ONE, st.units)
     cur = out
     k = 1
     while cur:
@@ -465,7 +456,7 @@ def _exp_apply(entries: Entries, terms: list[tuple[int, int, GaussRat, int]],
             for u, src in us.items():
                 _accumulate(dst.setdefault(u, {}), GR_ONE, src)
         k += 1
-    done = {key: _state(rank, us) for key, us in out.items()}
+    done = {key: State(rank, us) for key, us in out.items()}
     return {key: st for key, st in done.items() if not st.is_zero}
 
 

@@ -32,12 +32,11 @@ level-sum nonnegativity; a configured cutoff never truncates a sum,
 it only marks coefficients as skipped when their exact evaluation
 would need level sums beyond budget.
 
-The engine reads every summand through ``coefficient_units``, the
-unit-sum form of an operator coefficient (one rational term dict per
-unit of the formal unit group).  Each side of a triple is summed as one
-unit sum, C12 entering unit by unit; the two sums are compared as they
-are, and only the record becomes a ``State``: one when the sides agree,
-two on a mismatch.
+The engine reads every summand through ``coefficient``, a ``State``
+stored as a unit sum (one rational term dict per unit of the formal
+unit group).  Each side of a triple is accumulated into one unit sum,
+C12 entering unit by unit, and becomes a ``State``; an agreeing record
+keeps one of the two.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .fock import State, UnitSum, _add_units, _state, vertex_mode, virasoro_mode
+from .fock import State, UnitSum, _add_units, vertex_mode, virasoro_mode
 from .intertwiner import IntertwinerOp, IntertwinerSpec
 from .report import CheckRecord, VerificationReport
 from .scalars import (
@@ -144,12 +143,14 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
         head = op1_rhs.coefficient(y_state, a_base + d)
         return None if head.is_zero else op12_factory(head)
 
+    rank = target.rank
+    zero = State.zero(rank)
     grid12 = _OffsetGrid(lambda p: op2.coefficient(target, c_base + p),
-                         lambda mid, q: op1.coefficient_units(mid, base12 + q))
+                         lambda mid, q: op1.coefficient(mid, base12 + q))
     grid21 = _OffsetGrid(lambda p: op1_lhs2.coefficient(target, b_base + p),
-                         lambda mid, q: op2_lhs2.coefficient_units(mid, base21 + q))
-    grid_r = _OffsetGrid(rhs_op, lambda op, q: {} if op is None
-                         else op.coefficient_units(target, base_r + q))
+                         lambda mid, q: op2_lhs2.coefficient(mid, base21 + q))
+    grid_r = _OffsetGrid(rhs_op, lambda op, q: zero if op is None
+                         else op.coefficient(target, base_r + q))
 
     rng = range(-radius, radius + 1)
     # the kernel coefficients (-1)^m binom(kappa12-ia-1, m) of the left
@@ -178,24 +179,19 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
                 for m in range(ky + ks + ic + 1):
                     coef = lhs_coef[m]
                     if not coef.is_zero:
-                        _add_units(lhs, coef, grid12[ic - m, ia + ib + m])
+                        _add_units(lhs, coef, grid12[ic - m, ia + ib + m].units)
                 # the second ordering carries C12 (-1)^ia
                 for m in range(kx + ks + ib + shift_b2 + 1):
                     coef = lhs_coef[m]
                     if not coef.is_zero:
                         _add_units(lhs, -coef if ia % 2 else coef,
-                                   grid21[ib - m, ia + ic + m], c12)
+                                   grid21[ib - m, ia + ic + m].units, c12)
                 rhs: UnitSum = {}
                 for m in range(kx + ky + ia + shift_r + 1):
                     coef = rhs_coef[m]
                     if not coef.is_zero:
-                        _add_units(rhs, coef, grid_r[ia - m, ib + ic + m])
-                # compare before _state, which pops the unit-free slot
-                same = ({u: t for u, t in lhs.items() if t}
-                        == {u: t for u, t in rhs.items() if t})
-                left = _state(target.rank, lhs)
-                rep.record((a, b, c), left,
-                           left if same else _state(target.rank, rhs))
+                        _add_units(rhs, coef, grid_r[ia - m, ib + ic + m].units)
+                rep.record((a, b, c), State(rank, lhs), State(rank, rhs))
     return rep
 
 

@@ -25,6 +25,7 @@ from .fock import (
     apply_mode,
     basis_monomials,
     label,
+    translate_label,
     verify_virasoro_brackets,
     virasoro_mode,
 )
@@ -33,7 +34,9 @@ from .intertwiner import (
     DressedOp,
     IntertwinerOp,
     IntertwinerSpec,
+    annihilation_coeff,
     apply_e,
+    creation_coeff,
     delta_dress,
 )
 from .jacobi import three_term_jacobi
@@ -380,16 +383,11 @@ def verify_twist_grading(td: TwistData, max_weight: int) -> VerificationReport:
     for mu_val in (0, 1, -1):
         mu = lat.label_of([mu_val] + [0] * (lat.rank - 1))
         for m in basis_monomials(rank, max_weight, mu):
-            s = State.of(m)
-            lg = twisted_virasoro_mode(td, 0, s)
-            shifted = State.of(
-                m._replace(label=mu + td.alpha))
-            l0 = virasoro_mode(0, shifted)
-            want = l0.terms.get(next(iter(shifted.terms)))
-            got = lg.terms.get(m)
+            shifted = m._replace(label=mu + td.alpha)
+            got = dict(twisted_virasoro_mode(td, 0, State.of(m)).items_sorted())
+            want = dict(virasoro_mode(0, State.of(shifted)).items_sorted())
             rep.record((str((m.label.sort_key() + pad, m.parts)),),
-                       got if got is not None else S_ZERO,
-                       want if want is not None else S_ZERO)
+                       got.get(m, S_ZERO), want.get(shifted, S_ZERO))
     return rep
 
 
@@ -457,8 +455,6 @@ def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,
     the (-z)^(a(0)) powers) and D(z) = Yplus(a,z) z^(a(0)) for the hat
     variant; psi denotes the bare label shift.
     """
-    from .fock import translate_label
-    from .intertwiner import annihilation_coeff, creation_coeff
     cs = cocycle if cocycle is not None else lattice_cocycle(td.lattice)
     alpha = td.alpha
     beta = sector
@@ -471,7 +467,7 @@ def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,
              for exp, st in delta_dress(beta, x)]
     out = State.zero(rank)
     t0 = translate_label(target, -beta)
-    for tm, tc in t0.terms.items():
+    for tm, tc in t0.items_sorted():
         base = State.of(tm, coeff=tc)
         eig = alpha.dot(tm.label)
         # Delta(a,-z) = (-z)^(a(0)) Yplus(a,z); the hat variant drops the

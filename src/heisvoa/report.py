@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .series import WindowError
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -42,7 +44,6 @@ class VerificationReport:
 
     def guarded(self, exponents: tuple, compute, note: str = "") -> None:
         """Record compute() -> (left, right); cutoff overruns become skips."""
-        from .series import WindowError
         try:
             left, right = compute()
         except WindowError as exc:

@@ -316,6 +316,13 @@ def _normalize_e(kappa: GaussRat) -> tuple[int, GaussRat]:
     return sign, _make(a, kappa.b, kappa.d)
 
 
+def _unit_product(u1: Unit, u2: Unit) -> tuple[int, Unit]:
+    """u1*u2 as a sign and a normalized unit: the E-exponents add and wrap
+    through ``_normalize_e``, the lam and zeta exponents add."""
+    sign, e_norm = _normalize_e(u1.e_exp + u2.e_exp)
+    return sign, Unit(e_norm, u1.lam_exp + u2.lam_exp, u1.zeta_exp + u2.zeta_exp)
+
+
 class Scalar:
     """Element of the group algebra: a finite sum coeff * unit.
 
@@ -424,8 +431,7 @@ class Scalar:
         out: dict[Unit, GaussRat] = {}
         for u1, c1 in self.terms.items():
             for u2, c2 in other.terms.items():
-                sign, e_norm = _normalize_e(u1.e_exp + u2.e_exp)
-                u = Unit(e_norm, u1.lam_exp + u2.lam_exp, u1.zeta_exp + u2.zeta_exp)
+                sign, u = _unit_product(u1, u2)
                 c = c1 * c2
                 if sign < 0:
                     c = -c

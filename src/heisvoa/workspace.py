@@ -15,9 +15,10 @@ Every memo that outlives a single operator lives in one ``Workspace``:
   identity in every dict probe (hash-consing).
 
 The kernel tables hold ``dict[FockMonomial, GaussRat]`` values, which
-callers never mutate.  The unit group enters only outside them, so two
-operators that differ in their cocycle or in their scalar coefficients
-share every entry.  ``heisvoa verify`` starts each run on a fresh
+callers never mutate and no ``State`` holds: a State accumulates them,
+unit slot by unit slot, into dicts of its own.  They carry no unit, so
+two operators that differ in their cocycle or in their scalar
+coefficients share every entry.  ``heisvoa verify`` starts each run on a fresh
 workspace; library callers and tests use the current one.
 """
 

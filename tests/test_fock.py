@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heisvoa import fock
+from heisvoa import fock, workspace
 from heisvoa.fock import (
     State,
     apply_mode,
@@ -26,6 +26,7 @@ from heisvoa.scalars import (
     GR_ONE,
     GR_ZERO,
     S_ONE,
+    S_ZERO,
     UNIT_ONE,
     E,
     GaussRat,
@@ -242,27 +243,36 @@ unit_factors = st.one_of(
                  as_scalar(0))))
 
 
-def sum_state(us):
-    # _state pops the unit-free slot, so it reads a copy
-    return fock._state(1, {u: dict(t) for u, t in us.items()})
+def sum_scalars(us, scale=S_ONE):
+    """The per-monomial Scalars of scale * (the sum over units u of u * us[u]),
+    built by Scalar arithmetic alone."""
+    out = {}
+    for u, t in us.items():
+        unit = S_ONE if u is None else Scalar({u: GR_ONE}, _clean=True)
+        for m, q in t.items():
+            out[m] = out.get(m, S_ZERO) + unit.scale(q) * scale
+    return {m: c for m, c in out.items() if not c.is_zero}
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(unit_sums, factors, unit_sums, unit_factors, st.sets(st.sampled_from(SUM_MONOS)))
 def test_add_units_matches_the_scalar_oracle(out, q, us, c, cancel):
     qc = as_scalar(q) if c is None else c.scale(q)
-    add = sum_state(us).scale(qc)
+    add = sum_scalars(us, qc)
     # out takes -q*c*us on the monomials of cancel, which must then vanish
     for m in cancel:
         for u in list(out):
             out[u].pop(m, None)
-        for v, x in add.terms.get(m, as_scalar(0)).terms.items():
+        for v, x in add.get(m, S_ZERO).terms.items():
             out.setdefault(None if v == UNIT_ONE else v, {})[m] = -x
-    want = sum_state(out) + add
+    want = sum_scalars(out)
+    for m, x in add.items():
+        want[m] = want.get(m, S_ZERO) + x
+    want = {m: x for m, x in want.items() if not x.is_zero}
     got = {u: dict(t) for u, t in out.items()}
     before = {u: dict(t) for u, t in us.items()}
     fock._add_units(got, q, us, c)
-    assert sum_state(got) == want
+    assert sum_scalars(got) == want
     assert us == before
     assert UNIT_ONE not in got
     for t in got.values():
@@ -287,3 +297,77 @@ def test_add_units_multiplies_units_with_the_wrapped_sign():
     assert out == {UNIT_KEYS[2]: {m: gr(6)}, UNIT_KEYS[1]: {m: gr(-3)}}
     fock._add_units(out, gr(-3), us, E("2/3"))
     assert not any(out.values())
+
+
+# States built through public calls only: monomials on two labels, and
+# coefficients that are rational or carry units whose E-exponents wrap
+# past 1 when multiplied
+STATE_MONOS = SUM_MONOS + [monomial(label(["1/3"]), p) for p in ((), ((1, 1),))]
+state_coeffs = st.one_of(
+    gauss,
+    st.lists(st.tuples(st.sampled_from([S_ONE, E("2/3"), E("1/2"), E("3/4"),
+                                        lam_pow("1/2"), zeta_pow("-1/3")]),
+                       nonzero_gauss), min_size=1, max_size=3)
+    .map(lambda ts: sum((u.scale(x) for u, x in ts), S_ZERO)))
+state_steps = st.lists(st.tuples(st.sampled_from(["add", "scale", "mode"]),
+                                 st.sampled_from(STATE_MONOS), state_coeffs,
+                                 st.integers(-2, 2)), max_size=6)
+
+
+def build_state(steps):
+    s = State.zero(1)
+    for op, m, c, n in steps:
+        if op == "add":
+            s = s + State.of(m, coeff=c)
+        elif op == "scale":
+            s = s.scale(c)
+        else:
+            s = apply_mode(1, n, s)
+    return s
+
+
+def assert_canonical(s):
+    assert UNIT_ONE not in s.units
+    for t in s.units.values():
+        assert t
+        for x in t.values():
+            assert not x.is_zero and x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(state_steps, state_steps, state_coeffs)
+def test_state_layout_is_canonical(steps1, steps2, c):
+    s, t = build_state(steps1), build_state(steps2)
+    for x in (s, t, s + t, s - t, (s + t) - t, s.scale(c), s.scale(c) + t):
+        assert_canonical(x)
+        assert parse_state(format_state(x), 1) == x
+    # equality is the comparison of the per-monomial Scalars
+    for x, y in ((s, t), ((s + t) - t, s), (s.scale(c) - s.scale(c), State.zero(1))):
+        same = dict(x.items_sorted()) == dict(y.items_sorted())
+        assert (x == y) == same
+        if same:
+            assert hash(x) == hash(y)
+    assert (s + t) - t == s
+    assert s - s == State.zero(1)
+
+
+def test_states_never_hold_a_kernel_entry():
+    # a coefficient-1 state on one monomial shares the kernel's entries,
+    # never its dicts; sums and scalings build their own dicts
+    m = monomial(label(["1/3"]), ((1, 1),))
+    s = State.of(m)
+    x, y = apply_mode(1, -1, s), virasoro_mode(-1, s)
+    entries = [workspace.current().mode[(1, -1, m)],
+               workspace.current().virasoro[(-1, m)]]
+    before = [dict(e) for e in entries]
+    states = [x, y]
+    for a in (x, y):
+        z = a.scale(E("1/3"))
+        states += [z, a + a, a + z, z + a, a - a.scale(2), a.scale(gr(3)),
+                   a.scale(E("2/3")).scale(E("4/3")), x + y]
+    owners = {}
+    for a in states:
+        for t in a.units.values():
+            assert all(t is not e for e in entries)
+            assert owners.setdefault(id(t), a) is a
+    assert [dict(e) for e in entries] == before

@@ -121,7 +121,7 @@ def test_apply_e_examples():
     assert apply_e_inverse(cs, a, apply_e(cs, a, s)) == s
     # several terms on several labels: the shift keeps them apart
     mixed = s + State.of(monomial(b, ((1, 1), (2, 2)))) + State.vacuum(2, a)
-    assert len(mixed.terms) == 3
+    assert len(mixed.items_sorted()) == 3
     assert apply_e_inverse(cs, a, apply_e(cs, a, mixed)) == mixed
     assert apply_e(cs, a, apply_e_inverse(cs, a, mixed)) == mixed
 
@@ -337,7 +337,7 @@ def per_monomial_coefficient(op, target, exponent):
     lab, rank = op.label, target.rank
     exponent = as_gauss(exponent)
     out = State.zero(rank)
-    for m, c in target.terms.items():
+    for m, c in target.items_sorted():
         n = exponent_index(op.offset_on(m.label), exponent)
         kt = m.levels_sum
         if op.weight_int + kt + n < 0:
@@ -345,7 +345,7 @@ def per_monomial_coefficient(op, target, exponent):
         if op.cutoff is not None and op.weight_int + kt + n > op.cutoff:
             raise WindowError("past the cutoff")
         t = State.of(m)
-        for hm, hc in op.head_state.terms.items():
+        for hm, hc in op.head_state.items_sorted():
             u = State.of(monomial(zero_label(rank), hm.parts))
             for k in range(kt + 1):
                 a_k = annihilation_coeff(lab.alpha, k, t)

@@ -320,14 +320,14 @@ def test_jacobi_reads_each_right_hand_coefficient_once(monkeypatch):
 
         def counting_factory(head):
             op = factory(head)
-            read = op.coefficient_units
+            read = op.coefficient
 
-            def coefficient_units(target, exponent):
+            def coefficient(target, exponent):
                 key = (head, str(exponent))
                 reads[key] = reads.get(key, 0) + 1
                 return read(target, exponent)
 
-            op.coefficient_units = coefficient_units
+            op.coefficient = coefficient
             return op
 
         return engine(**{**kw, "op12_factory": counting_factory})
@@ -344,17 +344,9 @@ def test_jacobi_reads_each_right_hand_coefficient_once(monkeypatch):
     assert max(reads.values()) == 1, sum(reads.values()) - len(reads)
 
 
-def test_jacobi_fails_on_a_commutator_off_by_a_unit(monkeypatch):
+def test_jacobi_fails_on_a_commutator_off_by_a_unit():
     # CS1 puts every coefficient on a nontrivial unit; E(1/3) moves the
     # second ordering to another unit, so the unit-free slots stay empty
-    built = []
-    to_state = jacobi._state
-
-    def counting_state(rank, us):
-        built.append(rank)
-        return to_state(rank, us)
-
-    monkeypatch.setattr(jacobi, "_state", counting_state)
     x, y = vac_spec(gr("1/2")), vac_spec(gr("1/3"))
     s = State.vacuum(1, label(["-1/4"]))
     alpha, beta, gamma = x.label, y.label, s.single_label()
@@ -368,15 +360,14 @@ def test_jacobi_fails_on_a_commutator_off_by_a_unit(monkeypatch):
 
     c12 = CS1.commutator(alpha, beta)
     rep = run(c12)
-    # the engine builds one State per agreeing record, two per mismatch
-    assert rep.verdict and len(built) == len(rep.checked)
-    built.clear()
+    # an agreeing record keeps one State for both sides
+    assert rep.verdict and all(r.left is r.right for r in rep.checked)
     rep = run(c12 * E("1/3"))
     assert rep.outcome == "FAIL"
-    assert len(built) == len(rep.checked) + len(rep.failures)
+    assert all(r.left is r.right for r in rep.checked if r.passed)
     for r in rep.failures:
         for side in (r.left, r.right):
-            assert all(c.as_rational() is None for c in side.terms.values())
+            assert None not in side.units
     mismatches = [ln for ln in rep.to_lines() if " MISMATCH " in ln]
     assert len(mismatches) == len(rep.failures) > 0
     for ln in mismatches:
