@@ -3,11 +3,14 @@
 States are finite linear combinations of monomials
 a[i1](-k1)...a[ir](-kr)|alpha> with exact coefficients in the group
 algebra of the units, where the module label alpha is an l-tuple of
-Gaussian rationals.  A State stores them as a unit sum, one rational
-term dict per unit, and builds a per-monomial Scalar only when it is
-read through ``items_sorted``.  Colors i are 1-based throughout,
-matching the text format ``a[i,-k]``.  The zero mode a[i](0) acts on
-|alpha> by the eigenvalue alpha_i.
+Gaussian rationals.  Each module is M(1,alpha) = M(1) (x) e^alpha, so a
+State stores one sector per label: the sector of alpha is a unit sum,
+one rational term dict per unit, keyed by the creation parts alone (the
+oscillator factor in M(1)).  A per-monomial Scalar is built only when a
+state is read through ``items_sorted``.  Colors i are 1-based
+throughout, matching the text format ``a[i,-k]``.  The modes a[i](n)
+for n != 0 act on the oscillator factor only; the zero mode a[i](0)
+acts on the sector of alpha by the eigenvalue alpha_i.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ Part = tuple[int, int]  # (color, level), level >= 1
 class Label:
     """A module label: an l-tuple of Gaussian rationals.
 
-    Immutable, and it stores the hash of ``alpha``: labels key every Fock
-    dict through ``FockMonomial``, so a probe costs one stored read
-    instead of one Python-level ``GaussRat.__hash__`` per coordinate.
+    Immutable, and it stores the hash of ``alpha``: labels key the
+    sectors of every State, so a probe costs one stored read instead of
+    one Python-level ``GaussRat.__hash__`` per coordinate.
     """
 
     __slots__ = ("alpha", "_hash")
@@ -145,28 +148,41 @@ def monomial(lab: Label, parts: Iterable[Part] = ()) -> FockMonomial:
     return FockMonomial(lab, ps)
 
 
-Terms = dict  # dict[FockMonomial, GaussRat]
+Terms = dict  # dict[tuple[Part, ...], GaussRat], keyed by creation parts
 UnitSum = dict  # dict[Unit | None, Terms]
+Sectors = dict  # dict[Label, UnitSum]
+
+
+def _levels(parts: tuple[Part, ...]) -> int:
+    return sum(k for _, k in parts)
 
 
 class State:
     """A finite linear combination of Fock monomials with coefficients in
     the group algebra of the units over the Gaussian rationals.
 
-    It is stored as a unit sum: ``units[u][m]`` is the rational coefficient
-    of the unit ``u`` on the monomial ``m``, and the key ``None`` holds the
-    unit-free part.  The form is canonical (no empty slot, no zero entry,
-    never the key ``UNIT_ONE``), so equal states have equal dicts.  A State
-    owns its dicts: the constructor takes freshly built ones, never a memo
-    table's or another State's.
+    It is stored by sector: ``sectors[lab][u][parts]`` is the rational
+    coefficient of the unit ``u`` on the monomial ``monomial(lab, parts)``,
+    and the unit key ``None`` holds the unit-free part.  Each sector is a
+    unit sum over parts-keyed term dicts, the layout the kernels build.
+    The form is canonical (no empty sector, no empty unit slot, no zero
+    entry, never the key ``UNIT_ONE``), so equal states have equal dicts.
+    A State owns its dicts: the constructor takes freshly built ones,
+    never a memo table's or another State's.  ``FockMonomial`` stays the
+    public monomial type: ``of`` and ``items_sorted`` translate.
     """
 
-    __slots__ = ("rank", "units", "_hash")
+    __slots__ = ("rank", "sectors", "_hash")
 
-    def __init__(self, rank: int, units: UnitSum | None = None):
+    def __init__(self, rank: int, sectors: Sectors | None = None):
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "units",
-                           {u: t for u, t in units.items() if t} if units else {})
+        out = {}
+        if sectors:
+            for lab, us in sectors.items():
+                us = {u: t for u, t in us.items() if t}
+                if us:
+                    out[lab] = us
+        object.__setattr__(self, "sectors", out)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -179,8 +195,9 @@ class State:
 
     @classmethod
     def of(cls, mono: FockMonomial, coeff=S_ONE) -> "State":
-        return cls(mono.label.rank, {None if u == UNIT_ONE else u: {mono: q}
-                                     for u, q in as_scalar(coeff).terms.items()})
+        return cls(mono.label.rank,
+                   {mono.label: {None if u == UNIT_ONE else u: {mono.parts: q}
+                                 for u, q in as_scalar(coeff).terms.items()}})
 
     @classmethod
     def vacuum(cls, rank: int, lab: Label | None = None) -> "State":
@@ -189,7 +206,7 @@ class State:
     # -- linear structure ----------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.units
+        return not self.sectors
 
     def __add__(self, other: "State") -> "State":
         if not isinstance(other, State):
@@ -200,8 +217,8 @@ class State:
             return self
         if self.rank != other.rank:
             raise ValueError("state rank mismatch")
-        out = {u: dict(t) for u, t in self.units.items()}
-        _add_units(out, GR_ONE, other.units)
+        out = _copy(self.sectors)
+        _add_sectors(out, GR_ONE, other.sectors)
         return State(self.rank, out)
 
     def __sub__(self, other: "State") -> "State":
@@ -214,8 +231,8 @@ class State:
         c = as_scalar(c)
         if c.is_one:
             return self
-        out: UnitSum = {}
-        _add_units(out, GR_ONE, self.units, c)
+        out: Sectors = {}
+        _add_sectors(out, GR_ONE, self.sectors, c)
         return State(self.rank, out)
 
     def __mul__(self, c):
@@ -226,46 +243,40 @@ class State:
     __rmul__ = __mul__
 
     # -- structure queries ------------------------------------------------------
-    def labels(self) -> set[Label]:
-        return {m.label for t in self.units.values() for m in t}
-
     def single_label(self) -> Label:
-        labs = self.labels()
-        if len(labs) != 1:
-            raise ValueError(f"state is not label-homogeneous ({len(labs)} labels)")
-        return labs.pop()
-
-    def by_label(self) -> dict[Label, "State"]:
-        """The label-homogeneous parts of the state."""
-        parts: dict[Label, UnitSum] = {}
-        for u, t in self.units.items():
-            for m, q in t.items():
-                parts.setdefault(m.label, {}).setdefault(u, {})[m] = q
-        return {lab: State(self.rank, us) for lab, us in parts.items()}
+        if len(self.sectors) != 1:
+            raise ValueError("state is not label-homogeneous "
+                             f"({len(self.sectors)} labels)")
+        return next(iter(self.sectors))
 
     def max_levels(self) -> int:
         """Largest level sum over the monomials (0 for the zero state)."""
-        return max((m.levels_sum for t in self.units.values() for m in t), default=0)
+        return max((_levels(p) for us in self.sectors.values()
+                    for t in us.values() for p in t), default=0)
 
     def items_sorted(self) -> list[tuple[FockMonomial, Scalar]]:
         """The (monomial, Scalar coefficient) pairs in monomial order."""
-        merged: dict[FockMonomial, dict] = {}
-        for u, t in self.units.items():
-            for m, q in t.items():
-                merged.setdefault(m, {})[UNIT_ONE if u is None else u] = q
-        return sorted(((m, Scalar(c, _clean=True)) for m, c in merged.items()),
-                      key=lambda t: t[0].sort_key())
+        out = []
+        for lab, us in sorted(self.sectors.items(), key=lambda x: x[0].sort_key()):
+            merged: dict[tuple[Part, ...], dict] = {}
+            for u, t in us.items():
+                for p, q in t.items():
+                    merged.setdefault(p, {})[UNIT_ONE if u is None else u] = q
+            out += [(FockMonomial(lab, p), Scalar(merged[p], _clean=True))
+                    for p in sorted(merged)]
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, State):
             return NotImplemented
-        return self.rank == other.rank and self.units == other.units
+        return self.rank == other.rank and self.sectors == other.sectors
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.rank, frozenset((u, frozenset(t.items()))
-                                           for u, t in self.units.items())))
+            h = hash((self.rank, frozenset(
+                (lab, frozenset((u, frozenset(t.items())) for u, t in us.items()))
+                for lab, us in self.sectors.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -280,12 +291,17 @@ class State:
 # mode actions
 
 
-# The kernels below act on one monomial and return a rational term dict
-# dict[FockMonomial, GaussRat], memoized in the run's workspace; callers
-# never mutate it.  The public functions apply them unit slot by unit
-# slot of a State and accumulate into fresh dicts, so products and sums
-# stay Gaussian-rational and the unit group is multiplied only where a
-# unit-bearing Scalar or a second State enters.
+# The kernels below act on one oscillator monomial, a parts tuple, and
+# return a rational term dict dict[tuple[Part, ...], GaussRat], memoized
+# in the run's workspace; callers never mutate it.  The modes a(n) for
+# n != 0 never read the label, so their table is keyed (color, n, parts)
+# and one entry serves every sector; the zero mode is no kernel at all
+# but the scalar alpha_i on the sector of alpha.  Where a(0) enters a
+# kernel (``virasoro``, ``vertex``) its key carries the sector label.
+# The public functions apply the kernels sector by sector and unit slot
+# by unit slot of a State and accumulate into fresh dicts, so products
+# and sums stay Gaussian-rational and the unit group is multiplied only
+# where a unit-bearing Scalar or a second State enters.
 
 
 def _accumulate(out: Terms, c: GaussRat, terms: Terms) -> None:
@@ -357,13 +373,28 @@ def _add_units(out: UnitSum, q: GaussRat, us: UnitSum,
             _accumulate(out.setdefault(v, {}), -x if sign < 0 else x, terms)
 
 
+def _add_sectors(out: Sectors, q: GaussRat, sectors: Sectors,
+                 c: Scalar | None = None) -> None:
+    """out += q * c * sectors, one ``_add_units`` per sector."""
+    for lab, us in sectors.items():
+        _add_units(out.setdefault(lab, {}), q, us, c)
+
+
+def _copy(sectors: Sectors) -> Sectors:
+    """Fresh dicts holding the same entries."""
+    return {lab: {u: dict(t) for u, t in us.items()} for lab, us in sectors.items()}
+
+
 def _map(s: State, kernel) -> State:
-    """The linear extension of kernel: FockMonomial -> Terms to a State."""
-    out: UnitSum = {}
-    for u, t in s.units.items():
-        acc = out[u] = {}
-        for m, q in t.items():
-            _accumulate(acc, q, kernel(m))
+    """The linear extension to a State of kernel: (label, parts) -> Terms,
+    for a kernel that keeps the sector."""
+    out: Sectors = {}
+    for lab, us in s.sectors.items():
+        sec = out[lab] = {}
+        for u, t in us.items():
+            acc = sec[u] = {}
+            for p, q in t.items():
+                _accumulate(acc, q, kernel(lab, p))
     return State(s.rank, out)
 
 
@@ -373,60 +404,74 @@ def apply_mode(color: int, n: int, s: State) -> State:
     Creation for n < 0, zero-mode eigenvalue for n = 0, contraction
     against matching creation parts for n > 0 via [a(n), a(-n)] = n.
     """
-    return _map(s, lambda m: _mode_on_monomial(color, n, m))
+    if not 1 <= color <= s.rank:
+        raise ValueError(f"color {color} out of range for rank {s.rank}")
+    if n:
+        return _map(s, lambda lab, p: _mode_on_monomial(color, n, p))
+    out: Sectors = {}
+    for lab, us in s.sectors.items():
+        a = lab.alpha[color - 1]
+        if not a.is_zero:
+            _add_units(out.setdefault(lab, {}), a, us)
+    return State(s.rank, out)
 
 
-def _mode_on_monomial(color: int, n: int, m: FockMonomial) -> Terms:
-    key = (color, n, m)
+def _mode_on_monomial(color: int, n: int, parts: tuple[Part, ...]) -> Terms:
+    """a[color](n) on the oscillator monomial ``parts``, for n != 0."""
+    key = (color, n, parts)
     table = current().mode
     hit = table.get(key)
     if hit is None:
         if n < 0:
-            hit = {monomial(m.label, m.parts + ((color, -n),)): GR_ONE}
-        elif n == 0:
-            a = m.label.alpha[color - 1]
-            hit = {} if a.is_zero else {m: a}
+            hit = {tuple(sorted(parts + ((color, -n),))): GR_ONE}
         else:
-            mult = m.parts.count((color, n))
+            mult = parts.count((color, n))
             if mult == 0:
                 hit = {}
             else:
-                rest = list(m.parts)
+                rest = list(parts)
                 rest.remove((color, n))
-                hit = {FockMonomial(m.label, tuple(rest)): as_gauss(n * mult)}
+                hit = {tuple(rest): as_gauss(n * mult)}
         table[key] = hit
     return hit
 
 
+def _mode_in_sector(color: int, n: int, lab: Label, parts: tuple[Part, ...]) -> Terms:
+    """a[color](n) on monomial(lab, parts): the zero mode is alpha_color."""
+    if n:
+        return _mode_on_monomial(color, n, parts)
+    a = lab.alpha[color - 1]
+    return {} if a.is_zero else {parts: a}
+
+
 def virasoro_mode(n: int, s: State) -> State:
     """L(n) by the direct normal-ordered bilinear sum over the modes."""
-    return _map(s, lambda m: _virasoro_on_monomial(n, m))
+    return _map(s, lambda lab, p: _virasoro_on_monomial(n, lab, p))
 
 
 _HALF = as_gauss(Fraction(1, 2))
 
 
-def _virasoro_on_monomial(n: int, m: FockMonomial) -> Terms:
-    key = (n, m)
+def _virasoro_on_monomial(n: int, lab: Label, parts: tuple[Part, ...]) -> Terms:
+    key = (n, lab, parts)
     table = current().virasoro
     hit = table.get(key)
     if hit is not None:
         return hit
-    rank = m.label.rank
     candidates = {0, n}
     if n <= 0:
         candidates.update(range(n, 1))
-    for _, k in m.parts:
+    for _, k in parts:
         candidates.add(k)
         candidates.add(n - k)
     acc: dict = {}
     for j in sorted(candidates):
         k = n - j
         cr, an = min(j, k), max(j, k)
-        for i in range(1, rank + 1):
-            for tm, tc in _mode_on_monomial(i, an, m).items():
-                _accumulate(acc, tc, _mode_on_monomial(i, cr, tm))
-    hit = {mono: c * _HALF for mono, c in acc.items()}
+        for i in range(1, lab.rank + 1):
+            for tp, tc in _mode_in_sector(i, an, lab, parts).items():
+                _accumulate(acc, tc, _mode_in_sector(i, cr, lab, tp))
+    hit = {p: c * _HALF for p, c in acc.items()}
     table[key] = hit
     return hit
 
@@ -438,47 +483,52 @@ def vertex_mode(u: State, n: int, s: State) -> State:
     Y(a[j](-k-1)v, z) = (1/k!) :d_z^k Y(a[j],z) Y(v,z): starting from
     Y(vacuum,z) = Id and Y(a[j],z) = sum a[j](m) z^(-m-1).
     """
-    out: UnitSum = {}
-    for hu, ht in u.units.items():
-        if not all(um.label.is_zero for um in ht):
-            raise ValueError("vertex_mode requires a label-0 (untwisted) head; "
-                             "use the intertwiner for charged heads")
-        for su, st in s.units.items():
-            sign, v = _unit_mul(hu, su)
-            acc = out.setdefault(v, {})
-            for um, uq in ht.items():
-                if sign < 0:
-                    uq = -uq
-                for sm, sq in st.items():
-                    _accumulate(acc, uq * sq, _vertex_on_monomials(um.parts, n, sm))
+    if not all(lab.is_zero for lab in u.sectors):
+        raise ValueError("vertex_mode requires a label-0 (untwisted) head; "
+                         "use the intertwiner for charged heads")
+    out: Sectors = {}
+    for hus in u.sectors.values():
+        for lab, sus in s.sectors.items():
+            sec = out.setdefault(lab, {})
+            for hu, ht in hus.items():
+                for su, st in sus.items():
+                    sign, v = _unit_mul(hu, su)
+                    acc = sec.setdefault(v, {})
+                    for up, uq in ht.items():
+                        if sign < 0:
+                            uq = -uq
+                        for sp, sq in st.items():
+                            _accumulate(acc, uq * sq,
+                                        _vertex_on_monomials(up, n, lab, sp))
     return State(s.rank, out)
 
 
-def _vertex_on_monomials(uparts: tuple[Part, ...], n: int, sm: FockMonomial) -> Terms:
-    key = (uparts, n, sm)
+def _vertex_on_monomials(uparts: tuple[Part, ...], n: int, lab: Label,
+                         sparts: tuple[Part, ...]) -> Terms:
+    key = (uparts, n, lab, sparts)
     table = current().vertex
     hit = table.get(key)
     if hit is not None:
         return hit
     if not uparts:
-        hit = {sm: GR_ONE} if n == -1 else {}
+        hit = {sparts: GR_ONE} if n == -1 else {}
         table[key] = hit
         return hit
     (j_color, level), rest = uparts[0], uparts[1:]
     k = level - 1
-    kv = sum(lev for _, lev in rest)
-    ks = sm.levels_sum
+    kv = _levels(rest)
+    ks = _levels(sparts)
     acc: dict = {}
     # annihilation-right part: sum_{m>=0} (-1)^k binom(m+k,k) v(n-m-k-1) a(m) s
-    ann_indices = {0} | {lev for _, lev in sm.parts}
+    ann_indices = {0} | {lev for _, lev in sparts}
     for m in sorted(ann_indices):
         b = binom(m + k, k)
         if b.is_zero:
             continue
         if k % 2:
             b = -b
-        for tm, tc in _mode_on_monomial(j_color, m, sm).items():
-            _accumulate(acc, tc * b, _vertex_on_monomials(rest, n - m - k - 1, tm))
+        for tp, tc in _mode_in_sector(j_color, m, lab, sparts).items():
+            _accumulate(acc, tc * b, _vertex_on_monomials(rest, n - m - k - 1, lab, tp))
     # creation-left part: sum_{m<=-1} (-1)^k binom(m+k,k) a(m) v(n-m-k-1) s
     m_lo = n - k - kv - ks  # below this v(n-m-k-1) s dies by truncation
     for m in range(m_lo, 0):
@@ -487,8 +537,8 @@ def _vertex_on_monomials(uparts: tuple[Part, ...], n: int, sm: FockMonomial) -> 
             continue
         if k % 2:
             b = -b
-        for im, ic in _vertex_on_monomials(rest, n - m - k - 1, sm).items():
-            _accumulate(acc, ic * b, _mode_on_monomial(j_color, m, im))
+        for ip, ic in _vertex_on_monomials(rest, n - m - k - 1, lab, sparts).items():
+            _accumulate(acc, ic * b, _mode_on_monomial(j_color, m, ip))
     table[key] = acc
     return acc
 
@@ -497,11 +547,10 @@ def translate_label(s: State, dalpha: Label) -> State:
     """Pure label shift |beta> -> |beta + dalpha| with no scalar factor.
 
     This is the exponentiated shift operator of the conjugation identities;
-    the cocycle-dressed shift lives in the intertwiner layer.
+    the cocycle-dressed shift lives in the intertwiner layer.  Only the
+    sector keys change.
     """
-    return State(s.rank, {u: {FockMonomial(m.label + dalpha, m.parts): q
-                              for m, q in t.items()}
-                          for u, t in s.units.items()})
+    return State(s.rank, {lab + dalpha: us for lab, us in _copy(s.sectors).items()})
 
 
 def exp_virasoro_coeffs(n: int, s: State, order: int, sign: int = 1) -> list[State]:

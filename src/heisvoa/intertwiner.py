@@ -21,13 +21,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fock import (
-    FockMonomial,
     Label,
+    Part,
+    Sectors,
     State,
     Terms,
     UnitSum,
     _accumulate,
+    _add_sectors,
     _add_units,
+    _levels,
     _map,
     _mode_on_monomial,
     _unit_mul,
@@ -143,9 +146,9 @@ def standard_cocycle(rank: int, diagonal_fix: bool = False) -> CocycleSystem:
 
 def _shift_scaled(s: State, dalpha: Label, factor) -> State:
     """Shift each label beta of s by dalpha and scale its part by factor(beta)."""
-    out: UnitSum = {}
-    for beta, part in s.by_label().items():
-        _add_units(out, GR_ONE, translate_label(part, dalpha).units, factor(beta))
+    out: Sectors = {}
+    for beta, us in s.sectors.items():
+        _add_units(out.setdefault(beta + dalpha, {}), GR_ONE, us, factor(beta))
     return State(s.rank, out)
 
 
@@ -185,42 +188,45 @@ class IntertwinerSpec:
 # exponentials of label modes (one variable)
 
 
-def _mode_chain(lab: Label, sign: int, mono: FockMonomial, order: int) -> list[Terms]:
-    """Coefficients B_0..B_order of exp(-+ sum_{n>0} a(+-n)/n z^(+-n)).
+def _mode_chain(avec: tuple, sign: int, parts: tuple[Part, ...],
+                order: int) -> list[Terms]:
+    """Coefficients B_0..B_order of exp(-+ sum_{n>0} a(+-n)/n z^(+-n))
+    on the oscillator monomial ``parts``, for a = avec.
 
     sign=-1 is the creation side (coefficients of z^k), sign=+1 the
-    annihilation side (coefficients of z^-k).  A series argument enters
-    B_k as the factor arg^k, which the callers apply when they read a
-    coefficient, so one chain serves every argument.
+    annihilation side (coefficients of z^-k).  Only modes a(n) with
+    n != 0 enter, so the chain never reads a sector label and one chain
+    serves every sector.  A series argument enters B_k as the factor
+    arg^k, which the callers apply when they read a coefficient, so one
+    chain serves every argument.
     """
     if sign > 0:
-        order = min(order, mono.levels_sum)
+        order = min(order, _levels(parts))
     table = current().chain
-    key = (lab, sign, mono)
+    key = (avec, sign, parts)
     chain = table.get(key)
     if chain is None:
-        chain = [{mono: GR_ONE}]
+        chain = [{parts: GR_ONE}]
         table[key] = chain
     if len(chain) > order:
         return chain
-    modes = [(i, a) for i, a in enumerate(lab.alpha, start=1) if not a.is_zero]
+    modes = [(i, a) for i, a in enumerate(avec, start=1) if not a.is_zero]
     while len(chain) <= order:
         k = len(chain)
         acc: dict = {}
         for j in range(1, k + 1):
-            for pm, pc in chain[k - j].items():
+            for pp, pc in chain[k - j].items():
                 for i, a in modes:
-                    _accumulate(acc, pc * a, _mode_on_monomial(i, sign * j, pm))
+                    _accumulate(acc, pc * a, _mode_on_monomial(i, sign * j, pp))
         inv_k = as_gauss(Fraction(-sign, k))
-        chain.append({m: c * inv_k for m, c in acc.items()})
+        chain.append({p: c * inv_k for p, c in acc.items()})
     return chain
 
 
 def _ypm_coeff(sign: int, avec: tuple, k: int, s: State, arg: Scalar) -> State:
-    lab = Label(avec)
-    # the annihilation chain of m stops at its level sum
-    return _map(s, lambda m: {} if sign > 0 and k > m.levels_sum
-                else _mode_chain(lab, sign, m, k)[k]).scale(arg ** k)
+    # the annihilation chain of p stops at its level sum
+    return _map(s, lambda lab, p: {} if sign > 0 and k > _levels(p)
+                else _mode_chain(avec, sign, p, k)[k]).scale(arg ** k)
 
 
 def creation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> State:
@@ -241,17 +247,19 @@ def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
     CosetError asks the caller to split per coset first.
     """
     base: GaussRat | None = None
-    coeffs: dict[int, UnitSum] = {}
-    for u, t in s.units.items():
-        for m, q in t.items():
-            off = beta.dot(m.label)
-            if base is None:
-                base = off
-            shift = exponent_index(base, off)
-            chain = _mode_chain(beta, 1, m, m.levels_sum)
-            for k, terms in enumerate(chain):
-                _accumulate(coeffs.setdefault(shift - k, {}).setdefault(u, {}),
-                            -q if k % 2 else q, terms)
+    coeffs: dict[int, Sectors] = {}
+    bvec = beta.alpha
+    for lab, us in s.sectors.items():
+        off = beta.dot(lab)
+        if base is None:
+            base = off
+        shift = exponent_index(base, off)
+        for u, t in us.items():
+            for p, q in t.items():
+                chain = _mode_chain(bvec, 1, p, _levels(p))
+                for k, terms in enumerate(chain):
+                    _accumulate(coeffs.setdefault(shift - k, {}).setdefault(lab, {})
+                                .setdefault(u, {}), -q if k % 2 else q, terms)
     out = []
     for n in sorted(coeffs):
         st = State(s.rank, coeffs[n])
@@ -264,32 +272,32 @@ def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
 # the intertwiner engine
 
 
-def _half_kernel(lab: Label, head_parts: tuple, tmono: FockMonomial, lo: int,
-                 j_max: int) -> list[Terms]:
-    """H(j) = [z^j] Y(u,z) Yplus(lab,z) tmono for j = lo..j_max at least.
+def _half_kernel(lab: Label, head_parts: tuple, tlab: Label, tparts: tuple,
+                 lo: int, j_max: int) -> list[Terms]:
+    """H(j) = [z^j] Y(u,z) Yplus(lab,z) t for j = lo..j_max at least, on
+    the target t = monomial(tlab, tparts).
 
     u = a(head_parts)|0> is the label-0 head and lo = -(level sum of the
-    head part and tmono), below which H vanishes, so entry i is H(lo + i).
-    H(j) = sum_k u(-j-k-1) A_k tmono for the annihilation chain A_k.  The
-    terms already carry the shifted label lab + tmono.label and rational
-    coefficients; the cocycle factor of e^lab stays out, so every
+    head part and tparts), below which H vanishes, so entry i is H(lo + i).
+    H(j) = sum_k u(-j-k-1) A_k t for the annihilation chain A_k.  The
+    zero modes of u read tlab, so it is part of the key; the terms are
+    keyed by parts and have rational coefficients.  The shift to the
+    sector lab + tlab and the cocycle factor of e^lab stay out, so every
     operator of the run shares the list.  It grows lazily like the mode
     chains.
     """
-    ws = current()
-    half = ws.coeff.setdefault((lab, head_parts, tmono), [])
+    half = current().coeff.setdefault((lab, head_parts, tlab, tparts), [])
     if len(half) > j_max - lo:
         return half
-    shifted = lab + tmono.label
-    shifted = ws.labels.setdefault(shifted, shifted)
-    chain = _mode_chain(lab, 1, tmono, tmono.levels_sum)
+    chain = _mode_chain(lab.alpha, 1, tparts, _levels(tparts))
     while len(half) <= j_max - lo:
         j = lo + len(half)
         acc: dict = {}
         for k, fk in enumerate(chain):
-            for fm, fc in fk.items():
-                _accumulate(acc, fc, _vertex_on_monomials(head_parts, -j - k - 1, fm))
-        half.append({FockMonomial(shifted, m.parts): c for m, c in acc.items()})
+            for fp, fc in fk.items():
+                _accumulate(acc, fc,
+                            _vertex_on_monomials(head_parts, -j - k - 1, tlab, fp))
+        half.append(acc)
     return half
 
 
@@ -301,7 +309,10 @@ class IntertwinerOp:
     engine relies on: ``label``, ``head_state``, ``weight_int``,
     ``offset_on(target_label)`` (the coset base of the exponents on that
     label) and ``coefficient(target, exponent)``, the one read of a
-    coefficient, a ``State``.
+    coefficient, a ``State``.  A coefficient is computed sector by
+    sector of the target: the sector of beta goes to the sector
+    label + beta, and the exponent offset, the cocycle value and the
+    shifted label are read once per sector.
     """
 
     def __init__(self, spec: IntertwinerSpec, cutoff: int | None = None):
@@ -310,8 +321,8 @@ class IntertwinerOp:
         self.cocycle = spec.cocycle
         self.cutoff = cutoff
         self.weight_int = spec.weight_int
-        self._heads = [(m.parts, u, q, m.levels_sum)
-                       for u, t in spec.head.units.items() for m, q in t.items()]
+        self._heads = [(p, u, q, _levels(p)) for us in spec.head.sectors.values()
+                       for u, t in us.items() for p, q in t.items()]
 
     @property
     def head_state(self) -> State:
@@ -329,15 +340,24 @@ class IntertwinerOp:
         ``_half_kernel``: the half-kernels of every target monomial and
         head part are summed per creation order kp first, so each chain
         is applied once per (kp, monomial) of that sum.  The cocycle
-        factor enters once per target label and kp.
+        factor enters once per target sector and kp.
         """
         exponent = as_gauss(exponent)
+        out: Sectors = {}
+        for beta, us in target.sectors.items():
+            self._coefficient_into(out, beta, us, exponent, S_ONE)
+        return State(target.rank, out)
+
+    def _coefficient_into(self, out: Sectors, beta: Label, us: UnitSum,
+                          exponent: GaussRat, factor: Scalar) -> None:
+        """out += factor * (the coefficient at ``exponent`` on the sector
+        beta of a target, with unit sum us), in the sector label + beta."""
         lab = self.label
-        sums: dict[tuple[Label, int], UnitSum] = {}  # by (target label, kp)
-        for tu, t in target.units.items():
-            for m, tq in t.items():
-                n_rel = exponent_index(self.offset_on(m.label), exponent)
-                kt = m.levels_sum
+        n_rel = exponent_index(self.offset_on(beta), exponent)
+        sums: dict[int, UnitSum] = {}  # by creation order kp
+        for tu, t in us.items():
+            for tparts, tq in t.items():
+                kt = _levels(tparts)
                 max_out = self.weight_int + kt + n_rel
                 if max_out < 0:
                     continue
@@ -346,29 +366,34 @@ class IntertwinerOp:
                     raise WindowError(
                         f"coefficient at relative exponent {n_rel} needs level sums "
                         f"up to {max_out} > cutoff {self.cutoff}")
-                for parts, hu, hq, kh in self._heads:
+                for hparts, hu, hq, kh in self._heads:
                     lo = -(kh + kt)
                     if n_rel < lo:
                         continue
-                    half = _half_kernel(lab, parts, m, lo, n_rel)
+                    half = _half_kernel(lab, hparts, beta, tparts, lo, n_rel)
                     sign, u = _unit_mul(tu, hu)
                     x = -tq * hq if sign < 0 else tq * hq
                     for kp in range(n_rel - lo + 1):
                         terms = half[n_rel - kp - lo]
                         if terms:
-                            _accumulate(sums.setdefault((m.label, kp), {})
-                                        .setdefault(u, {}), x, terms)
-        by_order: dict[int, UnitSum] = {}
-        for (beta, kp), us in sums.items():
-            _add_units(by_order.setdefault(kp, {}), GR_ONE, us,
-                       self.cocycle.epsilon(lab, beta))
-        out: UnitSum = {}
-        for kp, us in by_order.items():
-            for u, terms in us.items():
-                acc = out.setdefault(u, {})
-                for gm, gc in terms.items():
-                    _accumulate(acc, gc, _mode_chain(lab, -1, gm, kp)[kp])
-        return State(target.rank, out)
+                            _accumulate(sums.setdefault(kp, {}).setdefault(u, {}),
+                                        x, terms)
+        if not sums:
+            return
+        c = self.cocycle.epsilon(lab, beta)
+        if not factor.is_one:
+            c = c * factor
+        dst = out.setdefault(lab + beta, {})
+        avec = lab.alpha
+        for kp, kus in sums.items():
+            if not c.is_one:
+                scaled: UnitSum = {}
+                _add_units(scaled, GR_ONE, kus, c)
+                kus = scaled
+            for u, terms in kus.items():
+                acc = dst.setdefault(u, {})
+                for gp, gc in terms.items():
+                    _accumulate(acc, gc, _mode_chain(avec, -1, gp, kp)[kp])
 
 
 class DressedOp:
@@ -399,12 +424,11 @@ class DressedOp:
 
     def coefficient(self, target: State, exponent) -> State:
         exponent = as_gauss(exponent)
-        out: UnitSum = {}
-        for lab, part in target.by_label().items():
-            factor = self.label_factor(lab)
+        out: Sectors = {}
+        for beta, us in target.sectors.items():
+            factor = self.label_factor(beta)
             for dress_exp, op in self._parts:
-                _add_units(out, GR_ONE,
-                           op.coefficient(part, exponent - dress_exp).units, factor)
+                op._coefficient_into(out, beta, us, exponent - dress_exp, factor)
         return State(target.rank, out)
 
 
@@ -420,43 +444,44 @@ def _exp_apply(entries: Entries, terms: list[tuple[int, int, GaussRat, int]],
 
     Exponent caps prune anything that can no longer reach the requested
     window (exponents only grow in capped directions).  The entries are
-    carried as unit sums and become States once, when they are finished.
+    carried as sector dicts and become States once, when they are finished.
     """
     modes = [(i, a) for i, a in enumerate(avec, start=1) if not a.is_zero]
 
-    def one(cur: dict[tuple[int, int], UnitSum], k: int) -> dict:
+    def one(cur: dict[tuple[int, int], Sectors], k: int) -> dict:
         """A/k applied to the entries."""
         inv_k = as_gauss(Fraction(1, k))
         folded = [(d1, d2, n, [(i, c * a * inv_k) for i, a in modes])
                   for d1, d2, c, n in terms]
-        new: dict[tuple[int, int], UnitSum] = {}
-        for (e1, e2), us in cur.items():
+        new: dict[tuple[int, int], Sectors] = {}
+        for (e1, e2), secs in cur.items():
             for d1, d2, n, scaled in folded:
                 f1, f2 = e1 + d1, e2 + d2
                 if (cap1 is not None and f1 > cap1) or \
                    (cap2 is not None and f2 > cap2):
                     continue
                 dst = new.setdefault((f1, f2), {})
-                for u, src in us.items():
-                    acc = dst.setdefault(u, {})
-                    for m, x in src.items():
-                        for i, ca in scaled:
-                            _accumulate(acc, x * ca, _mode_on_monomial(i, n, m))
-        return {key: us for key, us in new.items() if any(us.values())}
+                for lab, us in secs.items():
+                    sec = dst.setdefault(lab, {})
+                    for u, src in us.items():
+                        acc = sec.setdefault(u, {})
+                        for p, x in src.items():
+                            for i, ca in scaled:
+                                _accumulate(acc, x * ca, _mode_on_monomial(i, n, p))
+        return {key: secs for key, secs in new.items()
+                if any(t for us in secs.values() for t in us.values())}
 
-    out: dict[tuple[int, int], UnitSum] = {}
+    out: dict[tuple[int, int], Sectors] = {}
     for key, st in entries.items():
-        _add_units(out.setdefault(key, {}), GR_ONE, st.units)
+        _add_sectors(out.setdefault(key, {}), GR_ONE, st.sectors)
     cur = out
     k = 1
     while cur:
         cur = one(cur, k)
-        for key, us in cur.items():
-            dst = out.setdefault(key, {})
-            for u, src in us.items():
-                _accumulate(dst.setdefault(u, {}), GR_ONE, src)
+        for key, secs in cur.items():
+            _add_sectors(out.setdefault(key, {}), GR_ONE, secs)
         k += 1
-    done = {key: State(rank, us) for key, us in out.items()}
+    done = {key: State(rank, secs) for key, secs in out.items()}
     return {key: st for key, st in done.items() if not st.is_zero}
 
 

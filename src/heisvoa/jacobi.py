@@ -33,10 +33,10 @@ it only marks coefficients as skipped when their exact evaluation
 would need level sums beyond budget.
 
 The engine reads every summand through ``coefficient``, a ``State``
-stored as a unit sum (one rational term dict per unit of the formal
-unit group).  Each side of a triple is accumulated into one unit sum,
-C12 entering unit by unit, and becomes a ``State``; an agreeing record
-keeps one of the two.
+stored by sector (per label, one rational term dict per unit of the
+formal unit group).  Each side of a triple is accumulated into one such
+sector dict, C12 entering unit by unit, and becomes a ``State``; an
+agreeing record keeps one of the two.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .fock import State, UnitSum, _add_units, vertex_mode, virasoro_mode
+from .fock import Sectors, State, _add_sectors, vertex_mode, virasoro_mode
 from .intertwiner import IntertwinerOp, IntertwinerSpec
 from .report import CheckRecord, VerificationReport
 from .scalars import (
@@ -175,22 +175,22 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
                 if cutoff is not None and need > cutoff:
                     rep.skip((a, b, c), f"needs level sums {need} > cutoff {cutoff}")
                     continue
-                lhs: UnitSum = {}
+                lhs: Sectors = {}
                 for m in range(ky + ks + ic + 1):
                     coef = lhs_coef[m]
                     if not coef.is_zero:
-                        _add_units(lhs, coef, grid12[ic - m, ia + ib + m].units)
+                        _add_sectors(lhs, coef, grid12[ic - m, ia + ib + m].sectors)
                 # the second ordering carries C12 (-1)^ia
                 for m in range(kx + ks + ib + shift_b2 + 1):
                     coef = lhs_coef[m]
                     if not coef.is_zero:
-                        _add_units(lhs, -coef if ia % 2 else coef,
-                                   grid21[ib - m, ia + ic + m].units, c12)
-                rhs: UnitSum = {}
+                        _add_sectors(lhs, -coef if ia % 2 else coef,
+                                   grid21[ib - m, ia + ic + m].sectors, c12)
+                rhs: Sectors = {}
                 for m in range(kx + ky + ia + shift_r + 1):
                     coef = rhs_coef[m]
                     if not coef.is_zero:
-                        _add_units(rhs, coef, grid_r[ia - m, ib + ic + m].units)
+                        _add_sectors(rhs, coef, grid_r[ia - m, ib + ic + m].sectors)
                 rep.record((a, b, c), State(rank, lhs), State(rank, rhs))
     return rep
 

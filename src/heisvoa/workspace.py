@@ -3,30 +3,32 @@
 Every memo that outlives a single operator lives in one ``Workspace``:
 
 * ``binom``: generalized binomials, keyed (kappa, m);
-* ``mode``, ``virasoro``, ``vertex``: the Fock kernels on one monomial,
-  keyed by the mode data and the monomial;
+* ``mode``: the modes a(n), n != 0, on one oscillator monomial (a
+  parts tuple), keyed (color, n, parts); they never read a label, so
+  one entry serves every sector;
+* ``virasoro``, ``vertex``: the Fock kernels on one monomial, keyed by
+  the mode data, the sector label (the zero modes read it) and the parts;
 * ``chain``: the coefficients of the label-mode exponentials, keyed
-  (label, side, monomial), without the series argument;
+  (alpha, side, parts) for the coordinate tuple alpha of the
+  exponential's label, without the series argument;
 * ``coeff``: the intertwiner half-kernels H(j) = [z^j] Y(u,z) Yplus t,
-  one lazily grown list per (label, head parts, target monomial), over
-  the exponents j read so far;
-* ``labels``: one ``Label`` object per value for the labels that
-  ``coeff`` entries carry, so that monomials of equal labels compare by
-  identity in every dict probe (hash-consing).
+  one lazily grown list per (label, head parts, target label, target
+  parts), over the exponents j read so far.
 
-The kernel tables hold ``dict[FockMonomial, GaussRat]`` values, which
-callers never mutate and no ``State`` holds: a State accumulates them,
-unit slot by unit slot, into dicts of its own.  They carry no unit, so
-two operators that differ in their cocycle or in their scalar
-coefficients share every entry.  ``heisvoa verify`` starts each run on a fresh
-workspace; library callers and tests use the current one.
+The kernel tables hold ``dict[parts, GaussRat]`` values, which callers
+never mutate and no ``State`` holds: a State accumulates them, sector
+by sector and unit slot by unit slot, into dicts of its own.  They
+carry no unit, so two operators that differ in their cocycle or in
+their scalar coefficients share every entry.  ``heisvoa verify`` starts
+each run on a fresh workspace; library callers and tests use the
+current one.
 """
 
 from __future__ import annotations
 
 
 class Workspace:
-    __slots__ = ("binom", "mode", "virasoro", "vertex", "chain", "coeff", "labels")
+    __slots__ = ("binom", "mode", "virasoro", "vertex", "chain", "coeff")
 
     def __init__(self):
         for name in self.__slots__:

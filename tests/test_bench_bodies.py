@@ -1,0 +1,36 @@
+"""The report bodies of the gated bench workloads stay byte-identical.
+
+Each workload config under ``bench/workloads`` runs through ``cli.main``
+at seed 2024; its body (the report without the lines that start with
+``# ``) must hash to the digest recorded in ``bench/reference``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from heisvoa import cli, workspace
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def body_sha256(report: Path) -> str:
+    lines = report.read_text().split("\n")
+    body = "\n".join(ln for ln in lines if not ln.startswith("# "))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["lattice-a1", "desk"])
+def test_gated_bench_body_matches_its_reference(name, tmp_path):
+    ref = json.loads((BENCH / "reference" / f"{name}.json").read_text())
+    report = tmp_path / "report.txt"
+    status = cli.main(["verify", str(BENCH / "workloads" / f"{name}.json"),
+                       "--seed", "2024", "--report", str(report)])
+    assert status == ref["seeds"]["2024"]["exit_status"] == 0
+    assert body_sha256(report) == ref["seeds"]["2024"]["body_sha256"]
+    if name == "lattice-a1":
+        # one label-free entry per (color, n, parts) and per chain
+        sizes = workspace.current().sizes()
+        assert sizes["mode"] <= 556 and sizes["chain"] <= 174, sizes

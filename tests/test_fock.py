@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from heisvoa import fock, workspace
 from heisvoa.fock import (
+    FockMonomial,
+    Label,
     State,
     apply_mode,
     basis_monomials,
@@ -22,6 +24,7 @@ from heisvoa.fock import (
     virasoro_mode,
     zero_label,
 )
+from heisvoa.intertwiner import annihilation_coeff, creation_coeff
 from heisvoa.scalars import (
     GR_ONE,
     GR_ZERO,
@@ -222,16 +225,16 @@ def test_accumulate_matches_the_multiply_then_add_oracle(out, c, terms, cancel):
         assert got == out  # c = 0 adds no entry, not even a zero one
 
 
-# unit sums for _add_units: the unit-free slot and units whose E-exponents
-# wrap past 1 when multiplied (2/3 + 2/3, 1/2 + 2/3), lam and zeta units
+# unit sums for _add_units, the layout of one sector of a State: the
+# unit-free slot and units whose E-exponents wrap past 1 when multiplied
+# (2/3 + 2/3, 1/2 + 2/3), lam and zeta units, over parts-keyed term dicts
 UNIT_KEYS = [None] + [next(iter(x.terms)) for x in (
     E("1/3"), E("2/3"), E("1/2"), lam_pow("1/2"), zeta_pow("-1/3"),
     E("3/4") * lam_pow(1) * zeta_pow("1/2"))]
-SUM_MONOS = [monomial(zero_label(1), p) for p in ((), ((1, 1),), ((1, 2),),
-                                                  ((1, 1), (1, 1)))]
+SUM_PARTS = [(), ((1, 1),), ((1, 2),), ((1, 1), (1, 1))]
 unit_sums = st.dictionaries(
     st.sampled_from(UNIT_KEYS),
-    st.dictionaries(st.sampled_from(SUM_MONOS), nonzero_gauss, max_size=4),
+    st.dictionaries(st.sampled_from(SUM_PARTS), nonzero_gauss, max_size=4),
     max_size=4)
 unit_factors = st.one_of(
     st.none(),
@@ -255,7 +258,7 @@ def sum_scalars(us, scale=S_ONE):
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(unit_sums, factors, unit_sums, unit_factors, st.sets(st.sampled_from(SUM_MONOS)))
+@given(unit_sums, factors, unit_sums, unit_factors, st.sets(st.sampled_from(SUM_PARTS)))
 def test_add_units_matches_the_scalar_oracle(out, q, us, c, cancel):
     qc = as_scalar(q) if c is None else c.scale(q)
     add = sum_scalars(us, qc)
@@ -289,7 +292,7 @@ def test_add_units_matches_the_scalar_oracle(out, q, us, c, cancel):
 
 
 def test_add_units_multiplies_units_with_the_wrapped_sign():
-    m = SUM_MONOS[1]
+    m = SUM_PARTS[1]
     us = {None: {m: gr(2)}, UNIT_KEYS[2]: {m: GR_ONE}}
     out = {}
     fock._add_units(out, gr(3), us, E("2/3"))
@@ -302,7 +305,8 @@ def test_add_units_multiplies_units_with_the_wrapped_sign():
 # States built through public calls only: monomials on two labels, and
 # coefficients that are rational or carry units whose E-exponents wrap
 # past 1 when multiplied
-STATE_MONOS = SUM_MONOS + [monomial(label(["1/3"]), p) for p in ((), ((1, 1),))]
+STATE_MONOS = ([monomial(zero_label(1), p) for p in SUM_PARTS]
+               + [monomial(label(["1/3"]), p) for p in ((), ((1, 1),))])
 state_coeffs = st.one_of(
     gauss,
     st.lists(st.tuples(st.sampled_from([S_ONE, E("2/3"), E("1/2"), E("3/4"),
@@ -327,11 +331,14 @@ def build_state(steps):
 
 
 def assert_canonical(s):
-    assert UNIT_ONE not in s.units
-    for t in s.units.values():
-        assert t
-        for x in t.values():
-            assert not x.is_zero and x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    for lab, us in s.sectors.items():
+        assert us  # no empty sector slot
+        assert UNIT_ONE not in us
+        for t in us.values():
+            assert t
+            for p, x in t.items():
+                assert p == tuple(sorted(p))
+                assert not x.is_zero and x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -357,8 +364,8 @@ def test_states_never_hold_a_kernel_entry():
     m = monomial(label(["1/3"]), ((1, 1),))
     s = State.of(m)
     x, y = apply_mode(1, -1, s), virasoro_mode(-1, s)
-    entries = [workspace.current().mode[(1, -1, m)],
-               workspace.current().virasoro[(-1, m)]]
+    entries = [workspace.current().mode[(1, -1, m.parts)],
+               workspace.current().virasoro[(-1, m.label, m.parts)]]
     before = [dict(e) for e in entries]
     states = [x, y]
     for a in (x, y):
@@ -367,7 +374,51 @@ def test_states_never_hold_a_kernel_entry():
                    a.scale(E("2/3")).scale(E("4/3")), x + y]
     owners = {}
     for a in states:
-        for t in a.units.values():
+        for t in (t for us in a.sectors.values() for t in us.values()):
             assert all(t is not e for e in entries)
             assert owners.setdefault(id(t), a) is a
     assert [dict(e) for e in entries] == before
+
+
+def test_one_label_free_entry_serves_two_sectors():
+    # M(1,alpha) = M(1) (x) e^alpha: the modes a(n), n != 0, and the
+    # exponentials Yplus, Yminus act on the oscillator factor alone, so a
+    # second sector with the same parts reuses every mode and chain entry
+    ws = workspace.fresh()
+    parts = ((1, 1), (2, 2))
+    avec = label(["1/3", "-1/2"]).alpha
+
+    def check(lab, a2):
+        s = State.of(monomial(lab, parts))
+
+        def ket(*terms):
+            # the value of items_sorted(): every term stays on the sector lab
+            return [(monomial(lab, p), as_scalar(gr(c))) for p, c in terms]
+
+        assert apply_mode(1, -1, s).items_sorted() == ket(
+            (((1, 1), (1, 1), (2, 2)), "1"))
+        assert apply_mode(2, 2, s).items_sorted() == ket((((1, 1),), "2"))
+        assert creation_coeff(avec, 2, s).items_sorted() == ket(
+            (((1, 1), (1, 1), (1, 1), (2, 2)), "1/18"),
+            (((1, 1), (1, 1), (2, 1), (2, 2)), "-1/6"),
+            (((1, 1), (1, 2), (2, 2)), "1/6"),
+            (((1, 1), (2, 1), (2, 1), (2, 2)), "1/8"),
+            (((1, 1), (2, 2), (2, 2)), "-1/4"))
+        assert annihilation_coeff(avec, 2, s).items_sorted() == ket(
+            (((1, 1),), "1/2"))
+        # the zero mode is the scalar alpha_2 on the sector, with no entry
+        mode = len(ws.mode)
+        zero_mode = apply_mode(2, 0, s)
+        assert zero_mode == s.scale(a2)
+        assert zero_mode.items_sorted() == ket((parts, a2))
+        assert len(ws.mode) == mode
+
+    check(label(["1/2", "1/3"]), "1/3")
+    sizes = ws.sizes()
+    # one creation and one annihilation chain, and one mode entry per
+    # (color, n, parts) the four calls read
+    assert (sizes["mode"], sizes["chain"]) == (14, 2)
+    check(label(["-1/5", "1/2*i"]), "1/2*i")
+    assert ws.sizes() == sizes
+    for key in list(ws.mode) + list(ws.chain):
+        assert not any(isinstance(k, (Label, FockMonomial)) for k in key), key

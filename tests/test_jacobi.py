@@ -367,9 +367,34 @@ def test_jacobi_fails_on_a_commutator_off_by_a_unit():
     assert all(r.left is r.right for r in rep.checked if r.passed)
     for r in rep.failures:
         for side in (r.left, r.right):
-            assert None not in side.units
+            assert all(None not in us for us in side.sectors.values())
     mismatches = [ln for ln in rep.to_lines() if " MISMATCH " in ln]
     assert len(mismatches) == len(rep.failures) > 0
     for ln in mismatches:
         left, right = ln.split(" left=", 1)[1].split(" right=")
         assert left != right, ln
+
+
+def test_jacobi_on_labels_off_the_first_axis():
+    # rank 2, labels that are not collinear and heads on both colors, so
+    # every coordinate of every label and both color kernels enter
+    cs = CocycleSystem(2, ((gr("1/2"), gr("1/3")), (gr(0), gr("-1/4"))),
+                       ((gr("1/3"), gr(0)), (gr("1/5"), gr("1/2"))))
+    alpha, beta = label(["1/2", "1/3"]), label(["-1/5", "1/2*i"])
+    gamma = label(["1/4", "-2/3"])
+    x = IntertwinerSpec(State.of(monomial(alpha, ((1, 1),))), cs)
+    y = IntertwinerSpec(State.of(monomial(beta, ((2, 1),))), cs)
+    s = State.vacuum(2, gamma)
+    rep = verify_generalized_jacobi(x, y, s, radius=1, cutoff=6)
+    assert rep.outcome == "PASS", rep.failures_detail
+    assert (len(rep.checked), len(rep.skipped)) == (27, 0)
+    assert all(not r.left.is_zero for r in rep.checked)
+
+    # the twin: C12 off by the unit E(1/3) must fail
+    twin = jacobi.three_term_jacobi(
+        name="generalized_jacobi", op1=IntertwinerOp(x, 6), op2=IntertwinerOp(y, 6),
+        op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, cs), 6),
+        target=s, kappa12=-alpha.dot(beta), kappa_rhs=alpha.dot(gamma),
+        c12=cs.commutator(alpha, beta) * E("1/3"), radius=1, cutoff=6)
+    assert twin.outcome == "FAIL"
+    assert len(twin.failures) == len(twin.checked) == 27
