@@ -52,7 +52,6 @@ from .intertwiner import (
     verify_yy_conj,
 )
 from .jacobi import (
-    VerificationReport,
     verify_associativity,
     verify_commutator,
     verify_generalized_jacobi,
@@ -70,6 +69,7 @@ from .lattice import (
     verify_twist_grading,
     verify_twisted_jacobi,
 )
+from .report import VerificationReport
 from .scalars import GaussRat, as_scalar, gr
 from .series import WindowError
 

@@ -185,7 +185,7 @@ class IntertwinerSpec:
 
 
 # ---------------------------------------------------------------------------
-# exponentials of label modes (one variable)
+# exponentials of label modes
 
 
 def _mode_chain(avec: tuple, sign: int, parts: tuple[Part, ...],
@@ -237,6 +237,54 @@ def creation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> State:
 def annihilation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> State:
     """Coefficient of z^-k in Yplus applied to s, times arg^k."""
     return _ypm_coeff(1, avec, k, s, arg)
+
+
+def _ypm_dress(entries: dict[tuple[int, int], State], sign: int, avec: tuple,
+               s1: int, s2: int, cap1: int | None,
+               cap2: int) -> dict[tuple[int, int], State]:
+    """Yplus (sign=+1) or Yminus (sign=-1) of the label a = avec at the
+    argument w = s1*z1 + s2*z2, applied to two-variable entries.
+
+    An entry (e1, e2): st stands for z1^e1 z2^e2 st, and s1, s2 are in
+    {-1, 0, 1}.  With the chain coefficients C_k of ``_ypm_coeff``,
+    Y(a, w) = sum_k C_k w^(-sign*k), and w^n is expanded by the package's
+    binomial convention, in nonnegative powers of the second summand:
+    w^n = sum_m binom(n, m) (s1 z1)^(n-m) (s2 z2)^m.  A term past cap1 in
+    z1 or cap2 in z2 is dropped; every entry within the caps is exact:
+
+    * Yplus: C_k vanishes past the level sum of the entry, and the z2
+      exponent grows by m, so m <= cap2 - e2.  The z1 exponent only falls.
+    * Yminus: both exponents grow, by n - m and m, so k <= (cap1 - e1) +
+      (cap2 - e2).  With s1 = 0 (a pure z2 argument) only m = k survives,
+      as 0**0 == 1, and k <= cap2 - e2; cap1 may then be None.
+    """
+    out: dict[tuple[int, int], Sectors] = {}
+    for (e1, e2), st in entries.items():
+        room2 = cap2 - e2
+        if sign > 0:
+            kmax = st.max_levels()
+        else:
+            kmax = room2 + (cap1 - e1 if s1 else 0)
+        for k in range(kmax + 1):
+            ck = _ypm_coeff(sign, avec, k, st, S_ONE)
+            if ck.is_zero:
+                continue
+            n = -sign * k
+            for m in range(min(k, room2) + 1 if sign < 0 else room2 + 1):
+                f1 = e1 + n - m
+                if cap1 is not None and f1 > cap1:
+                    continue
+                # s1 = +-1 wherever n - m < 0, and (+-1)^-x == (+-1)^x
+                w = s1 ** abs(n - m) * s2 ** m
+                if not w:
+                    continue
+                c = binom(n, m)
+                if c.is_zero:
+                    continue
+                _add_sectors(out.setdefault((f1, e2 + m), {}),
+                             c if w > 0 else -c, ck.sectors)
+    done = {key: State(len(avec), secs) for key, secs in out.items()}
+    return {key: st for key, st in done.items() if not st.is_zero}
 
 
 def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
@@ -433,91 +481,6 @@ class DressedOp:
 
 
 # ---------------------------------------------------------------------------
-# two-variable dressed exponentials (used by the conjugation identities)
-
-Entries = dict[tuple[int, int], State]
-
-
-def _exp_apply(entries: Entries, terms: list[tuple[int, int, GaussRat, int]],
-               avec: tuple, cap1: int | None, cap2: int | None, rank: int) -> Entries:
-    """exp(A) on two-variable entries, A = sum_t c_t alpha(n_t) z1^d1 z2^d2.
-
-    Exponent caps prune anything that can no longer reach the requested
-    window (exponents only grow in capped directions).  The entries are
-    carried as sector dicts and become States once, when they are finished.
-    """
-    modes = [(i, a) for i, a in enumerate(avec, start=1) if not a.is_zero]
-
-    def one(cur: dict[tuple[int, int], Sectors], k: int) -> dict:
-        """A/k applied to the entries."""
-        inv_k = as_gauss(Fraction(1, k))
-        folded = [(d1, d2, n, [(i, c * a * inv_k) for i, a in modes])
-                  for d1, d2, c, n in terms]
-        new: dict[tuple[int, int], Sectors] = {}
-        for (e1, e2), secs in cur.items():
-            for d1, d2, n, scaled in folded:
-                f1, f2 = e1 + d1, e2 + d2
-                if (cap1 is not None and f1 > cap1) or \
-                   (cap2 is not None and f2 > cap2):
-                    continue
-                dst = new.setdefault((f1, f2), {})
-                for lab, us in secs.items():
-                    sec = dst.setdefault(lab, {})
-                    for u, src in us.items():
-                        acc = sec.setdefault(u, {})
-                        for p, x in src.items():
-                            for i, ca in scaled:
-                                _accumulate(acc, x * ca, _mode_on_monomial(i, n, p))
-        return {key: secs for key, secs in new.items()
-                if any(t for us in secs.values() for t in us.values())}
-
-    out: dict[tuple[int, int], Sectors] = {}
-    for key, st in entries.items():
-        _add_sectors(out.setdefault(key, {}), GR_ONE, st.sectors)
-    cur = out
-    k = 1
-    while cur:
-        cur = one(cur, k)
-        for key, secs in cur.items():
-            _add_sectors(out.setdefault(key, {}), GR_ONE, secs)
-        k += 1
-    done = {key: State(rank, secs) for key, secs in out.items()}
-    return {key: st for key, st in done.items() if not st.is_zero}
-
-
-def _yplus_terms(s1: int, s2: int, nmax: int, mmax: int) -> list:
-    """Terms of -sum_{n>0} alpha(n)/n (s1*z1 + s2*z2)^(-n), z2 second."""
-    out = []
-    for n in range(1, nmax + 1):
-        for m in range(mmax + 1):
-            c = binom(-n, m) * Fraction(-1, n)
-            if (n + m) % 2 and s1 < 0:
-                c = -c
-            if m % 2 and s2 < 0:
-                c = -c
-            out.append((-n - m, m, as_gauss(c), n))
-    return out
-
-
-def _yminus_terms(s1: int, s2: int, nmax: int) -> list:
-    """Terms of +sum_{n>0} alpha(-n)/n (s1*z1 + s2*z2)^(+n), z2 second."""
-    out = []
-    for n in range(1, nmax + 1):
-        for m in range(n + 1):
-            c = binom(n, m) * Fraction(1, n)
-            if (n - m) % 2 and s1 < 0:
-                c = -c
-            if m % 2 and s2 < 0:
-                c = -c
-            out.append((n - m, m, as_gauss(c), -n))
-    return out
-
-
-def _vertex_grid_coeff(u: State, e: int, s: State) -> State:
-    return vertex_mode(u, -e - 1, s)
-
-
-# ---------------------------------------------------------------------------
 # verifiers for the exponential-operator identities
 
 
@@ -574,8 +537,7 @@ def verify_y_conj_minus(alpha: Label, u: State, s: State, w1: tuple[int, int],
     va = alpha.alpha
     rank = s.rank
     ku = u.max_levels()
-    dressed = {(0, 0): u}
-    dressed = _exp_apply(dressed, _yplus_terms(-1, 1, ku, r2), va, None, r2, rank)
+    dressed = _ypm_dress({(0, 0): u}, 1, va, -1, 1, None, r2)
     plain = {p: annihilation_coeff(va, p, u, arg=S_MINUS_ONE)
              for p in range(ku + 1)}
     for j in range(r2 + 1):
@@ -584,12 +546,12 @@ def verify_y_conj_minus(alpha: Label, u: State, s: State, w1: tuple[int, int],
             lhs = State.zero(rank)
             for p, up in plain.items():
                 if not up.is_zero:
-                    lhs = lhs + _vertex_grid_coeff(up, e1 + p, a_j)
+                    lhs = lhs + vertex_mode(up, -e1 - p - 1, a_j)
             rhs = State.zero(rank)
             for (c1, c2), ust in dressed.items():
                 if c2 > j:
                     continue
-                inner = _vertex_grid_coeff(ust, e1 - c1, s)
+                inner = vertex_mode(ust, c1 - e1 - 1, s)
                 if inner.is_zero:
                     continue
                 rhs = rhs + creation_coeff(va, j - c2, inner)
@@ -609,14 +571,13 @@ def verify_y_conj_plus(alpha: Label, u: State, s: State, r1: int,
     # right side's z2-shifts c2 >= 0 never take it higher
     if _starved(rep, ku + ks + w2[1], cutoff):
         return rep
-    mmax = max(w2[1], 0) + ku + ks
-    dressed = {(0, 0): u}
-    dressed = _exp_apply(dressed, _yplus_terms(1, -1, ku, mmax),
-                         va, None, None, rank)
+    # an entry at z2-shift c2 > ku + ks + e2 meets t as a mode that
+    # lowers the level sum below 0, so the z2 cap is exact
+    dressed = _ypm_dress({(0, 0): u}, 1, va, 1, -1, None, max(w2[1], 0) + ku + ks)
     tails = {i: annihilation_coeff(va, i, s) for i in range(s.max_levels() + 1)}
     for i in range(r1 + 1):
         for e2 in range(w2[0], w2[1] + 1):
-            lhs = annihilation_coeff(va, i, _vertex_grid_coeff(u, e2, s))
+            lhs = annihilation_coeff(va, i, vertex_mode(u, -e2 - 1, s))
             rhs = State.zero(rank)
             for (c1, c2), ust in dressed.items():
                 ii = i + c1
@@ -625,7 +586,7 @@ def verify_y_conj_plus(alpha: Label, u: State, s: State, r1: int,
                 t = tails[ii]
                 if t.is_zero:
                     continue
-                rhs = rhs + _vertex_grid_coeff(ust, e2 - c2, t)
+                rhs = rhs + vertex_mode(ust, c2 - e2 - 1, t)
             rep.record((as_gauss(-i), as_gauss(e2)), lhs, rhs)
     return rep
 
@@ -654,29 +615,24 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
             acc = State.zero(rank)
             for k, t in tails.items():
                 if not t.is_zero:
-                    acc = acc + _vertex_grid_coeff(dj, e2 + k, t)
+                    acc = acc + vertex_mode(dj, -e2 - k - 1, t)
             lhs_grid[(j, e2)] = acc
     # right side pipeline; the primary variable of Yplus(alpha, z2+z1) is
     # z2, so the dressing is built with slots (z2, z1) and swapped after
-    entries = {(0, 0): s}
-    entries = _exp_apply(entries, _yplus_terms(1, 1, ks, r1), va, None, r1, rank)
+    entries = _ypm_dress({(0, 0): s}, 1, va, 1, 1, None, r1)
     entries = {(e1, e2): st for (e2, e1), st in entries.items()}
-    step2: Entries = {}
+    step2: dict[tuple[int, int], State] = {}
     for (e1, e2), st in entries.items():
         lo = -(ku + st.max_levels()) + e2
         for tot in range(lo, e2cap + 1):
-            v = _vertex_grid_coeff(u, tot - e2, st)
+            v = vertex_mode(u, e2 - tot - 1, st)
             if v.is_zero:
                 continue
             key = (e1, tot)
             acc = step2.get(key)
             step2[key] = v if acc is None else acc + v
-    nmax = r1 + e2cap + ku + 2 * ks  # sound bound on one-shot exponent jumps
-    step3 = _exp_apply(step2, _yminus_terms(1, 1, nmax), va, r1, e2cap, rank)
-    vneg = (-alpha).alpha
-    step4 = _exp_apply(step3, [(0, n, as_gauss(Fraction(1, n)), -n)
-                               for n in range(1, nmax + 1)],
-                       vneg, r1, e2cap, rank)
+    step3 = _ypm_dress(step2, -1, va, 1, 1, r1, e2cap)
+    step4 = _ypm_dress(step3, -1, (-alpha).alpha, 0, 1, r1, e2cap)
     for j in range(r1 + 1):
         for e2 in range(w2[0], w2[1] + 1):
             rhs = State.zero(rank)
@@ -762,14 +718,14 @@ def verify_shift_conj_vertex(alpha: Label, u: State, s: State,
     dressed = [[annihilation_coeff(shift.alpha, p, u, arg=S_MINUS_ONE)
                 for p in range(u.max_levels() + 1)] for shift in shifts]
     for e in range(window[0], window[1] + 1):
-        left = tuple(translate_label(_vertex_grid_coeff(
-            u, e, translate_label(s, shift)), -shift) for shift in shifts)
+        left = tuple(translate_label(vertex_mode(
+            u, -e - 1, translate_label(s, shift)), -shift) for shift in shifts)
         right = []
         for parts in dressed:
             acc = State.zero(s.rank)
             for p, up in enumerate(parts):
                 if not up.is_zero:
-                    acc = acc + _vertex_grid_coeff(up, e + p, s)
+                    acc = acc + vertex_mode(up, -e - p - 1, s)
             right.append(acc)
         rep.record((as_gauss(e),), left, tuple(right))
     return rep

@@ -46,7 +46,7 @@ from typing import Callable
 
 from .fock import Sectors, State, _add_sectors, vertex_mode, virasoro_mode
 from .intertwiner import IntertwinerOp, IntertwinerSpec
-from .report import CheckRecord, VerificationReport
+from .report import VerificationReport
 from .scalars import (
     Scalar,
     as_gauss,
@@ -56,8 +56,6 @@ from .scalars import (
 from .series import CosetError, exponent_index
 
 __all__ = [
-    "CheckRecord",
-    "VerificationReport",
     "coeff_product",
     "three_term_jacobi",
     "verify_commutator",

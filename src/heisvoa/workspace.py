@@ -10,7 +10,9 @@ Every memo that outlives a single operator lives in one ``Workspace``:
   the mode data, the sector label (the zero modes read it) and the parts;
 * ``chain``: the coefficients of the label-mode exponentials, keyed
   (alpha, side, parts) for the coordinate tuple alpha of the
-  exponential's label, without the series argument;
+  exponential's label, without the series argument; they serve the
+  intertwiner and, expanded binomially, the two-variable dressings of
+  the conjugation identities;
 * ``coeff``: the intertwiner half-kernels H(j) = [z^j] Y(u,z) Yplus t,
   one lazily grown list per (label, head parts, target label, target
   parts), over the exponents j read so far.

@@ -56,19 +56,25 @@ KEPT_WITHOUT_A_CALLER_IN_SRC = {
 
 
 def test_no_public_code_without_a_caller_in_src():
-    # a public def or class that src/ never names and __all__ lacks is test-only code
-    used, defined = set(), set()
+    # a public def or class that src/ never names and __all__ lacks is test-only
+    # code; a module-level private one is a helper that a deletion left behind
+    used, defined, private = set(), set(), set()
     for path in Path(heisvoa.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
+        private |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")}
     dead = {name for name in defined - used - set(heisvoa.__all__)
             if not name.startswith("_")}
     assert dead == set(KEPT_WITHOUT_A_CALLER_IN_SRC)
+    assert private - used == set()
 
 
 def test_no_module_level_caches():

@@ -309,6 +309,63 @@ def test_shift_conjugation_designed_failure(monkeypatch, name):
     assert verify(alpha, s, u).outcome == "FAIL"
 
 
+def _flipped_s1(dress):
+    """The two-variable dressing taken at -s1*z1 + s2*z2 instead."""
+    def wrong(entries, sign, avec, s1, s2, cap1, cap2):
+        return dress(entries, sign, avec, -s1, s2, cap1, cap2)
+    return wrong
+
+
+# each conjugation identity dresses with Y(alpha, s1*z1 + s2*z2); the
+# wrong sign on z1 must come out as a failure
+CONJ_MUTANTS = {
+    "y_conj_minus": lambda alpha, u, s: verify_y_conj_minus(alpha, u, s, w1=(-2, 2),
+                                                            r2=2),
+    "y_conj_plus": lambda alpha, u, s: verify_y_conj_plus(alpha, u, s, r1=2,
+                                                          w2=(-2, 2)),
+    "yy_conj": lambda alpha, u, s: verify_yy_conj(alpha, u, s, r1=2, w2=(-2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", CONJ_MUTANTS)
+def test_conjugation_designed_failure(monkeypatch, name):
+    verify = CONJ_MUTANTS[name]
+    alpha = label(["1/2"])
+    u = State.of(monomial(zero_label(1), ((1, 1), (1, 1))))
+    s = State.vacuum(1, label(["-1/3"]))
+    assert verify(alpha, u, s).verdict
+    monkeypatch.setattr(intertwiner, "_ypm_dress",
+                        _flipped_s1(intertwiner._ypm_dress))
+    rep = verify(alpha, u, s)
+    assert rep.verdict is False and rep.failures
+
+
+def test_two_variable_dressing_closed_form():
+    dress = intertwiner._ypm_dress
+    a1 = Fraction(2, 3)
+    avec = label([a1]).alpha
+    vac = State.vacuum(1)
+    one = State.of(monomial(zero_label(1), ((1, 1),)))  # a(-1)|0>
+    for s1, s2 in ((1, 1), (-1, 1), (1, -1)):
+        # Yplus(alpha, w) a(-1)|0> = a(-1)|0> - alpha_1 w^-1 |0>, w^-1 expanded
+        # in nonnegative powers of z2 and cut at z2^3
+        want = {(0, 0): one}
+        for m in range(4):
+            c = -a1 * (-1) ** m * Fraction(s1) ** (-1 - m) * s2 ** m
+            want[(-1 - m, m)] = vac.scale(as_gauss(c))
+        assert dress({(0, 0): one}, 1, avec, s1, s2, None, 3) == want
+        # Yminus(alpha, w)|0>: its order-1 part is alpha_1 w a(-1)|0>, and
+        # every exponent pair within the caps (2, 3) appears
+        got = dress({(0, 0): vac}, -1, avec, s1, s2, 2, 3)
+        assert got[(1, 0)] == one.scale(as_gauss(s1 * a1))
+        assert got[(0, 1)] == one.scale(as_gauss(s2 * a1))
+        assert set(got) == {(e1, e2) for e1 in range(3) for e2 in range(4)}
+    # with s1 = 0 the argument is z2 alone
+    got = dress({(0, 0): vac}, -1, avec, 0, 1, None, 3)
+    assert set(got) == {(0, 0), (0, 1), (0, 2), (0, 3)}
+    assert got[(0, 1)] == one.scale(as_gauss(a1))
+
+
 def test_mixed_coset_target_rejected():
     cs = standard_cocycle(1)
     x = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cs)
