@@ -24,11 +24,9 @@ from .scalars import (
     GR_ZERO,
     GaussRat,
     S_ONE,
-    UNIT_ONE,
     Scalar,
-    Unit,
     _reduce,
-    _unit_product,
+    _unit_mul,
     as_gauss,
     as_scalar,
     binom,
@@ -66,9 +64,6 @@ class Label:
             return NotImplemented
         return self is other or (self._hash == other._hash
                                  and self.alpha == other.alpha)
-
-    def __lt__(self, other: "Label") -> bool:
-        return self.alpha < other.alpha
 
     def __repr__(self) -> str:
         return f"Label(alpha={self.alpha!r})"
@@ -163,13 +158,13 @@ class State:
 
     It is stored by sector: ``sectors[lab][u][parts]`` is the rational
     coefficient of the unit ``u`` on the monomial ``monomial(lab, parts)``,
-    and the unit key ``None`` holds the unit-free part.  Each sector is a
-    unit sum over parts-keyed term dicts, the layout the kernels build.
-    The form is canonical (no empty sector, no empty unit slot, no zero
-    entry, never the key ``UNIT_ONE``), so equal states have equal dicts.
-    A State owns its dicts: the constructor takes freshly built ones,
-    never a memo table's or another State's.  ``FockMonomial`` stays the
-    public monomial type: ``of`` and ``items_sorted`` translate.
+    and the unit key ``None`` holds the unit-free part, the key a
+    ``Scalar`` gives it too.  Each sector is a unit sum over parts-keyed
+    term dicts, the layout the kernels build.  The form is canonical (no
+    empty sector, no empty unit slot, no zero entry), so equal states have
+    equal dicts.  A State owns its dicts: the constructor takes freshly
+    built ones, never a memo table's or another State's.  ``FockMonomial``
+    stays the public monomial type: ``of`` and ``items_sorted`` translate.
     """
 
     __slots__ = ("rank", "sectors", "_hash")
@@ -196,7 +191,7 @@ class State:
     @classmethod
     def of(cls, mono: FockMonomial, coeff=S_ONE) -> "State":
         return cls(mono.label.rank,
-                   {mono.label: {None if u == UNIT_ONE else u: {mono.parts: q}
+                   {mono.label: {u: {mono.parts: q}
                                  for u, q in as_scalar(coeff).terms.items()}})
 
     @classmethod
@@ -224,9 +219,6 @@ class State:
     def __sub__(self, other: "State") -> "State":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "State":
-        return self.scale(-1)
-
     def scale(self, c) -> "State":
         c = as_scalar(c)
         if c.is_one:
@@ -234,13 +226,6 @@ class State:
         out: Sectors = {}
         _add_sectors(out, GR_ONE, self.sectors, c)
         return State(self.rank, out)
-
-    def __mul__(self, c):
-        if isinstance(c, (int, Fraction, GaussRat, Scalar)):
-            return self.scale(c)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     # -- structure queries ------------------------------------------------------
     def single_label(self) -> Label:
@@ -261,7 +246,7 @@ class State:
             merged: dict[tuple[Part, ...], dict] = {}
             for u, t in us.items():
                 for p, q in t.items():
-                    merged.setdefault(p, {})[UNIT_ONE if u is None else u] = q
+                    merged.setdefault(p, {})[u] = q
             out += [(FockMonomial(lab, p), Scalar(merged[p], _clean=True))
                     for p in sorted(merged)]
         return out
@@ -340,33 +325,20 @@ def _accumulate(out: Terms, c: GaussRat, terms: Terms) -> None:
         out[m] = _reduce(a, b, d)
 
 
-def _unit_mul(u: Unit | None, v: Unit | None) -> tuple[int, Unit | None]:
-    """The product of two unit-sum keys as a sign and a key."""
-    if u is None:
-        return 1, v
-    if v is None:
-        return 1, u
-    sign, w = _unit_product(u, v)
-    return sign, None if w == UNIT_ONE else w
-
-
 def _add_units(out: UnitSum, q: GaussRat, us: UnitSum,
                c: Scalar | None = None) -> None:
     """out += q * c * us for a rational q and an optional Scalar c.
 
-    A rational c folds into q; otherwise each unit of c multiplies each
-    unit of us, with the sign of the wrapped E-exponent folded into q.
-    Slots that cancel stay behind empty; ``State`` drops them.
+    Each unit key of c multiplies each unit key of us through
+    ``_unit_mul``, with the sign of the wrapped E-exponent folded into the
+    rational factor.  Slots that cancel stay behind empty; ``State`` drops
+    them.
     """
-    if c is not None and c._rat is not None:
-        q = q * c._rat
-        c = None
     if c is None:
         for u, terms in us.items():
             _accumulate(out.setdefault(u, {}), q, terms)
         return
     for cu, cq in c.terms.items():
-        cu = None if cu == UNIT_ONE else cu
         x = q * cq
         for u, terms in us.items():
             sign, v = _unit_mul(u, cu)

@@ -39,8 +39,8 @@ from .intertwiner import (
     CocycleSystem,
     IntertwinerOp,
     IntertwinerSpec,
+    _shift_scaled,
     annihilation_coeff,
-    apply_e,
     creation_coeff,
 )
 from .report import VerificationReport
@@ -69,14 +69,13 @@ class FormConfig:
 
 
 def e_dagger(cocycle: CocycleSystem, alpha: Label, s: State, n_branch: int) -> State:
-    """e^(a+) = E(-N a(0)) lam^(2a(0) - a.a) e^a, zero modes after the shift."""
-    shifted = apply_e(cocycle, alpha, s)
-    out = State.zero(s.rank)
-    for m, c in shifted.items_sorted():
-        eig = alpha.dot(m.label)
-        out = out + State.of(m, coeff=c * branch_phase(-eig, n_branch)
-                             * lam_pow(2 * eig - alpha.norm2()))
-    return out
+    """e^(a+) = E(-N a(0)) lam^(2a(0) - a.a) e^a, zero modes after the shift:
+    on the sector beta, a(0) reads a.(a+beta)."""
+    def factor(beta: Label) -> Scalar:
+        eig = alpha.dot(alpha + beta)
+        return (cocycle.epsilon(alpha, beta) * branch_phase(-eig, n_branch)
+                * lam_pow(2 * eig - alpha.norm2()))
+    return _shift_scaled(s, alpha, factor)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .fock import (
     _levels,
     _map,
     _mode_on_monomial,
-    _unit_mul,
     _vertex_on_monomials,
     exp_virasoro_coeffs,
     translate_label,
@@ -50,6 +49,7 @@ from .scalars import (
     S_MINUS_ONE,
     S_ONE,
     Scalar,
+    _unit_mul,
     as_gauss,
     binom,
     zeta_pow,

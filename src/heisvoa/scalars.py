@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 from .workspace import current
 
@@ -316,30 +316,40 @@ def _normalize_e(kappa: GaussRat) -> tuple[int, GaussRat]:
     return sign, _make(a, kappa.b, kappa.d)
 
 
-def _unit_product(u1: Unit, u2: Unit) -> tuple[int, Unit]:
-    """u1*u2 as a sign and a normalized unit: the E-exponents add and wrap
-    through ``_normalize_e``, the lam and zeta exponents add."""
-    sign, e_norm = _normalize_e(u1.e_exp + u2.e_exp)
-    return sign, Unit(e_norm, u1.lam_exp + u2.lam_exp, u1.zeta_exp + u2.zeta_exp)
+def _unit(e_norm: GaussRat, lam_exp: GaussRat, zeta_exp: GaussRat) -> Unit | None:
+    """The key of a unit with a normalized E-exponent: None when it is trivial."""
+    u = Unit(e_norm, lam_exp, zeta_exp)
+    return None if u == UNIT_ONE else u
+
+
+def _unit_mul(u: Unit | None, v: Unit | None) -> tuple[int, Unit | None]:
+    """The product of two unit keys as a sign and a key: the E-exponents
+    add and wrap through ``_normalize_e``, the lam and zeta exponents add."""
+    if u is None:
+        return 1, v
+    if v is None:
+        return 1, u
+    sign, e_norm = _normalize_e(u.e_exp + v.e_exp)
+    return sign, _unit(e_norm, u.lam_exp + v.lam_exp, u.zeta_exp + v.zeta_exp)
 
 
 class Scalar:
     """Element of the group algebra: a finite sum coeff * unit.
 
-    A scalar whose unit part is trivial keeps its coefficient in ``_rat``
-    (``GR_ZERO`` for zero, ``None`` when some unit is nontrivial), so the
-    ring operations on rational scalars skip the term loop.
+    ``terms`` maps each unit to its nonzero coefficient, and the trivial
+    unit is keyed ``None``, as in the unit sums of a ``State``: a rational
+    scalar c is ``{None: c}``.
     """
 
-    __slots__ = ("terms", "_rat", "_hash")
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[Unit, GaussRat] | None = None, *, _clean=False):
+    def __init__(self, terms: Mapping[Unit | None, GaussRat] | None = None, *,
+                 _clean=False):
         if terms is None:
             terms = {}
         if not _clean:
             terms = {u: c for u, c in terms.items() if not c.is_zero}
         _set_terms(self, terms)
-        _set_rat(self, _rat_of(terms))
         _set_hash(self, None)
 
     def __setattr__(self, name, value):
@@ -355,7 +365,7 @@ class Scalar:
         sign, e_norm = _normalize_e(as_gauss(e_exp))
         if sign < 0:
             coeff = -coeff
-        unit = Unit(e_norm, as_gauss(lam_exp), as_gauss(zeta_exp))
+        unit = _unit(e_norm, as_gauss(lam_exp), as_gauss(zeta_exp))
         return cls({unit: coeff}, _clean=True)
 
     # -- queries ----------------------------------------------------------
@@ -365,26 +375,25 @@ class Scalar:
 
     @property
     def is_one(self) -> bool:
-        r = self._rat
-        return r is not None and r.a == 1 and r.d == 1 and not r.b
+        c = self.terms.get(None)
+        return (c is not None and c.a == 1 and c.d == 1 and not c.b
+                and len(self.terms) == 1)
 
     @property
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
     def as_rational(self) -> GaussRat | None:
-        """The coefficient if this scalar is rational (unit part trivial)."""
-        return self._rat
+        """The coefficient if this scalar is rational (unit part trivial):
+        ``GR_ZERO`` for zero, ``None`` when some unit is nontrivial."""
+        if not self.terms:
+            return GR_ZERO
+        return self.terms.get(None) if len(self.terms) == 1 else None
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
             other = as_scalar(other)
-        r = self._rat
-        if r is not None:
-            s = other._rat
-            if s is not None:
-                return _rational(r + s)
         if not self.terms:
             return other
         if not other.terms:
@@ -407,13 +416,7 @@ class Scalar:
     def __sub__(self, other) -> "Scalar":
         return self + (-as_scalar(other))
 
-    def __rsub__(self, other) -> "Scalar":
-        return as_scalar(other) + (-self)
-
     def __neg__(self) -> "Scalar":
-        r = self._rat
-        if r is not None:
-            return _rational(-r)
         return Scalar({u: -c for u, c in self.terms.items()}, _clean=True)
 
     def __mul__(self, other):
@@ -421,17 +424,10 @@ class Scalar:
             if other.__class__ is GaussRat or isinstance(other, (int, Fraction)):
                 return self.scale(other)
             return NotImplemented
-        # pure rationals multiply without touching the unit group
-        r = self._rat
-        if r is not None:
-            return other.scale(r)
-        r = other._rat
-        if r is not None:
-            return self.scale(r)
-        out: dict[Unit, GaussRat] = {}
+        out: dict[Unit | None, GaussRat] = {}
         for u1, c1 in self.terms.items():
             for u2, c2 in other.terms.items():
-                sign, u = _unit_product(u1, u2)
+                sign, u = _unit_mul(u1, u2)
                 c = c1 * c2
                 if sign < 0:
                     c = -c
@@ -446,17 +442,9 @@ class Scalar:
                         out[u] = s
         return Scalar(out, _clean=True)
 
-    def __rmul__(self, other):
-        if other.__class__ is GaussRat or isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, x) -> "Scalar":
         if x.__class__ is not GaussRat:
             x = as_gauss(x)
-        r = self._rat
-        if r is not None:
-            return _rational(r * x)
         if not x.a and not x.b:
             return S_ZERO
         return Scalar({u: c * x for u, c in self.terms.items()}, _clean=True)
@@ -468,12 +456,13 @@ class Scalar:
                 "only group-algebra monomials are invertible "
                 f"(got {len(self.terms)} terms)")
         (u, c), = self.terms.items()
+        if u is None:
+            u = UNIT_ONE
         sign, e_norm = _normalize_e(-u.e_exp)
         coeff = GR_ONE / c
         if sign < 0:
             coeff = -coeff
-        inv = Unit(e_norm, -u.lam_exp, -u.zeta_exp)
-        return Scalar({inv: coeff}, _clean=True)
+        return Scalar({_unit(e_norm, -u.lam_exp, -u.zeta_exp): coeff}, _clean=True)
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
@@ -500,13 +489,11 @@ class Scalar:
         return h
 
     def sorted_terms(self) -> list[tuple[Unit, GaussRat]]:
+        """The terms in unit order, the trivial unit spelled ``UNIT_ONE``."""
         return sorted(
-            self.terms.items(),
+            ((UNIT_ONE if u is None else u, c) for u, c in self.terms.items()),
             key=lambda t: (t[0].e_exp.sort_key(), t[0].lam_exp.sort_key(),
                            t[0].zeta_exp.sort_key()))
-
-    def __iter__(self) -> Iterator[tuple[Unit, GaussRat]]:
-        return iter(self.sorted_terms())
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -528,43 +515,19 @@ class Scalar:
 
 
 _set_terms = Scalar.terms.__set__
-_set_rat = Scalar._rat.__set__
 _set_hash = Scalar._hash.__set__
-
-
-def _rat_of(terms: Mapping[Unit, GaussRat]) -> GaussRat | None:
-    """The coefficient of a unit-free term dict, or None."""
-    if not terms:
-        return GR_ZERO
-    if len(terms) == 1:
-        return terms.get(UNIT_ONE)
-    return None
-
-
-_UNIT_ONE_KEY = {UNIT_ONE: None}
-
-
-def _rational(c: GaussRat) -> Scalar:
-    """The unit-free scalar c."""
-    if not c.a and not c.b:
-        return S_ZERO
-    x = _new(Scalar)
-    # fromkeys of a dict reuses its stored hashes: UNIT_ONE is not rehashed
-    _set_terms(x, dict.fromkeys(_UNIT_ONE_KEY, c))
-    _set_rat(x, c)
-    _set_hash(x, None)
-    return x
 
 
 def as_scalar(x) -> Scalar:
     if x.__class__ is Scalar:
         return x
-    return _rational(as_gauss(x))
+    c = as_gauss(x)
+    return S_ZERO if c.is_zero else Scalar({None: c}, _clean=True)
 
 
 S_ZERO = Scalar({}, _clean=True)
-S_ONE = Scalar({UNIT_ONE: GR_ONE}, _clean=True)
-S_MINUS_ONE = Scalar({UNIT_ONE: -GR_ONE}, _clean=True)
+S_ONE = Scalar({None: GR_ONE}, _clean=True)
+S_MINUS_ONE = Scalar({None: -GR_ONE}, _clean=True)
 
 
 def E(kappa) -> Scalar:

@@ -2,15 +2,21 @@
 
 Each workload config under ``bench/workloads`` runs through ``cli.main``
 at seed 2024; its body (the report without the lines that start with
-``# ``) must hash to the digest recorded in ``bench/reference``.
+``# ``) must hash to the digest recorded in ``bench/reference``.  The
+per-layer tracer of ``bench/spans.py`` must still find every entry point
+it wraps.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import heisvoa
 from heisvoa import cli, workspace
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -34,3 +40,15 @@ def test_gated_bench_body_matches_its_reference(name, tmp_path):
         # one label-free entry per (color, n, parts) and per chain
         sizes = workspace.current().sizes()
         assert sizes["mode"] <= 556 and sizes["chain"] <= 174, sizes
+
+
+def test_tracer_finds_every_entry_point_it_wraps():
+    # a child interpreter installs the wrappers, so none leaks into this one
+    src = str(Path(heisvoa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(BENCH), src])}
+    code = ("import json, spans; t = spans.Tracer(); t.install(); "
+            "print(json.dumps(t.missing))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

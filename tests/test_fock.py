@@ -330,6 +330,18 @@ def build_state(steps):
     return s
 
 
+def test_one_trivial_unit_key_in_scalar_and_state():
+    # the unit-free part is keyed None in a Scalar, as in a State's unit sums
+    for c in (as_scalar(gr("1/2")), E(2), E(-3), E("1/2") * E("3/2"),
+              lam_pow(1) * lam_pow(-1)):
+        assert set(c.terms) == {None}, c.terms
+    assert (E("1/3") * E("1/3").inverse()).terms == {None: GR_ONE}
+    m = monomial(label(["1/3"]), ((1, 1),))
+    for c in (as_scalar(gr("-2/3")), E("1/2").scale(3) + as_scalar(1),
+              lam_pow("1/2") * zeta_pow(-1)):
+        assert set(State.of(m, coeff=c).sectors[m.label]) == set(c.terms)
+
+
 def assert_canonical(s):
     for lab, us in s.sectors.items():
         assert us  # no empty sector slot

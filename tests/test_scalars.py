@@ -95,11 +95,11 @@ def test_unit_relations():
     assert E(1) * x == -x                                        # E(1) = -1 folds
     assert lam_pow(2) * lam_pow(-2) == S_ONE
     assert zeta_pow(gr(0, 1)) * zeta_pow(gr(0, -1)) == S_ONE
-    # stored E exponents never sit in Z unless zero
+    # stored E exponents never sit in Z unless zero; the trivial unit is None
     for k in (gr(Fraction(7, 2)), gr(-3), gr(4), gr(Fraction(-1, 2), 1)):
         s = E(k)
         for u, _ in s.terms.items():
-            assert u.e_exp.is_zero or not u.e_exp.is_integer
+            assert u is None or u.e_exp.is_zero or not u.e_exp.is_integer
 
 
 def test_scalar_ring_axioms_randomized():
