@@ -21,7 +21,6 @@ specialized to a number; every lam dependence stays in the unit group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .fock import (
     FockMonomial,
@@ -29,10 +28,10 @@ from .fock import (
     State,
     apply_mode,
     basis_monomials,
+    exp_virasoro_coeffs,
     label,
     monomial,
     vertex_mode,
-    virasoro_mode,
     zero_label,
 )
 from .intertwiner import (
@@ -212,7 +211,6 @@ class AdjointIntertwinerOp:
 
     def __init__(self, spec: IntertwinerSpec, cfg: FormConfig,
                  cutoff: int | None = None):
-        self.spec = spec
         self.cfg = cfg
         self.cutoff = cutoff
         self.label = spec.label
@@ -227,12 +225,11 @@ class AdjointIntertwinerOp:
         self._u_parts: list[tuple[int, State, Scalar]] = []
         for hm, hc in spec.head.items_sorted():
             h = hm.levels_sum
-            cur = State.of(monomial(zero_label(spec.head.rank), hm.parts))
-            q = 0
-            while not cur.is_zero:
+            u = State.of(monomial(zero_label(spec.head.rank), hm.parts))
+            for q, cur in enumerate(exp_virasoro_coeffs(1, u, h, sign=-1)):
+                if cur.is_zero:
+                    break  # L(1) lowers the level sum: the rest vanishes too
                 self._u_parts.append((q - 2 * h, cur, lam_pow(2 * h - 2 * q) * hc))
-                cur = virasoro_mode(1, cur).scale(Fraction(-1, q + 1))
-                q += 1
 
     def offset_on(self, target_label: Label) -> GaussRat:
         return -self.label.dot(self.label + target_label)

@@ -12,7 +12,9 @@ operator, and e^alpha shifts the label with the cocycle factor
 epsilon(alpha,beta).  Every coefficient of the resulting series in the
 coset alpha.beta + Z is an exact finite sum; the optional cutoff bounds
 the level sums a computation is allowed to touch and trips a
-WindowError instead of ever truncating silently.
+WindowError instead of ever truncating silently.  The same operator
+with the head dressed as Delta(gamma,z)u|alpha> and a scalar per target
+label is the twisted and the DLM operator of the lattice module.
 """
 
 from __future__ import annotations
@@ -350,118 +352,42 @@ def _half_kernel(lab: Label, head_parts: tuple, tlab: Label, tparts: tuple,
 
 
 class IntertwinerOp:
-    """Coefficient extractor for one creative intertwiner.
+    """Coefficient extractor for one creative intertwiner, optionally of a
+    Delta(beta,z)-dressed head: Y(Delta(beta,z) u|alpha>, z) times a
+    scalar per target label.
 
-    Its attributes are the coefficient-operator protocol that
-    ``DressedOp`` and the lattice operators share and the three-term
-    engine relies on: ``label``, ``head_state``, ``weight_int``,
-    ``offset_on(target_label)`` (the coset base of the exponents on that
-    label) and ``coefficient(target, exponent)``, the one read of a
-    coefficient, a ``State``.  A coefficient is computed sector by
-    sector of the target: the sector of beta goes to the sector
-    label + beta, and the exponent offset, the cocycle value and the
-    shifted label are read once per sector.
+    Its attributes are the coefficient-operator protocol that the
+    lattice operators share and the three-term engine relies on:
+    ``label``, ``head_state``, ``weight_int``, ``offset_on(target_label)``
+    (the coset base of the exponents on that label) and
+    ``coefficient(target, exponent)``, the one read of a coefficient, a
+    ``State``.  Delta(beta,z) head is a finite sum of states at integer
+    exponent shifts (``delta_dress``); the operator keeps each as a part
+    with its own level bound, and without ``beta`` the head is one part
+    at shift 0.  Subclasses supply the per-label scalar through
+    ``label_factor``.  A coefficient is computed sector by sector of the
+    target: the sector of t goes to the sector label + t, and the
+    exponent offset, the cocycle value times the label factor and the
+    shifted label are read from one per-operator dict.
     """
 
-    def __init__(self, spec: IntertwinerSpec, cutoff: int | None = None):
-        self.spec = spec
+    def __init__(self, spec: IntertwinerSpec, cutoff: int | None = None,
+                 beta: Label | None = None):
+        head = spec.head
+        self.head_state = head
         self.label = spec.label
         self.cocycle = spec.cocycle
         self.cutoff = cutoff
         self.weight_int = spec.weight_int
-        self._heads = [(p, u, q, _levels(p)) for us in spec.head.sectors.values()
-                       for u, t in us.items() for p, q in t.items()]
-
-    @property
-    def head_state(self) -> State:
-        return self.spec.head
-
-    def offset_on(self, target_label: Label) -> GaussRat:
-        return self.label.dot(target_label)
-
-    def coefficient(self, target: State, exponent) -> State:
-        """The exact coefficient of z**exponent in the intertwiner applied
-        to the target state.
-
-        At relative exponent n it is sum_kp B_kp H(n - kp) for the
-        creation chain B of the label and the half-kernels H of
-        ``_half_kernel``: the half-kernels of every target monomial and
-        head part are summed per creation order kp first, so each chain
-        is applied once per (kp, monomial) of that sum.  The cocycle
-        factor enters once per target sector and kp.
-        """
-        exponent = as_gauss(exponent)
-        out: Sectors = {}
-        for beta, us in target.sectors.items():
-            self._coefficient_into(out, beta, us, exponent, S_ONE)
-        return State(target.rank, out)
-
-    def _coefficient_into(self, out: Sectors, beta: Label, us: UnitSum,
-                          exponent: GaussRat, factor: Scalar) -> None:
-        """out += factor * (the coefficient at ``exponent`` on the sector
-        beta of a target, with unit sum us), in the sector label + beta."""
-        lab = self.label
-        n_rel = exponent_index(self.offset_on(beta), exponent)
-        sums: dict[int, UnitSum] = {}  # by creation order kp
-        for tu, t in us.items():
-            for tparts, tq in t.items():
-                kt = _levels(tparts)
-                max_out = self.weight_int + kt + n_rel
-                if max_out < 0:
-                    continue
-                # the memo key has no cutoff: decide it before the lookup
-                if self.cutoff is not None and max_out > self.cutoff:
-                    raise WindowError(
-                        f"coefficient at relative exponent {n_rel} needs level sums "
-                        f"up to {max_out} > cutoff {self.cutoff}")
-                for hparts, hu, hq, kh in self._heads:
-                    lo = -(kh + kt)
-                    if n_rel < lo:
-                        continue
-                    half = _half_kernel(lab, hparts, beta, tparts, lo, n_rel)
-                    sign, u = _unit_mul(tu, hu)
-                    x = -tq * hq if sign < 0 else tq * hq
-                    for kp in range(n_rel - lo + 1):
-                        terms = half[n_rel - kp - lo]
-                        if terms:
-                            _accumulate(sums.setdefault(kp, {}).setdefault(u, {}),
-                                        x, terms)
-        if not sums:
-            return
-        c = self.cocycle.epsilon(lab, beta)
-        if not factor.is_one:
-            c = c * factor
-        dst = out.setdefault(lab + beta, {})
-        avec = lab.alpha
-        for kp, kus in sums.items():
-            if not c.is_one:
-                scaled: UnitSum = {}
-                _add_units(scaled, GR_ONE, kus, c)
-                kus = scaled
-            for u, terms in kus.items():
-                acc = dst.setdefault(u, {})
-                for gp, gc in terms.items():
-                    _accumulate(acc, gc, _mode_chain(avec, -1, gp, kp)[kp])
-
-
-class DressedOp:
-    """Y(Delta(beta,z) head, z) times a scalar per target label.
-
-    Delta(beta,z) head is a finite sum of states at exponent shifts, so
-    the operator is a sum of plain intertwiners; without ``beta`` it is
-    the plain intertwiner of the head.  Subclasses supply the per-label
-    scalar through ``label_factor``.
-    """
-
-    def __init__(self, head: State, cocycle: CocycleSystem,
-                 beta: Label | None = None, cutoff: int | None = None):
-        self.head_state = head
-        self.label = head.single_label()
-        self.weight_int = head.max_levels()
         self.beta = beta if beta is not None else zero_label(head.rank)
-        dressed = delta_dress(beta, head) if beta is not None else [(GR_ZERO, head)]
-        self._parts = [(exp, IntertwinerOp(IntertwinerSpec(st, cocycle), cutoff))
+        base = self.label.dot(self.beta)
+        dressed = delta_dress(beta, head) if beta is not None else [(base, head)]
+        # (exponent shift, level bound, head terms) per part of the head
+        self._parts = [(exponent_index(base, exp), st.max_levels(),
+                        [(p, u, q, _levels(p)) for us in st.sectors.values()
+                         for u, t in us.items() for p, q in t.items()])
                        for exp, st in dressed]
+        self._sectors: dict = {}
 
     def offset_on(self, target_label: Label) -> GaussRat:
         return self.label.dot(self.beta + target_label)
@@ -470,13 +396,75 @@ class DressedOp:
         """The scalar multiplying the part of the target on this label."""
         return S_ONE
 
+    def _sector(self, beta: Label) -> tuple[GaussRat, Scalar, Label]:
+        """The exponent offset, epsilon(label, beta) times the label factor
+        and the shifted label label + beta, on the target sector beta."""
+        hit = self._sectors.get(beta)
+        if hit is None:
+            c = self.cocycle.epsilon(self.label, beta)
+            factor = self.label_factor(beta)
+            if not factor.is_one:
+                c = c * factor
+            hit = self._sectors[beta] = (self.offset_on(beta), c, self.label + beta)
+        return hit
+
     def coefficient(self, target: State, exponent) -> State:
+        """The exact coefficient of z**exponent in the operator applied to
+        the target state.
+
+        At relative exponent n a part at shift x contributes
+        sum_kp B_kp H(n - x - kp) for the creation chain B of the label
+        and the half-kernels H of ``_half_kernel``: the half-kernels of
+        every part, head term and target monomial are summed per creation
+        order kp first, so each chain is applied once per (kp, monomial)
+        of that sum.  The sector scalar enters once per target sector
+        and kp.
+        """
         exponent = as_gauss(exponent)
+        lab = self.label
+        avec = lab.alpha
         out: Sectors = {}
         for beta, us in target.sectors.items():
-            factor = self.label_factor(beta)
-            for dress_exp, op in self._parts:
-                op._coefficient_into(out, beta, us, exponent - dress_exp, factor)
+            offset, c, shifted = self._sector(beta)
+            n_sector = exponent_index(offset, exponent)
+            sums: dict[int, UnitSum] = {}  # by creation order kp
+            for shift, level_bound, heads in self._parts:
+                n_rel = n_sector - shift
+                for tu, t in us.items():
+                    for tparts, tq in t.items():
+                        kt = _levels(tparts)
+                        max_out = level_bound + kt + n_rel
+                        if max_out < 0:
+                            continue
+                        # the memo key has no cutoff: decide it before the lookup
+                        if self.cutoff is not None and max_out > self.cutoff:
+                            raise WindowError(
+                                f"coefficient at relative exponent {n_rel} needs "
+                                f"level sums up to {max_out} > cutoff {self.cutoff}")
+                        for hparts, hu, hq, kh in heads:
+                            lo = -(kh + kt)
+                            if n_rel < lo:
+                                continue
+                            half = _half_kernel(lab, hparts, beta, tparts, lo, n_rel)
+                            sign, u = _unit_mul(tu, hu)
+                            x = -tq * hq if sign < 0 else tq * hq
+                            for kp in range(n_rel - lo + 1):
+                                terms = half[n_rel - kp - lo]
+                                if terms:
+                                    _accumulate(sums.setdefault(kp, {})
+                                                .setdefault(u, {}), x, terms)
+            if not sums:
+                continue
+            dst = out.setdefault(shifted, {})
+            for kp, kus in sums.items():
+                if not c.is_one:
+                    scaled: UnitSum = {}
+                    _add_units(scaled, GR_ONE, kus, c)
+                    kus = scaled
+                for u, terms in kus.items():
+                    acc = dst.setdefault(u, {})
+                    for gp, gc in terms.items():
+                        _accumulate(acc, gc, _mode_chain(avec, -1, gp, kp)[kp])
         return State(target.rank, out)
 
 
@@ -774,7 +762,7 @@ def verify_e_conjugation(spec: IntertwinerSpec, beta: Label, target: State,
     alpha = spec.label
     rep = VerificationReport("e_conjugation", window_used=f"[lo,{hi}]")
     op = IntertwinerOp(spec, cutoff)
-    dop = DressedOp(spec.head, cs, beta, cutoff)
+    dop = IntertwinerOp(spec, cutoff, beta)
     c_ab = cs.commutator(alpha, beta)
     shifted = apply_e(cs, beta, target)
     gamma = target.single_label()

@@ -31,7 +31,6 @@ from .fock import (
 )
 from .intertwiner import (
     CocycleSystem,
-    DressedOp,
     IntertwinerOp,
     IntertwinerSpec,
     annihilation_coeff,
@@ -295,14 +294,13 @@ def verify_shifted_virasoro(td: TwistData, max_weight: int,
 # twisted vertex operators
 
 
-class TwistedVertexOp(DressedOp):
+class TwistedVertexOp(IntertwinerOp):
     """Y_g(u|mu>, z) = Y(Delta(alpha,z) u|mu>, z) acting on the plain
     lattice module."""
 
     def __init__(self, td: TwistData, head: State, cocycle: CocycleSystem,
                  cutoff: int | None = None):
-        super().__init__(head, cocycle, td.alpha, cutoff)
-        self.td = td
+        super().__init__(IntertwinerSpec(head, cocycle), cutoff, td.alpha)
 
 
 def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State,
@@ -395,7 +393,7 @@ def verify_twist_grading(td: TwistData, max_weight: int) -> VerificationReport:
 # complex-parametrized operators on twisted sectors
 
 
-class DlmOp(DressedOp):
+class DlmOp(IntertwinerOp):
     """The generalized vertex operator on twisted sectors, closed form.
 
     For a head u|mu1+a> acting on a target v|mu2+b> (b the declared
@@ -414,32 +412,26 @@ class DlmOp(DressedOp):
                  n_branch: int = 1, cutoff: int | None = None):
         if variant not in ("delta", "hat"):
             raise ValueError("variant must be 'delta' or 'hat'")
-        super().__init__(head, cocycle, cutoff=cutoff)
-        self.td = td
+        super().__init__(IntertwinerSpec(head, cocycle), cutoff)
         self.lattice = td.lattice
         self.alpha = td.alpha
         self.sector = sector
         self.variant = variant
         self.n_branch = n_branch
-        self.cocycle = cocycle
         self.mu1 = self.label - self.alpha
         if not self.lattice.in_lattice(self.mu1):
             raise ValueError("head label minus twist must be a lattice vector")
-        self._pref_cache: dict = {}
 
     def label_factor(self, target_label: Label) -> Scalar:
-        hit = self._pref_cache.get(target_label)
-        if hit is None:
-            mu2 = target_label - self.sector
-            if not self.lattice.in_lattice(mu2):
-                raise ValueError("target label minus sector twist must be a "
-                                 "lattice vector")
-            hit = (self.cocycle.epsilon(self.mu1, mu2)
-                   * self.cocycle.epsilon(self.label, target_label).inverse())
-            if self.variant == "delta":
-                hit = hit * branch_phase(self.alpha.dot(mu2), self.n_branch)
-            self._pref_cache[target_label] = hit
-        return hit
+        mu2 = target_label - self.sector
+        if not self.lattice.in_lattice(mu2):
+            raise ValueError("target label minus sector twist must be a "
+                             "lattice vector")
+        factor = (self.cocycle.epsilon(self.mu1, mu2)
+                  * self.cocycle.epsilon(self.label, target_label).inverse())
+        if self.variant == "delta":
+            factor = factor * branch_phase(self.alpha.dot(mu2), self.n_branch)
+        return factor
 
 
 def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,

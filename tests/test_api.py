@@ -77,6 +77,25 @@ def test_no_public_code_without_a_caller_in_src():
     assert private - used == set()
 
 
+def test_every_stored_attribute_is_read():
+    # an attribute that src/ stores on self and that no code under src/,
+    # tests/ or bench/ reads back is state nothing uses
+    root = Path(__file__).resolve().parent.parent
+    src = Path(heisvoa.__file__).parent
+    read, stored = set(), set()
+    for path in [*src.glob("*.py"), *(root / "tests").glob("*.py"),
+                 *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif path.parent == src and isinstance(node.value, ast.Name) \
+                    and node.value.id == "self":
+                stored.add(f"{path.name}:{node.lineno} self.{node.attr}")
+    assert sorted(s for s in stored if s.rpartition(".")[2] not in read) == []
+
+
 def test_no_module_level_caches():
     # every memo that outlives one operator is a table of the workspace
     for info in pkgutil.iter_modules(heisvoa.__path__):

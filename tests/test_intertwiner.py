@@ -248,6 +248,22 @@ def test_e_conjugation_report():
         assert rep.verdict, rep.failures_detail
 
 
+def test_e_conjugation_designed_failure(monkeypatch):
+    cs = CocycleSystem(1, ((gr("1/3"),),), ((gr("1/5"),),))
+    head = apply_mode(1, -1, State.vacuum(1, label(["1/2"])))
+
+    def verify():
+        return verify_e_conjugation(IntertwinerSpec(head, cs), label(["-1/4"]),
+                                    State.vacuum(1, label(["1/3"])), hi=2)
+
+    assert verify().outcome == "PASS"
+    # the dressed operator without the top part of Delta(beta,z)u
+    dress = intertwiner.delta_dress
+    monkeypatch.setattr(intertwiner, "delta_dress", lambda beta, s: dress(beta, s)[:-1])
+    rep = verify()
+    assert len(rep.failures) == len(rep.checked) == 4
+
+
 def test_prop_conjugation_identities():
     rng = random.Random(57)
     rank = 1
@@ -449,6 +465,44 @@ def test_coefficient_matches_the_per_monomial_kernels(monkeypatch):
             assert capped.coefficient(target, e) == want, e
     assert 0 < raised < len(exponents)
     assert workspace.current().sizes()["coeff"] == 3 * 4
+
+
+def test_dressed_coefficient_is_the_sum_of_its_parts():
+    # Y(Delta(beta,z)u, z) = sum over the parts (x, st) of Delta(beta,z)u of
+    # z^x Y(st, z), each part with the level bound of its own head
+    cs = generic_cocycle(2)
+    alpha = label(["1/2+1/3*i", "-1/4*i"])
+    beta = label(["1/3", "-1/2+1/5*i"])
+    g1 = label(["1/3+1/2*i", "-1/4"])
+    g2 = g1 + label(["0", "4*i"])  # alpha.g2 = alpha.g1 + 1: one coset
+    va = State.vacuum(2, alpha)
+    head = (apply_mode(1, -1, apply_mode(2, -1, va)).scale(zeta_pow(gr("1/3")))
+            + apply_mode(2, -2, va).scale(E("1/2")))
+    target = (State.of(monomial(g1, ((1, 1),)))
+              + State.vacuum(2, g2).scale(lam_pow(1)))
+    op = IntertwinerOp(IntertwinerSpec(head, cs), 6, beta)
+    parts = [(x, IntertwinerOp(IntertwinerSpec(st, cs), 6))
+             for x, st in delta_dress(beta, head)]
+    assert len(parts) > 1
+    base = op.offset_on(g1)
+    raised = 0
+    for n in range(-6, 6):
+        e = base + n
+        try:
+            want = State.zero(2)
+            for x, part in parts:
+                want = want + part.coefficient(target, e - x)
+        except WindowError:
+            raised += 1
+            with pytest.raises(WindowError):
+                op.coefficient(target, e)
+        else:
+            assert op.coefficient(target, e) == want, n
+    assert 0 < raised < 12
+    # the shifted sector labels are built once per operator
+    first, second = (op.coefficient(target, base + n).sectors for n in (0, 1))
+    assert len(first) == 2 and first.keys() == second.keys()
+    assert {id(k) for k in first} == {id(k) for k in second}
 
 
 def test_shared_memo_matches_a_fresh_workspace(monkeypatch):

@@ -3,6 +3,7 @@ from functools import partial
 
 import pytest
 
+from heisvoa import intertwiner
 from heisvoa.fock import (
     State,
     apply_mode,
@@ -187,6 +188,18 @@ def test_li_equivalence():
     assert rep.verdict, rep.failures_detail
 
 
+def test_li_equivalence_designed_failure(monkeypatch):
+    # the twisted operator without the top part of Delta(alpha,z)x
+    td = twist(Z1, [Fraction(1, 2)])
+    x = apply_mode(1, -1, State.vacuum(1, Z1.label_of([1])))
+    one = State.vacuum(1)
+    assert verify_li_equivalence(td, x, one, order=2).outcome == "PASS"
+    dress = intertwiner.delta_dress
+    monkeypatch.setattr(intertwiner, "delta_dress", lambda beta, s: dress(beta, s)[:-1])
+    rep = verify_li_equivalence(td, x, one, order=2)
+    assert (len(rep.failures), len(rep.checked)) == (3, 4)
+
+
 def test_lattice_invariant_form_parity_prefactor():
     # the invariance prefactor for lattice labels is the parity sign
     lat = Z1
@@ -264,6 +277,32 @@ def test_dlm_jacobi():
     assert metas[("delta", 1)] != metas[("delta", 3)]
     assert metas[("hat", 1)] == metas[("hat", 3)]
     assert "E(" not in metas[("hat", 1)]
+
+
+def _without_branch_phase(op, target_label):
+    """The delta-variant label factor with its branch phase left out."""
+    mu2 = target_label - op.sector
+    return (op.cocycle.epsilon(op.mu1, mu2)
+            * op.cocycle.epsilon(op.label, target_label).inverse())
+
+
+@pytest.mark.parametrize("gram, failed", [([[1]], 70), ([[2]], 73)])
+def test_dlm_jacobi_designed_failure(monkeypatch, gram, failed):
+    lat = integral_lattice(gram)
+    rank = lat.heis_rank
+    td1, td2 = twist(lat, [Fraction(1, 2)]), twist(lat, [Fraction(1, 3)])
+    x = State.vacuum(rank, td1.alpha + lat.label_of([1]))
+    y = State.vacuum(rank, td2.alpha + lat.label_of([1]))
+    s = State.vacuum(rank)
+
+    def verify():
+        return verify_dlm_jacobi(td1, td2, zero_label(rank), x, y, s,
+                                 variant="delta", radius=2, cutoff=6)
+
+    assert verify().outcome == "PASS"
+    monkeypatch.setattr(DlmOp, "label_factor", _without_branch_phase)
+    rep = verify()
+    assert (len(rep.failures), len(rep.checked)) == (failed, 124)
 
 
 def test_dlm_eta_values():
