@@ -70,7 +70,7 @@ from .lattice import (
     verify_twisted_jacobi,
 )
 from .report import VerificationReport
-from .scalars import GaussRat, as_scalar, gr
+from .scalars import GaussRat, as_gauss, as_scalar, gr
 from .series import WindowError
 
 SUITES = ("heisenberg", "virasoro", "intertwiner-props", "jacobi", "skew",
@@ -138,12 +138,7 @@ class Scenario:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kw = dict(data)
-        for key in ("labels", "heads", "jacobi_instances", "twists",
-                    "suites", "gram", "embedding", "cocycle_f", "cocycle_g"):
-            if key in kw and kw[key] is not None:
-                kw[key] = _freeze(kw[key])
-        scn = cls(**kw)
+        scn = cls(**{k: _freeze(v) for k, v in data.items()})
         bad = [k for k in ("rank", "cutoff", "window", "n_branch", "seed",
                            "max_weight", "pairs", "numerator_bound",
                            "denominator_bound")
@@ -160,8 +155,9 @@ class Scenario:
             raise ConfigError("branch parameter N must be odd")
         if scn.cutoff < scn.window:
             raise ConfigError("cutoff must be at least the window radius")
-        if not isinstance(scn.suites, tuple):
-            raise ConfigError("suites must be a list of suite names")
+        for key in ("suites", "labels", "jacobi_instances", "twists"):
+            if not isinstance(getattr(scn, key), tuple):
+                raise ConfigError(f"{key} must be a list")
         if not scn.suites:
             raise ConfigError("suites must name at least one suite")
         bad = [s for s in scn.suites if s not in SUITES]
@@ -187,10 +183,6 @@ class Scenario:
                 if len(part) != 2 or any(type(v) is not int for v in part) \
                         or part[1] >= 0 or not 1 <= part[0] <= scn.rank:
                     raise ConfigError(f"malformed head part {part}")
-        for row in scn.labels:
-            if len(row) != scn.rank:
-                raise ConfigError(f"label sample {row} does not match rank "
-                                  f"{scn.rank}")
         if not isinstance(scn.gram, tuple) or any(
                 not isinstance(row, tuple) or any(type(v) is not int for v in row)
                 for row in scn.gram):
@@ -200,19 +192,34 @@ class Scenario:
             raise ConfigError("jacobi and skew need jacobi_instances")
         if not scn.twists and selected & {"lattice-twist", "dlm"}:
             raise ConfigError("lattice-twist and dlm need twists")
-        if any(len(inst) != 3 for inst in scn.jacobi_instances):
-            raise ConfigError("a jacobi instance is three labels")
+        if any(not isinstance(inst, tuple) or len(inst) != 3
+               for inst in scn.jacobi_instances):
+            raise ConfigError("a jacobi instance is a list of three labels")
         try:
-            for row in scn.labels + scn.jacobi_instances:
-                for v in row:
-                    gr(v)
             scn.cocycle()
             lat = integral_lattice(scn.gram, scn.embedding)
-            for t in scn.twists:
-                _twist_of(lat, t)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad label, cocycle, lattice or twist: {exc}") from exc
+            raise ConfigError(f"bad cocycle or lattice: {exc}") from exc
+        lists = [("labels", scn.labels, scn.rank), ("twists", scn.twists, lat.rank)]
+        lists += [(f"jacobi_instances[{i}]", inst, scn.rank)
+                  for i, inst in enumerate(scn.jacobi_instances)]
+        for name, entries, rank in lists:
+            for i, entry in enumerate(entries):
+                _coords(entry, rank, f"{name}[{i}]")
         return scn
+
+
+def _coords(entry, rank: int, where: str = "label") -> list[GaussRat]:
+    """A config label entry as its `rank` coordinates: a string or an
+    integer is a value on the first axis, a list the whole tuple."""
+    if not isinstance(entry, (list, tuple)):
+        entry = (entry,) + ("0",) * (rank - 1)
+    elif len(entry) != rank:
+        raise ConfigError(f"{where}: {len(entry)} coordinates for rank {rank}")
+    try:
+        return [as_gauss(v) for v in entry]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _freeze(x):
@@ -221,21 +228,27 @@ def _freeze(x):
     return x
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_config(path: str) -> tuple[str, dict]:
+    """The text of a config file and the JSON object it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    return Scenario.from_dict(data)
+    return text, data
+
+
+def load_scenario(path: str) -> Scenario:
+    return Scenario.from_dict(_read_config(path)[1])
 
 
 def sample_labels(scn: Scenario, rng: random.Random, count: int):
     """Gaussian-rational label tuples from the configured bounded ranges."""
     r = scn.rank
-    out = [label([gr(v) for v in row]) for row in scn.labels]
+    out = [label(_coords(row, r)) for row in scn.labels]
     nb, db = scn.numerator_bound, scn.denominator_bound
     while len(out) < count:
         out.append(label([GaussRat(Fraction(rng.randint(-nb, nb), rng.randint(1, db)),
@@ -310,10 +323,9 @@ def suite_jacobi(scn: Scenario) -> list[Case]:
     cs = scn.cocycle()
     r = scn.radius("jacobi")
     cases: list[Case] = []
-    for inst, (astr, bstr, gstr) in enumerate(scn.jacobi_instances):
-        alpha = label([astr] + ["0"] * (rank - 1))
-        beta = label([bstr] + ["0"] * (rank - 1))
-        gamma = label([gstr] + ["0"] * (rank - 1))
+    instances = [[label(_coords(v, rank)) for v in inst]
+                 for inst in scn.jacobi_instances]
+    for inst, (alpha, beta, gamma) in enumerate(instances):
         s = State.vacuum(rank, gamma)
         for hi_, hx in enumerate(scn.heads):
             for hj, hy in enumerate(scn.heads):
@@ -322,9 +334,9 @@ def suite_jacobi(scn: Scenario) -> list[Case]:
                 rep = verify_generalized_jacobi(x, y, s, r, scn.n_branch, scn.cutoff)
                 cases.append((f"inst{inst}/heads{hi_}{hj}", rep))
     u = State.of(monomial(zero_label(rank), ((1, 1),)))
-    alpha = label([scn.jacobi_instances[0][0]] + ["0"] * (rank - 1))
+    alpha, beta, _ = instances[0]
     w = IntertwinerSpec(State.vacuum(rank, alpha), cs)
-    s0 = State.vacuum(rank, label([scn.jacobi_instances[0][1]] + ["0"] * (rank - 1)))
+    s0 = State.vacuum(rank, beta)
     cases.append(("commutator", verify_commutator(u, w, 1, s0, min(r, 2), scn.cutoff)))
     cases.append(("normal_order", verify_normal_order(u, w, s0, min(r, 2), scn.cutoff)))
     cases.append(("locality", verify_locality(u, w, s0, 1, min(r, 2), min(r, 2),
@@ -334,8 +346,7 @@ def suite_jacobi(scn: Scenario) -> list[Case]:
     if scn.negative_controls:
         bad = scn.cocycle(corruption=gr(1))
         xb = IntertwinerSpec(State.vacuum(rank, alpha), bad)
-        yb = IntertwinerSpec(
-            State.vacuum(rank, label([scn.jacobi_instances[0][1]] + ["0"] * (rank - 1))), bad)
+        yb = IntertwinerSpec(State.vacuum(rank, beta), bad)
         rep = verify_generalized_jacobi(xb, yb, s0, 1, scn.n_branch, scn.cutoff,
                                         expected_failure=True)
         cases.append(("negative/corrupt_cocycle", rep))
@@ -346,8 +357,8 @@ def suite_locality(scn: Scenario) -> list[Case]:
     rank = scn.rank
     cs = scn.cocycle()
     r = min(scn.radius("locality"), 2)
-    alpha = label(["1/2"] + ["0"] * (rank - 1))
-    beta = label(["1/3"] + ["0"] * (rank - 1))
+    alpha = label(_coords("1/2", rank))
+    beta = label(_coords("1/3", rank))
     u = State.of(monomial(zero_label(rank), ((1, 1),)))
     w = IntertwinerSpec(State.vacuum(rank, alpha), cs)
     s = State.vacuum(rank, beta)
@@ -365,10 +376,8 @@ def suite_skew(scn: Scenario) -> list[Case]:
     cs = scn.cocycle()
     r = scn.radius("skew")
     cases: list[Case] = []
-    pairs = []
-    for astr, bstr, _ in scn.jacobi_instances:
-        pairs.append((label([astr] + ["0"] * (rank - 1)),
-                      label([bstr] + ["0"] * (rank - 1))))
+    pairs = [(label(_coords(a, rank)), label(_coords(b, rank)))
+             for a, b, _ in scn.jacobi_instances]
     pool = sample_labels(scn, rng, 2 * scn.pairs)
     while len(pairs) < scn.pairs:
         k = len(pairs)
@@ -410,23 +419,15 @@ def suite_form(scn: Scenario) -> list[Case]:
     return cases
 
 
-def _twist_of(lat, entry):
-    """A twist config entry: one GaussRat string or a coordinate tuple."""
-    coords = list(entry) if isinstance(entry, (list, tuple)) \
-        else [entry] + ["0"] * (lat.rank - 1)
-    return twist(lat, coords)
-
-
 def suite_lattice_twist(scn: Scenario) -> list[Case]:
     lat = integral_lattice(scn.gram, scn.embedding)
     cs = lattice_cocycle(lat)
     cases: list[Case] = []
     r = scn.radius("lattice-twist")
-    e1 = [1] + [0] * (lat.rank - 1)
+    x = State.vacuum(lat.heis_rank, lat.label_of(_coords(1, lat.rank)))
     for tstr in scn.twists:
-        td = _twist_of(lat, tstr)
+        td = twist(lat, _coords(tstr, lat.rank))
         tag = f"alpha={tstr}"
-        x = State.vacuum(lat.heis_rank, lat.label_of(e1))
         s = State.vacuum(lat.heis_rank, td.alpha)
         cases.append((f"{tag}/twisted_jacobi",
                       verify_twisted_jacobi(td, x, x, s, r, scn.cutoff, cs)))
@@ -444,11 +445,11 @@ def suite_dlm(scn: Scenario) -> list[Case]:
     lat = integral_lattice(scn.gram, scn.embedding)
     cs = lattice_cocycle(lat)
     r = min(scn.radius("dlm"), 2)
-    e1 = [1] + [0] * (lat.rank - 1)
-    td1 = _twist_of(lat, scn.twists[0])
-    td2 = _twist_of(lat, scn.twists[-1])
-    x = State.vacuum(lat.heis_rank, td1.alpha + lat.label_of(e1))
-    y = State.vacuum(lat.heis_rank, td2.alpha + lat.label_of(e1))
+    e1 = lat.label_of(_coords(1, lat.rank))
+    td1 = twist(lat, _coords(scn.twists[0], lat.rank))
+    td2 = twist(lat, _coords(scn.twists[-1], lat.rank))
+    x = State.vacuum(lat.heis_rank, td1.alpha + e1)
+    y = State.vacuum(lat.heis_rank, td2.alpha + e1)
     s = State.vacuum(lat.heis_rank)
     cases: list[Case] = []
     for variant in ("delta", "hat"):
@@ -550,17 +551,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config_text = fh.read()
-        data = json.loads(config_text)
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
+        config_text, data = _read_config(args.config)
         for key in ("suite", "window", "cutoff", "n_branch", "seed"):
             val = getattr(args, key)
             if val is not None:
                 data["suites" if key == "suite" else key] = val
         scn = Scenario.from_dict(data)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

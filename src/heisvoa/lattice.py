@@ -126,6 +126,7 @@ def rational_embedding(gram: Sequence[Sequence[int]]) -> Mat:
 class IntegralLattice:
     gram: tuple[tuple[int, ...], ...]
     embedding: Mat  # heis_rank x lattice_rank, columns are basis images
+    gram_inv: Mat  # G^-1, inverted once when the lattice is built
 
     @property
     def rank(self) -> int:
@@ -154,14 +155,14 @@ class IntegralLattice:
 
     def coords_of(self, lab: Label) -> tuple[Fraction, ...] | None:
         """Lattice coordinates of an embedded label, or None if outside."""
-        gram_inv = _mat_inv(_mat(self.gram))
         if not all(a.im == 0 for a in lab.alpha):
             return None
         # coords = G^-1 B^T lab
         bt_lab = [sum(self.embedding[i][k] * lab.alpha[i].re
                       for i in range(self.heis_rank))
                   for k in range(self.rank)]
-        coords = tuple(sum(gram_inv[k][j] * bt_lab[j] for j in range(self.rank))
+        coords = tuple(sum(self.gram_inv[k][j] * bt_lab[j]
+                           for j in range(self.rank))
                        for k in range(self.rank))
         if self.label_of(coords) != lab:
             return None
@@ -191,7 +192,7 @@ def integral_lattice(gram: Sequence[Sequence[int]],
             got = sum(b[i][j] * b[i][k] for i in range(len(b)))
             if got != g[j][k]:
                 raise ValueError("embedding does not reproduce the gram matrix")
-    return IntegralLattice(g, b)
+    return IntegralLattice(g, b, _mat_inv(_mat(g)))
 
 
 def lattice_cocycle(lattice: IntegralLattice) -> CocycleSystem:
@@ -209,7 +210,7 @@ def lattice_cocycle(lattice: IntegralLattice) -> CocycleSystem:
         for j in range(r):
             if i > j:
                 f_lat[i][j] = Fraction(g[i][j] + g[i][i] * g[j][j])
-    gram_inv = _mat_inv(_mat(g))
+    gram_inv = lattice.gram_inv
     b = lattice.embedding
     l = lattice.heis_rank
     # f = B G^-1 f_lat G^-1 B^T

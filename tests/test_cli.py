@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pstats
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import heisvoa
-from heisvoa.cli import SUITES, ConfigError, load_scenario, main
+from heisvoa.cli import SUITES, ConfigError, load_scenario, main, sample_labels
+from heisvoa.fock import label
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -144,6 +146,8 @@ def test_load_scenario_and_defaults(tmp_path):
 # Configs that no suite can use: each must be refused before any suite runs.
 MALFORMED = {
     "gram_not_positive_definite": dict(gram=[[0]], suites=["lattice-twist"]),
+    "gram_singular_with_embedding": dict(gram=[[0]], embedding=[[0]],
+                                         suites=["lattice-twist"]),
     "head_color_above_rank": dict(heads=[[[2, -1]]], suites=["jacobi"]),
     "jacobi_without_instances": dict(jacobi_instances=[], suites=["jacobi"]),
     "skew_without_instances": dict(jacobi_instances=[], suites=["skew"]),
@@ -175,6 +179,11 @@ MALFORMED = {
     "jacobi_label_i_without_star": dict(jacobi_instances=[["1/2i", "0", "0"]],
                                         suites=["jacobi"]),
     "label_boolean": dict(labels=[[True]]),
+    "label_tuple_longer_than_rank": dict(rank=2, labels=[["1/2", "0", "0"]]),
+    "labels_a_string": dict(labels="12"),
+    "jacobi_instance_tuple_shorter_than_rank": dict(
+        rank=3, jacobi_instances=[["1/2", ["1/3", "0"], "0"]], suites=["jacobi"]),
+    "jacobi_instance_a_string": dict(jacobi_instances=["123"], suites=["jacobi"]),
     "embedding_boolean": dict(embedding=[[True]], suites=["lattice-twist"]),
     "embedding_row_too_short": dict(gram=[[2, 1], [1, 2]], embedding=[[1], [1]],
                                     twists=[["1/2", "0"]], suites=["dlm"]),
@@ -198,6 +207,60 @@ def test_malformed_config_exits_2(tmp_path, overrides):
     with pytest.raises(ConfigError):
         load_scenario(config)
     assert main(["verify", config]) == 2
+
+
+def test_label_entry_errors_name_field_index_and_length(tmp_path):
+    config = write_config(tmp_path, rank=3, suites=["jacobi"],
+                          jacobi_instances=[["1/2", ["1/3", "0"], "0"]])
+    with pytest.raises(ConfigError, match=r"^jacobi_instances\[0\]\[1\]: "
+                                          r"2 coordinates for rank 3$"):
+        load_scenario(config)
+    config = write_config(tmp_path, labels=["1/2", ["1/0"]])
+    with pytest.raises(ConfigError, match=r"^labels\[1\]: "):
+        load_scenario(config)
+
+
+def test_string_label_is_a_first_axis_value(tmp_path):
+    # a string is one coordinate, never a sequence of one-letter coordinates
+    scn = load_scenario(write_config(tmp_path, rank=3,
+                                     labels=["123", ["1", "2", "3"]]))
+    first, full = sample_labels(scn, random.Random(0), 2)
+    assert first == label(["123", "0", "0"])
+    assert full == label(["1", "2", "3"])
+
+
+def test_first_axis_strings_and_one_coordinate_tuples_agree(tmp_path):
+    common = dict(suites=["jacobi", "skew"], window=1, heads=[[], [[1, -1]]])
+    strings = write_config(tmp_path, "strings.json", **common,
+                           jacobi_instances=[["1/2", "1/3", "-1/4"]])
+    tuples = write_config(tmp_path, "tuples.json", **common,
+                          jacobi_instances=[[["1/2"], ["1/3"], ["-1/4"]]])
+    bodies = []
+    for config in (strings, tuples):
+        status, text = run(tmp_path, config)
+        assert status == 0
+        # the digest line hashes the config text, which differs on purpose
+        bodies.append([ln for ln in body_of(text).splitlines()
+                       if not ln.startswith("config-digest: ")])
+    assert bodies[0] == bodies[1]
+
+
+def test_jacobi_and_skew_on_labels_off_the_first_axis(tmp_path):
+    # rank 2: alpha, beta not collinear, heads on both colors
+    config = write_config(
+        tmp_path, rank=2, window=1, cutoff=6, suites=["jacobi", "skew"],
+        jacobi_instances=[[["1/2", "1/3"], ["-1/5", "1/2*i"], ["0", "0"]]],
+        heads=[[], [[1, -1]], [[2, -1]]])
+    status, text = run(tmp_path, config)
+    assert status == 0
+    lines = text.splitlines()
+    outcomes = [(case.split()[-1], line.split()[1])
+                for case, line in zip(lines, lines[1:]) if case.startswith("suite ")]
+    assert outcomes.pop(13) == ("negative/corrupt_cocycle", "XFAIL")
+    assert len(outcomes) == 19
+    assert {outcome for _, outcome in outcomes} == {"PASS"}
+    assert "summary: cases=20 checked=305 failing-cases=0 " \
+           "designed-failures=1" in text
 
 
 def test_suites_must_be_a_list(tmp_path):

@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from heisvoa import intertwiner
+from heisvoa import intertwiner, lattice
 from heisvoa.fock import (
     State,
     apply_mode,
@@ -367,3 +367,17 @@ def test_dlm_coefficient_scales_each_label_part_by_its_factor():
                 + plain.coefficient(high, e).scale(factors[1]))
         assert op.coefficient(low + high, e) == want, n
     assert not op.coefficient(low + high, base + 2).is_zero
+
+
+def test_gram_inverse_is_computed_once_per_lattice(monkeypatch):
+    calls = []
+    real_inv = lattice._mat_inv
+    monkeypatch.setattr(lattice, "_mat_inv",
+                        lambda m: calls.append(m) or real_inv(m))
+    lat = integral_lattice([[2, -1], [-1, 2]])
+    built = len(calls)
+    for k in range(4):
+        assert lat.in_lattice(lat.label_of([k, 1]))
+        assert not lat.in_lattice(lat.label_of(["1/2", k]))
+    lattice_cocycle(lat)
+    assert len(calls) == built == 1
