@@ -183,13 +183,15 @@ class Scenario:
                 if len(part) != 2 or any(type(v) is not int for v in part) \
                         or part[1] >= 0 or not 1 <= part[0] <= scn.rank:
                     raise ConfigError(f"malformed head part {part}")
-        if not isinstance(scn.gram, tuple) or any(
+        if not isinstance(scn.gram, tuple) or not scn.gram or any(
                 not isinstance(row, tuple) or any(type(v) is not int for v in row)
                 for row in scn.gram):
-            raise ConfigError("gram must be a matrix of integers")
+            raise ConfigError("gram must be a nonempty matrix of integers")
         selected = set(scn.suites)
         if not scn.jacobi_instances and selected & {"jacobi", "skew"}:
             raise ConfigError("jacobi and skew need jacobi_instances")
+        if not scn.heads and selected & {"jacobi", "skew"}:
+            raise ConfigError("jacobi and skew need heads")
         if not scn.twists and selected & {"lattice-twist", "dlm"}:
             raise ConfigError("lattice-twist and dlm need twists")
         if any(not isinstance(inst, tuple) or len(inst) != 3
@@ -427,7 +429,9 @@ def suite_lattice_twist(scn: Scenario) -> list[Case]:
     x = State.vacuum(lat.heis_rank, lat.label_of(_coords(1, lat.rank)))
     for tstr in scn.twists:
         td = twist(lat, _coords(tstr, lat.rank))
-        tag = f"alpha={tstr}"
+        # a coordinate list is tagged by its entries, as in the config
+        text = ",".join(map(str, tstr)) if isinstance(tstr, tuple) else tstr
+        tag = f"alpha={text}"
         s = State.vacuum(lat.heis_rank, td.alpha)
         cases.append((f"{tag}/twisted_jacobi",
                       verify_twisted_jacobi(td, x, x, s, r, scn.cutoff, cs)))
@@ -435,7 +439,7 @@ def suite_lattice_twist(scn: Scenario) -> list[Case]:
                       verify_li_equivalence(td, x, State.vacuum(lat.heis_rank),
                                             2, scn.cutoff, cs)))
         cases.append((f"{tag}/grading", verify_twist_grading(td, 3)))
-        rep = VerificationReport(f"shifted_virasoro[{tstr}]", "weight<=4, |m|,|n|<=3")
+        rep = VerificationReport(f"shifted_virasoro[{text}]", "weight<=4, |m|,|n|<=3")
         cases.append((f"{tag}/shifted_virasoro",
                       verify_shifted_virasoro(td, min(scn.max_weight, 4), rep)))
     return cases

@@ -276,17 +276,17 @@ class State:
 # mode actions
 
 
-# The kernels below act on one oscillator monomial, a parts tuple, and
-# return a rational term dict dict[tuple[Part, ...], GaussRat], memoized
-# in the run's workspace; callers never mutate it.  The modes a(n) for
-# n != 0 never read the label, so their table is keyed (color, n, parts)
-# and one entry serves every sector; the zero mode is no kernel at all
-# but the scalar alpha_i on the sector of alpha.  Where a(0) enters a
-# kernel (``virasoro``, ``vertex``) its key carries the sector label.
-# The public functions apply the kernels sector by sector and unit slot
-# by unit slot of a State and accumulate into fresh dicts, so products
-# and sums stay Gaussian-rational and the unit group is multiplied only
-# where a unit-bearing Scalar or a second State enters.
+# The kernels below act on one oscillator monomial of M(1), a parts
+# tuple, and return a rational term dict dict[tuple[Part, ...], GaussRat],
+# memoized in the run's workspace; callers never mutate it.  No kernel
+# reads a label: the sector enters only through Li's Delta (H. Li,
+# J. Algebra 196, 1997), Y(u,z) on M(1,lambda) = Y(Delta(lambda,z)u, z)
+# on M(1).  So a(0) is the scalar lambda_i, L(n) gains lambda(n) and
+# lambda.lambda/2, and u(n) sums label-free kernels over lambda's
+# annihilation chain.  The public functions apply the kernels sector by
+# sector and unit slot by unit slot of a State and accumulate into fresh
+# dicts, so the unit group is multiplied only where a unit-bearing Scalar
+# or a second State enters.
 
 
 def _accumulate(out: Terms, c: GaussRat, terms: Terms) -> None:
@@ -408,41 +408,99 @@ def _mode_on_monomial(color: int, n: int, parts: tuple[Part, ...]) -> Terms:
     return hit
 
 
-def _mode_in_sector(color: int, n: int, lab: Label, parts: tuple[Part, ...]) -> Terms:
-    """a[color](n) on monomial(lab, parts): the zero mode is alpha_color."""
-    if n:
-        return _mode_on_monomial(color, n, parts)
-    a = lab.alpha[color - 1]
-    return {} if a.is_zero else {parts: a}
+def _mode_chain(avec: tuple, sign: int, parts: tuple[Part, ...],
+                order: int, table: dict | None = None) -> list[Terms]:
+    """Coefficients B_0..B_order of exp(-+ sum_{n>0} a(+-n)/n z^(+-n))
+    on the oscillator monomial ``parts``, for a = avec.
+
+    sign=-1 is the creation side (coefficients of z^k), sign=+1 the
+    annihilation side (coefficients of z^-k).  Only modes a(n) with
+    n != 0 enter, so the chain never reads a sector label and one chain
+    serves every sector.  A series argument enters B_k as the factor
+    arg^k, which the callers apply when they read a coefficient, so one
+    chain serves every argument.  ``table`` defaults to the run's ``chain``.
+    """
+    if sign > 0:
+        order = min(order, _levels(parts))
+    table = current().chain if table is None else table
+    key = (avec, sign, parts)
+    chain = table.get(key)
+    if chain is None:
+        chain = [{parts: GR_ONE}]
+        table[key] = chain
+    if len(chain) > order:
+        return chain
+    modes = [(i, a) for i, a in enumerate(avec, start=1) if not a.is_zero]
+    while len(chain) <= order:
+        k = len(chain)
+        acc: dict = {}
+        for j in range(1, k + 1):
+            for pp, pc in chain[k - j].items():
+                for i, a in modes:
+                    _accumulate(acc, pc * a, _mode_on_monomial(i, sign * j, pp))
+        inv_k = as_gauss(Fraction(-sign, k))
+        chain.append({p: c * inv_k for p, c in acc.items()})
+    return chain
+
+
+def _delta_terms(uparts: tuple[Part, ...],
+                 lab: Label) -> list[tuple[GaussRat, tuple[Part, ...], int]]:
+    """u(n) on the sector lab, u = a(uparts)|0>, is the sum over the
+    (c, parts, k) of c times the kernel of a(parts)|0> at mode n - k:
+    Delta(lab,z)u = Yplus(lab,-z)u = sum_k (-1)^k z^-k B_k u for the
+    annihilation chain B of lab."""
+    if lab.is_zero:
+        return [(GR_ONE, uparts, 0)]
+    chain = _mode_chain(lab.alpha, 1, uparts, _levels(uparts))
+    return [(-c if k % 2 else c, p, k)
+            for k, terms in enumerate(chain) for p, c in terms.items()]
 
 
 def virasoro_mode(n: int, s: State) -> State:
-    """L(n) by the direct normal-ordered bilinear sum over the modes."""
-    return _map(s, lambda lab, p: _virasoro_on_monomial(n, lab, p))
+    """L(n) by the direct normal-ordered bilinear sum over the modes.
+
+    On the sector of lambda, Delta(lambda,z)omega = omega + z^-1
+    lambda(-1)|0> + z^-2 (lambda.lambda/2)|0> adds lambda(n), n != 0, and
+    lambda.lambda/2 at n = 0 to the kernel of M(1)."""
+    return _map(s, lambda lab, p: _virasoro_in_sector(n, lab, p))
 
 
 _HALF = as_gauss(Fraction(1, 2))
 
 
-def _virasoro_on_monomial(n: int, lab: Label, parts: tuple[Part, ...]) -> Terms:
-    key = (n, lab, parts)
+def _virasoro_in_sector(n: int, lab: Label, parts: tuple[Part, ...]) -> Terms:
+    hit = _virasoro_on_monomial(n, lab.rank, parts)
+    if lab.is_zero:
+        return hit
+    out = dict(hit)
+    if n:
+        for i, a in enumerate(lab.alpha, start=1):
+            if not a.is_zero:
+                _accumulate(out, a, _mode_on_monomial(i, n, parts))
+    else:
+        _accumulate(out, lab.norm2() * _HALF, {parts: GR_ONE})
+    return out
+
+
+def _virasoro_on_monomial(n: int, rank: int, parts: tuple[Part, ...]) -> Terms:
+    """L(n) of M(1): the pairs a(j) a(n-j) with j, n-j != 0."""
+    key = (n, rank, parts)
     table = current().virasoro
     hit = table.get(key)
     if hit is not None:
         return hit
-    candidates = {0, n}
-    if n <= 0:
-        candidates.update(range(n, 1))
+    candidates = set(range(n + 1, 0))
     for _, k in parts:
         candidates.add(k)
         candidates.add(n - k)
+    candidates -= {0, n}
     acc: dict = {}
     for j in sorted(candidates):
         k = n - j
         cr, an = min(j, k), max(j, k)
-        for i in range(1, lab.rank + 1):
-            for tp, tc in _mode_in_sector(i, an, lab, parts).items():
-                _accumulate(acc, tc, _mode_in_sector(i, cr, lab, tp))
+        for i in range(1, rank + 1):
+            for tp, tc in _mode_on_monomial(i, an, parts).items():
+                _accumulate(acc, tc, _mode_on_monomial(i, cr, tp))
     hit = {p: c * _HALF for p, c in acc.items()}
     table[key] = hit
     return hit
@@ -453,8 +511,8 @@ def vertex_mode(u: State, n: int, s: State) -> State:
 
     Built by the creation-left normal-ordered recursion
     Y(a[j](-k-1)v, z) = (1/k!) :d_z^k Y(a[j],z) Y(v,z): starting from
-    Y(vacuum,z) = Id and Y(a[j],z) = sum a[j](m) z^(-m-1).
-    """
+    Y(vacuum,z) = Id and Y(a[j],z) = sum a[j](m) z^(-m-1) on M(1), read
+    on each sector of s through Li's Delta (``_delta_terms``)."""
     if not all(lab.is_zero for lab in u.sectors):
         raise ValueError("vertex_mode requires a label-0 (untwisted) head; "
                          "use the intertwiner for charged heads")
@@ -463,21 +521,24 @@ def vertex_mode(u: State, n: int, s: State) -> State:
         for lab, sus in s.sectors.items():
             sec = out.setdefault(lab, {})
             for hu, ht in hus.items():
-                for su, st in sus.items():
-                    sign, v = _unit_mul(hu, su)
-                    acc = sec.setdefault(v, {})
-                    for up, uq in ht.items():
-                        if sign < 0:
-                            uq = -uq
+                for up, uq in ht.items():
+                    terms = _delta_terms(up, lab)
+                    for su, st in sus.items():
+                        sign, v = _unit_mul(hu, su)
+                        acc = sec.setdefault(v, {})
+                        x = -uq if sign < 0 else uq
                         for sp, sq in st.items():
-                            _accumulate(acc, uq * sq,
-                                        _vertex_on_monomials(up, n, lab, sp))
+                            w = x * sq
+                            for c, bp, k in terms:
+                                _accumulate(acc, w * c,
+                                            _vertex_on_monomials(bp, n - k, sp))
     return State(s.rank, out)
 
 
-def _vertex_on_monomials(uparts: tuple[Part, ...], n: int, lab: Label,
+def _vertex_on_monomials(uparts: tuple[Part, ...], n: int,
                          sparts: tuple[Part, ...]) -> Terms:
-    key = (uparts, n, lab, sparts)
+    """u(n) on M(1) for u = a(uparts)|0>, on the monomial ``sparts``."""
+    key = (uparts, n, sparts)
     table = current().vertex
     hit = table.get(key)
     if hit is not None:
@@ -491,16 +552,13 @@ def _vertex_on_monomials(uparts: tuple[Part, ...], n: int, lab: Label,
     kv = _levels(rest)
     ks = _levels(sparts)
     acc: dict = {}
-    # annihilation-right part: sum_{m>=0} (-1)^k binom(m+k,k) v(n-m-k-1) a(m) s
-    ann_indices = {0} | {lev for _, lev in sparts}
-    for m in sorted(ann_indices):
+    # annihilation-right part: sum_{m>=1} (-1)^k binom(m+k,k) v(n-m-k-1) a(m) s
+    for m in sorted({lev for _, lev in sparts}):
         b = binom(m + k, k)
-        if b.is_zero:
-            continue
         if k % 2:
             b = -b
-        for tp, tc in _mode_in_sector(j_color, m, lab, sparts).items():
-            _accumulate(acc, tc * b, _vertex_on_monomials(rest, n - m - k - 1, lab, tp))
+        for tp, tc in _mode_on_monomial(j_color, m, sparts).items():
+            _accumulate(acc, tc * b, _vertex_on_monomials(rest, n - m - k - 1, tp))
     # creation-left part: sum_{m<=-1} (-1)^k binom(m+k,k) a(m) v(n-m-k-1) s
     m_lo = n - k - kv - ks  # below this v(n-m-k-1) s dies by truncation
     for m in range(m_lo, 0):
@@ -509,7 +567,7 @@ def _vertex_on_monomials(uparts: tuple[Part, ...], n: int, lab: Label,
             continue
         if k % 2:
             b = -b
-        for ip, ic in _vertex_on_monomials(rest, n - m - k - 1, lab, sparts).items():
+        for ip, ic in _vertex_on_monomials(rest, n - m - k - 1, sparts).items():
             _accumulate(acc, ic * b, _mode_on_monomial(j_color, m, ip))
     table[key] = acc
     return acc

@@ -14,17 +14,16 @@ coset alpha.beta + Z is an exact finite sum; the optional cutoff bounds
 the level sums a computation is allowed to touch and trips a
 WindowError instead of ever truncating silently.  The same operator
 with the head dressed as Delta(gamma,z)u|alpha> and a scalar per target
-label is the twisted and the DLM operator of the lattice module.
+label is the twisted and the DLM operator of the lattice module; by Li's
+Delta, the dressed operator reads Y(u,z) on the sector beta + gamma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .fock import (
     Label,
-    Part,
     Sectors,
     State,
     Terms,
@@ -32,9 +31,10 @@ from .fock import (
     _accumulate,
     _add_sectors,
     _add_units,
+    _delta_terms,
     _levels,
     _map,
-    _mode_on_monomial,
+    _mode_chain,
     _vertex_on_monomials,
     exp_virasoro_coeffs,
     translate_label,
@@ -190,45 +190,11 @@ class IntertwinerSpec:
 # exponentials of label modes
 
 
-def _mode_chain(avec: tuple, sign: int, parts: tuple[Part, ...],
-                order: int) -> list[Terms]:
-    """Coefficients B_0..B_order of exp(-+ sum_{n>0} a(+-n)/n z^(+-n))
-    on the oscillator monomial ``parts``, for a = avec.
-
-    sign=-1 is the creation side (coefficients of z^k), sign=+1 the
-    annihilation side (coefficients of z^-k).  Only modes a(n) with
-    n != 0 enter, so the chain never reads a sector label and one chain
-    serves every sector.  A series argument enters B_k as the factor
-    arg^k, which the callers apply when they read a coefficient, so one
-    chain serves every argument.
-    """
-    if sign > 0:
-        order = min(order, _levels(parts))
-    table = current().chain
-    key = (avec, sign, parts)
-    chain = table.get(key)
-    if chain is None:
-        chain = [{parts: GR_ONE}]
-        table[key] = chain
-    if len(chain) > order:
-        return chain
-    modes = [(i, a) for i, a in enumerate(avec, start=1) if not a.is_zero]
-    while len(chain) <= order:
-        k = len(chain)
-        acc: dict = {}
-        for j in range(1, k + 1):
-            for pp, pc in chain[k - j].items():
-                for i, a in modes:
-                    _accumulate(acc, pc * a, _mode_on_monomial(i, sign * j, pp))
-        inv_k = as_gauss(Fraction(-sign, k))
-        chain.append({p: c * inv_k for p, c in acc.items()})
-    return chain
-
-
-def _ypm_coeff(sign: int, avec: tuple, k: int, s: State, arg: Scalar) -> State:
+def _ypm_coeff(sign: int, avec: tuple, k: int, s: State, arg: Scalar,
+               table: dict | None = None) -> State:
     # the annihilation chain of p stops at its level sum
     return _map(s, lambda lab, p: {} if sign > 0 and k > _levels(p)
-                else _mode_chain(avec, sign, p, k)[k]).scale(arg ** k)
+                else _mode_chain(avec, sign, p, k, table)[k]).scale(arg ** k)
 
 
 def creation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> State:
@@ -261,6 +227,8 @@ def _ypm_dress(entries: dict[tuple[int, int], State], sign: int, avec: tuple,
       as 0**0 == 1, and k <= cap2 - e2; cap1 may then be None.
     """
     out: dict[tuple[int, int], Sectors] = {}
+    # creation chains on this call's entries serve this call alone
+    chains = {} if sign < 0 else None
     for (e1, e2), st in entries.items():
         room2 = cap2 - e2
         if sign > 0:
@@ -268,7 +236,7 @@ def _ypm_dress(entries: dict[tuple[int, int], State], sign: int, avec: tuple,
         else:
             kmax = room2 + (cap1 - e1 if s1 else 0)
         for k in range(kmax + 1):
-            ck = _ypm_coeff(sign, avec, k, st, S_ONE)
+            ck = _ypm_coeff(sign, avec, k, st, S_ONE, chains)
             if ck.is_zero:
                 continue
             n = -sign * k
@@ -325,28 +293,29 @@ def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
 def _half_kernel(lab: Label, head_parts: tuple, tlab: Label, tparts: tuple,
                  lo: int, j_max: int) -> list[Terms]:
     """H(j) = [z^j] Y(u,z) Yplus(lab,z) t for j = lo..j_max at least, on
-    the target t = monomial(tlab, tparts).
+    the target t = monomial(tlab, tparts), with Y(u,z) read on tlab.
 
     u = a(head_parts)|0> is the label-0 head and lo = -(level sum of the
     head part and tparts), below which H vanishes, so entry i is H(lo + i).
-    H(j) = sum_k u(-j-k-1) A_k t for the annihilation chain A_k.  The
-    zero modes of u read tlab, so it is part of the key; the terms are
-    keyed by parts and have rational coefficients.  The shift to the
-    sector lab + tlab and the cocycle factor of e^lab stay out, so every
-    operator of the run shares the list.  It grows lazily like the mode
-    chains.
+    H(j) = sum_k u(-j-k-1) A_k t for the annihilation chain A_k, with u(n)
+    on tlab read through Li's Delta (``fock._delta_terms``).  The shift to
+    the sector lab + tlab and the cocycle factor of e^lab stay out, so
+    every operator of the run shares the list.  It grows lazily like the
+    mode chains.
     """
     half = current().coeff.setdefault((lab, head_parts, tlab, tparts), [])
     if len(half) > j_max - lo:
         return half
     chain = _mode_chain(lab.alpha, 1, tparts, _levels(tparts))
+    heads = _delta_terms(head_parts, tlab)
     while len(half) <= j_max - lo:
         j = lo + len(half)
         acc: dict = {}
         for k, fk in enumerate(chain):
             for fp, fc in fk.items():
-                _accumulate(acc, fc,
-                            _vertex_on_monomials(head_parts, -j - k - 1, tlab, fp))
+                for c, bp, i in heads:
+                    _accumulate(acc, fc * c,
+                                _vertex_on_monomials(bp, -j - k - i - 1, fp))
         half.append(acc)
     return half
 
@@ -361,14 +330,15 @@ class IntertwinerOp:
     ``label``, ``head_state``, ``weight_int``, ``offset_on(target_label)``
     (the coset base of the exponents on that label) and
     ``coefficient(target, exponent)``, the one read of a coefficient, a
-    ``State``.  Delta(beta,z) head is a finite sum of states at integer
-    exponent shifts (``delta_dress``); the operator keeps each as a part
-    with its own level bound, and without ``beta`` the head is one part
-    at shift 0.  Subclasses supply the per-label scalar through
-    ``label_factor``.  A coefficient is computed sector by sector of the
-    target: the sector of t goes to the sector label + t, and the
-    exponent offset, the cocycle value times the label factor and the
-    shifted label are read from one per-operator dict.
+    ``State``.  By Li's Delta, Y(Delta(beta,z)u, z) on the sector t is
+    Y(u,z) on the sector t + beta times z^(alpha.beta), so the dressed
+    operator is the plain one with the offset alpha.(beta + t), reading
+    its half-kernels on the sector t + beta.  Subclasses supply the
+    per-label scalar through ``label_factor``.  A coefficient is computed
+    sector by sector of the target: the sector of t goes to the sector
+    label + t, and the exponent offset, the cocycle value times the label
+    factor, the shifted label and the sector that Y(u,z) reads are kept
+    in one per-operator dict.
     """
 
     def __init__(self, spec: IntertwinerSpec, cutoff: int | None = None,
@@ -380,13 +350,9 @@ class IntertwinerOp:
         self.cutoff = cutoff
         self.weight_int = spec.weight_int
         self.beta = beta if beta is not None else zero_label(head.rank)
-        base = self.label.dot(self.beta)
-        dressed = delta_dress(beta, head) if beta is not None else [(base, head)]
-        # (exponent shift, level bound, head terms) per part of the head
-        self._parts = [(exponent_index(base, exp), st.max_levels(),
-                        [(p, u, q, _levels(p)) for us in st.sectors.values()
-                         for u, t in us.items() for p, q in t.items()])
-                       for exp, st in dressed]
+        # (parts, unit, coefficient, level sum) per term of the head
+        self._heads = [(p, u, q, _levels(p)) for us in head.sectors.values()
+                       for u, t in us.items() for p, q in t.items()]
         self._sectors: dict = {}
 
     def offset_on(self, target_label: Label) -> GaussRat:
@@ -396,63 +362,62 @@ class IntertwinerOp:
         """The scalar multiplying the part of the target on this label."""
         return S_ONE
 
-    def _sector(self, beta: Label) -> tuple[GaussRat, Scalar, Label]:
-        """The exponent offset, epsilon(label, beta) times the label factor
-        and the shifted label label + beta, on the target sector beta."""
-        hit = self._sectors.get(beta)
+    def _sector(self, t: Label) -> tuple[GaussRat, Scalar, Label, Label]:
+        """The exponent offset, epsilon(label, t) times the label factor,
+        the shifted label label + t and the sector t + beta that Y(u,z)
+        reads, on the target sector t."""
+        hit = self._sectors.get(t)
         if hit is None:
-            c = self.cocycle.epsilon(self.label, beta)
-            factor = self.label_factor(beta)
+            c = self.cocycle.epsilon(self.label, t)
+            factor = self.label_factor(t)
             if not factor.is_one:
                 c = c * factor
-            hit = self._sectors[beta] = (self.offset_on(beta), c, self.label + beta)
+            read = t if self.beta.is_zero else t + self.beta
+            hit = self._sectors[t] = (self.offset_on(t), c, self.label + t, read)
         return hit
 
     def coefficient(self, target: State, exponent) -> State:
         """The exact coefficient of z**exponent in the operator applied to
         the target state.
 
-        At relative exponent n a part at shift x contributes
-        sum_kp B_kp H(n - x - kp) for the creation chain B of the label
-        and the half-kernels H of ``_half_kernel``: the half-kernels of
-        every part, head term and target monomial are summed per creation
-        order kp first, so each chain is applied once per (kp, monomial)
-        of that sum.  The sector scalar enters once per target sector
-        and kp.
+        At relative exponent n it is sum_kp B_kp H(n - kp) for the
+        creation chain B of the label and the half-kernels H of
+        ``_half_kernel``: the half-kernels of every head term and target
+        monomial are summed per creation order kp first, so each chain is
+        applied once per (kp, monomial) of that sum.  The sector scalar
+        enters once per target sector and kp.
         """
         exponent = as_gauss(exponent)
         lab = self.label
         avec = lab.alpha
         out: Sectors = {}
-        for beta, us in target.sectors.items():
-            offset, c, shifted = self._sector(beta)
-            n_sector = exponent_index(offset, exponent)
+        for t_lab, us in target.sectors.items():
+            offset, c, shifted, read = self._sector(t_lab)
+            n_rel = exponent_index(offset, exponent)
             sums: dict[int, UnitSum] = {}  # by creation order kp
-            for shift, level_bound, heads in self._parts:
-                n_rel = n_sector - shift
-                for tu, t in us.items():
-                    for tparts, tq in t.items():
-                        kt = _levels(tparts)
-                        max_out = level_bound + kt + n_rel
-                        if max_out < 0:
+            for tu, t in us.items():
+                for tparts, tq in t.items():
+                    kt = _levels(tparts)
+                    max_out = self.weight_int + kt + n_rel
+                    if max_out < 0:
+                        continue
+                    # the memo key has no cutoff: decide it before the lookup
+                    if self.cutoff is not None and max_out > self.cutoff:
+                        raise WindowError(
+                            f"coefficient at relative exponent {n_rel} needs "
+                            f"level sums up to {max_out} > cutoff {self.cutoff}")
+                    for hparts, hu, hq, kh in self._heads:
+                        lo = -(kh + kt)
+                        if n_rel < lo:
                             continue
-                        # the memo key has no cutoff: decide it before the lookup
-                        if self.cutoff is not None and max_out > self.cutoff:
-                            raise WindowError(
-                                f"coefficient at relative exponent {n_rel} needs "
-                                f"level sums up to {max_out} > cutoff {self.cutoff}")
-                        for hparts, hu, hq, kh in heads:
-                            lo = -(kh + kt)
-                            if n_rel < lo:
-                                continue
-                            half = _half_kernel(lab, hparts, beta, tparts, lo, n_rel)
-                            sign, u = _unit_mul(tu, hu)
-                            x = -tq * hq if sign < 0 else tq * hq
-                            for kp in range(n_rel - lo + 1):
-                                terms = half[n_rel - kp - lo]
-                                if terms:
-                                    _accumulate(sums.setdefault(kp, {})
-                                                .setdefault(u, {}), x, terms)
+                        half = _half_kernel(lab, hparts, read, tparts, lo, n_rel)
+                        sign, u = _unit_mul(tu, hu)
+                        x = -tq * hq if sign < 0 else tq * hq
+                        for kp in range(n_rel - lo + 1):
+                            terms = half[n_rel - kp - lo]
+                            if terms:
+                                _accumulate(sums.setdefault(kp, {})
+                                            .setdefault(u, {}), x, terms)
             if not sums:
                 continue
             dst = out.setdefault(shifted, {})

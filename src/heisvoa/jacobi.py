@@ -422,41 +422,29 @@ def verify_locality(u: State, w: IntertwinerSpec, s: State, m_power: int,
     """
     if m_power < 0:
         raise ValueError("locality power must be a natural number")
-    cs = w.cocycle
     op_w = IntertwinerOp(w, cutoff)
     base = w.label.dot(s.single_label())
     rep = VerificationReport(
         "locality", window_used=f"z1 radius {r1}, z2 radius {r2}, m={m_power}",
         meta={"m": str(m_power)}, expected_failure=expected_failure)
-    g: dict = {}
-    h: dict = {}
-
-    def G(e1: int, e2) -> State:
-        key = (e1, e2)
-        if key not in g:
-            g[key] = vertex_mode(u, -e1 - 1, op_w.coefficient(s, e2))
-        return g[key]
-
-    def H(e1: int, e2) -> State:
-        key = (e1, e2)
-        if key not in h:
-            h[key] = op_w.coefficient(vertex_mode(u, -e1 - 1, s), e2)
-        return h[key]
-
+    # G[p, e1] = u(-e1-1) Y(w) s and H[e1, p] = Y(w) u(-e1-1) s at z2^(base+p)
+    G = _OffsetGrid(lambda p: op_w.coefficient(s, base + p),
+                    lambda mid, e1: vertex_mode(u, -e1 - 1, mid))
+    H = _OffsetGrid(lambda e1: vertex_mode(u, -e1 - 1, s),
+                    lambda mid, p: op_w.coefficient(mid, base + p))
     zero = State.zero(s.rank)
     for e1 in range(-r1, r1 + 1):
         for n2 in range(-r2, r2 + 1):
-            e2 = base + n2
 
-            def compute(e1=e1, e2=e2):
+            def compute(e1=e1, n2=n2):
                 acc = State.zero(s.rank)
                 for j in range(m_power + 1):
                     coef = binom(m_power, j)
                     if j % 2:
                         coef = -coef
-                    acc = acc + (G(e1 - m_power + j, e2 - j)
-                                 - H(e1 - m_power + j, e2 - j)).scale(coef)
+                    d1 = e1 - m_power + j
+                    acc = acc + (G[n2 - j, d1] - H[d1, n2 - j]).scale(coef)
                 return acc, zero
 
-            rep.guarded((as_gauss(e1), e2), compute)
+            rep.guarded((as_gauss(e1), base + n2), compute)
     return rep

@@ -6,16 +6,19 @@ Every memo that outlives a single operator lives in one ``Workspace``:
 * ``mode``: the modes a(n), n != 0, on one oscillator monomial (a
   parts tuple), keyed (color, n, parts); they never read a label, so
   one entry serves every sector;
-* ``virasoro``, ``vertex``: the Fock kernels on one monomial, keyed by
-  the mode data, the sector label (the zero modes read it) and the parts;
+* ``virasoro``, ``vertex``: L(n) and u(n) of M(1) on one monomial,
+  keyed (n, rank, parts) and (head parts, n, parts); a sector label
+  reaches them only through Li's Delta, outside the table, so one
+  entry serves every sector;
 * ``chain``: the coefficients of the label-mode exponentials, keyed
   (alpha, side, parts) for the coordinate tuple alpha of the
   exponential's label, without the series argument; they serve the
-  intertwiner and, expanded binomially, the two-variable dressings of
-  the conjugation identities;
+  intertwiner and Li's Delta.  The creation chains of the two-variable
+  dressings of the conjugation identities serve one call and are kept
+  in a dict of that call;
 * ``coeff``: the intertwiner half-kernels H(j) = [z^j] Y(u,z) Yplus t,
-  one lazily grown list per (label, head parts, target label, target
-  parts), over the exponents j read so far.
+  one lazily grown list per (label, head parts, sector that Y(u,z)
+  reads, target parts), over the exponents j read so far.
 
 The kernel tables hold ``dict[parts, GaussRat]`` values, which callers
 never mutate and no ``State`` holds: a State accumulates them, sector

@@ -18,6 +18,7 @@ import pytest
 
 import heisvoa
 from heisvoa import cli, workspace
+from heisvoa.fock import Label
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -36,6 +37,11 @@ def test_gated_bench_body_matches_its_reference(name, tmp_path):
                        "--seed", "2024", "--report", str(report)])
     assert status == ref["seeds"]["2024"]["exit_status"] == 0
     assert body_sha256(report) == ref["seeds"]["2024"]["body_sha256"]
+    # Li's Delta carries every sector label, so the Fock kernel tables
+    # are keyed on oscillator data alone
+    ws = workspace.current()
+    for key in list(ws.vertex) + list(ws.virasoro):
+        assert not any(isinstance(k, Label) for k in key), key
     if name == "lattice-a1":
         # one label-free entry per (color, n, parts) and per chain
         sizes = workspace.current().sizes()

@@ -172,6 +172,8 @@ MALFORMED = {
     "seed_not_integer": dict(seed=1.5),
     "seed_a_list": dict(seed=[1]),
     "gram_entry_not_integer": dict(gram=[[1.5]], suites=["lattice-twist"]),
+    "gram_empty": dict(gram=[], suites=["lattice-twist"]),
+    "skew_without_heads": dict(heads=[], suites=["skew"]),
     "gram_entry_boolean": dict(gram=[[True]], suites=["lattice-twist"]),
     "negative_controls_not_boolean": dict(negative_controls="no",
                                           suites=["locality"]),
@@ -301,6 +303,21 @@ def test_starved_suite_keeps_the_rest(tmp_path):
     assert "suite virasoro case 000 brackets\n  virasoro_brackets: PASS" in text
     assert "window_starvation" not in text
     assert "verdict: FAIL" in text
+
+
+def test_coordinate_list_twist_is_tagged_by_its_entries(tmp_path):
+    # a list twist reads as its coordinates, a string twist as itself
+    config = write_config(tmp_path, suites=["lattice-twist"], window=1,
+                          cutoff=4, gram=[[1, 0], [0, 1]],
+                          twists=[["1/2", "1/3"], "1/2"])
+    status, text = run(tmp_path, config)
+    assert status == 0
+    cases = [ln.split()[-1] for ln in text.splitlines() if ln.startswith("suite ")]
+    assert cases == [f"alpha={t}/{name}" for t in ("1/2,1/3", "1/2")
+                     for name in ("twisted_jacobi", "li_equivalence", "grading",
+                                  "shifted_virasoro")]
+    assert "  shifted_virasoro[1/2,1/3]: PASS" in text
+    assert "  shifted_virasoro[1/2]: PASS" in text
 
 
 def test_starved_lattice_case_keeps_the_rest(tmp_path):

@@ -121,13 +121,17 @@ def test_vertex_mode_rejects_charged_head():
 
 
 def test_conformal_vector_modes_match_virasoro():
-    # Y(omega,z) = sum L(n) z^(-n-2), so omega(n) = L(n-1)
-    rank = 1
-    omega = conformal_vector(rank)
-    for bm in basis_monomials(rank, 4):
-        s = State.of(bm)
-        for n in range(-3, 5):
-            assert vertex_mode(omega, n, s) == virasoro_mode(n - 1, s)
+    # Y(omega,z) = sum L(n) z^(-n-2), so omega(n) = L(n-1); on a nonzero
+    # sector the vertex side reads the label through Li's Delta and the
+    # Virasoro side through its closed form, two independent paths
+    for values, max_levels in ((["0"], 4), (["1/3+1/2*i"], 4),
+                               (["1/2", "-1/3"], 3)):
+        lab = label(values)
+        omega = conformal_vector(lab.rank)
+        for bm in basis_monomials(lab.rank, max_levels, lab):
+            s = State.of(bm)
+            for n in range(-3, 5):
+                assert vertex_mode(omega, n, s) == virasoro_mode(n - 1, s)
 
 
 def test_creativity():
@@ -376,10 +380,12 @@ def test_states_never_hold_a_kernel_entry():
     m = monomial(label(["1/3"]), ((1, 1),))
     s = State.of(m)
     x, y = apply_mode(1, -1, s), virasoro_mode(-1, s)
+    # on the zero sector L(n) reads its entry with no label term added
+    y0 = virasoro_mode(-1, State.of(m._replace(label=zero_label(1))))
     entries = [workspace.current().mode[(1, -1, m.parts)],
-               workspace.current().virasoro[(-1, m.label, m.parts)]]
+               workspace.current().virasoro[(-1, 1, m.parts)]]
     before = [dict(e) for e in entries]
-    states = [x, y]
+    states = [x, y, y0]
     for a in (x, y):
         z = a.scale(E("1/3"))
         states += [z, a + a, a + z, z + a, a - a.scale(2), a.scale(gr(3)),
@@ -394,11 +400,15 @@ def test_states_never_hold_a_kernel_entry():
 
 def test_one_label_free_entry_serves_two_sectors():
     # M(1,alpha) = M(1) (x) e^alpha: the modes a(n), n != 0, and the
-    # exponentials Yplus, Yminus act on the oscillator factor alone, so a
-    # second sector with the same parts reuses every mode and chain entry
+    # exponentials Yplus, Yminus act on the oscillator factor alone, and
+    # L(n) and u(n) read the label through Li's Delta only, so a second
+    # sector with the same parts reuses every mode, vertex and Virasoro
+    # entry, and every chain but the Delta chain of its own label
     ws = workspace.fresh()
     parts = ((1, 1), (2, 2))
     avec = label(["1/3", "-1/2"]).alpha
+    omega = conformal_vector(2)
+    heads = [(State.of(monomial(zero_label(2), ((i, 1),))), i) for i in (1, 2)]
 
     def check(lab, a2):
         s = State.of(monomial(lab, parts))
@@ -424,13 +434,22 @@ def test_one_label_free_entry_serves_two_sectors():
         assert zero_mode == s.scale(a2)
         assert zero_mode.items_sorted() == ket((parts, a2))
         assert len(ws.mode) == mode
+        # a[i](-1)|0> has the modes a[i](n), zero mode included, and
+        # omega(n) = L(n-1); L(0) is the level sum plus lab.lab/2
+        for n in range(-2, 3):
+            for u, i in heads:
+                assert vertex_mode(u, n, s) == apply_mode(i, n, s)
+            assert vertex_mode(omega, n + 1, s) == virasoro_mode(n, s)
+        assert virasoro_mode(0, s) == s.scale(lab.norm2() / 2 + 3)
 
     check(label(["1/2", "1/3"]), "1/3")
     sizes = ws.sizes()
-    # one creation and one annihilation chain, and one mode entry per
-    # (color, n, parts) the four calls read
-    assert (sizes["mode"], sizes["chain"]) == (14, 2)
+    # one creation and one annihilation chain, one Delta chain of the
+    # sector label per head monomial, and one mode entry per
+    # (color, n, parts) the calls read
+    assert (sizes["mode"], sizes["chain"]) == (34, 6)
     check(label(["-1/5", "1/2*i"]), "1/2*i")
-    assert ws.sizes() == sizes
-    for key in list(ws.mode) + list(ws.chain):
-        assert not any(isinstance(k, (Label, FockMonomial)) for k in key), key
+    assert ws.sizes() == {**sizes, "chain": sizes["chain"] + 4}
+    for table in (ws.mode, ws.chain, ws.vertex, ws.virasoro):
+        for key in table:
+            assert not any(isinstance(k, (Label, FockMonomial)) for k in key), key

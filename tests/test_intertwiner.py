@@ -257,9 +257,11 @@ def test_e_conjugation_designed_failure(monkeypatch):
                                     State.vacuum(1, label(["1/3"])), hi=2)
 
     assert verify().outcome == "PASS"
-    # the dressed operator without the top part of Delta(beta,z)u
-    dress = intertwiner.delta_dress
-    monkeypatch.setattr(intertwiner, "delta_dress", lambda beta, s: dress(beta, s)[:-1])
+    # the dressed operator reads the head's Y(u,z) on the target sector t,
+    # not on t + beta
+    sector = intertwiner.IntertwinerOp._sector
+    monkeypatch.setattr(intertwiner.IntertwinerOp, "_sector",
+                        lambda self, t: sector(self, t)[:3] + (t,))
     rep = verify()
     assert len(rep.failures) == len(rep.checked) == 4
 

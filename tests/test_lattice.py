@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from heisvoa import intertwiner, lattice
+from heisvoa import lattice
 from heisvoa.fock import (
     State,
     apply_mode,
@@ -189,15 +189,17 @@ def test_li_equivalence():
 
 
 def test_li_equivalence_designed_failure(monkeypatch):
-    # the twisted operator without the top part of Delta(alpha,z)x
+    # the twisted operator reads the head's Y(x,z) on the target sector t,
+    # not on t + alpha
     td = twist(Z1, [Fraction(1, 2)])
     x = apply_mode(1, -1, State.vacuum(1, Z1.label_of([1])))
     one = State.vacuum(1)
     assert verify_li_equivalence(td, x, one, order=2).outcome == "PASS"
-    dress = intertwiner.delta_dress
-    monkeypatch.setattr(intertwiner, "delta_dress", lambda beta, s: dress(beta, s)[:-1])
+    sector = IntertwinerOp._sector
+    monkeypatch.setattr(IntertwinerOp, "_sector",
+                        lambda self, t: sector(self, t)[:3] + (t,))
     rep = verify_li_equivalence(td, x, one, order=2)
-    assert (len(rep.failures), len(rep.checked)) == (3, 4)
+    assert len(rep.failures) == len(rep.checked) == 4
 
 
 def test_lattice_invariant_form_parity_prefactor():
