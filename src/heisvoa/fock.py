@@ -646,14 +646,17 @@ def verify_heisenberg_brackets(rank: int, max_weight: int,
     rep = VerificationReport("heisenberg_brackets",
                              f"weight<={max_weight}, |n|,|m|<={radius}")
     window = range(-radius, radius + 1)
+    modes = [(i, n) for i in range(1, rank + 1) for n in window]
     for bi, bm in enumerate(basis_monomials(rank, max_weight)):
         s = State.of(bm)
+        # each a_i(n)s once and each product a_i(n)a_j(m)s once per state
+        once = {(i, n): apply_mode(i, n, s) for i, n in modes}
+        prod = {(x, y): apply_mode(*x, once[y]) for x in modes for y in modes}
         for i in range(1, rank + 1):
             for j in range(1, rank + 1):
                 for n in window:
                     for m in window:
-                        lhs = (apply_mode(i, n, apply_mode(j, m, s))
-                               - apply_mode(j, m, apply_mode(i, n, s)))
+                        lhs = prod[(i, n), (j, m)] - prod[(j, m), (i, n)]
                         rhs = s.scale(n) if (i == j and n == -m) else State.zero(rank)
                         rep.record((i, j, n, m, bi), lhs, rhs)
     return rep
@@ -670,10 +673,14 @@ def verify_virasoro_brackets(mode, central_charge, states, radius: int = 3,
     c = as_gauss(central_charge)
     window = range(-radius, radius + 1)
     for key, s in states:
+        # each L(n)s once (|n| <= 2 radius, for L(m+n)) and each L(m)L(n)s
+        # once, shared by the (m, n) and (n, m) records
+        once = {n: mode(n, s) for n in range(-2 * radius, 2 * radius + 1)}
+        prod = {(m, n): mode(m, once[n]) for m in window for n in window}
         for m in window:
             for n in window:
-                lhs = mode(m, mode(n, s)) - mode(n, mode(m, s))
-                rhs = mode(m + n, s).scale(m - n)
+                lhs = prod[m, n] - prod[n, m]
+                rhs = once[m + n].scale(m - n)
                 if m == -n:
                     rhs = rhs + s.scale(c * Fraction(m ** 3 - m, 12))
                 rep.record(key + (m, n), lhs, rhs)

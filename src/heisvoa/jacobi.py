@@ -35,8 +35,8 @@ would need level sums beyond budget.
 The engine reads every summand through ``coefficient``, a ``State``
 stored by sector (per label, one rational term dict per unit of the
 formal unit group).  Each side of a triple is accumulated into one such
-sector dict, C12 entering unit by unit, and becomes a ``State``; an
-agreeing record keeps one of the two.
+sector dict, C12 entering unit by unit, and becomes a ``State``; only a
+failing record keeps the two.
 """
 
 from __future__ import annotations

@@ -7,8 +7,11 @@ from dataclasses import dataclass, field
 from .series import WindowError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRecord:
+    """One compared coefficient; ``left`` and ``right`` are ``None`` when
+    the two sides agreed, since only a mismatch prints them."""
+
     exponents: tuple
     left: object
     right: object
@@ -37,8 +40,7 @@ class VerificationReport:
     def record(self, exponents: tuple, left, right, note: str = "") -> bool:
         ok = left == right
         if ok:
-            # only a mismatch prints both sides; keep one copy of equal ones
-            right = left
+            left = right = None
         self.checked.append(CheckRecord(tuple(exponents), left, right, ok, note))
         return ok
 

@@ -58,3 +58,19 @@ def test_tracer_finds_every_entry_point_it_wraps():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_only_a_failing_desk_record_keeps_its_two_sides():
+    # only a MISMATCH line prints the two sides, so a passing record
+    # keeps neither and a run's memory does not grow with its checked count
+    results = cli.run_suites(cli.load_scenario(str(BENCH / "workloads" / "desk.json")))
+    reps = [rep for cases in results.values() for _, rep in cases]
+    held = [r for rep in reps for r in rep.checked
+            if r.passed and (r.left is not None or r.right is not None)]
+    assert held == []
+    xfail = [rep for rep in reps if rep.outcome == "XFAIL"]
+    assert len(xfail) == 2
+    for rep in xfail:
+        assert rep.failures
+        for r in rep.failures:
+            assert r.left is not None and r.right is not None and r.left != r.right

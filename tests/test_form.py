@@ -166,7 +166,7 @@ def test_invariance_charged():
         assert rep.verdict, rep.failures_detail
 
 
-def test_invariance_selection_rule():
+def test_invariance_selection_rule(compared):
     cfg = cfg_for(1)
     cs = cfg.cocycle
     x = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cs)
@@ -175,7 +175,9 @@ def test_invariance_selection_rule():
     rep = verify_invariance(x, y, t, cfg, radius=1)
     assert rep.verdict
     assert rep.meta["selection"] == "nonzero"
-    assert all(r.left == S_ZERO or r.left.is_zero for r in rep.checked)
+    assert len(compared) == len(rep.checked) > 0
+    assert all(v == S_ZERO or v.is_zero for _, left, right in compared
+               for v in (left, right))
 
 
 def test_invariance_remark_consistency():

@@ -360,11 +360,12 @@ def test_jacobi_fails_on_a_commutator_off_by_a_unit():
 
     c12 = CS1.commutator(alpha, beta)
     rep = run(c12)
-    # an agreeing record keeps one State for both sides
-    assert rep.verdict and all(r.left is r.right for r in rep.checked)
+    # an agreeing record keeps neither side
+    assert rep.verdict
+    assert all(r.left is None and r.right is None for r in rep.checked)
     rep = run(c12 * E("1/3"))
     assert rep.outcome == "FAIL"
-    assert all(r.left is r.right for r in rep.checked if r.passed)
+    assert all(r.left is None and r.right is None for r in rep.checked if r.passed)
     for r in rep.failures:
         for side in (r.left, r.right):
             assert all(None not in us for us in side.sectors.values())
@@ -375,7 +376,7 @@ def test_jacobi_fails_on_a_commutator_off_by_a_unit():
         assert left != right, ln
 
 
-def test_jacobi_on_labels_off_the_first_axis():
+def test_jacobi_on_labels_off_the_first_axis(compared):
     # rank 2, labels that are not collinear and heads on both colors, so
     # every coordinate of every label and both color kernels enter
     cs = CocycleSystem(2, ((gr("1/2"), gr("1/3")), (gr(0), gr("-1/4"))),
@@ -388,7 +389,8 @@ def test_jacobi_on_labels_off_the_first_axis():
     rep = verify_generalized_jacobi(x, y, s, radius=1, cutoff=6)
     assert rep.outcome == "PASS", rep.failures_detail
     assert (len(rep.checked), len(rep.skipped)) == (27, 0)
-    assert all(not r.left.is_zero for r in rep.checked)
+    assert len(compared) == 27
+    assert all(not left.is_zero for _, left, _ in compared)
 
     # the twin: C12 off by the unit E(1/3) must fail
     twin = jacobi.three_term_jacobi(
