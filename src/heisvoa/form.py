@@ -2,48 +2,59 @@
 
 The adjoint is taken with respect to the Moebius map z -> lam^2/(E(N)z)
 for the formal constant lam and an odd branch integer N.  On Heisenberg
-generators the mode adjoint is a(n)^+ = (-1)^(n+1) lam^(2n) a(-n); on
-the charged operators it is realized through the factorization
+generators the mode adjoint is a(n)^+ = (-1)^(n+1) lam^(2n) a(-n).
 
-    Yd(u|a>, z) = z^(a(0)^+) Yplus^+(a,z) Y^+(u,z) Yminus^+(a,z) e^(a+)
-
-with Ypm^+(a,z) = Ymp(a, -lam^2/z) and
-e^(a+) = E(-N a(0)) lam^(2 a(0) - a.a) e^a, the zero-mode scalars acting
-after the label shift.  The substitution z -> lam^2/(E(N)z) is pure
-exponent bookkeeping: a power z^k contributes lam^(2k) E(-Nk) z^(-k).
-
-The pairing itself is fixed by <vac,vac> = 1, the label selection rule
+The pairing is fixed by <vac,vac> = 1, the label selection rule
 <.|b>, .|c>> = 0 unless b+c = 0, the prefactor eps(b,-b) lam^(-b.b), and
-rightward transposition of creation modes as adjoints.  lam is never
+rightward transposition of creation modes as adjoints.  So it is a
+closed contraction: each creation part a_i(-k) of x moves to the right
+as (-1)^(k+1) lam^(-2k) a_i(k), and <x|b>, y|-b>> is eps(b,-b)
+lam^(-b.b-2L) (-1)^(L+r) times the vacuum coefficient of those
+annihilators applied to y, for the level sum L and part count r of x.
+
+By the contragredient formula (Frenkel-Huang-Lepowsky, Mem. AMS 104,
+1993, section 5.2), the adjoint of Y(w,z) is Y(e^(zL(1)) (-z^-2)^(L(0)) w,
+z^-1) read through the form, so the adjoint intertwiner is a reflected
+read of the same intertwiner: its z^x coefficient reads Y at z^(q-2h-x)
+for the L(1)^q descendants of each head monomial of weight h.  With
+eig = a.(a+c) on the target sector c, a head monomial u_h of weight h
+and coefficient c_h, and the relative exponent n, x = -eig + n:
+
+    [z^(-eig+n)] Yd(u|a>, z) = E(-N eig) lam^(2 eig - a.a - 2n) (-1)^n
+        sum_(h,q) [z^(eig+q-2h-n)] Y(Delta(a,z) lam^(-2h) c_h L(1)^q u_h/q! |a>, z)
+
+with L(1) taken on label 0.  It equals the factorization
+Yd = z^(a(0)^+) Yplus^+ Y^+ Yminus^+ e^(a+), Ypm^+(a,z) = Ymp(a, -lam^2/z):
+the a(1) part of L(1) on the charged head u|a> is carried by the
+Delta(a,z) dressing, which the intertwiner reads on the sector a+c by
+Li's Delta, and e^(a+) = E(-N a(0)) lam^(2a(0) - a.a) e^a is the sector
+constant eps(a,c) of that intertwiner times the prefactor.  lam is never
 specialized to a number; every lam dependence stays in the unit group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fock import (
     FockMonomial,
     Label,
+    Sectors,
     State,
-    apply_mode,
+    _add_units,
+    _levels,
+    _mode_on_monomial,
     basis_monomials,
     exp_virasoro_coeffs,
     label,
     monomial,
-    vertex_mode,
+    translate_label,
     zero_label,
 )
-from .intertwiner import (
-    CocycleSystem,
-    IntertwinerOp,
-    IntertwinerSpec,
-    _shift_scaled,
-    annihilation_coeff,
-    creation_coeff,
-)
+from .intertwiner import CocycleSystem, IntertwinerOp, IntertwinerSpec
 from .report import VerificationReport
 from .scalars import (
+    GR_ONE,
     GaussRat,
     S_ONE,
     S_ZERO,
@@ -51,7 +62,6 @@ from .scalars import (
     as_gauss,
     branch_phase,
     lam_pow,
-    sign_pow,
 )
 from .series import WindowError, exponent_index
 
@@ -60,47 +70,16 @@ from .series import WindowError, exponent_index
 class FormConfig:
     n_branch: int
     cocycle: CocycleSystem
-    _gram_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.n_branch % 2 == 0:
             raise ValueError("branch parameter N must be odd")
 
 
-def e_dagger(cocycle: CocycleSystem, alpha: Label, s: State, n_branch: int) -> State:
-    """e^(a+) = E(-N a(0)) lam^(2a(0) - a.a) e^a, zero modes after the shift:
-    on the sector beta, a(0) reads a.(a+beta)."""
-    def factor(beta: Label) -> Scalar:
-        eig = alpha.dot(alpha + beta)
-        return (cocycle.epsilon(alpha, beta) * branch_phase(-eig, n_branch)
-                * lam_pow(2 * eig - alpha.norm2()))
-    return _shift_scaled(s, alpha, factor)
-
-
-@dataclass(frozen=True)
-class ModeDagger:
-    """a(n)^+ as an executable scalar times a mode with negated index."""
-
-    color: int
-    index: int
-    scalar: Scalar
-
-    def apply(self, s: State) -> State:
-        return apply_mode(self.color, self.index, s).scale(self.scalar)
-
-
-def adjoint_mode(color: int, n: int) -> ModeDagger:
-    """a[color](n)^+ = (-1)^(n+1) lam^(2n) a[color](-n)."""
-    return ModeDagger(color, -n, sign_pow(n + 1) * lam_pow(2 * n))
-
-
 def gram(x: State, y: State, cfg: FormConfig) -> Scalar:
-    """The invariant pairing <x, y>, an exact Scalar.
-
-    Labels must cancel pairwise; creation parts of x transpose to the
-    right as adjoints until the base case <vac|b>, vac|-b>> =
-    eps(b,-b) lam^(-b.b).
-    """
+    """The invariant pairing <x, y>, an exact Scalar: the closed
+    contraction of the module docstring on each pair of monomials whose
+    labels cancel."""
     out = S_ZERO
     ys = y.items_sorted()
     for mx, cx in x.items_sorted():
@@ -112,27 +91,26 @@ def gram(x: State, y: State, cfg: FormConfig) -> Scalar:
 
 
 def _gram_mono(mx: FockMonomial, my: FockMonomial, cfg: FormConfig) -> Scalar:
-    key = (mx, my)
-    hit = cfg._gram_cache.get(key)
-    if hit is not None:
-        return hit
+    """<mx, my> as the closed contraction of the module docstring: the
+    annihilators a_i(k) of mx's parts (i, k) act on my's parts through the
+    ``mode`` kernels, and only their vacuum coefficient survives."""
     beta = mx.label
     if not (beta + my.label).is_zero:
-        out = S_ZERO
-    elif not mx.parts:
-        if my.parts:
-            out = S_ZERO
-        else:
-            out = cfg.cocycle.epsilon(beta, -beta) * lam_pow(-beta.norm2())
-    else:
-        (color, level), rest = mx.parts[0], mx.parts[1:]
-        moved = adjoint_mode(color, -level)
-        partner = moved.apply(State.of(my))
-        out = S_ZERO
-        for m2, c2 in partner.items_sorted():
-            out = out + _gram_mono(monomial(beta, rest), m2, cfg) * c2
-    cfg._gram_cache[key] = out
-    return out
+        return S_ZERO
+    parts, c = my.parts, GR_ONE
+    for color, level in mx.parts:
+        hit = _mode_on_monomial(color, level, parts)
+        if not hit:
+            return S_ZERO
+        (parts, q), = hit.items()
+        c = c * q
+    if parts:
+        return S_ZERO
+    big_l = mx.levels_sum
+    if (big_l + len(mx.parts)) % 2:
+        c = -c
+    return cfg.cocycle.epsilon(beta, -beta) * Scalar.from_unit(
+        lam_exp=-beta.norm2() - 2 * big_l, coeff=c)
 
 
 def gram_matrix(beta: Label, levels: int, cfg: FormConfig,
@@ -203,7 +181,9 @@ def verify_gram_slices(betas, levels: int, cfg: FormConfig) -> VerificationRepor
 
 
 class AdjointIntertwinerOp:
-    """Coefficient extractor for the adjoint intertwiner Yd(u|a>, z).
+    """Coefficient extractor for the adjoint intertwiner Yd(u|a>, z): the
+    reflected read of one Delta(a,z)-dressed ``IntertwinerOp`` per
+    z-shift q - 2h of the head's L(1) descendants (module docstring).
 
     The series is upper truncated: on a target with level sum kt the
     exponents are bounded above by kt - ku - a.(a+c) for target label c.
@@ -211,63 +191,50 @@ class AdjointIntertwinerOp:
 
     def __init__(self, spec: IntertwinerSpec, cfg: FormConfig,
                  cutoff: int | None = None):
-        self.cfg = cfg
+        self.n_branch = cfg.n_branch
         self.cutoff = cutoff
         self.label = spec.label
-        self.cocycle = spec.cocycle
         self.weight_int = spec.weight_int
-        self._avec = self.label.alpha
-        self._arg_plus = -lam_pow(-2)   # Yminus^+(a,z): modes at z^(+k)
-        self._arg_minus = -lam_pow(2)   # Yplus^+(a,z): modes at z^(-k)
-        # parts of e^(-z lam^-2 L(1)) (lam/(E(N)z))^(2L(0)) u: for each
-        # head monomial of weight h, (-1)^q L(1)^q u / q! carries the
-        # z-exponent q-2h and the scalar lam^(2h-2q)
-        self._u_parts: list[tuple[int, State, Scalar]] = []
+        rank = spec.head.rank
+        # lam^(-2h) c_h L(1)^q u_h / q! on label 0, summed per shift q - 2h
+        shifted: dict[int, State] = {}
         for hm, hc in spec.head.items_sorted():
             h = hm.levels_sum
-            u = State.of(monomial(zero_label(spec.head.rank), hm.parts))
-            for q, cur in enumerate(exp_virasoro_coeffs(1, u, h, sign=-1)):
+            u = State.of(monomial(zero_label(rank), hm.parts), hc * lam_pow(-2 * h))
+            for q, cur in enumerate(exp_virasoro_coeffs(1, u, h)):
                 if cur.is_zero:
                     break  # L(1) lowers the level sum: the rest vanishes too
-                self._u_parts.append((q - 2 * h, cur, lam_pow(2 * h - 2 * q) * hc))
+                shifted[q - 2 * h] = shifted.get(q - 2 * h, State.zero(rank)) + cur
+        # no cutoff here: coefficient decides it per target sector first
+        self._ops = [(d, IntertwinerOp(IntertwinerSpec(
+            translate_label(v, self.label), spec.cocycle), beta=self.label))
+            for d, v in shifted.items() if not v.is_zero]
 
     def offset_on(self, target_label: Label) -> GaussRat:
         return -self.label.dot(self.label + target_label)
 
     def coefficient(self, target: State, exponent) -> State:
+        """At exponent x = -eig + n on the sector c, the sum over shifts
+        d of the dressed intertwiner's coefficient at d - x (that is,
+        eig + d - n) on the sector a + c, times the unit
+        E(n - N eig) lam^(-a.a - 2x) of that sector."""
         exponent = as_gauss(exponent)
-        out = State.zero(target.rank)
-        n_b = self.cfg.n_branch
         alpha = self.label
-        for tm, tc in target.items_sorted():
-            gamma = tm.label
-            n_rel = exponent_index(self.offset_on(gamma), exponent)
-            level_out = tm.levels_sum - self.weight_int - n_rel
-            if self.cutoff is not None and level_out > self.cutoff:
+        lam_exp = -alpha.norm2() - 2 * exponent
+        factors: dict[Label, Scalar] = {}
+        for gamma, us in target.sectors.items():
+            eig = -self.offset_on(gamma)
+            n_rel = exponent_index(-eig, exponent)
+            kt = max(_levels(p) for t in us.values() for p in t)
+            if self.cutoff is not None and kt - self.weight_int - n_rel > self.cutoff:
                 raise WindowError("adjoint coefficient beyond cutoff")
-            t1 = e_dagger(self.cocycle, alpha, State.of(tm, coeff=tc), n_b)
-            acc = State.zero(target.rank)
-            kt1 = tm.levels_sum
-            for k2 in range(kt1 + 1):
-                x = annihilation_coeff(self._avec, k2, t1, arg=self._arg_plus)
-                if x.is_zero:
-                    continue
-                kx = x.max_levels()
-                for d_exp, uq, uscale in self._u_parts:
-                    hq = uq.max_levels()
-                    # total exponent: n_rel = k2 + d_exp + (p+1) - k4
-                    p_lo = n_rel - k2 - d_exp - 1
-                    for p in range(p_lo, hq + kx):
-                        k4 = k2 + d_exp + p + 1 - n_rel
-                        mode_scale = lam_pow(-2 * p - 2) * sign_pow(p + 1)
-                        gsa = vertex_mode(uq, p, x)
-                        if gsa.is_zero:
-                            continue
-                        term = creation_coeff(self._avec, k4, gsa,
-                                              arg=self._arg_minus)
-                        acc = acc + term.scale(uscale * mode_scale)
-            out = out + acc
-        return out
+            factors[alpha + gamma] = Scalar.from_unit(
+                e_exp=n_rel - self.n_branch * eig, lam_exp=lam_exp)
+        out: Sectors = {}
+        for d, op in self._ops:
+            for lab, us in op.coefficient(target, d - exponent).sectors.items():
+                _add_units(out.setdefault(lab, {}), GR_ONE, us, factors[lab])
+        return State(target.rank, out)
 
 
 def verify_invariance(x: IntertwinerSpec, y: State, t: State, cfg: FormConfig,

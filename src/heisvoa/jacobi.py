@@ -374,13 +374,9 @@ def verify_associativity(u: State, w: IntertwinerSpec, s: State, n_power: int,
         head = vertex_mode(u, j, w.head)
         if not head.is_zero:
             heads[-j - 1] = IntertwinerOp(IntertwinerSpec(head, cs), cutoff)
-    w_cache: dict = {}
-
-    def w_coeff(e):
-        if e not in w_cache:
-            w_cache[e] = op_w.coefficient(s, e)
-        return w_cache[e]
-
+    # W[p, j] = u(j) of the coefficient of Y(w) s at z2^(base+p)
+    W = _OffsetGrid(lambda p: op_w.coefficient(s, base + p),
+                    lambda mid, j: vertex_mode(u, j, mid))
     for e0 in range(-r0, r0 + 1):
         for n2 in range(-r2, r2 + 1):
             e2 = base + n2
@@ -393,9 +389,7 @@ def verify_associativity(u: State, w: IntertwinerSpec, s: State, n_power: int,
                     coef = binom(n_power - j - 1, n_power - j - 1 - e0)
                     if coef.is_zero:
                         continue
-                    t = w_coeff(e2 - n_power + j + 1 + e0)
-                    if not t.is_zero:
-                        left = left + vertex_mode(u, j, t).scale(coef)
+                    left = left + W[n2 - n_power + j + 1 + e0, j].scale(coef)
                 right = State.zero(s.rank)
                 for d, op in heads.items():
                     # e0 = (n - mm) + d for the z2-degree mm of the kernel

@@ -1,9 +1,10 @@
-"""The report bodies of the gated bench workloads stay byte-identical.
+"""The report bodies of the bench workloads stay byte-identical.
 
-Each workload config under ``bench/workloads`` runs through ``cli.main``
-at seed 2024; its body (the report without the lines that start with
-``# ``) must hash to the digest recorded in ``bench/reference``.  The
-per-layer tracer of ``bench/spans.py`` must still find every entry point
+The two gated workloads and ``props-r2``, whose rank-2 form suite is the
+one bench case with a nontrivial commutator C(alpha,beta), run through
+``cli.main`` at seed 2024; each body (the report without the lines that
+start with ``# ``) must hash to the digest recorded in
+``bench/reference``.  The per-layer tracer of ``bench/spans.py`` must still find every entry point
 it wraps.
 """
 
@@ -29,7 +30,7 @@ def body_sha256(report: Path) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", ["lattice-a1", "desk"])
+@pytest.mark.parametrize("name", ["lattice-a1", "desk", "props-r2"])
 def test_gated_bench_body_matches_its_reference(name, tmp_path):
     ref = json.loads((BENCH / "reference" / f"{name}.json").read_text())
     report = tmp_path / "report.txt"

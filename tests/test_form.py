@@ -1,25 +1,34 @@
 import random
 from fractions import Fraction
 
+from heisvoa import form
 from heisvoa.fock import (
     State,
     apply_mode,
     basis_monomials,
+    exp_virasoro_coeffs,
     label,
     monomial,
+    vertex_mode,
     zero_label,
 )
-from heisvoa.intertwiner import CocycleSystem, IntertwinerSpec, apply_e
+from heisvoa.intertwiner import (
+    CocycleSystem,
+    IntertwinerSpec,
+    _shift_scaled,
+    annihilation_coeff,
+    apply_e,
+    creation_coeff,
+)
 from heisvoa.form import (
     AdjointIntertwinerOp,
     FormConfig,
-    adjoint_mode,
-    e_dagger,
     gram,
     verify_gram_slices,
     verify_invariance,
 )
-from heisvoa.scalars import S_ONE, S_ZERO, branch_phase, gr, lam_pow
+from heisvoa.scalars import E, S_ONE, S_ZERO, branch_phase, gr, lam_pow, sign_pow
+from heisvoa.series import exponent_index
 
 
 def cfg_for(rank, diagonal_fix=False, n_branch=1):
@@ -36,17 +45,75 @@ def rand_label(rng, rank=1):
                   for _ in range(rank)])
 
 
+def dagger(color, n, s):
+    """a[color](n)^+ s = (-1)^(n+1) lam^(2n) a[color](-n) s."""
+    return apply_mode(color, -n, s).scale(sign_pow(n + 1) * lam_pow(2 * n))
+
+
+def e_dagger(cfg, alpha, w):
+    """e^(a+) w for a vacuum w: the top coefficient of the vacuum-head
+    adjoint, E(-N a(0)) lam^(2a(0) - a.a) e^a with a(0) read after the shift."""
+    adj = AdjointIntertwinerOp(IntertwinerSpec(State.vacuum(w.rank, alpha),
+                                               cfg.cocycle), cfg)
+    return adj.coefficient(w, adj.offset_on(w.single_label()))
+
+
+def factorized_adjoint(spec, cfg, target, exponent):
+    """[z^exponent] Yd(u|a>, z) target from the factorization
+    Yd = z^(a(0)^+) Yplus^+(a,z) Y^+(u,z) Yminus^+(a,z) e^(a+), with
+    Ypm^+(a,z) = Ymp(a, -lam^2/z) and Y^+(u,z) the mode adjoint of Y(u,z):
+    u(p)^+ pairs each part (-1)^q L(1)^q u/q! of e^(-z lam^-2 L(1)) u of
+    weight h with the scalar lam^(2h-2q) (-1)^(p+1) lam^(-2p-2)."""
+    alpha = spec.label
+    avec, rank = alpha.alpha, spec.head.rank
+    u_parts = []
+    for hm, hc in spec.head.items_sorted():
+        h = hm.levels_sum
+        u = State.of(monomial(zero_label(rank), hm.parts))
+        for q, cur in enumerate(exp_virasoro_coeffs(1, u, h, sign=-1)):
+            u_parts.append((q - 2 * h, cur, lam_pow(2 * h - 2 * q) * hc))
+
+    def factor(beta):  # e^(a+) on the sector beta
+        eig = alpha.dot(alpha + beta)
+        return (spec.cocycle.epsilon(alpha, beta) * branch_phase(-eig, cfg.n_branch)
+                * lam_pow(2 * eig - alpha.norm2()))
+
+    out = State.zero(rank)
+    for tm, tc in target.items_sorted():
+        n_rel = exponent_index(-alpha.dot(alpha + tm.label), exponent)
+        t1 = _shift_scaled(State.of(tm, coeff=tc), alpha, factor)
+        for k2 in range(tm.levels_sum + 1):
+            x = annihilation_coeff(avec, k2, t1, arg=-lam_pow(-2))
+            for d_exp, uq, uscale in u_parts:
+                # the total exponent is n_rel = k2 + d_exp + (p+1) - k4, k4 >= 0
+                for p in range(n_rel - k2 - d_exp - 1, uq.max_levels() + x.max_levels()):
+                    k4 = k2 + d_exp + p + 1 - n_rel
+                    term = creation_coeff(avec, k4, vertex_mode(uq, p, x),
+                                          arg=-lam_pow(2))
+                    out = out + term.scale(uscale * lam_pow(-2 * p - 2) * sign_pow(p + 1))
+    return out
+
+
 def test_adjoint_mode_examples():
     one = State.vacuum(1)
     a1 = apply_mode(1, -1, one)
-    assert adjoint_mode(1, 1).scalar == lam_pow(2)
-    assert adjoint_mode(1, 1).index == -1
-    assert adjoint_mode(1, 1).apply(one) == a1.scale(lam_pow(2))
-    assert adjoint_mode(1, 0).scalar == -S_ONE
-    assert adjoint_mode(1, 0).index == 0
-    assert adjoint_mode(1, -1).scalar == lam_pow(-2)
-    assert adjoint_mode(1, -1).index == 1
-    assert adjoint_mode(1, -1).apply(a1) == one.scale(lam_pow(-2))
+    assert dagger(1, 1, one) == a1.scale(lam_pow(2))
+    assert dagger(1, -1, a1) == one.scale(lam_pow(-2))
+    vb = State.vacuum(1, label(["1/2"]))
+    assert dagger(1, 0, vb) == vb.scale(gr("-1/2"))
+    # the pairing's closed contraction transposes every mode as its adjoint
+    rng = random.Random(23)
+    for rank in (1, 2):
+        cfg = cfg_for(rank)
+        beta = rand_label(rng, rank)
+        xs = [State.of(m) for m in basis_monomials(rank, 2, beta)]
+        ys = [State.of(m) for m in basis_monomials(rank, 3, -beta)]
+        for color in range(1, rank + 1):
+            for n in range(-2, 3):
+                for x in xs:
+                    for y in ys:
+                        assert (gram(apply_mode(color, n, x), y, cfg)
+                                == gram(x, dagger(color, n, y), cfg)), (color, n, x, y)
 
 
 def test_gram_examples():
@@ -101,7 +168,7 @@ def test_adjoint_intertwiner_uncharged_matches_mode_adjoints():
     t = State.of(monomial(zero_label(1), ((1, 2),)))
     for e in range(-3, 3):
         got = adj.coefficient(t, gr(e))
-        want = adjoint_mode(1, -e - 1).apply(t)
+        want = dagger(1, -e - 1, t)
         assert got == want, e
 
 
@@ -115,7 +182,7 @@ def test_adjoint_intertwiner_identity_and_e_dagger():
     assert adj.coefficient(t, gr(2)).is_zero
 
     alpha = label(["1/2"])
-    got = e_dagger(cs, alpha, State.vacuum(1, -alpha), cfg.n_branch)
+    got = e_dagger(cfg, alpha, State.vacuum(1, -alpha))
     want = State.vacuum(1).scale(cs.epsilon(alpha, -alpha)
                                  * lam_pow(-alpha.norm2()))
     assert got == want
@@ -147,9 +214,8 @@ def test_invariance_trivial_and_uncharged():
     # oracle: modewise <u(n)v, w> = <v, u+(n) w> for the generator
     a = apply_mode(1, -1, one)
     for n in range(-2, 3):
-        from heisvoa.fock import vertex_mode
         lhs = gram(vertex_mode(a, n, v), u, cfg)
-        rhs = gram(v, adjoint_mode(1, n).apply(u), cfg)
+        rhs = gram(v, dagger(1, n, u), cfg)
         assert lhs == rhs, n
 
 
@@ -193,10 +259,77 @@ def test_invariance_remark_consistency():
         direct = gram(apply_e(cs, alpha, v), w, cfg)
         via_adjoint = (branch_phase(-alpha.dot(beta), cfg.n_branch)
                        * cs.commutator(alpha, beta)
-                       * gram(v, e_dagger(cs, alpha, w, cfg.n_branch), cfg))
+                       * gram(v, e_dagger(cfg, alpha, w), cfg))
         assert direct == via_adjoint
         # and the equality is the cocycle identity
         lhs = cs.epsilon(alpha, beta) * cs.epsilon(alpha + beta, -(alpha + beta))
         rhs = (cs.commutator(alpha, beta) * cs.epsilon(alpha, -(alpha + beta))
                * cs.epsilon(beta, -beta))
         assert lhs == rhs
+
+
+def test_adjoint_matches_the_factorized_composition():
+    # heads with L(1)u != 0 fix the sign of the L(1) exponential, and a
+    # mixed-weight head with a unit coefficient mixes the z-shifts q - 2h
+    reads = nonzero = 0
+    for rank in (1, 2):
+        alpha = label(["1/2+1/3*i"] + ["1/3*i"] * (rank - 1))
+        gamma = label(["-1/4"] + ["2/5"] * (rank - 1))
+
+        def at(parts, c=S_ONE):
+            return State.of(monomial(alpha, parts), coeff=c)
+
+        heads = [at(((1, 2),)), at(((1, 1), (1, 2))),
+                 at(((1, 1),)) + at(((1, 1), (1, 2)), E(gr("1/3")) * lam_pow(1))]
+        if rank == 2:
+            heads.append(at(((1, 1), (2, 2))))
+        vac = State.vacuum(rank, gamma)
+        targets = [vac, apply_mode(1, -1, vac) + apply_mode(rank, -2, vac)]
+        for n_branch in (1, 3):
+            cfg = cfg_for(rank, n_branch=n_branch)
+            for head in heads:
+                spec = IntertwinerSpec(head, cfg.cocycle)
+                adj = AdjointIntertwinerOp(spec, cfg)
+                base = adj.offset_on(gamma)
+                for t in targets:
+                    for n in range(-4, 3):
+                        got = adj.coefficient(t, base + n)
+                        assert got == factorized_adjoint(spec, cfg, t, base + n), \
+                            (rank, n_branch, head, t, n)
+                        reads += 1
+                        nonzero += not got.is_zero
+    assert nonzero >= 100, (reads, nonzero)
+
+
+def invariance_case(rank, head_parts):
+    cfg = cfg_for(rank)
+    alpha = label(["1/2"] + ["1/3*i"] * (rank - 1))
+    beta = label(["1/3"] + ["-1/5"] * (rank - 1))
+    x = IntertwinerSpec(State.of(monomial(alpha, head_parts)), cfg.cocycle)
+    y = State.vacuum(rank, beta)
+    t = apply_mode(1, -1, State.vacuum(rank, -(alpha + beta)))
+    return lambda: verify_invariance(x, y, t, cfg, radius=2)
+
+
+def test_invariance_fails_without_the_commutator(monkeypatch):
+    # at rank 1 C(a,b) = 1, so non-collinear rank-2 labels are needed
+    run = invariance_case(2, ())
+    rep = run()
+    assert rep.outcome == "PASS", rep.failures_detail
+    monkeypatch.setattr(CocycleSystem, "commutator", lambda self, a, b: S_ONE)
+    rep = run()
+    assert rep.outcome == "FAIL" and rep.failures
+
+
+def test_invariance_fails_with_the_opposite_l1_exponential(monkeypatch):
+    # L(1) a(-2)|0> = 2 a(-1)|0>, so e^(-zL(1)) changes the adjoint
+    run = invariance_case(1, ((1, 2),))
+    rep = run()
+    assert rep.outcome == "PASS", rep.failures_detail
+
+    def flipped(n, s, order, sign=1):
+        return exp_virasoro_coeffs(n, s, order, -sign)
+
+    monkeypatch.setattr(form, "exp_virasoro_coeffs", flipped)
+    rep = run()
+    assert rep.outcome == "FAIL" and rep.failures
