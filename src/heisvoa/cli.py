@@ -36,7 +36,7 @@ from .fock import (
     virasoro_mode,
     zero_label,
 )
-from .form import FormConfig, verify_gram_slices, verify_invariance
+from .form import verify_gram_slices, verify_invariance
 from .intertwiner import (
     CocycleSystem,
     IntertwinerSpec,
@@ -259,7 +259,7 @@ def sample_labels(scn: Scenario, rng: random.Random, count: int):
     return out[:count]
 
 
-def head_state(scn: Scenario, parts, lab) -> State:
+def head_state(parts, lab) -> State:
     """Heads come in the text-format convention (color, -level)."""
     return State.of(monomial(lab, tuple((int(i), int(-k)) for i, k in parts)))
 
@@ -311,7 +311,7 @@ def suite_intertwiner_props(scn: Scenario) -> list[Case]:
         cases.append((f"{tag}/shift_conj_vertex",
                       verify_shift_conj_vertex(alpha, u, s, (-r, r),
                                                scn.cutoff)))
-        spec = IntertwinerSpec(head_state(scn, ((1, -1),), alpha), cs)
+        spec = IntertwinerSpec(head_state(((1, -1),), alpha), cs)
         cases.append((f"{tag}/e_conjugation",
                       verify_e_conjugation(spec, beta, s, r, scn.cutoff)))
         cases.append((f"{tag}/translation",
@@ -331,8 +331,8 @@ def suite_jacobi(scn: Scenario) -> list[Case]:
         s = State.vacuum(rank, gamma)
         for hi_, hx in enumerate(scn.heads):
             for hj, hy in enumerate(scn.heads):
-                x = IntertwinerSpec(head_state(scn, hx, alpha), cs)
-                y = IntertwinerSpec(head_state(scn, hy, beta), cs)
+                x = IntertwinerSpec(head_state(hx, alpha), cs)
+                y = IntertwinerSpec(head_state(hy, beta), cs)
                 rep = verify_generalized_jacobi(x, y, s, r, scn.n_branch, scn.cutoff)
                 cases.append((f"inst{inst}/heads{hi_}{hj}", rep))
     u = State.of(monomial(zero_label(rank), ((1, 1),)))
@@ -386,7 +386,7 @@ def suite_skew(scn: Scenario) -> list[Case]:
         pairs.append((pool[2 * k], pool[2 * k + 1]))
     for idx, (alpha, beta) in enumerate(pairs[:scn.pairs]):
         for hx in scn.heads[:2]:
-            x = IntertwinerSpec(head_state(scn, hx, alpha), cs)
+            x = IntertwinerSpec(head_state(hx, alpha), cs)
             y = State.vacuum(rank, beta)
             verdicts = []
             for n_branch in (1, 3):
@@ -406,9 +406,7 @@ def suite_form(scn: Scenario) -> list[Case]:
     rng = random.Random(f"{scn.seed}:form")
     rank = scn.rank
     cs = scn.cocycle()
-    cfg = FormConfig(scn.n_branch, cs)
-    cases: list[Case] = [("gram",
-                          verify_gram_slices(("0", "1/2", "1/3*i"), 3, cfg))]
+    cases: list[Case] = [("gram", verify_gram_slices(("0", "1/2", "1/3*i"), 3, cs))]
     for idx in range(max(1, scn.pairs // 2)):
         alpha, beta = sample_labels(scn, rng, 2)
         gamma = -(alpha + beta)
@@ -416,8 +414,8 @@ def suite_form(scn: Scenario) -> list[Case]:
         y = State.vacuum(rank, beta)
         t = apply_mode(1, -1, State.vacuum(rank, gamma))
         cases.append((f"invariance{idx:03d}",
-                      verify_invariance(x, y, t, cfg, min(scn.radius("form"), 2),
-                                        scn.cutoff)))
+                      verify_invariance(x, y, t, scn.n_branch,
+                                        min(scn.radius("form"), 2), scn.cutoff)))
     return cases
 
 
@@ -439,9 +437,11 @@ def suite_lattice_twist(scn: Scenario) -> list[Case]:
                       verify_li_equivalence(td, x, State.vacuum(lat.heis_rank),
                                             2, scn.cutoff, cs)))
         cases.append((f"{tag}/grading", verify_twist_grading(td, 3)))
-        rep = VerificationReport(f"shifted_virasoro[{text}]", "weight<=4, |m|,|n|<=3")
+        weight = min(scn.max_weight, 4)
+        rep = VerificationReport(f"shifted_virasoro[{text}]",
+                                 f"weight<={weight}, |m|,|n|<=3")
         cases.append((f"{tag}/shifted_virasoro",
-                      verify_shifted_virasoro(td, min(scn.max_weight, 4), rep)))
+                      verify_shifted_virasoro(td, weight, rep)))
     return cases
 
 

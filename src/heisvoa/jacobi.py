@@ -41,10 +41,9 @@ failing record keeps the two.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable
 
-from .fock import Sectors, State, _add_sectors, vertex_mode, virasoro_mode
+from .fock import Sectors, State, _add_sectors, exp_virasoro_coeffs, vertex_mode
 from .intertwiner import IntertwinerOp, IntertwinerSpec
 from .report import VerificationReport
 from .scalars import (
@@ -256,19 +255,11 @@ def verify_skew_symmetry(x: IntertwinerSpec, y: State, radius: int = 3,
                              window_used=f"[{lo},{radius}] around ({ab})",
                              meta={"branch_N": str(n_branch)})
     pref = branch_phase(-ab, n_branch) * cs.commutator(alpha, beta)
-    chains: dict = {}
-
-    def flipped(m: int) -> list:
-        # Y(v|b>, -z) u|a> coefficient with the branch resolving (-z)^kappa,
-        # then the growing e^(zL(-1)) chain on top of it
-        chain = chains.get(m)
-        if chain is None:
-            base = op_y.coefficient(x.head, ab + m).scale(
-                branch_phase(ab + m, n_branch))
-            chain = [base]
-            chains[m] = chain
-        return chain
-
+    top = radius if cutoff is None else min(radius, cutoff - ku - kv)
+    # chains[m][p] = L(-1)^p/p! of the Y(v|b>, -z) u|a> coefficient at
+    # z^(ab+m), the branch resolving (-z)^kappa
+    chains = {m: exp_virasoro_coeffs(-1, op_y.coefficient(x.head, ab + m).scale(
+        branch_phase(ab + m, n_branch)), top - m) for m in range(lo, top + 1)}
     for n in range(lo, radius + 1):
         if cutoff is not None and ku + kv + n > cutoff:
             rep.skip((ab + n,), f"needs level sums {ku + kv + n} > cutoff {cutoff}")
@@ -276,11 +267,7 @@ def verify_skew_symmetry(x: IntertwinerSpec, y: State, radius: int = 3,
         left = op_x.coefficient(y, ab + n)
         right = State.zero(y.rank)
         for p in range(0, n - lo + 1):
-            chain = flipped(n - p)
-            while len(chain) <= p:
-                chain.append(virasoro_mode(-1, chain[-1]).scale(
-                    Fraction(1, len(chain))))
-            right = right + chain[p]
+            right = right + chains[n - p][p]
         rep.record((ab + n,), left, right.scale(pref))
     return rep
 

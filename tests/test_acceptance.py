@@ -18,7 +18,7 @@ from heisvoa.fock import (
     virasoro_mode,
     zero_label,
 )
-from heisvoa.form import FormConfig, verify_gram_slices, verify_invariance
+from heisvoa.form import verify_gram_slices, verify_invariance
 from heisvoa.intertwiner import (
     CocycleSystem,
     IntertwinerSpec,
@@ -145,8 +145,7 @@ def test_criterion_4_skew_symmetry():
 
 def test_criterion_5_invariant_form():
     t0 = time.monotonic()
-    cfg = FormConfig(1, CS)
-    rep = verify_gram_slices(("0", "1/2", "1/3*i"), 3, cfg)
+    rep = verify_gram_slices(("0", "1/2", "1/3*i"), 3, CS)
     assert rep.verdict, rep.failures_detail
     assert len(rep.checked) == 3 * (1 + 4)  # vacuum pairing and 4 slices each
     instances = (("0", "0"), ("1/2", "1/3"), ("1/2*i", "1/2"))
@@ -156,7 +155,7 @@ def test_criterion_5_invariant_form():
         x = IntertwinerSpec(State.vacuum(1, alpha), CS)
         y = State.vacuum(1, beta)
         t = apply_mode(1, -1, State.vacuum(1, gamma))
-        rep = verify_invariance(x, y, t, cfg, radius=2)
+        rep = verify_invariance(x, y, t, 1, radius=2)
         assert rep.verdict, (astr, bstr, rep.failures_detail)
     elapsed = _passline(5, "invariant bilinear form", t0)
     assert elapsed < 60

@@ -124,3 +124,35 @@ def test_each_run_starts_on_a_fresh_workspace(tmp_path, monkeypatch):
     assert len({id(before), id(first), id(second)}) == 3
     assert not any(first_sizes.values()) and not any(second_sizes.values())
     assert first.sizes()["virasoro"] > 0
+
+
+# Defs whose unread parameters are an interface: an override hook keeps the
+# signature its overrides read.
+UNREAD_PARAMETERS_KEPT = {"intertwiner.IntertwinerOp.label_factor"}
+
+
+def test_every_parameter_is_read():
+    # a parameter that its def's body never reads is an argument every
+    # caller passes for nothing; dunders keep the signature Python calls
+    def defs(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from defs(node.body, f"{prefix}.{node.name}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{prefix}.{node.name}", node
+                yield from defs(node.body, f"{prefix}.{node.name}")
+
+    unread = []
+    for path in sorted(Path(heisvoa.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, node in defs(tree.body, path.stem):
+            if node.name.startswith("__") and node.name.endswith("__") \
+                    or name in UNREAD_PARAMETERS_KEPT:
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{name}({p})" for p in params if p not in read]
+    assert unread == []

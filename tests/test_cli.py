@@ -334,9 +334,20 @@ def test_starved_lattice_case_keeps_the_rest(tmp_path):
     assert "window_starvation" not in text
 
 
+def test_shifted_virasoro_window_names_the_weight_it_checks(tmp_path):
+    config = write_config(tmp_path, max_weight=1, suites=["lattice-twist"],
+                          window=1, cutoff=4, twists=["1/2"])
+    status, text = run(tmp_path, config)
+    assert status == 0
+    assert ("  shifted_virasoro[1/2]: PASS checked=51 failed=0 skipped=0 "
+            "window=weight<=1, |m|,|n|<=3\n") in text
+
+
 # sha256 of the report body of a small config that runs all nine suites,
-# recorded before the twisted and DLM operators shared one implementation
-GOLDEN_BODY_SHA256 = "eddd4b26373029f94e8f37d14d370d5e0ca317d520f92948e4d6263aff04524d"
+# recorded before the twisted and DLM operators shared one implementation;
+# re-recorded when the shifted_virasoro window text began to name the weight
+# it checks (weight<=2 here, at max_weight 2), its only change
+GOLDEN_BODY_SHA256 = "55d3a27a217e8bd7ef56281044df753c817cba634bce51c570801dbb63173841"
 
 
 def test_golden_report_body_all_suites(tmp_path):

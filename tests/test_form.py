@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from heisvoa import form
 from heisvoa.fock import (
     State,
@@ -22,7 +24,6 @@ from heisvoa.intertwiner import (
 )
 from heisvoa.form import (
     AdjointIntertwinerOp,
-    FormConfig,
     gram,
     verify_gram_slices,
     verify_invariance,
@@ -31,12 +32,12 @@ from heisvoa.scalars import E, S_ONE, S_ZERO, branch_phase, gr, lam_pow, sign_po
 from heisvoa.series import exponent_index
 
 
-def cfg_for(rank, diagonal_fix=False, n_branch=1):
+def cocycle_for(rank, diagonal_fix=False):
     f = tuple(tuple(gr("1/2") if i > j else gr(0) for j in range(rank))
               for i in range(rank))
     g = tuple(tuple(gr("1/5") if i < j else gr(0) for j in range(rank))
               for i in range(rank))
-    return FormConfig(n_branch, CocycleSystem(rank, f, g, diagonal_fix))
+    return CocycleSystem(rank, f, g, diagonal_fix)
 
 
 def rand_label(rng, rank=1):
@@ -50,15 +51,14 @@ def dagger(color, n, s):
     return apply_mode(color, -n, s).scale(sign_pow(n + 1) * lam_pow(2 * n))
 
 
-def e_dagger(cfg, alpha, w):
+def e_dagger(cs, alpha, w):
     """e^(a+) w for a vacuum w: the top coefficient of the vacuum-head
     adjoint, E(-N a(0)) lam^(2a(0) - a.a) e^a with a(0) read after the shift."""
-    adj = AdjointIntertwinerOp(IntertwinerSpec(State.vacuum(w.rank, alpha),
-                                               cfg.cocycle), cfg)
+    adj = AdjointIntertwinerOp(IntertwinerSpec(State.vacuum(w.rank, alpha), cs), 1)
     return adj.coefficient(w, adj.offset_on(w.single_label()))
 
 
-def factorized_adjoint(spec, cfg, target, exponent):
+def factorized_adjoint(spec, n_branch, target, exponent):
     """[z^exponent] Yd(u|a>, z) target from the factorization
     Yd = z^(a(0)^+) Yplus^+(a,z) Y^+(u,z) Yminus^+(a,z) e^(a+), with
     Ypm^+(a,z) = Ymp(a, -lam^2/z) and Y^+(u,z) the mode adjoint of Y(u,z):
@@ -75,7 +75,7 @@ def factorized_adjoint(spec, cfg, target, exponent):
 
     def factor(beta):  # e^(a+) on the sector beta
         eig = alpha.dot(alpha + beta)
-        return (spec.cocycle.epsilon(alpha, beta) * branch_phase(-eig, cfg.n_branch)
+        return (spec.cocycle.epsilon(alpha, beta) * branch_phase(-eig, n_branch)
                 * lam_pow(2 * eig - alpha.norm2()))
 
     out = State.zero(rank)
@@ -104,7 +104,7 @@ def test_adjoint_mode_examples():
     # the pairing's closed contraction transposes every mode as its adjoint
     rng = random.Random(23)
     for rank in (1, 2):
-        cfg = cfg_for(rank)
+        cs = cocycle_for(rank)
         beta = rand_label(rng, rank)
         xs = [State.of(m) for m in basis_monomials(rank, 2, beta)]
         ys = [State.of(m) for m in basis_monomials(rank, 3, -beta)]
@@ -112,59 +112,86 @@ def test_adjoint_mode_examples():
             for n in range(-2, 3):
                 for x in xs:
                     for y in ys:
-                        assert (gram(apply_mode(color, n, x), y, cfg)
-                                == gram(x, dagger(color, n, y), cfg)), (color, n, x, y)
+                        assert (gram(apply_mode(color, n, x), y, cs)
+                                == gram(x, dagger(color, n, y), cs)), (color, n, x, y)
 
 
 def test_gram_examples():
-    cfg = cfg_for(1)
+    cs = cocycle_for(1)
     one = State.vacuum(1)
-    assert gram(one, one, cfg) == S_ONE
+    assert gram(one, one, cs) == S_ONE
     beta = label(["1/2"])
     vb, vmb = State.vacuum(1, beta), State.vacuum(1, -beta)
-    assert gram(vb, vmb, cfg) == cfg.cocycle.epsilon(beta, -beta) * lam_pow(-beta.norm2())
+    assert gram(vb, vmb, cs) == cs.epsilon(beta, -beta) * lam_pow(-beta.norm2())
     a1 = apply_mode(1, -1, one)
-    assert gram(a1, a1, cfg) == lam_pow(-2)
-    assert gram(vb, vb, cfg).is_zero  # labels must cancel
+    assert gram(a1, a1, cs) == lam_pow(-2)
+    assert gram(vb, vb, cs).is_zero  # labels must cancel
 
 
 def test_gram_symmetry_and_zero_mode_antisymmetry():
     rng = random.Random(19)
     for rank in (1, 2):
-        cfg = cfg_for(rank)
+        cs = cocycle_for(rank)
         beta = rand_label(rng, rank)
         basis_b = basis_monomials(rank, 3, beta)
         basis_mb = basis_monomials(rank, 3, -beta)
         for mb in basis_b[:8]:
             for mmb in basis_mb[:8]:
                 x, y = State.of(mb), State.of(mmb)
-                assert gram(x, y, cfg) == gram(y, x, cfg)
-                lhs = gram(apply_mode(1, 0, x), y, cfg)
-                rhs = gram(x, apply_mode(1, 0, y), cfg)
+                assert gram(x, y, cs) == gram(y, x, cs)
+                lhs = gram(apply_mode(1, 0, x), y, cs)
+                rhs = gram(x, apply_mode(1, 0, y), cs)
                 assert lhs == -rhs
 
 
 def test_gram_diagonal_fix_uniqueness():
-    cfg = cfg_for(1, diagonal_fix=True)
+    cs = cocycle_for(1, diagonal_fix=True)
     for b in ("1/2", "1/3*i", "2-1/5*i"):
         beta = label([b])
-        got = gram(State.vacuum(1, beta), State.vacuum(1, -beta), cfg)
+        got = gram(State.vacuum(1, beta), State.vacuum(1, -beta), cs)
         assert got == lam_pow(-beta.norm2())
 
 
 def test_gram_matrix_symmetric_unit_determinant():
     for rank in (1, 2):
-        rep = verify_gram_slices(("0", "1/2", "1/3*i"), 3, cfg_for(rank))
+        rep = verify_gram_slices(("0", "1/2", "1/3*i"), 3, cocycle_for(rank))
         assert rep.verdict, (rank, rep.failures_detail)
         assert len(rep.checked) == 3 * (1 + 4)  # vacuum pairing and 4 slices each
 
 
+def test_gram_slices_fail_on_a_non_mirror_pairing(monkeypatch):
+    # a monomial paired with a non-mirror of the cancelling label makes
+    # every slice of dimension 2 and up non-diagonal
+    cs = cocycle_for(1)
+    rep = verify_gram_slices(("0", "1/2", "1/3*i"), 3, cs)
+    assert rep.outcome == "PASS", rep.failures_detail
+    mirror_only = form._gram_mono
+
+    def also_non_mirrors(mx, my, cs):
+        v = mirror_only(mx, my, cs)
+        if v.is_zero and (mx.label + my.label).is_zero \
+                and mx.levels_sum == my.levels_sum:
+            return S_ONE
+        return v
+
+    monkeypatch.setattr(form, "_gram_mono", also_non_mirrors)
+    rep = verify_gram_slices(("0", "1/2", "1/3*i"), 3, cs)
+    assert rep.outcome == "FAIL"
+    assert {r.exponents for r in rep.failures} == {
+        (gr(b), k) for b in ("0", "1/2", "1/3*i") for k in (2, 3)}
+
+
+def test_adjoint_intertwiner_needs_an_odd_branch():
+    spec = IntertwinerSpec(State.vacuum(1), cocycle_for(1))
+    with pytest.raises(ValueError, match="branch parameter N must be odd"):
+        AdjointIntertwinerOp(spec, 2)
+
+
 def test_adjoint_intertwiner_uncharged_matches_mode_adjoints():
-    cfg = cfg_for(1)
-    cs = cfg.cocycle
+    cs = cocycle_for(1)
     a = apply_mode(1, -1, State.vacuum(1))
     spec = IntertwinerSpec(a, cs)
-    adj = AdjointIntertwinerOp(spec, cfg)
+    adj = AdjointIntertwinerOp(spec, 1)
     t = State.of(monomial(zero_label(1), ((1, 2),)))
     for e in range(-3, 3):
         got = adj.coefficient(t, gr(e))
@@ -173,25 +200,23 @@ def test_adjoint_intertwiner_uncharged_matches_mode_adjoints():
 
 
 def test_adjoint_intertwiner_identity_and_e_dagger():
-    cfg = cfg_for(1)
-    cs = cfg.cocycle
+    cs = cocycle_for(1)
     one_spec = IntertwinerSpec(State.vacuum(1), cs)
-    adj = AdjointIntertwinerOp(one_spec, cfg)
+    adj = AdjointIntertwinerOp(one_spec, 1)
     t = State.of(monomial(zero_label(1), ((1, 1),)))
     assert adj.coefficient(t, gr(0)) == t
     assert adj.coefficient(t, gr(2)).is_zero
 
     alpha = label(["1/2"])
-    got = e_dagger(cfg, alpha, State.vacuum(1, -alpha))
+    got = e_dagger(cs, alpha, State.vacuum(1, -alpha))
     want = State.vacuum(1).scale(cs.epsilon(alpha, -alpha)
                                  * lam_pow(-alpha.norm2()))
     assert got == want
 
 
 def test_adjoint_intertwiner_charged_series_window():
-    cfg = cfg_for(1)
-    spec = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cfg.cocycle)
-    adj = AdjointIntertwinerOp(spec, cfg)
+    spec = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cocycle_for(1))
+    adj = AdjointIntertwinerOp(spec, 1)
     t = State.vacuum(1, label(["1/3"]))
     base = adj.offset_on(t.single_label())
     # the exponents are bounded above by base + (kt - ku) = base
@@ -201,44 +226,41 @@ def test_adjoint_intertwiner_charged_series_window():
 
 
 def test_invariance_trivial_and_uncharged():
-    cfg = cfg_for(1)
-    cs = cfg.cocycle
+    cs = cocycle_for(1)
     one = State.vacuum(1)
-    rep = verify_invariance(IntertwinerSpec(one, cs), one, one, cfg, radius=2)
+    rep = verify_invariance(IntertwinerSpec(one, cs), one, one, 1, radius=2)
     assert rep.verdict, rep.failures_detail
     # uncharged weight <= 2, lam-dependence included
     u = State.of(monomial(zero_label(1), ((1, 1), (1, 1))))
     v = apply_mode(1, -1, one)
-    rep = verify_invariance(IntertwinerSpec(u, cs), v, v, cfg, radius=2)
+    rep = verify_invariance(IntertwinerSpec(u, cs), v, v, 1, radius=2)
     assert rep.verdict, rep.failures_detail
     # oracle: modewise <u(n)v, w> = <v, u+(n) w> for the generator
     a = apply_mode(1, -1, one)
     for n in range(-2, 3):
-        lhs = gram(vertex_mode(a, n, v), u, cfg)
-        rhs = gram(v, dagger(1, n, u), cfg)
+        lhs = gram(vertex_mode(a, n, v), u, cs)
+        rhs = gram(v, dagger(1, n, u), cs)
         assert lhs == rhs, n
 
 
 def test_invariance_charged():
+    cs = cocycle_for(1)
     for n_branch in (1, 3):
-        cfg = cfg_for(1, n_branch=n_branch)
-        cs = cfg.cocycle
         alpha, beta = label(["1/2"]), label(["1/3"])
         gamma = -(alpha + beta)
         x = IntertwinerSpec(State.vacuum(1, alpha), cs)
         y = State.vacuum(1, beta)
         t = apply_mode(1, -1, State.vacuum(1, gamma))
-        rep = verify_invariance(x, y, t, cfg, radius=2)
+        rep = verify_invariance(x, y, t, n_branch, radius=2)
         assert rep.verdict, rep.failures_detail
 
 
 def test_invariance_selection_rule(compared):
-    cfg = cfg_for(1)
-    cs = cfg.cocycle
+    cs = cocycle_for(1)
     x = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cs)
     y = State.vacuum(1, label(["1/3"]))
     t = State.vacuum(1, label(["1/7"]))  # labels do not cancel
-    rep = verify_invariance(x, y, t, cfg, radius=1)
+    rep = verify_invariance(x, y, t, 1, radius=1)
     assert rep.verdict
     assert rep.meta["selection"] == "nonzero"
     assert len(compared) == len(rep.checked) > 0
@@ -249,17 +271,16 @@ def test_invariance_selection_rule(compared):
 def test_invariance_remark_consistency():
     # <e^a (v|b>), w|c>> evaluated directly and through the adjoint agree
     rng = random.Random(37)
-    cfg = cfg_for(1)
-    cs = cfg.cocycle
+    cs = cocycle_for(1)
     for _ in range(12):
         alpha, beta = rand_label(rng), rand_label(rng)
         gamma = -(alpha + beta)
         v = State.vacuum(1, beta)
         w = State.vacuum(1, gamma)
-        direct = gram(apply_e(cs, alpha, v), w, cfg)
-        via_adjoint = (branch_phase(-alpha.dot(beta), cfg.n_branch)
+        direct = gram(apply_e(cs, alpha, v), w, cs)
+        via_adjoint = (branch_phase(-alpha.dot(beta), 1)
                        * cs.commutator(alpha, beta)
-                       * gram(v, e_dagger(cfg, alpha, w), cfg))
+                       * gram(v, e_dagger(cs, alpha, w), cs))
         assert direct == via_adjoint
         # and the equality is the cocycle identity
         lhs = cs.epsilon(alpha, beta) * cs.epsilon(alpha + beta, -(alpha + beta))
@@ -286,15 +307,14 @@ def test_adjoint_matches_the_factorized_composition():
         vac = State.vacuum(rank, gamma)
         targets = [vac, apply_mode(1, -1, vac) + apply_mode(rank, -2, vac)]
         for n_branch in (1, 3):
-            cfg = cfg_for(rank, n_branch=n_branch)
             for head in heads:
-                spec = IntertwinerSpec(head, cfg.cocycle)
-                adj = AdjointIntertwinerOp(spec, cfg)
+                spec = IntertwinerSpec(head, cocycle_for(rank))
+                adj = AdjointIntertwinerOp(spec, n_branch)
                 base = adj.offset_on(gamma)
                 for t in targets:
                     for n in range(-4, 3):
                         got = adj.coefficient(t, base + n)
-                        assert got == factorized_adjoint(spec, cfg, t, base + n), \
+                        assert got == factorized_adjoint(spec, n_branch, t, base + n), \
                             (rank, n_branch, head, t, n)
                         reads += 1
                         nonzero += not got.is_zero
@@ -302,13 +322,12 @@ def test_adjoint_matches_the_factorized_composition():
 
 
 def invariance_case(rank, head_parts):
-    cfg = cfg_for(rank)
     alpha = label(["1/2"] + ["1/3*i"] * (rank - 1))
     beta = label(["1/3"] + ["-1/5"] * (rank - 1))
-    x = IntertwinerSpec(State.of(monomial(alpha, head_parts)), cfg.cocycle)
+    x = IntertwinerSpec(State.of(monomial(alpha, head_parts)), cocycle_for(rank))
     y = State.vacuum(rank, beta)
     t = apply_mode(1, -1, State.vacuum(rank, -(alpha + beta)))
-    return lambda: verify_invariance(x, y, t, cfg, radius=2)
+    return lambda: verify_invariance(x, y, t, 1, radius=2)
 
 
 def test_invariance_fails_without_the_commutator(monkeypatch):

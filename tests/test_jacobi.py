@@ -26,7 +26,7 @@ from heisvoa.jacobi import (
     verify_normal_order,
     verify_skew_symmetry,
 )
-from heisvoa.scalars import E, binom, gr
+from heisvoa.scalars import E, as_gauss, binom, gr
 from heisvoa.series import CosetError
 
 
@@ -172,6 +172,19 @@ def test_skew_charged_heavier():
     y = apply_mode(1, -1, State.vacuum(1, label(["1/3"])))
     rep = verify_skew_symmetry(x, y, radius=2)
     assert rep.verdict, rep.failures_detail
+
+
+def test_skew_fails_with_an_even_branch(monkeypatch):
+    # E(k(N+1)) is the phase of the even branch N+1: the ratio of the
+    # prefactor and the branch of (-z)^(ab+m) loses its sign (-1)^m
+    x = head_spec(((1, 1),), alpha="1/2")
+    y = State.vacuum(1, label(["1/3"]))
+    rep = verify_skew_symmetry(x, y, radius=2, cutoff=6)
+    assert rep.outcome == "PASS" and len(rep.checked) == 4, rep.failures_detail
+    monkeypatch.setattr(jacobi, "branch_phase", lambda k, n: E(as_gauss(k) * (n + 1)))
+    rep = verify_skew_symmetry(x, y, radius=2, cutoff=6)
+    assert rep.outcome == "FAIL"
+    assert len(rep.failures) == len(rep.checked) == 4
 
 
 def test_commutator_examples():

@@ -13,7 +13,7 @@ from heisvoa.fock import (
     virasoro_mode,
     zero_label,
 )
-from heisvoa.form import FormConfig, verify_invariance
+from heisvoa.form import verify_invariance
 from heisvoa.intertwiner import IntertwinerOp, IntertwinerSpec
 from heisvoa.lattice import (
     DlmOp,
@@ -206,14 +206,13 @@ def test_lattice_invariant_form_parity_prefactor():
     # the invariance prefactor for lattice labels is the parity sign
     lat = Z1
     cs = lattice_cocycle(lat)
-    cfg = FormConfig(1, cs)
     mu1, mu2 = lat.label_of([1]), lat.label_of([1])
     pref = branch_phase(-mu1.dot(mu2), 1) * cs.commutator(mu1, mu2)
     assert pref == sign_pow(lat.pairing([1], [1]) ** 2)
     x = IntertwinerSpec(State.vacuum(1, mu1), cs)
     y = State.vacuum(1, mu2)
     t = State.vacuum(1, lat.label_of([-2]))
-    rep = verify_invariance(x, y, t, cfg, radius=2)
+    rep = verify_invariance(x, y, t, 1, radius=2)
     assert rep.verdict, rep.failures_detail
 
 
