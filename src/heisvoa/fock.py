@@ -15,7 +15,6 @@ acts on the sector of alpha by the eigenvalue alpha_i.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -30,7 +29,6 @@ from .scalars import (
     as_gauss,
     as_scalar,
     binom,
-    parse_scalar,
 )
 from .report import VerificationReport
 from .workspace import current
@@ -594,15 +592,6 @@ def exp_virasoro_coeffs(n: int, s: State, order: int, sign: int = 1) -> list[Sta
     return out
 
 
-def conformal_vector(rank: int) -> State:
-    """omega = (1/2) sum_i a[i](-1)^2 |0>."""
-    out = State.zero(rank)
-    for i in range(1, rank + 1):
-        out = out + State.of(monomial(zero_label(rank), ((i, 1), (i, 1))),
-                             coeff=as_scalar(Fraction(1, 2)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bases
 
@@ -690,8 +679,6 @@ def verify_virasoro_brackets(mode, central_charge, states, radius: int = 3,
 # ---------------------------------------------------------------------------
 # text format: sum of terms "c * a[i,-k]a[i,-k]...|g1,g2,...>"
 
-_PART_RE = re.compile(r"a\[(\d+),(-\d+)\]")
-
 
 def format_state(s: State) -> str:
     if s.is_zero:
@@ -705,56 +692,3 @@ def format_state(s: State) -> str:
         else:
             terms.append(f"({c}) * {parts}{ket}")
     return " + ".join(terms)
-
-
-def parse_state(text: str, rank: int) -> State:
-    text = text.strip()
-    if text == "0":
-        return State.zero(rank)
-    out = State.zero(rank)
-    for term in _split_top_terms(text):
-        coeff = S_ONE
-        body = term.strip()
-        if body.startswith("("):
-            depth, idx = 0, 0
-            for idx, ch in enumerate(body):
-                depth += ch == "("
-                depth -= ch == ")"
-                if depth == 0:
-                    break
-            coeff = parse_scalar(body[1:idx])
-            body = body[idx + 1:].strip()
-            if body.startswith("*"):
-                body = body[1:].strip()
-        if "|" not in body or not body.endswith(">"):
-            raise ValueError(f"malformed state term: {term!r}")
-        parts_text, ket = body.split("|", 1)
-        parts = [(int(i), -int(k)) for i, k in _PART_RE.findall(parts_text)]
-        consumed = "".join(f"a[{i},{-k}]" for i, k in parts)
-        if consumed != parts_text.strip():
-            raise ValueError(f"malformed creation parts: {parts_text!r}")
-        lab_vals = ket[:-1].split(",") if ket[:-1] else []
-        lab = label([GaussRat.parse(v) for v in lab_vals])
-        if lab.rank != rank:
-            raise ValueError(f"label rank {lab.rank} != {rank}")
-        out = out + State.of(monomial(lab, parts), coeff=coeff)
-    return out
-
-
-def _split_top_terms(text: str) -> list[str]:
-    out, depth, cur = [], 0, []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        depth += ch == "("
-        depth -= ch == ")"
-        if depth == 0 and text[i:i + 3] == " + ":
-            out.append("".join(cur))
-            cur = []
-            i += 3
-            continue
-        cur.append(ch)
-        i += 1
-    if cur:
-        out.append("".join(cur))
-    return out

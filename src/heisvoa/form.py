@@ -101,12 +101,12 @@ def _gram_mono(mx: FockMonomial, my: FockMonomial, cs: CocycleSystem) -> Scalar:
         lam_exp=-beta.norm2() - 2 * big_l, coeff=c)
 
 
-def gram_matrix(beta: Label, levels: int, cs: CocycleSystem,
-                exact: bool = True) -> tuple[list, list, list[list[Scalar]]]:
+def gram_matrix(beta: Label, levels: int,
+                cs: CocycleSystem) -> tuple[list, list, list[list[Scalar]]]:
     """Basis rows, columns and the Gram matrix of the weight slice
     M_beta x M_(-beta) at the given level sum."""
-    rows = basis_monomials(beta.rank, levels, beta, exact=exact)
-    cols = basis_monomials(beta.rank, levels, -beta, exact=exact)
+    rows = basis_monomials(beta.rank, levels, beta, exact=True)
+    cols = basis_monomials(beta.rank, levels, -beta, exact=True)
     mat = [[_gram_mono(r, c, cs) for c in cols] for r in rows]
     return rows, cols, mat
 

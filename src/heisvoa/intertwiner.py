@@ -20,7 +20,7 @@ Delta, the dressed operator reads Y(u,z) on the sector beta + gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fock import (
     Label,
@@ -101,8 +101,6 @@ class CocycleSystem:
     g: tuple
     diagonal_fix: bool = False
     corruption: GaussRat = GR_ZERO
-    _cache: dict = field(default_factory=dict, hash=False, compare=False,
-                         repr=False)
 
     def __post_init__(self):
         for m in (self.f, self.g):
@@ -124,26 +122,16 @@ class CocycleSystem:
         return S_ONE
 
     def epsilon(self, a: Label, b: Label) -> Scalar:
-        key = (a, b)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         out = self.epsilon_base(a, b)
         if self.diagonal_fix:
             out = out * self._coboundary(a) * self._coboundary(b) \
                 * self._coboundary(a + b).inverse()
         if not self.corruption.is_zero:
             out = out * zeta_pow(self.corruption * a.norm2() * b.norm2())
-        self._cache[key] = out
         return out
 
     def commutator(self, a: Label, b: Label) -> Scalar:
         return self.epsilon(a, b) * self.epsilon(b, a).inverse()
-
-
-def standard_cocycle(rank: int, diagonal_fix: bool = False) -> CocycleSystem:
-    zero = tuple((GR_ZERO,) * rank for _ in range(rank))
-    return CocycleSystem(rank, zero, zero, diagonal_fix)
 
 
 def _shift_scaled(s: State, dalpha: Label, factor) -> State:
@@ -255,35 +243,6 @@ def _ypm_dress(entries: dict[tuple[int, int], State], sign: int, avec: tuple,
                              c if w > 0 else -c, ck.sectors)
     done = {key: State(len(avec), secs) for key, secs in out.items()}
     return {key: st for key, st in done.items() if not st.is_zero}
-
-
-def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
-    """Delta(beta,z)s = z^(beta(0)) Yplus(beta,-z)s as a finite list of
-    (exponent, state) pairs in ascending exponent order.
-
-    Monomials of s must give offsets beta.mu in one coset; otherwise a
-    CosetError asks the caller to split per coset first.
-    """
-    base: GaussRat | None = None
-    coeffs: dict[int, Sectors] = {}
-    bvec = beta.alpha
-    for lab, us in s.sectors.items():
-        off = beta.dot(lab)
-        if base is None:
-            base = off
-        shift = exponent_index(base, off)
-        for u, t in us.items():
-            for p, q in t.items():
-                chain = _mode_chain(bvec, 1, p, _levels(p))
-                for k, terms in enumerate(chain):
-                    _accumulate(coeffs.setdefault(shift - k, {}).setdefault(lab, {})
-                                .setdefault(u, {}), -q if k % 2 else q, terms)
-    out = []
-    for n in sorted(coeffs):
-        st = State(s.rank, coeffs[n])
-        if not st.is_zero:
-            out.append((base + n, st))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from .scalars import (
 from .series import CosetError, exponent_index
 
 __all__ = [
-    "coeff_product",
     "three_term_jacobi",
     "verify_commutator",
     "verify_generalized_jacobi",
@@ -190,18 +189,6 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
                         _add_sectors(rhs, coef, grid_r[ia - m, ib + ic + m].sectors)
                 rep.record((a, b, c), State(rank, lhs), State(rank, rhs))
     return rep
-
-
-def coeff_product(x: IntertwinerSpec, y: IntertwinerSpec, s: State,
-                  b, c, cutoff: int | None = None) -> State:
-    """The exact coefficient of z1^b z2^c in Y(x,z1) Y(y,z2) s.
-
-    Each fixed exponent pair selects exactly one mode composition; the
-    exponents must sit in the cosets dictated by the three labels.
-    """
-    op1 = IntertwinerOp(x, cutoff)
-    op2 = IntertwinerOp(y, cutoff)
-    return op1.coefficient(op2.coefficient(s, as_gauss(c)), as_gauss(b))
 
 
 def verify_generalized_jacobi(x: IntertwinerSpec, y: IntertwinerSpec, s: State,

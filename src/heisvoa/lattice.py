@@ -25,7 +25,6 @@ from .fock import (
     apply_mode,
     basis_monomials,
     label,
-    translate_label,
     verify_virasoro_brackets,
     virasoro_mode,
 )
@@ -33,17 +32,13 @@ from .intertwiner import (
     CocycleSystem,
     IntertwinerOp,
     IntertwinerSpec,
-    annihilation_coeff,
     apply_e,
-    creation_coeff,
-    delta_dress,
 )
 from .jacobi import three_term_jacobi
 from .report import VerificationReport
 from .scalars import (
     GR_ZERO,
     GaussRat,
-    S_ONE,
     S_ZERO,
     Scalar,
     _frac,
@@ -52,7 +47,6 @@ from .scalars import (
     gr,
     sign_pow,
 )
-from .series import exponent_index
 
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -433,54 +427,6 @@ class DlmOp(IntertwinerOp):
         if self.variant == "delta":
             factor = factor * branch_phase(self.alpha.dot(mu2), self.n_branch)
         return factor
-
-
-def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,
-                        exponent, n_branch: int = 1,
-                        cocycle: CocycleSystem | None = None,
-                        variant: str = "delta") -> State:
-    """One coefficient of the defining composition of the operator (used
-    as an oracle for the closed form):
-
-        psi_(-a-b) Yminus(a,z) Y(psi_a Delta(b,z) x, z) D(z) psi_b target
-
-    with D(z) = Delta(a,-z) for the delta variant (branch phases resolve
-    the (-z)^(a(0)) powers) and D(z) = Yplus(a,z) z^(a(0)) for the hat
-    variant; psi denotes the bare label shift.
-    """
-    cs = cocycle if cocycle is not None else lattice_cocycle(td.lattice)
-    alpha = td.alpha
-    beta = sector
-    exponent = as_gauss(exponent)
-    rank = target.rank
-    avec = alpha.alpha
-    lab_x = x.single_label()
-    # heads: psi_a Delta(b,z) x as (exponent, state) pairs
-    heads = [(exp, IntertwinerOp(IntertwinerSpec(translate_label(st, -alpha), cs)))
-             for exp, st in delta_dress(beta, x)]
-    out = State.zero(rank)
-    t0 = translate_label(target, -beta)
-    for tm, tc in t0.items_sorted():
-        base = State.of(tm, coeff=tc)
-        eig = alpha.dot(tm.label)
-        # Delta(a,-z) = (-z)^(a(0)) Yplus(a,z); the hat variant drops the
-        # branch phase by using z^(a(0)) instead of (-z)^(a(0))
-        d_scale = branch_phase(eig, n_branch) if variant == "delta" else S_ONE
-        n_rel = exponent_index(lab_x.dot(tm.label + beta), exponent)
-        km_max = x.max_levels() + tm.levels_sum + n_rel
-        for k in range(tm.levels_sum + 1):
-            dressed = annihilation_coeff(avec, k, base)
-            if dressed.is_zero:
-                continue
-            d_exp = eig - k
-            for h_exp, op in heads:
-                for km in range(0, km_max + 1):
-                    inner = op.coefficient(dressed, exponent - d_exp - h_exp - km)
-                    if inner.is_zero:
-                        continue
-                    lifted = creation_coeff(avec, km, inner)
-                    out = out + translate_label(lifted, alpha + beta).scale(d_scale)
-    return out
 
 
 def verify_dlm_jacobi(td1: TwistData, td2: TwistData, alpha3: Label,

@@ -553,46 +553,3 @@ def branch_phase(kappa, n_branch: int) -> Scalar:
     if n_branch % 2 == 0:
         raise ValueError("branch parameter N must be odd")
     return E(as_gauss(kappa) * n_branch)
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Inverse of Scalar.__str__ (used by the state parser and reports)."""
-    out = S_ZERO
-    for piece in _split_terms(text):
-        coeff = GR_ONE
-        e_exp = lam_exp = zeta_exp = GR_ZERO
-        for factor in _split_factors(piece):
-            f = factor.strip()
-            if f.startswith("E(") and f.endswith(")"):
-                e_exp = e_exp + GaussRat.parse(f[2:-1])
-            elif f.startswith("lam^"):
-                lam_exp = lam_exp + GaussRat.parse(f[4:].strip("()"))
-            elif f.startswith("zeta^"):
-                zeta_exp = zeta_exp + GaussRat.parse(f[5:].strip("()"))
-            else:
-                coeff = coeff * GaussRat.parse(f.strip("()"))
-        out = out + Scalar.from_unit(e_exp, lam_exp, zeta_exp, coeff)
-    return out
-
-
-def _split_terms(text: str) -> list[str]:
-    return [t for t in text.replace(" + ", "\x00").split("\x00") if t.strip()]
-
-
-def _split_factors(term: str) -> list[str]:
-    # complex coefficients are always parenthesized, so a '*' at paren
-    # depth zero is a factor separator
-    out, depth, cur = [], 0, []
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out

@@ -47,11 +47,6 @@ KEPT_WITHOUT_A_CALLER_IN_SRC = {
     "load_scenario": "bench/worker.py loads its workload configs with it",
     "sizes": "the table sizes of a workspace, for cache counters and the fresh-run test",
     "failures_detail": "the failure message of a report, used in test assertions",
-    "coeff_product": "oracle: the naive product coefficient of two intertwiners",
-    "dlm_vertex_defining": "oracle: the defining composition of the DLM operator",
-    "conformal_vector": "oracle: its vertex modes must equal the Virasoro modes",
-    "standard_cocycle": "fixture: the trivial cocycle of the intertwiner and Jacobi tests",
-    "parse_state": "oracle: the inverse of the report's state text format",
 }
 
 
@@ -102,6 +97,19 @@ def test_no_module_level_caches():
         module = importlib.import_module(f"heisvoa.{info.name}")
         caches = [name for name in vars(module) if re.match(r"^_[A-Z_]*CACHE$", name)]
         assert not caches, (info.name, caches)
+    # nor does a class keep one: a memo in a class body outlives the run
+    # that filled it, out of the workspace's reach
+    caches = []
+    for path in sorted(Path(heisvoa.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                targets = node.targets if isinstance(node, ast.Assign) else \
+                    [node.target] if isinstance(node, ast.AnnAssign) else []
+                caches += [f"{path.stem}.{cls.name}.{t.id}" for t in targets
+                           if isinstance(t, ast.Name) and "cache" in t.id.lower()]
+    assert caches == []
 
 
 def test_each_run_starts_on_a_fresh_workspace(tmp_path, monkeypatch):

@@ -10,8 +10,12 @@ from pathlib import Path
 import pytest
 
 import heisvoa
+from heisvoa import cli
 from heisvoa.cli import SUITES, ConfigError, load_scenario, main, sample_labels
 from heisvoa.fock import label
+from heisvoa.report import VerificationReport
+from heisvoa.scalars import gr
+from heisvoa.series import WindowError
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -200,6 +204,10 @@ MALFORMED = {
     "n_branch_even": dict(n_branch=2),
     "suites_empty": dict(suites=[]),
     "suites_string": dict(suites="jacobi"),
+    "rank_zero": dict(rank=0),
+    "cutoff_below_window": dict(cutoff=2, window=3),
+    "cutoff_below_a_suite_window": dict(cutoff=3, window=2, windows={"dlm": 4},
+                                        suites=["dlm"]),
 }
 
 
@@ -209,6 +217,15 @@ def test_malformed_config_exits_2(tmp_path, overrides):
     with pytest.raises(ConfigError):
         load_scenario(config)
     assert main(["verify", config]) == 2
+
+
+def test_config_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([{"rank": 1}]))
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        load_scenario(str(path))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_label_entry_errors_name_field_index_and_length(tmp_path):
@@ -303,6 +320,48 @@ def test_starved_suite_keeps_the_rest(tmp_path):
     assert "suite virasoro case 000 brackets\n  virasoro_brackets: PASS" in text
     assert "window_starvation" not in text
     assert "verdict: FAIL" in text
+
+
+def _starving(scn):
+    """A suite runner whose window outruns the cutoff outside any case."""
+    raise WindowError("needs level sums 9 > cutoff 6")
+
+
+def test_window_error_out_of_a_suite_starves_that_suite_alone(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "locality", _starving)
+    config = write_config(tmp_path, suites=["locality", "virasoro"], window=1)
+    status, text = run(tmp_path, config)
+    assert status == 3
+    assert "suite locality case 000 window_starvation\n" \
+           "  locality: STARVED checked=0 failed=0 skipped=0 window=\n" \
+           "    meta error = needs level sums 9 > cutoff 6\n" in text
+    assert "suite virasoro case 000 brackets\n  virasoro_brackets: PASS" in text
+    assert "starved=1 " in text
+
+
+def test_a_failing_case_exits_1_over_a_starved_one(tmp_path, monkeypatch):
+    def failing(scn):
+        rep = VerificationReport("wrong")
+        rep.record((0,), gr(1), gr(2))
+        return [("wrong", rep)]
+
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "virasoro", failing)
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "locality", _starving)
+    config = write_config(tmp_path, suites=["locality", "virasoro"], window=1)
+    status, text = run(tmp_path, config)
+    assert status == 1
+    assert "  wrong: FAIL checked=1 failed=1 skipped=0" in text
+    assert "failing-cases=1 designed-failures=0 starved=1 " in text
+
+
+def test_cocycle_g_reaches_the_cocycle(tmp_path):
+    config = write_config(tmp_path, suites=["jacobi"], window=1, cutoff=4,
+                          jacobi_instances=[["1/2", "1/3", "-1/4"]],
+                          heads=[[], [[1, -1]]], cocycle_g=[["1/3"]])
+    assert load_scenario(config).cocycle().g == ((gr("1/3"),),)
+    status, text = run(tmp_path, config)
+    assert status == 0
+    assert "verdict: PASS" in text
 
 
 def test_coordinate_list_twist_is_tagged_by_its_entries(tmp_path):

@@ -12,11 +12,9 @@ from heisvoa.fock import (
     State,
     apply_mode,
     basis_monomials,
-    conformal_vector,
     format_state,
     label,
     monomial,
-    parse_state,
     translate_label,
     verify_heisenberg_brackets,
     verify_virasoro_brackets,
@@ -39,6 +37,7 @@ from heisvoa.scalars import (
     lam_pow,
     zeta_pow,
 )
+from oracles import conformal_vector, parse_state
 
 
 def mono_state(rank, parts, lab=None):

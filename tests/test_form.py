@@ -255,6 +255,17 @@ def test_invariance_charged():
         assert rep.verdict, rep.failures_detail
 
 
+def test_invariance_skips_an_adjoint_coefficient_past_the_cutoff():
+    cs = cocycle_for(1)
+    x = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cs)
+    y = State.vacuum(1, label(["1/3"]))
+    t = apply_mode(1, -1, State.vacuum(1, label(["-5/6"])))
+    rep = verify_invariance(x, y, t, 1, radius=2, cutoff=3)
+    assert rep.outcome == "PASS" and len(rep.checked) == 5, rep.failures_detail
+    assert rep.skipped == [((gr("-17/6"),), "adjoint coefficient beyond cutoff")]
+    assert len(verify_invariance(x, y, t, 1, radius=2).checked) == 6
+
+
 def test_invariance_selection_rule(compared):
     cs = cocycle_for(1)
     x = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cs)

@@ -20,8 +20,6 @@ from heisvoa.intertwiner import (
     apply_e,
     apply_e_inverse,
     creation_coeff,
-    delta_dress,
-    standard_cocycle,
     verify_creativity,
     verify_e_conjugation,
     verify_shift_conj_lminus,
@@ -35,6 +33,7 @@ from heisvoa.intertwiner import (
 )
 from heisvoa.scalars import E, S_ONE, as_gauss, as_scalar, gr, lam_pow, zeta_pow
 from heisvoa.series import CosetError, WindowError, exponent_index
+from oracles import delta_dress, standard_cocycle
 
 
 def rand_label(rng, rank=1, den=3, num=3):
@@ -235,6 +234,59 @@ def test_translation_report():
     head = apply_mode(1, -1, State.vacuum(1, label(["1/2"])))
     rep = verify_translation(IntertwinerSpec(head, cs), State.vacuum(1, label(["1/3"])), hi=2)
     assert rep.verdict, rep.failures_detail
+
+
+# a(-1)|1/2> under f = [[1/2]], g = [[0]], read on |-1/4>
+PROPS_SPEC = IntertwinerSpec(apply_mode(1, -1, State.vacuum(1, label(["1/2"]))),
+                             CocycleSystem(1, ((gr("1/2"),),), ((gr(0),),)))
+
+
+def test_translation_designed_failure(monkeypatch):
+    target = State.vacuum(1, label(["-1/4"]))
+
+    def verify():
+        return verify_translation(PROPS_SPEC, target, hi=2, cutoff=6)
+
+    rep = verify()
+    assert rep.outcome == "PASS" and len(rep.checked) == 5, rep.failures_detail
+    # L(0) in place of L(-1): the head's intertwiner is no derivative
+    virasoro_mode = intertwiner.virasoro_mode
+    monkeypatch.setattr(intertwiner, "virasoro_mode",
+                        lambda n, s: virasoro_mode(n + 1, s))
+    rep = verify()
+    assert rep.outcome == "FAIL"
+    assert len(rep.failures) == len(rep.checked) == 5
+
+
+def test_creativity_designed_failure(monkeypatch):
+    def verify():
+        return verify_creativity(PROPS_SPEC, cutoff=6)
+
+    rep = verify()
+    assert rep.outcome == "PASS" and len(rep.checked) == 4, rep.failures_detail
+    # z^(alpha(0)) one power too high moves the head off order zero
+    offset_on = IntertwinerOp.offset_on
+    monkeypatch.setattr(IntertwinerOp, "offset_on",
+                        lambda self, t: offset_on(self, t) + 1)
+    rep = verify()
+    assert rep.outcome == "FAIL"
+    assert (len(rep.failures), len(rep.checked)) == (1, 4)
+
+
+def test_ypm_commutation_designed_failure(monkeypatch):
+    def verify():
+        return verify_ypm_commutation(label(["1/2"]), label(["1/3"]),
+                                      State.vacuum(1, label(["-1/4"])),
+                                      r1=2, r2=2, cutoff=6)
+
+    rep = verify()
+    assert rep.outcome == "PASS" and len(rep.checked) == 9, rep.failures_detail
+    # (1 - z2/z1)^(-alpha.beta) in place of (1 - z2/z1)^(alpha.beta)
+    binom = intertwiner.binom
+    monkeypatch.setattr(intertwiner, "binom", lambda k, m: binom(-k, m))
+    rep = verify()
+    assert rep.outcome == "FAIL"
+    assert (len(rep.failures), len(rep.checked)) == (3, 9)
 
 
 def test_e_conjugation_report():

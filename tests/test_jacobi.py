@@ -6,7 +6,6 @@ from heisvoa import jacobi
 from heisvoa.fock import (
     State,
     apply_mode,
-    conformal_vector,
     label,
     monomial,
     vertex_mode,
@@ -16,10 +15,8 @@ from heisvoa.intertwiner import (
     CocycleSystem,
     IntertwinerOp,
     IntertwinerSpec,
-    standard_cocycle,
 )
 from heisvoa.jacobi import (
-    coeff_product,
     verify_commutator,
     verify_generalized_jacobi,
     verify_locality,
@@ -28,6 +25,7 @@ from heisvoa.jacobi import (
 )
 from heisvoa.scalars import E, as_gauss, binom, gr
 from heisvoa.series import CosetError
+from oracles import coeff_product, conformal_vector, standard_cocycle
 
 
 CS1 = CocycleSystem(
@@ -185,6 +183,18 @@ def test_skew_fails_with_an_even_branch(monkeypatch):
     rep = verify_skew_symmetry(x, y, radius=2, cutoff=6)
     assert rep.outcome == "FAIL"
     assert len(rep.failures) == len(rep.checked) == 4
+
+
+@pytest.mark.parametrize("cutoff, checked, skipped", [(3, 4, [4]), (2, 3, [3, 4])])
+def test_skew_skips_each_coefficient_past_the_cutoff(cutoff, checked, skipped):
+    # a coefficient at z^(ab+n) needs level sums 1 + n; the ones that fit
+    # the cutoff are still compared
+    x = head_spec(((1, 1),), alpha="1/2")
+    y = State.vacuum(1, label(["1/3"]))
+    rep = verify_skew_symmetry(x, y, radius=3, cutoff=cutoff)
+    assert rep.outcome == "PASS" and len(rep.checked) == checked, rep.failures_detail
+    assert [reason for _, reason in rep.skipped] == \
+        [f"needs level sums {k} > cutoff {cutoff}" for k in skipped]
 
 
 def test_commutator_examples():

@@ -15,11 +15,11 @@ from heisvoa.fock import (
 )
 from heisvoa.form import verify_invariance
 from heisvoa.intertwiner import IntertwinerOp, IntertwinerSpec
+from heisvoa.jacobi import three_term_jacobi
 from heisvoa.lattice import (
     DlmOp,
     TwistData,
     TwistedVertexOp,
-    dlm_vertex_defining,
     integral_lattice,
     lattice_cocycle,
     shifted_central_charge,
@@ -33,6 +33,7 @@ from heisvoa.lattice import (
     verify_twisted_jacobi,
 )
 from heisvoa.scalars import E, S_ONE, branch_phase, gr, sign_pow
+from oracles import dlm_vertex_defining
 
 Z1 = integral_lattice([[1]])
 Z2 = integral_lattice([[2]])
@@ -302,6 +303,57 @@ def test_dlm_jacobi_designed_failure(monkeypatch, gram, failed):
 
     assert verify().outcome == "PASS"
     monkeypatch.setattr(DlmOp, "label_factor", _without_branch_phase)
+    rep = verify()
+    assert (len(rep.failures), len(rep.checked)) == (failed, 124)
+
+
+def _jacobi_with(**changes):
+    """``three_term_jacobi`` with some of its keyword arguments changed."""
+    def wrong(**kwargs):
+        return three_term_jacobi(**{**kwargs, **{k: f(kwargs[k])
+                                                 for k, f in changes.items()}})
+    return wrong
+
+
+@pytest.mark.parametrize("gram, failed", [([[1]], 68), ([[2]], 70)])
+def test_twisted_jacobi_designed_failure(monkeypatch, gram, failed):
+    lat = integral_lattice(gram)
+    rank = lat.heis_rank
+    x = State.vacuum(rank, lat.label_of([1]))
+    for alpha in ("1/2", "1/3"):
+        td = twist(lat, [Fraction(alpha)])
+        s = State.vacuum(rank, td.alpha)
+
+        def verify():
+            return verify_twisted_jacobi(td, x, x, s, radius=2, cutoff=6)
+
+        assert verify().outcome == "PASS"
+        # the second ordering weighted by -C12
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "three_term_jacobi", _jacobi_with(c12=lambda c: -c))
+            rep = verify()
+        assert (len(rep.failures), len(rep.checked)) == (failed, 124), alpha
+
+
+@pytest.mark.parametrize("gram, failed", [([[1]], 73), ([[2]], 64)])
+def test_hat_dlm_jacobi_designed_failure(monkeypatch, gram, failed):
+    # kappa_rhs is left alone: the engine reads it only in the coset check,
+    # so an integer shift of it still passes
+    lat = integral_lattice(gram)
+    rank = lat.heis_rank
+    td1, td2 = twist(lat, [Fraction(1, 2)]), twist(lat, [Fraction(1, 3)])
+    x = State.vacuum(rank, td1.alpha + lat.label_of([1]))
+    y = State.vacuum(rank, td2.alpha + lat.label_of([1]))
+    s = State.vacuum(rank)
+
+    def verify():
+        return verify_dlm_jacobi(td1, td2, zero_label(rank), x, y, s,
+                                 variant="hat", radius=2, cutoff=6)
+
+    assert verify().outcome == "PASS"
+    # the left kernels one power of (z1 - z2) off
+    monkeypatch.setattr(lattice, "three_term_jacobi",
+                        _jacobi_with(kappa12=lambda k: k + 1))
     rep = verify()
     assert (len(rep.failures), len(rep.checked)) == (failed, 124)
 

@@ -16,9 +16,9 @@ from heisvoa.scalars import (
     branch_phase,
     gr,
     lam_pow,
-    parse_scalar,
     zeta_pow,
 )
+from oracles import parse_scalar
 
 
 def rand_gauss(rng, den=4, num=6):
