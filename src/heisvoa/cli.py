@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import hashlib
 import json
 import random
 import sys
@@ -490,15 +489,68 @@ def run_suites(scn: Scenario) -> dict[str, list[Case]]:
         try:
             results[name] = SUITE_RUNNERS[name](scn)
         except WindowError as exc:
-            rep = VerificationReport(name, meta={"error": str(exc)})
+            rep = VerificationReport(name, f"radius {scn.radius(name)}",
+                                     meta={"error": str(exc)})
             results[name] = [("window_starvation", rep)]
     return results
+
+
+# FIPS 180-4, section 4.2.2: the first 32 bits of the fractional parts of
+# the cube roots of the first 64 primes, and (5.3.3) of the square roots
+# of the first 8
+_SHA256_K = (
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2)
+_SHA256_H0 = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
+
+
+def _sha256(data: bytes) -> str:
+    """The SHA-256 digest of ``data`` as 64 hex digits (FIPS 180-4).
+
+    It is computed in-tree because the standard library's digest loads
+    OpenSSL's libcrypto, which costs a run several MB of memory for the
+    one digest of its config."""
+    mask = 0xFFFFFFFF
+
+    def rotr(x: int, n: int) -> int:
+        return (x >> n | x << (32 - n)) & mask
+
+    # pad with one 1 bit, zeros to 56 bytes mod 64, the bit length in 8 bytes
+    msg = data + b"\x80" + bytes((55 - len(data)) % 64) \
+        + (8 * len(data)).to_bytes(8, "big")
+    h = _SHA256_H0
+    for start in range(0, len(msg), 64):
+        w = [int.from_bytes(msg[i:i + 4], "big") for i in range(start, start + 64, 4)]
+        for t in range(16, 64):
+            x, y = w[t - 15], w[t - 2]
+            s0 = rotr(x, 7) ^ rotr(x, 18) ^ x >> 3
+            s1 = rotr(y, 17) ^ rotr(y, 19) ^ y >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & mask)
+        a, b, c, d, e, f, g, hh = h
+        for k, wt in zip(_SHA256_K, w):
+            t1 = hh + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) \
+                + (e & f ^ ~e & g) + k + wt
+            t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + (a & b ^ a & c ^ b & c)
+            a, b, c, d, e, f, g, hh = (t1 + t2) & mask, a, b, c, \
+                (d + t1) & mask, e, f, g
+        h = tuple((p + q) & mask for p, q in zip(h, (a, b, c, d, e, f, g, hh)))
+    return "".join(f"{v:08x}" for v in h)
 
 
 def render_report(scn: Scenario, results: dict[str, list[Case]],
                   config_text: str) -> tuple[str, int]:
     """The report text and the exit status."""
-    digest = hashlib.sha256(config_text.encode()).hexdigest()[:16]
+    digest = _sha256(config_text.encode())[:16]
     header = [
         "# heisvoa verification report",
         f"# generated: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",

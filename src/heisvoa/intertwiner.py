@@ -444,17 +444,24 @@ def verify_y_conj_minus(alpha: Label, u: State, s: State, w1: tuple[int, int],
        = Yminus(alpha,z2) Y(Yplus(alpha,-z1+z2)u, z1)."""
     rep = VerificationReport("y_conj_minus",
                              window_used=f"z1^[{w1[0]},{w1[1]}] z2^[0,{r2}]")
-    if _starved(rep, s.max_levels() + u.max_levels() + r2, cutoff):
-        return rep
     va = alpha.alpha
     rank = s.rank
-    ku = u.max_levels()
+    ku, ks = u.max_levels(), s.max_levels()
     dressed = _ypm_dress({(0, 0): u}, 1, va, -1, 1, None, r2)
     plain = {p: annihilation_coeff(va, p, u, arg=S_MINUS_ONE)
              for p in range(ku + 1)}
     for j in range(r2 + 1):
-        a_j = creation_coeff(va, j, s)
+        a_j = None
         for e1 in range(w1[0], w1[1] + 1):
+            # both sides at z1^e1 z2^j are a vertex mode of level sum
+            # ku + ks + e1 + j, and the left one reads Yminus's z2^j on s
+            need = max(ks + j, ku + ks + e1 + j)
+            if cutoff is not None and need > cutoff:
+                rep.skip((as_gauss(e1), as_gauss(j)),
+                         f"needs level sums {need} > cutoff {cutoff}")
+                continue
+            if a_j is None:
+                a_j = creation_coeff(va, j, s)
             lhs = State.zero(rank)
             for p, up in plain.items():
                 if not up.is_zero:
@@ -513,8 +520,6 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
     va = alpha.alpha
     rank = s.rank
     ku, ks = u.max_levels(), s.max_levels()
-    if _starved(rep, ku + r1, cutoff):
-        return rep
     gamma = s.single_label()
     ag = alpha.dot(gamma)
     e2cap = w2[1] + r1
@@ -522,8 +527,17 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
     tails = {k: annihilation_coeff(va, k, s) for k in range(ks + 1)}
     lhs_grid = {}
     for j in range(r1 + 1):
-        dj = creation_coeff(va, j, u)
+        dj = None
         for e2 in range(w2[0], w2[1] + 1):
+            # both sides at z1^j z2^e2 are a vertex mode of level sum
+            # ku + ks + j + e2, and the left one reads Yminus's z1^j on u
+            need = max(ku + j, ku + ks + j + e2)
+            if cutoff is not None and need > cutoff:
+                rep.skip((as_gauss(j), as_gauss(e2)),
+                         f"needs level sums {need} > cutoff {cutoff}")
+                continue
+            if dj is None:
+                dj = creation_coeff(va, j, u)
             acc = State.zero(rank)
             for k, t in tails.items():
                 if not t.is_zero:
@@ -536,7 +550,11 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
     step2: dict[tuple[int, int], State] = {}
     for (e1, e2), st in entries.items():
         lo = -(ku + st.max_levels()) + e2
-        for tot in range(lo, e2cap + 1):
+        # an entry (e1, tot) has level sum ku + ks + e1 + tot at most and
+        # reaches only coefficients with j + e2 >= e1 + tot, so one past
+        # the cutoff would feed skipped coefficients alone
+        hi = e2cap if cutoff is None else min(e2cap, cutoff - ku - ks - e1)
+        for tot in range(lo, hi + 1):
             v = vertex_mode(u, e2 - tot - 1, st)
             if v.is_zero:
                 continue
@@ -545,15 +563,14 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
             step2[key] = v if acc is None else acc + v
     step3 = _ypm_dress(step2, -1, va, 1, 1, r1, e2cap)
     step4 = _ypm_dress(step3, -1, (-alpha).alpha, 0, 1, r1, e2cap)
-    for j in range(r1 + 1):
-        for e2 in range(w2[0], w2[1] + 1):
-            rhs = State.zero(rank)
-            for m in range(j + 1):
-                src = step4.get((j - m, e2 + m))
-                if src is None or src.is_zero:
-                    continue
-                rhs = rhs + src.scale(binom(ag, m))
-            rep.record((as_gauss(j), as_gauss(e2)), lhs_grid[(j, e2)], rhs)
+    for (j, e2), lhs in lhs_grid.items():
+        rhs = State.zero(rank)
+        for m in range(j + 1):
+            src = step4.get((j - m, e2 + m))
+            if src is None or src.is_zero:
+                continue
+            rhs = rhs + src.scale(binom(ag, m))
+        rep.record((as_gauss(j), as_gauss(e2)), lhs, rhs)
     return rep
 
 

@@ -300,8 +300,8 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
 
 
 def test_starved_suite_keeps_the_rest(tmp_path):
-    # y_conj_minus needs level sums 4 at window 3, past cutoff 3; the
-    # cases that fit the cutoff keep their outcomes
+    # at window 3 and cutoff 3, y_conj_minus and yy_conj skip only their
+    # coefficients past the cutoff; the cases that fit it keep their outcomes
     config = write_config(tmp_path, suites=["intertwiner-props", "virasoro"],
                           window=3, cutoff=3)
     status, text = run(tmp_path, config)
@@ -309,8 +309,11 @@ def test_starved_suite_keeps_the_rest(tmp_path):
     assert "suite intertwiner-props case 000 pair000/ypm_commutation\n" \
            "  ypm_commutation: PASS" in text
     assert "suite intertwiner-props case 001 pair000/y_conj_minus\n" \
-           "  y_conj_minus: STARVED" in text
-    assert "window needs level sums up to 4 > cutoff 3" in text
+           "  y_conj_minus: PASS checked=12 failed=0 skipped=9 " in text
+    assert "    skip (3,2) needs level sums 7 > cutoff 3\n" in text
+    assert "suite intertwiner-props case 003 pair000/yy_conj\n" \
+           "  yy_conj: PASS checked=9 failed=0 skipped=12 " in text
+    assert "    skip (2,3) needs level sums 7 > cutoff 3\n" in text
     # u(-e2-1)s at the top of the window reaches level sum 5
     for idx, name, window in ((2, "y_conj_plus", "z1^[-3,0] z2^[-3,3]"),
                               (6, "shift_conj_vertex", "z^[-3,3]")):
@@ -333,7 +336,7 @@ def test_window_error_out_of_a_suite_starves_that_suite_alone(tmp_path, monkeypa
     status, text = run(tmp_path, config)
     assert status == 3
     assert "suite locality case 000 window_starvation\n" \
-           "  locality: STARVED checked=0 failed=0 skipped=0 window=\n" \
+           "  locality: STARVED checked=0 failed=0 skipped=0 window=radius 1\n" \
            "    meta error = needs level sums 9 > cutoff 6\n" in text
     assert "suite virasoro case 000 brackets\n  virasoro_brackets: PASS" in text
     assert "starved=1 " in text
@@ -417,3 +420,39 @@ def test_golden_report_body_all_suites(tmp_path):
     status, text = run(tmp_path, config)
     assert status == 0
     assert hashlib.sha256(body_of(text).encode()).hexdigest() == GOLDEN_BODY_SHA256
+
+
+def test_config_digest_is_the_sha256_of_the_config(tmp_path):
+    # the in-tree SHA-256 against the standard library's, on every length
+    # across the 55/56/64-byte padding boundaries and on every shipped config
+    rng = random.Random(0)
+    inputs = [bytes(rng.randrange(256) for _ in range(n)) for n in range(131)]
+    root = Path(__file__).resolve().parent.parent
+    shipped = sorted([*(root / "configs").iterdir(),
+                      *(root / "bench" / "workloads").iterdir()])
+    assert shipped
+    inputs += [path.read_bytes() for path in shipped]
+    for data in inputs:
+        assert cli._sha256(data) == hashlib.sha256(data).hexdigest(), data
+    config = write_config(tmp_path, max_weight=1)
+    status, text = run(tmp_path, config)
+    assert status == 0
+    digest = hashlib.sha256(Path(config).read_bytes()).hexdigest()[:16]
+    assert f"\nconfig-digest: {digest}\n" in text
+
+
+def test_a_verify_run_loads_no_openssl(tmp_path):
+    # the config digest is computed in-tree: a run imports neither hashlib
+    # nor OpenSSL's bindings, which would cost it several MB of memory
+    config = write_config(tmp_path, max_weight=1)
+    script = ("import sys\n"
+              "from heisvoa import cli\n"
+              f"status = cli.main(['verify', {config!r}, '--report', "
+              f"{str(tmp_path / 'report.txt')!r}])\n"
+              "print(status, sorted({'hashlib', '_hashlib', '_ssl'} & set(sys.modules)))\n")
+    src = str(Path(heisvoa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"

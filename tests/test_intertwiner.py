@@ -334,6 +334,16 @@ def test_prop_conjugation_identities():
         assert rep.verdict, "yy: " + rep.failures_detail
 
 
+def test_y_conj_plus_skips_a_zero_yplus_tail():
+    # alpha(1) kills a(-2)|gamma>, so the z^-1 tail of Yplus on it is zero
+    alpha = label(["1/2"])
+    u = State.of(monomial(zero_label(1), ((1, 1), (1, 1))))
+    s = State.of(monomial(label(["1/3"]), ((1, 2),)))
+    assert annihilation_coeff(alpha.alpha, 1, s).is_zero
+    rep = verify_y_conj_plus(alpha, u, s, r1=2, w2=(-2, 2))
+    assert rep.verdict and len(rep.checked) == 15, rep.failures_detail
+
+
 def test_shift_conjugation_identities():
     rng = random.Random(71)
     rank = 1
@@ -408,6 +418,48 @@ def test_conjugation_designed_failure(monkeypatch, name):
                         _flipped_s1(intertwiner._ypm_dress))
     rep = verify(alpha, u, s)
     assert rep.verdict is False and rep.failures
+
+
+# the coefficients past cutoff 6 at window 3: z1^e1 z2^j needs level sum
+# ku + ks + e1 + j in y_conj_minus, z1^j z2^e2 needs ku + ks + j + e2 in
+# yy_conj, with ku = 2 and ks the level sum of the target
+CUT_CONJ = {
+    "y_conj_minus": (lambda alpha, u, s, cutoff:
+                     verify_y_conj_minus(alpha, u, s, (-3, 3), 2, cutoff),
+                     {0: ["3,2"], 1: ["3,1", "2,2", "3,2"]}),
+    "yy_conj": (lambda alpha, u, s, cutoff:
+                verify_yy_conj(alpha, u, s, 2, (-3, 3), cutoff),
+                {0: ["2,3"], 1: ["1,3", "2,2", "2,3"]}),
+}
+
+
+@pytest.mark.parametrize("ks", [0, 1])
+@pytest.mark.parametrize("name", CUT_CONJ)
+def test_conjugation_cutoff_skips_only_the_coefficients_past_it(
+        monkeypatch, compared, name, ks):
+    verify, past = CUT_CONJ[name]
+    alpha = label(["1/2"])
+    u = State.of(monomial(zero_label(1), ((1, 1), (1, 1))))
+    s = State.of(monomial(label(["1/3"]), ((1, 1),) * ks))
+    whole = verify(alpha, u, s, None)
+    assert whole.verdict and not whole.skipped
+    uncut = {e: (left, right) for e, left, right in compared}
+    levels = []
+
+    def measured(v, n, t):
+        out = vertex_mode(v, n, t)
+        levels.append(out.max_levels())
+        return out
+
+    monkeypatch.setattr(intertwiner, "vertex_mode", measured)
+    compared.clear()
+    rep = verify(alpha, u, s, 6)
+    assert levels and max(levels) <= 6
+    assert [",".join(map(str, e)) for e, _ in rep.skipped] == past[ks]
+    assert all(why.endswith(" > cutoff 6") for _, why in rep.skipped)
+    assert rep.verdict
+    assert len(rep.checked) + len(rep.skipped) == len(whole.checked)
+    assert all(uncut[e] == (left, right) for e, left, right in compared)
 
 
 def test_two_variable_dressing_closed_form():

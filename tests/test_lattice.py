@@ -60,6 +60,9 @@ def test_coords_roundtrip():
         assert lat.coords_of(lab) == tuple(Fraction(c) for c in coords)
         assert lat.in_lattice(lab)
     assert not lat.in_lattice(lat.label_of((Fraction(1, 2), 0)))
+    # a label with an imaginary part, and one off the embedded lattice span
+    assert lat.coords_of(label([gr(0, 1)] + [gr(0)] * (lat.heis_rank - 1))) is None
+    assert lat.coords_of(label([gr(1)] + [gr(0)] * (lat.heis_rank - 1))) is None
 
 
 def test_lattice_cocycle_commutators():

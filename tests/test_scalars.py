@@ -123,6 +123,19 @@ def test_inverse_monomial_only():
         S_ZERO.inverse()
 
 
+def test_scalar_edge_cases():
+    # the paths that the randomized ring tests leave out
+    assert Scalar().is_zero and Scalar() == S_ZERO
+    assert S_ONE + 2 == as_scalar(3) and Fraction(1, 2) + S_ONE == as_scalar("3/2")
+    assert S_ZERO.as_rational() == GR_ZERO
+    # the two cross terms lam and -lam cancel
+    assert (S_ONE + lam_pow(1)) * (S_ONE - lam_pow(1)) == S_ONE - lam_pow(2)
+    m = Scalar.from_unit(e_exp=gr(Fraction(1, 3)), zeta_exp=gr(1), coeff=gr(2))
+    assert m ** -2 == (m * m).inverse() and m ** -2 * m ** 2 == S_ONE
+    assert as_scalar(3) == 3 and as_scalar(Fraction(1, 2)) == Fraction(1, 2)
+    assert S_ONE != 2 and lam_pow(1) != 1
+
+
 def test_scalar_text_roundtrip():
     rng = random.Random(7)
     for _ in range(60):
