@@ -16,11 +16,10 @@ clock data lives only in '#' header lines.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+import time
 from fractions import Fraction
 
 from . import workspace
@@ -80,30 +79,45 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class Scenario:
-    rank: int = 1
-    cutoff: int = 6
-    window: int = 3
-    windows: dict = field(default_factory=dict)
-    n_branch: int = 1
-    seed: int = 0
-    suites: tuple = SUITES[:-1]
-    max_weight: int = 4
-    pairs: int = 5
-    numerator_bound: int = 3
-    denominator_bound: int = 3
-    labels: tuple = ()
-    heads: tuple = ((), ((1, -1),), ((1, -2),), ((1, -1), (1, -1)))
-    jacobi_instances: tuple = (("1/2", "1/3", "-1/4"), ("1/2*i", "1/2", "0"),
-                               ("0", "0", "0"))
-    cocycle_f: tuple | None = None
-    cocycle_g: tuple | None = None
-    diagonal_fix: bool = False
-    gram: tuple = ((1,),)
-    embedding: tuple | None = None
-    twists: tuple = ("1/2", "1/3")
-    negative_controls: bool = True
+    """A verify run's settings: one attribute per config field."""
+
+    # every config field and its default; README's "Config format" table
+    # documents exactly these
+    FIELDS = {
+        "rank": 1,
+        "cutoff": 6,
+        "window": 3,
+        "windows": {},
+        "n_branch": 1,
+        "seed": 0,
+        "suites": SUITES[:-1],
+        "max_weight": 4,
+        "pairs": 5,
+        "numerator_bound": 3,
+        "denominator_bound": 3,
+        "labels": (),
+        "heads": ((), ((1, -1),), ((1, -2),), ((1, -1), (1, -1))),
+        "jacobi_instances": (("1/2", "1/3", "-1/4"), ("1/2*i", "1/2", "0"),
+                             ("0", "0", "0")),
+        "cocycle_f": None,
+        "cocycle_g": None,
+        "diagonal_fix": False,
+        "gram": ((1,),),
+        "embedding": None,
+        "twists": ("1/2", "1/3"),
+        "negative_controls": True,
+    }
+    __slots__ = tuple(FIELDS)
+
+    def __init__(self, **values):
+        unknown = values.keys() - self.FIELDS.keys()
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, default in self.FIELDS.items():
+            setattr(self, name, values.get(name, default))
+        if "windows" not in values:
+            self.windows = {}  # a dict of its own, not the table's
 
     def radius(self, suite: str) -> int:
         return int(self.windows.get(suite, self.window))
@@ -133,10 +147,6 @@ class Scenario:
 
     @classmethod
     def _checked(cls, data: dict) -> "Scenario":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         scn = cls(**{k: _freeze(v) for k, v in data.items()})
         bad = [k for k in ("rank", "cutoff", "window", "n_branch", "seed",
                            "max_weight", "pairs", "numerator_bound",
@@ -547,13 +557,20 @@ def _sha256(data: bytes) -> str:
     return "".join(f"{v:08x}" for v in h)
 
 
+def _utc_now() -> str:
+    """The current UTC time in ISO 8601 with microseconds and offset,
+    e.g. 2026-01-02T03:04:05.000006+00:00."""
+    sec, us = divmod(time.time_ns() // 1000, 1_000_000)
+    return f"{time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(sec))}.{us:06d}+00:00"
+
+
 def render_report(scn: Scenario, results: dict[str, list[Case]],
                   config_text: str) -> tuple[str, int]:
     """The report text and the exit status."""
     digest = _sha256(config_text.encode())[:16]
     header = [
         "# heisvoa verification report",
-        f"# generated: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
+        f"# generated: {_utc_now()}",
     ]
     body = [
         f"config-digest: {digest}",

@@ -20,8 +20,6 @@ Delta, the dressed operator reads Y(u,z) on the sector beta + gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fock import (
     Label,
     Sectors,
@@ -86,7 +84,6 @@ def label_positive(lab: Label) -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class CocycleSystem:
     """Bimultiplicative two-cocycle data on rank-l labels.
 
@@ -96,16 +93,21 @@ class CocycleSystem:
     that breaks associativity; it exists solely for negative controls.
     """
 
-    rank: int
-    f: tuple
-    g: tuple
-    diagonal_fix: bool = False
-    corruption: GaussRat = GR_ZERO
+    __slots__ = ("rank", "f", "g", "diagonal_fix", "corruption")
 
-    def __post_init__(self):
-        for m in (self.f, self.g):
-            if len(m) != self.rank or any(len(row) != self.rank for row in m):
+    def __init__(self, rank: int, f: tuple, g: tuple, diagonal_fix: bool = False,
+                 corruption: GaussRat = GR_ZERO):
+        for m in (f, g):
+            if len(m) != rank or any(len(row) != rank for row in m):
                 raise ValueError("cocycle matrices must be rank x rank")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "diagonal_fix", diagonal_fix)
+        object.__setattr__(self, "corruption", corruption)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CocycleSystem is immutable")
 
     def _check(self, lab: Label) -> None:
         if lab.rank != self.rank:
@@ -153,17 +155,20 @@ def apply_e_inverse(cs: CocycleSystem, alpha: Label, s: State) -> State:
                          lambda beta: cs.epsilon(alpha, beta - alpha).inverse())
 
 
-@dataclass(frozen=True)
 class IntertwinerSpec:
     """The defining vector u|alpha> of a creative intertwiner."""
 
-    head: State
-    cocycle: CocycleSystem
+    __slots__ = ("head", "cocycle")
 
-    def __post_init__(self):
-        self.head.single_label()  # raises unless the head has one label
-        if self.head.rank != self.cocycle.rank:
+    def __init__(self, head: State, cocycle: CocycleSystem):
+        head.single_label()  # raises unless the head has one label
+        if head.rank != cocycle.rank:
             raise ValueError("head rank != cocycle rank")
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "cocycle", cocycle)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntertwinerSpec is immutable")
 
     @property
     def label(self) -> Label:
@@ -196,8 +201,8 @@ def annihilation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> St
 
 
 def _ypm_dress(entries: dict[tuple[int, int], State], sign: int, avec: tuple,
-               s1: int, s2: int, cap1: int | None,
-               cap2: int) -> dict[tuple[int, int], State]:
+               s1: int, s2: int, cap1: int | None, cap2: int,
+               cap_sum: int | None = None) -> dict[tuple[int, int], State]:
     """Yplus (sign=+1) or Yminus (sign=-1) of the label a = avec at the
     argument w = s1*z1 + s2*z2, applied to two-variable entries.
 
@@ -212,7 +217,9 @@ def _ypm_dress(entries: dict[tuple[int, int], State], sign: int, avec: tuple,
       exponent grows by m, so m <= cap2 - e2.  The z1 exponent only falls.
     * Yminus: both exponents grow, by n - m and m, so k <= (cap1 - e1) +
       (cap2 - e2).  With s1 = 0 (a pure z2 argument) only m = k survives,
-      as 0**0 == 1, and k <= cap2 - e2; cap1 may then be None.
+      as 0**0 == 1, and k <= cap2 - e2; cap1 may then be None.  Their sum
+      grows by exactly k, so a cap_sum on f1 + f2 gives k <= cap_sum - e1
+      - e2; Yplus reads no cap_sum.
     """
     out: dict[tuple[int, int], Sectors] = {}
     # creation chains on this call's entries serve this call alone
@@ -223,6 +230,8 @@ def _ypm_dress(entries: dict[tuple[int, int], State], sign: int, avec: tuple,
             kmax = st.max_levels()
         else:
             kmax = room2 + (cap1 - e1 if s1 else 0)
+            if cap_sum is not None:
+                kmax = min(kmax, cap_sum - e1 - e2)
         for k in range(kmax + 1):
             ck = _ypm_coeff(sign, avec, k, st, S_ONE, chains)
             if ck.is_zero:
@@ -561,8 +570,11 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
             key = (e1, tot)
             acc = step2.get(key)
             step2[key] = v if acc is None else acc + v
-    step3 = _ypm_dress(step2, -1, va, 1, 1, r1, e2cap)
-    step4 = _ypm_dress(step3, -1, (-alpha).alpha, 0, 1, r1, e2cap)
+    # the final sum reads step4 at z1^f1 z2^f2 with f1 + f2 = j + e2 alone,
+    # so neither Yminus builds past the largest compared j + e2
+    top = e2cap if cutoff is None else min(e2cap, cutoff - ku - ks)
+    step3 = _ypm_dress(step2, -1, va, 1, 1, r1, e2cap, top)
+    step4 = _ypm_dress(step3, -1, (-alpha).alpha, 0, 1, r1, e2cap, top)
     for (j, e2), lhs in lhs_grid.items():
         rhs = State.zero(rank)
         for m in range(j + 1):

@@ -15,7 +15,6 @@ ambient algebra is the embedding rank l.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -116,11 +115,19 @@ def rational_embedding(gram: Sequence[Sequence[int]]) -> Mat:
     return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
 class IntegralLattice:
-    gram: tuple[tuple[int, ...], ...]
-    embedding: Mat  # heis_rank x lattice_rank, columns are basis images
-    gram_inv: Mat  # G^-1, inverted once when the lattice is built
+    __slots__ = ("gram", "embedding", "gram_inv")
+
+    def __init__(self, gram: tuple[tuple[int, ...], ...], embedding: Mat,
+                 gram_inv: Mat):
+        object.__setattr__(self, "gram", gram)
+        # heis_rank x lattice_rank, columns are basis images
+        object.__setattr__(self, "embedding", embedding)
+        # G^-1, inverted once when the lattice is built
+        object.__setattr__(self, "gram_inv", gram_inv)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntegralLattice is immutable")
 
     @property
     def rank(self) -> int:
@@ -218,10 +225,16 @@ def lattice_cocycle(lattice: IntegralLattice) -> CocycleSystem:
     return CocycleSystem(l, f, zero)
 
 
-@dataclass(frozen=True)
 class TwistData:
-    lattice: IntegralLattice
-    alpha: Label  # Heisenberg twist parameter, an embedded-space label
+    __slots__ = ("lattice", "alpha")
+
+    def __init__(self, lattice: IntegralLattice, alpha: Label):
+        object.__setattr__(self, "lattice", lattice)
+        # Heisenberg twist parameter, an embedded-space label
+        object.__setattr__(self, "alpha", alpha)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TwistData is immutable")
 
     @property
     def rank(self) -> int:

@@ -2,27 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .series import WindowError
 
 
-@dataclass(frozen=True, slots=True)
 class CheckRecord:
     """One compared coefficient; ``left`` and ``right`` are ``None`` when
     the two sides agreed, since only a mismatch prints them."""
 
-    exponents: tuple
-    left: object
-    right: object
-    passed: bool
-    note: str = ""
+    __slots__ = ("exponents", "left", "right", "passed", "note")
+
+    def __init__(self, exponents: tuple, left, right, passed: bool,
+                 note: str = ""):
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "note", note)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CheckRecord is immutable")
 
     def key(self) -> str:
         return ",".join(str(e) for e in self.exponents)
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one coefficientwise identity check.
 
@@ -30,12 +33,17 @@ class VerificationReport:
     and every comparison passed: an empty checked set can never pass.
     """
 
-    name: str
-    window_used: str = ""
-    meta: dict = field(default_factory=dict)
-    checked: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    expected_failure: bool = False
+    __slots__ = ("name", "window_used", "meta", "checked", "skipped",
+                 "expected_failure")
+
+    def __init__(self, name: str, window_used: str = "",
+                 meta: dict | None = None, expected_failure: bool = False):
+        self.name = name
+        self.window_used = window_used
+        self.meta = {} if meta is None else meta
+        self.checked: list[CheckRecord] = []
+        self.skipped: list[tuple] = []
+        self.expected_failure = expected_failure
 
     def record(self, exponents: tuple, left, right, note: str = "") -> bool:
         ok = left == right

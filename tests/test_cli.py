@@ -3,6 +3,7 @@ import json
 import os
 import pstats
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -441,18 +442,56 @@ def test_config_digest_is_the_sha256_of_the_config(tmp_path):
     assert f"\nconfig-digest: {digest}\n" in text
 
 
-def test_a_verify_run_loads_no_openssl(tmp_path):
-    # the config digest is computed in-tree: a run imports neither hashlib
-    # nor OpenSSL's bindings, which would cost it several MB of memory
+def loaded_after_a_verify_run(tmp_path, modules):
+    """The ones of ``modules`` that a fresh interpreter holds in
+    sys.modules after a short verify run."""
     config = write_config(tmp_path, max_weight=1)
     script = ("import sys\n"
               "from heisvoa import cli\n"
               f"status = cli.main(['verify', {config!r}, '--report', "
               f"{str(tmp_path / 'report.txt')!r}])\n"
-              "print(status, sorted({'hashlib', '_hashlib', '_ssl'} & set(sys.modules)))\n")
+              "import json\n"
+              f"print(status, json.dumps(sorted({set(modules)!r} & set(sys.modules))))\n")
     src = str(Path(heisvoa.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 []\n"
+    status, loaded = proc.stdout.split(" ", 1)
+    assert status == "0"
+    return json.loads(loaded)
+
+
+def test_a_verify_run_loads_no_openssl(tmp_path):
+    # the config digest is computed in-tree: a run imports neither hashlib
+    # nor OpenSSL's bindings, which would cost it several MB of memory
+    assert loaded_after_a_verify_run(tmp_path, {"hashlib", "_hashlib", "_ssl"}) == []
+
+
+def test_a_verify_run_loads_no_dataclass_or_datetime_machinery(tmp_path):
+    # the package's types are plain slotted classes and the header stamp is
+    # read from time: importing dataclasses would pull in inspect, ast, dis
+    # and tokenize, a large share of a run's start-up
+    assert loaded_after_a_verify_run(
+        tmp_path, {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                   "datetime"}) == []
+
+
+def test_the_generated_header_is_iso_8601_utc_with_microseconds(tmp_path, monkeypatch):
+    status, text = run(tmp_path, write_config(tmp_path, max_weight=1))
+    assert status == 0
+    stamp = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00"
+    assert re.search(rf"^# generated: {stamp}$", text, re.M)
+    # the microseconds are printed on a whole second too
+    monkeypatch.setattr(cli.time, "time_ns", lambda: 1_700_000_000_000_000_000)
+    assert cli._utc_now() == "2023-11-14T22:13:20.000000+00:00"
+    monkeypatch.setattr(cli.time, "time_ns", lambda: 1_700_000_000_123_456_789)
+    assert cli._utc_now() == "2023-11-14T22:13:20.123456+00:00"
+
+
+def test_readme_config_table_names_every_scenario_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Config format", 1)[1].split("\n\n| field |", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[1:]  # past the separator
+    named = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(cli.Scenario.FIELDS)

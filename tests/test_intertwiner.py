@@ -391,8 +391,8 @@ def test_shift_conjugation_designed_failure(monkeypatch, name):
 
 def _flipped_s1(dress):
     """The two-variable dressing taken at -s1*z1 + s2*z2 instead."""
-    def wrong(entries, sign, avec, s1, s2, cap1, cap2):
-        return dress(entries, sign, avec, -s1, s2, cap1, cap2)
+    def wrong(entries, sign, avec, s1, s2, *caps):
+        return dress(entries, sign, avec, -s1, s2, *caps)
     return wrong
 
 
@@ -460,6 +460,27 @@ def test_conjugation_cutoff_skips_only_the_coefficients_past_it(
     assert rep.verdict
     assert len(rep.checked) + len(rep.skipped) == len(whole.checked)
     assert all(uncut[e] == (left, right) for e, left, right in compared)
+
+
+def test_yy_conj_builds_no_creation_chain_past_the_cutoff(monkeypatch):
+    # the bench setting (window 2, cutoff 6, ku = 2, a vacuum target): the
+    # right side reads its two Yminus dressings at f1 + f2 = j + e2 alone,
+    # so no chain coefficient it builds has a level sum past ku + 2 + 2 = 6
+    alpha = label(["1/2"])
+    u = State.of(monomial(zero_label(1), ((1, 1), (1, 1))))
+    s = State.vacuum(1, label(["-1/3"]))
+    levels = []
+    ypm_coeff = intertwiner._ypm_coeff
+
+    def measured(*args):
+        out = ypm_coeff(*args)
+        levels.append(out.max_levels())
+        return out
+
+    monkeypatch.setattr(intertwiner, "_ypm_coeff", measured)
+    rep = verify_yy_conj(alpha, u, s, 2, (-2, 2), 6)
+    assert rep.verdict and len(rep.checked) == 15 and not rep.skipped
+    assert max(levels) == 6
 
 
 def test_two_variable_dressing_closed_form():

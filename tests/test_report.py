@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from heisvoa.fock import State, label
@@ -31,5 +29,5 @@ def test_passing_record_keeps_no_state_and_failing_record_keeps_both():
 def test_check_record_is_frozen_and_slotted():
     r = CheckRecord((1,), None, None, True)
     assert not hasattr(r, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         r.passed = False
