@@ -405,14 +405,6 @@ class IntertwinerOp:
 # verifiers for the exponential-operator identities
 
 
-def _starved(rep: VerificationReport, need: int, cutoff: int | None) -> bool:
-    """Record a skip when the window needs level sums past the cutoff."""
-    if cutoff is None or need <= cutoff:
-        return False
-    rep.skip((), f"window needs level sums up to {need} > cutoff {cutoff}")
-    return True
-
-
 def verify_ypm_commutation(alpha: Label, beta: Label, s: State, r1: int, r2: int,
                            cutoff: int | None = None) -> VerificationReport:
     """Yplus(alpha,z1) Yminus(beta,z2) = (1 - z2/z1)^(alpha.beta)
@@ -420,30 +412,32 @@ def verify_ypm_commutation(alpha: Label, beta: Label, s: State, r1: int, r2: int
     z1^(-i) z2^(j), 0 <= i <= r1, 0 <= j <= r2."""
     rep = VerificationReport("ypm_commutation",
                              window_used=f"z1^[-{r1},0] z2^[0,{r2}]")
-    if _starved(rep, s.max_levels() + r2, cutoff):
-        return rep
     va, vb = alpha.alpha, beta.alpha
     ab = alpha.dot(beta)
-    # right side grid: creation chains of beta on the Yplus(alpha) tail of s
+    ks = s.max_levels()
+    # Yminus's z2^j on s has level sum ks + j, and neither side goes higher
+    grid = [(i, j) for i in range(r1 + 1) for j in range(r2 + 1)
+            if not rep.past_cutoff((as_gauss(-i), as_gauss(j)), ks + j, cutoff)]
+    # right side grid: creation chains of beta on the Yplus(alpha) tail of s,
+    # read at (i - m, j - m) alone, so no z2 order past the kept ones
+    top = max((j for _, j in grid), default=-1)
     right_grid = {}
-    for i in range(s.max_levels() + 1):
+    for i in range(ks + 1):
         t = annihilation_coeff(va, i, s)
-        for j in range(r2 + 1):
+        for j in range(top + 1):
             right_grid[(i, j)] = creation_coeff(vb, j, t)
-    for i in range(r1 + 1):
-        for j in range(r2 + 1):
-            a_j = creation_coeff(vb, j, s)
-            lhs = annihilation_coeff(va, i, a_j)
-            rhs = State.zero(s.rank)
-            for m in range(min(i, j) + 1):
-                g = right_grid.get((i - m, j - m))
-                if g is None or g.is_zero:
-                    continue
-                c = binom(ab, m)
-                if m % 2:
-                    c = -c
-                rhs = rhs + g.scale(c)
-            rep.record((as_gauss(-i), as_gauss(j)), lhs, rhs)
+    for i, j in grid:
+        lhs = annihilation_coeff(va, i, creation_coeff(vb, j, s))
+        rhs = State.zero(s.rank)
+        for m in range(min(i, j) + 1):
+            g = right_grid.get((i - m, j - m))
+            if g is None or g.is_zero:
+                continue
+            c = binom(ab, m)
+            if m % 2:
+                c = -c
+            rhs = rhs + g.scale(c)
+        rep.record((as_gauss(-i), as_gauss(j)), lhs, rhs)
     return rep
 
 
@@ -465,9 +459,7 @@ def verify_y_conj_minus(alpha: Label, u: State, s: State, w1: tuple[int, int],
             # both sides at z1^e1 z2^j are a vertex mode of level sum
             # ku + ks + e1 + j, and the left one reads Yminus's z2^j on s
             need = max(ks + j, ku + ks + e1 + j)
-            if cutoff is not None and need > cutoff:
-                rep.skip((as_gauss(e1), as_gauss(j)),
-                         f"needs level sums {need} > cutoff {cutoff}")
+            if rep.past_cutoff((as_gauss(e1), as_gauss(j)), need, cutoff):
                 continue
             if a_j is None:
                 a_j = creation_coeff(va, j, s)
@@ -495,16 +487,16 @@ def verify_y_conj_plus(alpha: Label, u: State, s: State, r1: int,
     va = alpha.alpha
     rank = s.rank
     ku, ks = u.max_levels(), s.max_levels()
-    # u(-e2-1)s at the top of the window has the largest level sum; the
-    # right side's z2-shifts c2 >= 0 never take it higher
-    if _starved(rep, ku + ks + w2[1], cutoff):
-        return rep
     # an entry at z2-shift c2 > ku + ks + e2 meets t as a mode that
     # lowers the level sum below 0, so the z2 cap is exact
     dressed = _ypm_dress({(0, 0): u}, 1, va, 1, -1, None, max(w2[1], 0) + ku + ks)
     tails = {i: annihilation_coeff(va, i, s) for i in range(s.max_levels() + 1)}
     for i in range(r1 + 1):
         for e2 in range(w2[0], w2[1] + 1):
+            # u(-e2-1)s has level sum ku + ks + e2, and the right side's
+            # z2-shifts c2 >= 0 never take it higher
+            if rep.past_cutoff((as_gauss(-i), as_gauss(e2)), ku + ks + e2, cutoff):
+                continue
             lhs = annihilation_coeff(va, i, vertex_mode(u, -e2 - 1, s))
             rhs = State.zero(rank)
             for (c1, c2), ust in dressed.items():
@@ -541,9 +533,7 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
             # both sides at z1^j z2^e2 are a vertex mode of level sum
             # ku + ks + j + e2, and the left one reads Yminus's z1^j on u
             need = max(ku + j, ku + ks + j + e2)
-            if cutoff is not None and need > cutoff:
-                rep.skip((as_gauss(j), as_gauss(e2)),
-                         f"needs level sums {need} > cutoff {cutoff}")
+            if rep.past_cutoff((as_gauss(j), as_gauss(e2)), need, cutoff):
                 continue
             if dj is None:
                 dj = creation_coeff(va, j, u)
@@ -613,10 +603,11 @@ def verify_shift_conj_lminus(alpha: Label, s: State, order: int,
     label modes, so both sides are compared at t = 0..r.
     """
     rep = VerificationReport("shift_conj_lminus", window_used=f"z^[0,{order}]")
-    if _starved(rep, s.max_levels() + order, cutoff):
-        return rep
-    lhs = [_shift_conj_virasoro(-1, alpha, s, order, t) for t in range(order + 1)]
-    for r in range(order + 1):
+    # z^r needs level sums ks + r, so the kept orders are 0..len(kept) - 1
+    kept = [r for r in range(order + 1)
+            if not rep.past_cutoff((as_gauss(r),), s.max_levels() + r, cutoff)]
+    lhs = [_shift_conj_virasoro(-1, alpha, s, len(kept) - 1, t) for t in kept]
+    for r in kept:
         rep.record((as_gauss(r),), tuple(lhs[t][r] for t in range(r + 1)),
                    tuple(creation_coeff(alpha.scale(t).alpha, r, s)
                          for t in range(r + 1)))
@@ -653,12 +644,14 @@ def verify_shift_conj_vertex(alpha: Label, u: State, s: State,
     """
     rep = VerificationReport("shift_conj_vertex",
                              window_used=f"z^[{window[0]},{window[1]}]")
-    if _starved(rep, u.max_levels() + s.max_levels() + window[1], cutoff):
-        return rep
-    shifts = [alpha.scale(t) for t in range(u.max_levels() + 1)]
+    ku = u.max_levels()
+    shifts = [alpha.scale(t) for t in range(ku + 1)]
     dressed = [[annihilation_coeff(shift.alpha, p, u, arg=S_MINUS_ONE)
-                for p in range(u.max_levels() + 1)] for shift in shifts]
+                for p in range(ku + 1)] for shift in shifts]
     for e in range(window[0], window[1] + 1):
+        # both sides at z^e are vertex modes of level sum ku + ks + e
+        if rep.past_cutoff((as_gauss(e),), ku + s.max_levels() + e, cutoff):
+            continue
         left = tuple(translate_label(vertex_mode(
             u, -e - 1, translate_label(s, shift)), -shift) for shift in shifts)
         right = []

@@ -168,8 +168,7 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
                 k_out = kx + ky + ks + ia + ib + ic + 1
                 need = max(k_out, ky + ks + ic, kx + ks + ib + shift_b2,
                            kx + ky + ia + shift_r, 0)
-                if cutoff is not None and need > cutoff:
-                    rep.skip((a, b, c), f"needs level sums {need} > cutoff {cutoff}")
+                if rep.past_cutoff((a, b, c), need, cutoff):
                     continue
                 lhs: Sectors = {}
                 for m in range(ky + ks + ic + 1):
@@ -248,8 +247,7 @@ def verify_skew_symmetry(x: IntertwinerSpec, y: State, radius: int = 3,
     chains = {m: exp_virasoro_coeffs(-1, op_y.coefficient(x.head, ab + m).scale(
         branch_phase(ab + m, n_branch)), top - m) for m in range(lo, top + 1)}
     for n in range(lo, radius + 1):
-        if cutoff is not None and ku + kv + n > cutoff:
-            rep.skip((ab + n,), f"needs level sums {ku + kv + n} > cutoff {cutoff}")
+        if rep.past_cutoff((ab + n,), ku + kv + n, cutoff):
             continue
         left = op_x.coefficient(y, ab + n)
         right = State.zero(y.rank)

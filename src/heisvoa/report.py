@@ -61,8 +61,16 @@ class VerificationReport:
             return
         self.record(exponents, left, right, note)
 
-    def skip(self, exponents: tuple, reason: str = "cutoff") -> None:
+    def skip(self, exponents: tuple, reason: str) -> None:
         self.skipped.append((tuple(exponents), reason))
+
+    def past_cutoff(self, exponents: tuple, need: int, cutoff: int | None) -> bool:
+        """Skip the coefficient at exponents if it needs level sums past
+        the cutoff; every verifier that sizes its own coefficients asks."""
+        if cutoff is None or need <= cutoff:
+            return False
+        self.skip(exponents, f"needs level sums {need} > cutoff {cutoff}")
+        return True
 
     @property
     def verdict(self) -> bool:

@@ -62,15 +62,17 @@ def test_unreadable_and_malformed_config(tmp_path):
 
 
 def test_jacobi_instance_run(tmp_path):
-    config = write_config(
-        tmp_path, suites=["jacobi"], window=2, cutoff=7,
-        jacobi_instances=[["1/2", "1/3", "-1/4"]],
-        heads=[[], [[1, -1]]], negative_controls=True)
-    status, text = run(tmp_path, config)
-    assert status == 0
-    assert "negative/corrupt_cocycle" in text
-    assert "XFAIL" in text
-    assert "verdict: PASS" in text
+    # the corrupt-cocycle control fails whatever the first instance is; on
+    # an instance's own labels, alpha = beta or beta = 0 would let it pass
+    for instance in (["1/2", "1/3", "-1/4"], ["1", "1", "1"], ["1/2", "0", "1/3"]):
+        config = write_config(
+            tmp_path, suites=["jacobi"], window=2, cutoff=7,
+            jacobi_instances=[instance],
+            heads=[[], [[1, -1]]], negative_controls=True)
+        status, text = run(tmp_path, config)
+        assert status == 0, instance
+        assert "negative/corrupt_cocycle\n  generalized_jacobi: XFAIL" in text
+        assert "verdict: PASS" in text
 
 
 def test_locality_negative_control(tmp_path):
@@ -301,12 +303,12 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
 
 
 def test_starved_suite_keeps_the_rest(tmp_path):
-    # at window 3 and cutoff 3, y_conj_minus and yy_conj skip only their
+    # at window 3 and cutoff 3, the conjugation identities skip only their
     # coefficients past the cutoff; the cases that fit it keep their outcomes
     config = write_config(tmp_path, suites=["intertwiner-props", "virasoro"],
                           window=3, cutoff=3)
     status, text = run(tmp_path, config)
-    assert status == 3
+    assert status == 0
     assert "suite intertwiner-props case 000 pair000/ypm_commutation\n" \
            "  ypm_commutation: PASS" in text
     assert "suite intertwiner-props case 001 pair000/y_conj_minus\n" \
@@ -315,15 +317,65 @@ def test_starved_suite_keeps_the_rest(tmp_path):
     assert "suite intertwiner-props case 003 pair000/yy_conj\n" \
            "  yy_conj: PASS checked=9 failed=0 skipped=12 " in text
     assert "    skip (2,3) needs level sums 7 > cutoff 3\n" in text
-    # u(-e2-1)s at the top of the window reaches level sum 5
-    for idx, name, window in ((2, "y_conj_plus", "z1^[-3,0] z2^[-3,3]"),
-                              (6, "shift_conj_vertex", "z^[-3,3]")):
+    # u(-e2-1)s reaches level sum 2 + e2, past the cutoff at e2 = 2, 3
+    assert "suite intertwiner-props case 002 pair000/y_conj_plus\n" \
+           "  y_conj_plus: PASS checked=20 failed=0 skipped=8 " in text
+    assert "    skip (-3,3) needs level sums 5 > cutoff 3\n" in text
+    assert "suite intertwiner-props case 006 pair000/shift_conj_vertex\n" \
+           "  shift_conj_vertex: PASS checked=5 failed=0 skipped=2 " in text
+    assert "    skip (3) needs level sums 5 > cutoff 3\n" in text
+    # at window 0 and cutoff 0 the one coefficient of the cases with the
+    # level-2 head u is past the cutoff; those cases alone starve
+    config = write_config(tmp_path, suites=["intertwiner-props", "virasoro"],
+                          window=0, cutoff=0)
+    status, text = run(tmp_path, config)
+    assert status == 3
+    assert "suite intertwiner-props case 000 pair000/ypm_commutation\n" \
+           "  ypm_commutation: PASS" in text
+    for idx, name, window in ((1, "y_conj_minus", "z1^[0,0] z2^[0,0]"),
+                              (2, "y_conj_plus", "z1^[-0,0] z2^[0,0]"),
+                              (3, "yy_conj", "z1^[0,0] z2^[0,0]")):
         assert f"suite intertwiner-props case {idx:03d} pair000/{name}\n" \
                f"  {name}: STARVED checked=0 failed=0 skipped=1 window={window}\n" \
-               "    skip () window needs level sums up to 5 > cutoff 3\n" in text
+               "    skip (0,0) needs level sums 2 > cutoff 0\n" in text
+    assert "suite intertwiner-props case 006 pair000/shift_conj_vertex\n" \
+           "  shift_conj_vertex: STARVED checked=0 failed=0 skipped=1 " \
+           "window=z^[0,0]\n    skip (0) needs level sums 2 > cutoff 0\n" in text
     assert "suite virasoro case 000 brackets\n  virasoro_brackets: PASS" in text
     assert "window_starvation" not in text
+    assert "starved=4 " in text
     assert "verdict: FAIL" in text
+
+
+def _cases(text):
+    """Per case: its summary counts and the outcome of each checked key."""
+    out, name = {}, None
+    for ln in text.splitlines():
+        if ln.startswith("suite "):
+            name = ln.split()[-1]
+            out[name] = {"keys": {}}
+        elif m := re.match(r"  \S+: \w+ checked=(\d+) failed=\d+ skipped=(\d+) ", ln):
+            out[name]["window"] = int(m[1]) + int(m[2])
+        elif m := re.match(r"    coeff \((.*?)\) (ok|MISMATCH)", ln):
+            out[name]["keys"][m[1]] = m[2]
+    return out
+
+
+def test_a_cases_window_does_not_depend_on_the_cutoff(tmp_path):
+    # a cutoff decides which coefficients of a window are compared, never
+    # the window itself, and a coefficient that fits both cutoffs agrees
+    runs = []
+    for cutoff in (3, 6):
+        config = write_config(tmp_path, suites=["intertwiner-props"],
+                              window=3, cutoff=cutoff)
+        runs.append(_cases(run(tmp_path, config)[1]))
+    low, high = runs
+    assert low.keys() == high.keys() and len(low) == 10
+    for name, case in low.items():
+        assert case["window"] == high[name]["window"], name
+        assert case["keys"].items() <= high[name]["keys"].items(), name
+    assert len(low["pair000/y_conj_plus"]["keys"]) == 20
+    assert len(high["pair000/y_conj_plus"]["keys"]) == 28
 
 
 def _starving(scn):

@@ -420,9 +420,12 @@ def test_conjugation_designed_failure(monkeypatch, name):
     assert rep.verdict is False and rep.failures
 
 
-# the coefficients past cutoff 6 at window 3: z1^e1 z2^j needs level sum
-# ku + ks + e1 + j in y_conj_minus, z1^j z2^e2 needs ku + ks + j + e2 in
-# yy_conj, with ku = 2 and ks the level sum of the target
+# the coefficients past cutoff 6 in windows that it cuts: z1^e1 z2^j needs
+# level sum ku + ks + e1 + j in y_conj_minus, z1^j z2^e2 needs ku + ks + j
+# + e2 in yy_conj, z1^-i z2^e2 needs ku + ks + e2 in y_conj_plus and z^e
+# needs ku + ks + e in shift_conj_vertex, with ku = 2 and ks the level sum
+# of the target; z1^-i z2^j of ypm_commutation and z^r of
+# shift_conj_lminus need ks + j and ks + r
 CUT_CONJ = {
     "y_conj_minus": (lambda alpha, u, s, cutoff:
                      verify_y_conj_minus(alpha, u, s, (-3, 3), 2, cutoff),
@@ -430,7 +433,31 @@ CUT_CONJ = {
     "yy_conj": (lambda alpha, u, s, cutoff:
                 verify_yy_conj(alpha, u, s, 2, (-3, 3), cutoff),
                 {0: ["2,3"], 1: ["1,3", "2,2", "2,3"]}),
+    "y_conj_plus": (lambda alpha, u, s, cutoff:
+                    verify_y_conj_plus(alpha, u, s, 2, (-3, 5), cutoff),
+                    {0: ["0,5", "-1,5", "-2,5"],
+                     1: ["0,4", "0,5", "-1,4", "-1,5", "-2,4", "-2,5"]}),
+    "shift_conj_vertex": (lambda alpha, u, s, cutoff:
+                          verify_shift_conj_vertex(alpha, u, s, (-3, 5), cutoff),
+                          {0: ["5"], 1: ["4", "5"]}),
+    "ypm_commutation": (lambda alpha, u, s, cutoff:
+                        verify_ypm_commutation(alpha, label(["-1/4"]), s, 2, 7,
+                                               cutoff),
+                        {0: ["0,7", "-1,7", "-2,7"],
+                         1: ["0,6", "0,7", "-1,6", "-1,7", "-2,6", "-2,7"]}),
+    "shift_conj_lminus": (lambda alpha, u, s, cutoff:
+                          verify_shift_conj_lminus(alpha, s, 7, cutoff),
+                          {0: ["7"], 1: ["6", "7"]}),
 }
+
+
+def _measuring(levels, fn):
+    """fn, noting the level sum of every State it returns in levels."""
+    def measured(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        levels.extend(x.max_levels() for x in (out if isinstance(out, list) else [out]))
+        return out
+    return measured
 
 
 @pytest.mark.parametrize("ks", [0, 1])
@@ -445,13 +472,11 @@ def test_conjugation_cutoff_skips_only_the_coefficients_past_it(
     assert whole.verdict and not whole.skipped
     uncut = {e: (left, right) for e, left, right in compared}
     levels = []
-
-    def measured(v, n, t):
-        out = vertex_mode(v, n, t)
-        levels.append(out.max_levels())
-        return out
-
-    monkeypatch.setattr(intertwiner, "vertex_mode", measured)
+    # every mode action, chain coefficient and L(n)-exponential a verifier
+    # builds stays within the cutoff
+    for fn in ("vertex_mode", "_ypm_coeff", "exp_virasoro_coeffs"):
+        monkeypatch.setattr(intertwiner, fn,
+                            _measuring(levels, getattr(intertwiner, fn)))
     compared.clear()
     rep = verify(alpha, u, s, 6)
     assert levels and max(levels) <= 6
