@@ -19,7 +19,7 @@ from .scalars import (
     lam_pow,
     zeta_pow,
 )
-from .series import CosetError, WindowError
+from .series import CosetError
 
 __all__ = [
     "CocycleSystem",
@@ -32,7 +32,6 @@ __all__ = [
     "Label",
     "Scalar",
     "State",
-    "WindowError",
     "apply_e",
     "as_gauss",
     "as_scalar",

@@ -40,7 +40,6 @@ from .fock import (
     Sectors,
     State,
     _add_units,
-    _levels,
     _mode_on_monomial,
     basis_monomials,
     exp_virasoro_coeffs,
@@ -61,7 +60,7 @@ from .scalars import (
     branch_phase,
     lam_pow,
 )
-from .series import WindowError, exponent_index
+from .series import exponent_index
 
 
 def gram(x: State, y: State, cs: CocycleSystem) -> Scalar:
@@ -142,15 +141,14 @@ class AdjointIntertwinerOp:
     z-shift q - 2h of the head's L(1) descendants (module docstring).
 
     The series is upper truncated: on a target with level sum kt the
-    exponents are bounded above by kt - ku - a.(a+c) for target label c.
+    exponents are bounded above by kt - ku - a.(a+c) for target label c,
+    and the read at x = -a.(a+c) + n needs level sums kt - ku - n.
     """
 
-    def __init__(self, spec: IntertwinerSpec, n_branch: int,
-                 cutoff: int | None = None):
+    def __init__(self, spec: IntertwinerSpec, n_branch: int):
         if n_branch % 2 == 0:
             raise ValueError("branch parameter N must be odd")
         self.n_branch = n_branch
-        self.cutoff = cutoff
         self.label = spec.label
         self.weight_int = spec.weight_int
         rank = spec.head.rank
@@ -163,7 +161,6 @@ class AdjointIntertwinerOp:
                 if cur.is_zero:
                     break  # L(1) lowers the level sum: the rest vanishes too
                 shifted[q - 2 * h] = shifted.get(q - 2 * h, State.zero(rank)) + cur
-        # no cutoff here: coefficient decides it per target sector first
         self._ops = [(d, IntertwinerOp(IntertwinerSpec(
             translate_label(v, self.label), spec.cocycle), beta=self.label))
             for d, v in shifted.items() if not v.is_zero]
@@ -183,9 +180,6 @@ class AdjointIntertwinerOp:
         for gamma, us in target.sectors.items():
             eig = -self.offset_on(gamma)
             n_rel = exponent_index(-eig, exponent)
-            kt = max(_levels(p) for t in us.values() for p in t)
-            if self.cutoff is not None and kt - self.weight_int - n_rel > self.cutoff:
-                raise WindowError("adjoint coefficient beyond cutoff")
             factors[alpha + gamma] = Scalar.from_unit(
                 e_exp=n_rel - self.n_branch * eig, lam_exp=lam_exp)
         out: Sectors = {}
@@ -206,8 +200,8 @@ def verify_invariance(x: IntertwinerSpec, y: State, t: State, n_branch: int,
     alpha = x.label
     beta = y.single_label()
     gamma = t.single_label()
-    op = IntertwinerOp(x, cutoff)
-    adj = AdjointIntertwinerOp(x, n_branch, cutoff)
+    op = IntertwinerOp(x)
+    adj = AdjointIntertwinerOp(x, n_branch)
     pref = branch_phase(-alpha.dot(beta), n_branch) * cs.commutator(alpha, beta)
     rep = VerificationReport(
         "invariance", window_used=f"radius {radius}",
@@ -217,17 +211,18 @@ def verify_invariance(x: IntertwinerSpec, y: State, t: State, n_branch: int,
     # both sides are series in the same variable; compare at equal powers.
     # off-coset powers carry no term, i.e. a known zero coefficient.
     adj_offset = adj.offset_on(gamma)
-    lo = -(x.weight_int + y.max_levels() + t.max_levels()) - radius
+    ku, ky, kt = x.weight_int, y.max_levels(), t.max_levels()
+    lo = -(ku + ky + kt) - radius
     for n in range(lo, radius + 1):
         e = alpha.dot(beta) + n
-
-        def compute(e=e):
-            left = gram(op.coefficient(y, e), t, cs)
-            if (e - adj_offset).is_integer:
-                right = pref * gram(y, adj.coefficient(t, e), cs)
-            else:
-                right = S_ZERO
-            return left, right
-
-        rep.guarded((e,), compute)
+        # Y reads y at relative exponent n, and Yd reads t at adj_offset + m
+        m = e - adj_offset
+        need = ku + ky + n
+        if m.is_integer:
+            need = max(need, kt - ku - m.a)
+        if rep.past_cutoff((e,), need, cutoff):
+            continue
+        left = gram(op.coefficient(y, e), t, cs)
+        right = pref * gram(y, adj.coefficient(t, e), cs) if m.is_integer else S_ZERO
+        rep.record((e,), left, right)
     return rep

@@ -10,12 +10,13 @@ label-beta target, Yplus/Yminus are the annihilation/creation
 exponentials of the label modes, Y(u,z) is the untwisted vertex
 operator, and e^alpha shifts the label with the cocycle factor
 epsilon(alpha,beta).  Every coefficient of the resulting series in the
-coset alpha.beta + Z is an exact finite sum; the optional cutoff bounds
-the level sums a computation is allowed to touch and trips a
-WindowError instead of ever truncating silently.  The same operator
-with the head dressed as Delta(gamma,z)u|alpha> and a scalar per target
-label is the twisted and the DLM operator of the lattice module; by Li's
-Delta, the dressed operator reads Y(u,z) on the sector beta + gamma.
+coset alpha.beta + Z is an exact finite sum, never truncated; the
+operator takes no cutoff, and each verifier decides per coefficient,
+before it reads one, whether the level sums it needs fit its budget.
+The same operator with the head dressed as Delta(gamma,z)u|alpha> and a
+scalar per target label is the twisted and the DLM operator of the
+lattice module; by Li's Delta, the dressed operator reads Y(u,z) on the
+sector beta + gamma.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .scalars import (
     binom,
     zeta_pow,
 )
-from .series import WindowError, exponent_index
+from .series import exponent_index
 from .workspace import current
 
 
@@ -309,13 +310,11 @@ class IntertwinerOp:
     in one per-operator dict.
     """
 
-    def __init__(self, spec: IntertwinerSpec, cutoff: int | None = None,
-                 beta: Label | None = None):
+    def __init__(self, spec: IntertwinerSpec, *, beta: Label | None = None):
         head = spec.head
         self.head_state = head
         self.label = spec.label
         self.cocycle = spec.cocycle
-        self.cutoff = cutoff
         self.weight_int = spec.weight_int
         self.beta = beta if beta is not None else zero_label(head.rank)
         # (parts, unit, coefficient, level sum) per term of the head
@@ -353,7 +352,9 @@ class IntertwinerOp:
         ``_half_kernel``: the half-kernels of every head term and target
         monomial are summed per creation order kp first, so each chain is
         applied once per (kp, monomial) of that sum.  The sector scalar
-        enters once per target sector and kp.
+        enters once per target sector and kp.  On a target monomial of
+        level sum kt the read builds level sums up to weight_int + kt + n,
+        the need a verifier weighs against its cutoff before reading.
         """
         exponent = as_gauss(exponent)
         lab = self.label
@@ -366,14 +367,6 @@ class IntertwinerOp:
             for tu, t in us.items():
                 for tparts, tq in t.items():
                     kt = _levels(tparts)
-                    max_out = self.weight_int + kt + n_rel
-                    if max_out < 0:
-                        continue
-                    # the memo key has no cutoff: decide it before the lookup
-                    if self.cutoff is not None and max_out > self.cutoff:
-                        raise WindowError(
-                            f"coefficient at relative exponent {n_rel} needs "
-                            f"level sums up to {max_out} > cutoff {self.cutoff}")
                     for hparts, hu, hq, kh in self._heads:
                         lo = -(kh + kt)
                         if n_rel < lo:
@@ -411,7 +404,7 @@ def verify_ypm_commutation(alpha: Label, beta: Label, s: State, r1: int, r2: int
     Yminus(beta,z2) Yplus(alpha,z1), coefficientwise on the grid
     z1^(-i) z2^(j), 0 <= i <= r1, 0 <= j <= r2."""
     rep = VerificationReport("ypm_commutation",
-                             window_used=f"z1^[-{r1},0] z2^[0,{r2}]")
+                             window_used=f"z1^[{-r1},0] z2^[0,{r2}]")
     va, vb = alpha.alpha, beta.alpha
     ab = alpha.dot(beta)
     ks = s.max_levels()
@@ -483,7 +476,7 @@ def verify_y_conj_plus(alpha: Label, u: State, s: State, r1: int,
                        w2: tuple[int, int], cutoff: int | None = None) -> VerificationReport:
     """Yplus(alpha,z1) Y(u,z2) = Y(Yplus(alpha,z1-z2)u, z2) Yplus(alpha,z1)."""
     rep = VerificationReport("y_conj_plus",
-                             window_used=f"z1^[-{r1},0] z2^[{w2[0]},{w2[1]}]")
+                             window_used=f"z1^[{-r1},0] z2^[{w2[0]},{w2[1]}]")
     va = alpha.alpha
     rank = s.rank
     ku, ks = u.max_levels(), s.max_levels()
@@ -673,31 +666,36 @@ def verify_translation(spec: IntertwinerSpec, target: State, hi: int,
                        cutoff: int | None = None) -> VerificationReport:
     """The intertwiner of L(-1)head is the z-derivative of the intertwiner."""
     rep = VerificationReport("translation", window_used=f"[lo,{hi}]")
-    op = IntertwinerOp(spec, cutoff)
+    op = IntertwinerOp(spec)
     lop = IntertwinerOp(IntertwinerSpec(virasoro_mode(-1, spec.head),
-                                        spec.cocycle), cutoff)
+                                        spec.cocycle))
     base = op.offset_on(target.single_label())
     lo = -(spec.weight_int + target.max_levels() + 1)
     for n in range(lo, hi + 1):
         e = base + n
-        rep.guarded((e,), lambda e=e: (lop.coefficient(target, e),
-                                       op.coefficient(target, e + 1).scale(e + 1)))
+        # L(-1)u at z^e and u at z^(e+1) both need ku + ks + n + 1 = n - lo
+        if rep.past_cutoff((e,), n - lo, cutoff):
+            continue
+        rep.record((e,), lop.coefficient(target, e),
+                   op.coefficient(target, e + 1).scale(e + 1))
     return rep
 
 
 def verify_creativity(spec: IntertwinerSpec, cutoff: int | None = None) -> VerificationReport:
     """Applying to the vacuum returns the head at order zero and nothing below."""
     rep = VerificationReport("creativity")
-    op = IntertwinerOp(spec, cutoff)
+    op = IntertwinerOp(spec)
+    ku = spec.weight_int
     vac = State.vacuum(spec.head.rank)
-    rep.window_used = f"[{-(spec.weight_int)},0]"
-    rep.guarded((GR_ZERO,),
-                lambda: (op.coefficient(vac, GR_ZERO), spec.head))
-    for n in range(-spec.weight_int - 2, 0):
-        rep.guarded((as_gauss(n),),
-                    lambda n=n: (op.coefficient(vac, as_gauss(n)),
-                                 State.zero(spec.head.rank)),
-                    note="below-order vanishing")
+    rep.window_used = f"[{-ku},0]"
+    zero = State.zero(spec.head.rank)
+    # the head at z^0, then nothing below it; the vacuum read at z^n
+    # needs level sums ku + n
+    for n in [0, *range(-ku - 2, 0)]:
+        e = as_gauss(n)
+        if not rep.past_cutoff((e,), ku + n, cutoff):
+            rep.record((e,), op.coefficient(vac, e), spec.head if n == 0 else zero,
+                       note="below-order vanishing" if n else "")
     return rep
 
 
@@ -707,8 +705,8 @@ def verify_e_conjugation(spec: IntertwinerSpec, beta: Label, target: State,
     cs = spec.cocycle
     alpha = spec.label
     rep = VerificationReport("e_conjugation", window_used=f"[lo,{hi}]")
-    op = IntertwinerOp(spec, cutoff)
-    dop = IntertwinerOp(spec, cutoff, beta)
+    op = IntertwinerOp(spec)
+    dop = IntertwinerOp(spec, beta=beta)
     c_ab = cs.commutator(alpha, beta)
     shifted = apply_e(cs, beta, target)
     gamma = target.single_label()
@@ -716,8 +714,9 @@ def verify_e_conjugation(spec: IntertwinerSpec, beta: Label, target: State,
     lo = -(spec.weight_int + target.max_levels())
     for n in range(lo, hi + 1):
         e = base + n
-
-        rep.guarded((e,), lambda e=e: (
-            apply_e_inverse(cs, beta, op.coefficient(shifted, e)),
-            dop.coefficient(target, e).scale(c_ab)))
+        # both reads are at relative exponent n on level sum ks: ku + ks + n
+        if rep.past_cutoff((e,), n - lo, cutoff):
+            continue
+        rep.record((e,), apply_e_inverse(cs, beta, op.coefficient(shifted, e)),
+                   dop.coefficient(target, e).scale(c_ab))
     return rep

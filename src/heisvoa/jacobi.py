@@ -75,12 +75,16 @@ class _OffsetGrid(dict):
         self.outer = outer
         self.mids: dict = {}
 
-    def __missing__(self, key):
-        p, q = key
+    def mid(self, p):
+        """inner(p), read once."""
         mids = self.mids
         if p not in mids:
             mids[p] = self.inner(p)
-        value = self[key] = self.outer(mids[p], q)
+        return mids[p]
+
+    def __missing__(self, key):
+        p, q = key
+        value = self[key] = self.outer(self.mid(p), q)
         return value
 
 
@@ -205,12 +209,10 @@ def verify_generalized_jacobi(x: IntertwinerSpec, y: IntertwinerSpec, s: State,
     cs = x.cocycle
     alpha, beta = x.label, y.label
     gamma = s.single_label()
-    op1 = IntertwinerOp(x, cutoff)
-    op2 = IntertwinerOp(y, cutoff)
     return three_term_jacobi(
         name="generalized_jacobi",
-        op1=op1, op2=op2,
-        op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, cs), cutoff),
+        op1=IntertwinerOp(x), op2=IntertwinerOp(y),
+        op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, cs)),
         target=s,
         kappa12=-alpha.dot(beta),
         kappa_rhs=alpha.dot(gamma),
@@ -232,8 +234,8 @@ def verify_skew_symmetry(x: IntertwinerSpec, y: State, radius: int = 3,
     cs = x.cocycle
     alpha = x.label
     beta = y.single_label()
-    op_x = IntertwinerOp(x, cutoff)
-    op_y = IntertwinerOp(IntertwinerSpec(y, cs), cutoff)
+    op_x = IntertwinerOp(x)
+    op_y = IntertwinerOp(IntertwinerSpec(y, cs))
     ab = alpha.dot(beta)
     ku, kv = x.weight_int, y.max_levels()
     lo = -(ku + kv)
@@ -261,30 +263,34 @@ def verify_commutator(u: State, w: IntertwinerSpec, k: int, s: State,
                       radius: int = 3, cutoff: int | None = None) -> VerificationReport:
     """u(k) Y(w,z) - Y(w,z) u(k) = sum_j binom(k,j) Y(u(j)w, z) z^(k-j)."""
     cs = w.cocycle
-    op_w = IntertwinerOp(w, cutoff)
+    op_w = IntertwinerOp(w)
     base = w.label.dot(s.single_label())
     rep = VerificationReport("commutator", window_used=f"radius {radius}",
                              meta={"mode": str(k)})
-    rhs_ops = {}
-    for j in range(u.max_levels() + w.weight_int + 1):
+    kw, ks = w.weight_int, s.max_levels()
+    # the reads at relative exponent n: Y(w) on s and on u(k)s at n, and
+    # each Y(u(j)w) with binom(k, j) != 0 on s at n - k + j; offset is the
+    # largest level sum they need past n
+    uks = vertex_mode(u, k, s)
+    offset = kw + max(ks, uks.max_levels())
+    rhs_ops = []
+    for j in range(u.max_levels() + kw + 1):
         head = vertex_mode(u, j, w.head)
-        if not head.is_zero:
-            rhs_ops[j] = IntertwinerOp(IntertwinerSpec(head, cs), cutoff)
-    lo = -(w.weight_int + s.max_levels() + max(-k, 0))
+        coef = binom(k, j)
+        if not head.is_zero and not coef.is_zero:
+            op = IntertwinerOp(IntertwinerSpec(head, cs))
+            rhs_ops.append((j, coef, op))
+            offset = max(offset, op.weight_int + ks - k + j)
+    lo = -(kw + ks + max(-k, 0))
     for n in range(lo, radius + 1):
         e = base + n
-
-        def compute(e=e):
-            left = (vertex_mode(u, k, op_w.coefficient(s, e))
-                    - op_w.coefficient(vertex_mode(u, k, s), e))
-            right = State.zero(s.rank)
-            for j, op in rhs_ops.items():
-                coef = binom(k, j)
-                if not coef.is_zero:
-                    right = right + op.coefficient(s, e - k + j).scale(coef)
-            return left, right
-
-        rep.guarded((e,), compute)
+        if rep.past_cutoff((e,), offset + n, cutoff):
+            continue
+        left = vertex_mode(u, k, op_w.coefficient(s, e)) - op_w.coefficient(uks, e)
+        right = State.zero(s.rank)
+        for j, coef, op in rhs_ops:
+            right = right + op.coefficient(s, e - k + j).scale(coef)
+        rep.record((e,), left, right)
     return rep
 
 
@@ -296,29 +302,31 @@ def verify_normal_order(u: State, w: IntertwinerSpec, s: State,
     side is one instance of uniqueness of creative fields.
     """
     cs = w.cocycle
-    op_w = IntertwinerOp(w, cutoff)
+    op_w = IntertwinerOp(w)
     base = w.label.dot(s.single_label())
     rep = VerificationReport("normal_order", window_used=f"radius {radius}")
-    rhs_op = IntertwinerOp(IntertwinerSpec(vertex_mode(u, -1, w.head), cs), cutoff)
+    rhs_op = IntertwinerOp(IntertwinerSpec(vertex_mode(u, -1, w.head), cs))
     kw, ks, ku = w.weight_int, s.max_levels(), u.max_levels()
+    # the annihilation part reads Y(w) on each nonzero u(m)s at n + m + 1
+    tails = [(m, vertex_mode(u, m, s)) for m in range(ku + ks)]
+    tails = [(m, t) for m, t in tails if not t.is_zero]
+    # the reads at relative exponent n need these level sums past n
+    offset = max([kw + ks, rhs_op.weight_int + ks]
+                 + [kw + t.max_levels() + m + 1 for m, t in tails])
     for n in range(-radius, radius + 1):
         e = base + n
-
-        def compute(e=e):
-            left = State.zero(s.rank)
-            # creation part of Y(u,z) to the left
-            m = -1
-            while exponent_index(base, e + m + 1) >= -(kw + ks):
-                left = left + vertex_mode(u, m, op_w.coefficient(s, e + m + 1))
-                m -= 1
-            # annihilation part of Y(u,z) to the right
-            for m in range(0, ku + ks):
-                t = vertex_mode(u, m, s)
-                if not t.is_zero:
-                    left = left + op_w.coefficient(t, e + m + 1)
-            return left, rhs_op.coefficient(s, e)
-
-        rep.guarded((e,), compute)
+        if rep.past_cutoff((e,), offset + n, cutoff):
+            continue
+        left = State.zero(s.rank)
+        # creation part of Y(u,z) to the left
+        m = -1
+        while n + m + 1 >= -(kw + ks):
+            left = left + vertex_mode(u, m, op_w.coefficient(s, e + m + 1))
+            m -= 1
+        # annihilation part of Y(u,z) to the right
+        for m, t in tails:
+            left = left + op_w.coefficient(t, e + m + 1)
+        rep.record((e,), left, rhs_op.coefficient(s, e))
     return rep
 
 
@@ -334,7 +342,7 @@ def verify_associativity(u: State, w: IntertwinerSpec, s: State, n_power: int,
     if n_power < 0:
         raise ValueError("associativity power must be a natural number")
     cs = w.cocycle
-    op_w = IntertwinerOp(w, cutoff)
+    op_w = IntertwinerOp(w)
     base = w.label.dot(s.single_label())
     rep = VerificationReport(
         "associativity", window_used=f"z0 radius {r0}, z2 radius {r2}, n={n_power}",
@@ -345,36 +353,40 @@ def verify_associativity(u: State, w: IntertwinerSpec, s: State, n_power: int,
     for j in range(-(r0 + 1), min(n_power + r0, ku + kw) + 1):
         head = vertex_mode(u, j, w.head)
         if not head.is_zero:
-            heads[-j - 1] = IntertwinerOp(IntertwinerSpec(head, cs), cutoff)
+            heads[-j - 1] = IntertwinerOp(IntertwinerSpec(head, cs))
     # W[p, j] = u(j) of the coefficient of Y(w) s at z2^(base+p)
     W = _OffsetGrid(lambda p: op_w.coefficient(s, base + p),
                     lambda mid, j: vertex_mode(u, j, mid))
     for e0 in range(-r0, r0 + 1):
         for n2 in range(-r2, r2 + 1):
             e2 = base + n2
-
-            def compute(e0=e0, e2=e2, n2=n2):
-                left = State.zero(s.rank)
-                j_hi = n_power - 1 - e0
-                j_lo = j_hi - (n2 + kw + ks)
-                for j in range(j_lo, j_hi + 1):
-                    coef = binom(n_power - j - 1, n_power - j - 1 - e0)
-                    if coef.is_zero:
-                        continue
-                    left = left + W[n2 - n_power + j + 1 + e0, j].scale(coef)
-                right = State.zero(s.rank)
-                for d, op in heads.items():
-                    # e0 = (n - mm) + d for the z2-degree mm of the kernel
-                    mm = n_power + d - e0
-                    if mm < 0:
-                        continue
-                    coef = binom(n_power, mm)
-                    if coef.is_zero:
-                        continue
-                    right = right + op.coefficient(s, e2 - mm).scale(coef)
-                return left, right
-
-            rep.guarded((as_gauss(e0), e2), compute)
+            rights = []
+            for d, op in heads.items():
+                # e0 = (n - mm) + d for the z2-degree mm of the kernel
+                mm = n_power + d - e0
+                if mm < 0:
+                    continue
+                coef = binom(n_power, mm)
+                if not coef.is_zero:
+                    rights.append((op, mm, coef))
+            # the left reads Y(w) s at z2-offsets up to n2, where its
+            # binomial is 1, and the right each head at n2 - mm
+            need = max([kw + ks + n2] + [op.weight_int + ks + n2 - mm
+                                         for op, mm, _ in rights])
+            if rep.past_cutoff((as_gauss(e0), e2), need, cutoff):
+                continue
+            left = State.zero(s.rank)
+            j_hi = n_power - 1 - e0
+            j_lo = j_hi - (n2 + kw + ks)
+            for j in range(j_lo, j_hi + 1):
+                coef = binom(n_power - j - 1, n_power - j - 1 - e0)
+                if coef.is_zero:
+                    continue
+                left = left + W[n2 - n_power + j + 1 + e0, j].scale(coef)
+            right = State.zero(s.rank)
+            for op, mm, coef in rights:
+                right = right + op.coefficient(s, e2 - mm).scale(coef)
+            rep.record((as_gauss(e0), e2), left, right)
     return rep
 
 
@@ -388,7 +400,7 @@ def verify_locality(u: State, w: IntertwinerSpec, s: State, m_power: int,
     """
     if m_power < 0:
         raise ValueError("locality power must be a natural number")
-    op_w = IntertwinerOp(w, cutoff)
+    op_w = IntertwinerOp(w)
     base = w.label.dot(s.single_label())
     rep = VerificationReport(
         "locality", window_used=f"z1 radius {r1}, z2 radius {r2}, m={m_power}",
@@ -398,19 +410,22 @@ def verify_locality(u: State, w: IntertwinerSpec, s: State, m_power: int,
                     lambda mid, e1: vertex_mode(u, -e1 - 1, mid))
     H = _OffsetGrid(lambda e1: vertex_mode(u, -e1 - 1, s),
                     lambda mid, p: op_w.coefficient(mid, base + p))
+    kw, ks = w.weight_int, s.max_levels()
     zero = State.zero(s.rank)
     for e1 in range(-r1, r1 + 1):
         for n2 in range(-r2, r2 + 1):
-
-            def compute(e1=e1, n2=n2):
-                acc = State.zero(s.rank)
-                for j in range(m_power + 1):
-                    coef = binom(m_power, j)
-                    if j % 2:
-                        coef = -coef
-                    d1 = e1 - m_power + j
-                    acc = acc + (G[n2 - j, d1] - H[d1, n2 - j]).scale(coef)
-                return acc, zero
-
-            rep.guarded((as_gauss(e1), base + n2), compute)
+            # at each j, G reads Y(w) on s and H on u(-d1-1)s at z2-offset
+            # n2 - j, with d1 = e1 - m + j
+            need = max(kw + max(ks, H.mid(e1 - m_power + j).max_levels()) + n2 - j
+                       for j in range(m_power + 1))
+            if rep.past_cutoff((as_gauss(e1), base + n2), need, cutoff):
+                continue
+            acc = State.zero(s.rank)
+            for j in range(m_power + 1):
+                coef = binom(m_power, j)
+                if j % 2:
+                    coef = -coef
+                d1 = e1 - m_power + j
+                acc = acc + (G[n2 - j, d1] - H[d1, n2 - j]).scale(coef)
+            rep.record((as_gauss(e1), base + n2), acc, zero)
     return rep

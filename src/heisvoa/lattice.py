@@ -306,9 +306,8 @@ class TwistedVertexOp(IntertwinerOp):
     """Y_g(u|mu>, z) = Y(Delta(alpha,z) u|mu>, z) acting on the plain
     lattice module."""
 
-    def __init__(self, td: TwistData, head: State, cocycle: CocycleSystem,
-                 cutoff: int | None = None):
-        super().__init__(IntertwinerSpec(head, cocycle), cutoff, td.alpha)
+    def __init__(self, td: TwistData, head: State, cocycle: CocycleSystem):
+        super().__init__(IntertwinerSpec(head, cocycle), beta=td.alpha)
 
 
 def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State,
@@ -329,13 +328,13 @@ def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State,
             not all(c.denominator == 1 for c in list(mu1) + list(mu2)):
         raise ValueError("twisted Jacobi requires lattice-vector heads")
     p_sign = lat.pairing(mu1, mu1) * lat.pairing(mu2, mu2)
-    op1 = IntertwinerOp(IntertwinerSpec(x, cs), cutoff)
-    op2 = IntertwinerOp(IntertwinerSpec(y, cs), cutoff)
+    op1 = IntertwinerOp(IntertwinerSpec(x, cs))
+    op2 = IntertwinerOp(IntertwinerSpec(y, cs))
     rho = -x.single_label().dot(td.alpha)
     return three_term_jacobi(
         name="twisted_jacobi",
         op1=op1, op2=op2,
-        op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, cs), cutoff),
+        op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, cs)),
         target=s,
         kappa12=GR_ZERO,
         kappa_rhs=-rho,
@@ -361,8 +360,8 @@ def verify_li_equivalence(td: TwistData, x: State, target: State,
     mu = x.single_label()
     if not lat.in_lattice(mu):
         raise ValueError("head must carry a lattice label")
-    direct = IntertwinerOp(IntertwinerSpec(x, cs), cutoff)
-    li = TwistedVertexOp(td, x, cs, cutoff)
+    direct = IntertwinerOp(IntertwinerSpec(x, cs))
+    li = TwistedVertexOp(td, x, cs)
     c_fix = cs.commutator(mu, td.alpha)
     shifted = apply_e(cs, td.alpha, target)
     base = li.offset_on(target.single_label())
@@ -372,9 +371,11 @@ def verify_li_equivalence(td: TwistData, x: State, target: State,
         meta={"mu": str(mu), "alpha": str(td.alpha), "C(mu,alpha)": str(c_fix)})
     for n in range(lo, order + 1):
         e = base + n
-        rep.guarded((e,), lambda e=e: (
-            direct.coefficient(shifted, e),
-            apply_e(cs, td.alpha, li.coefficient(target, e)).scale(c_fix)))
+        # both reads are at relative exponent n on level sum kt: kx + kt + n
+        if rep.past_cutoff((e,), n - lo, cutoff):
+            continue
+        rep.record((e,), direct.coefficient(shifted, e),
+                   apply_e(cs, td.alpha, li.coefficient(target, e)).scale(c_fix))
     return rep
 
 
@@ -417,10 +418,10 @@ class DlmOp(IntertwinerOp):
 
     def __init__(self, td: TwistData, head: State, sector: Label,
                  cocycle: CocycleSystem, variant: str = "delta",
-                 n_branch: int = 1, cutoff: int | None = None):
+                 n_branch: int = 1):
         if variant not in ("delta", "hat"):
             raise ValueError("variant must be 'delta' or 'hat'")
-        super().__init__(IntertwinerSpec(head, cocycle), cutoff)
+        super().__init__(IntertwinerSpec(head, cocycle))
         self.lattice = td.lattice
         self.alpha = td.alpha
         self.sector = sector
@@ -473,9 +474,9 @@ def verify_dlm_jacobi(td1: TwistData, td2: TwistData, alpha3: Label,
         c12 = c12 * branch_phase(a1.dot(mu2) - a2.dot(mu1), n_branch)
 
     def op1_for(sector: Label) -> DlmOp:
-        return DlmOp(td1, x, sector, cs, variant, n_branch, cutoff)
+        return DlmOp(td1, x, sector, cs, variant, n_branch)
 
-    op2_lhs1 = DlmOp(td2, y, alpha3, cs, variant, n_branch, cutoff)
+    op2_lhs1 = DlmOp(td2, y, alpha3, cs, variant, n_branch)
     td12 = TwistData(lat, a1 + a2)
 
     return three_term_jacobi(
@@ -483,14 +484,14 @@ def verify_dlm_jacobi(td1: TwistData, td2: TwistData, alpha3: Label,
         op1=op1_for(a2 + alpha3),
         op2=op2_lhs1,
         op12_factory=lambda head: DlmOp(td12, head, alpha3, cs, variant,
-                                        n_branch, cutoff),
+                                        n_branch),
         target=s,
         kappa12=eta12,
         kappa_rhs=-eta13,
         c12=c12,
         radius=radius, cutoff=cutoff,
         op1_lhs2=op1_for(alpha3),
-        op2_lhs2=DlmOp(td2, y, a1 + alpha3, cs, variant, n_branch, cutoff),
+        op2_lhs2=DlmOp(td2, y, a1 + alpha3, cs, variant, n_branch),
         op1_rhs=op1_for(a2),
         meta={"eta12": str(eta12), "eta13": str(eta13), "C12": str(c12),
               "variant": variant, "branch_N": str(n_branch),

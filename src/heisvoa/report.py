@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from .series import WindowError
-
 
 class CheckRecord:
     """One compared coefficient; ``left`` and ``right`` are ``None`` when
@@ -52,21 +50,12 @@ class VerificationReport:
         self.checked.append(CheckRecord(tuple(exponents), left, right, ok, note))
         return ok
 
-    def guarded(self, exponents: tuple, compute, note: str = "") -> None:
-        """Record compute() -> (left, right); cutoff overruns become skips."""
-        try:
-            left, right = compute()
-        except WindowError as exc:
-            self.skip(tuple(exponents), str(exc))
-            return
-        self.record(exponents, left, right, note)
-
     def skip(self, exponents: tuple, reason: str) -> None:
         self.skipped.append((tuple(exponents), reason))
 
     def past_cutoff(self, exponents: tuple, need: int, cutoff: int | None) -> bool:
         """Skip the coefficient at exponents if it needs level sums past
-        the cutoff; every verifier that sizes its own coefficients asks."""
+        the cutoff; every verifier asks before it reads the coefficient."""
         if cutoff is None or need <= cutoff:
             return False
         self.skip(exponents, f"needs level sums {need} > cutoff {cutoff}")

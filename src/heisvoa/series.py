@@ -3,8 +3,7 @@
 An operator applied to a target on one label yields exponents in a single
 coset kappa+Z, where kappa is fixed by the labels; ``exponent_index``
 turns an exponent into its integer offset n from kappa and raises
-``CosetError`` for an exponent outside the coset.  ``WindowError`` marks a
-coefficient whose level sums the cutoff does not allow.
+``CosetError`` for an exponent outside the coset.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ from .scalars import GaussRat, as_gauss
 
 class CosetError(ValueError):
     """Exponent or offset outside the coset dictated by the labels."""
-
-
-class WindowError(ValueError):
-    """A window was requested that the inputs or the cutoff cannot support."""
 
 
 def exponent_index(offset: GaussRat, exponent) -> int:

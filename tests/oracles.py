@@ -213,14 +213,14 @@ def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
 
 
 def coeff_product(x: IntertwinerSpec, y: IntertwinerSpec, s: State,
-                  b, c, cutoff: int | None = None) -> State:
+                  b, c) -> State:
     """The exact coefficient of z1^b z2^c in Y(x,z1) Y(y,z2) s.
 
     Each fixed exponent pair selects exactly one mode composition; the
     exponents must sit in the cosets dictated by the three labels.
     """
-    op1 = IntertwinerOp(x, cutoff)
-    op2 = IntertwinerOp(y, cutoff)
+    op1 = IntertwinerOp(x)
+    op2 = IntertwinerOp(y)
     return op1.coefficient(op2.coefficient(s, as_gauss(c)), as_gauss(b))
 
 

@@ -19,7 +19,6 @@ PUBLIC_API = [
     "Label",
     "Scalar",
     "State",
-    "WindowError",
     "apply_e",
     "as_gauss",
     "as_scalar",

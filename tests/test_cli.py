@@ -16,7 +16,6 @@ from heisvoa.cli import SUITES, ConfigError, load_scenario, main, sample_labels
 from heisvoa.fock import label
 from heisvoa.report import VerificationReport
 from heisvoa.scalars import gr
-from heisvoa.series import WindowError
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -333,7 +332,7 @@ def test_starved_suite_keeps_the_rest(tmp_path):
     assert "suite intertwiner-props case 000 pair000/ypm_commutation\n" \
            "  ypm_commutation: PASS" in text
     for idx, name, window in ((1, "y_conj_minus", "z1^[0,0] z2^[0,0]"),
-                              (2, "y_conj_plus", "z1^[-0,0] z2^[0,0]"),
+                              (2, "y_conj_plus", "z1^[0,0] z2^[0,0]"),
                               (3, "yy_conj", "z1^[0,0] z2^[0,0]")):
         assert f"suite intertwiner-props case {idx:03d} pair000/{name}\n" \
                f"  {name}: STARVED checked=0 failed=0 skipped=1 window={window}\n" \
@@ -378,35 +377,24 @@ def test_a_cases_window_does_not_depend_on_the_cutoff(tmp_path):
     assert len(high["pair000/y_conj_plus"]["keys"]) == 28
 
 
-def _starving(scn):
-    """A suite runner whose window outruns the cutoff outside any case."""
-    raise WindowError("needs level sums 9 > cutoff 6")
-
-
-def test_window_error_out_of_a_suite_starves_that_suite_alone(tmp_path, monkeypatch):
-    monkeypatch.setitem(cli.SUITE_RUNNERS, "locality", _starving)
-    config = write_config(tmp_path, suites=["locality", "virasoro"], window=1)
-    status, text = run(tmp_path, config)
-    assert status == 3
-    assert "suite locality case 000 window_starvation\n" \
-           "  locality: STARVED checked=0 failed=0 skipped=0 window=radius 1\n" \
-           "    meta error = needs level sums 9 > cutoff 6\n" in text
-    assert "suite virasoro case 000 brackets\n  virasoro_brackets: PASS" in text
-    assert "starved=1 " in text
-
-
 def test_a_failing_case_exits_1_over_a_starved_one(tmp_path, monkeypatch):
     def failing(scn):
         rep = VerificationReport("wrong")
         rep.record((0,), gr(1), gr(2))
         return [("wrong", rep)]
 
+    def starving(scn):
+        rep = VerificationReport("starving")
+        rep.skip((0,), "needs level sums 9 > cutoff 6")
+        return [("starving", rep)]
+
     monkeypatch.setitem(cli.SUITE_RUNNERS, "virasoro", failing)
-    monkeypatch.setitem(cli.SUITE_RUNNERS, "locality", _starving)
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "locality", starving)
     config = write_config(tmp_path, suites=["locality", "virasoro"], window=1)
     status, text = run(tmp_path, config)
     assert status == 1
     assert "  wrong: FAIL checked=1 failed=1 skipped=0" in text
+    assert "  starving: STARVED checked=0 failed=0 skipped=1" in text
     assert "failing-cases=1 designed-failures=0 starved=1 " in text
 
 
@@ -473,6 +461,20 @@ def test_golden_report_body_all_suites(tmp_path):
     status, text = run(tmp_path, config)
     assert status == 0
     assert hashlib.sha256(body_of(text).encode()).hexdigest() == GOLDEN_BODY_SHA256
+
+
+# sha256 of the report body of configs/desk.json, the one shipped run at
+# radius 3: two designed failures print their MISMATCH values, and 3,754
+# coefficients past its cutoff print a skip line each
+DESK_BODY_SHA256 = "e636db9bb7fbbef72160f62f77870ecab7a40cb6e82ba22975ed2a6248a11967"
+
+
+def test_desk_config_report_body(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+    status, text = run(tmp_path, str(config))
+    assert status == 0
+    assert "designed-failures=2 " in text and text.count("\n    skip (") == 3754
+    assert hashlib.sha256(body_of(text).encode()).hexdigest() == DESK_BODY_SHA256
 
 
 def test_config_digest_is_the_sha256_of_the_config(tmp_path):

@@ -262,7 +262,8 @@ def test_invariance_skips_an_adjoint_coefficient_past_the_cutoff():
     t = apply_mode(1, -1, State.vacuum(1, label(["-5/6"])))
     rep = verify_invariance(x, y, t, 1, radius=2, cutoff=3)
     assert rep.outcome == "PASS" and len(rep.checked) == 5, rep.failures_detail
-    assert rep.skipped == [((gr("-17/6"),), "adjoint coefficient beyond cutoff")]
+    # Yd reads t (level sum 1) at relative exponent -3: 1 - 0 + 3 = 4
+    assert rep.skipped == [((gr("-17/6"),), "needs level sums 4 > cutoff 3")]
     assert len(verify_invariance(x, y, t, 1, radius=2).checked) == 6
 
 

@@ -32,7 +32,7 @@ from heisvoa.intertwiner import (
     verify_yy_conj,
 )
 from heisvoa.scalars import E, S_ONE, as_gauss, as_scalar, gr, lam_pow, zeta_pow
-from heisvoa.series import CosetError, WindowError, exponent_index
+from heisvoa.series import CosetError, exponent_index
 from oracles import delta_dress, standard_cocycle
 
 
@@ -542,19 +542,6 @@ def test_mixed_coset_target_rejected():
         IntertwinerOp(x).coefficient(mixed, gr("1/6"))
 
 
-def test_cutoff_is_decided_before_the_shared_memo():
-    cs = standard_cocycle(1)
-    spec = IntertwinerSpec(apply_mode(1, -1, State.vacuum(1, label(["1/2"]))), cs)
-    target = State.of(monomial(label(["1/3"]), ((1, 1),)))
-    # head weight 1, target level 1, relative exponent 2: level sums up to 4
-    e = spec.label.dot(target.single_label()) + 2
-    full = IntertwinerOp(spec).coefficient(target, e)
-    assert not full.is_zero
-    with pytest.raises(WindowError):
-        IntertwinerOp(spec, cutoff=3).coefficient(target, e)
-    assert IntertwinerOp(spec, cutoff=4).coefficient(target, e) == full
-
-
 def per_monomial_coefficient(op, target, exponent):
     """The intertwiner coefficient as one full kernel per target monomial:
     sum_kp sum_k B_kp u(kp - k - n - 1) A_k t at relative exponent n, for
@@ -567,8 +554,6 @@ def per_monomial_coefficient(op, target, exponent):
         kt = m.levels_sum
         if op.weight_int + kt + n < 0:
             continue
-        if op.cutoff is not None and op.weight_int + kt + n > op.cutoff:
-            raise WindowError("past the cutoff")
         t = State.of(m)
         for hm, hc in op.head_state.items_sorted():
             u = State.of(monomial(zero_label(rank), hm.parts))
@@ -604,19 +589,6 @@ def test_coefficient_matches_the_per_monomial_kernels(monkeypatch):
         assert got == per_monomial_coefficient(op, target, e), e
     # one half-kernel list per (label, head part, target monomial)
     assert workspace.current().sizes()["coeff"] == 3 * 4
-    capped = IntertwinerOp(spec, cutoff=5)
-    raised = 0
-    for e in exponents:
-        try:
-            want = per_monomial_coefficient(capped, target, e)
-        except WindowError:
-            raised += 1
-            with pytest.raises(WindowError):
-                capped.coefficient(target, e)
-        else:
-            assert capped.coefficient(target, e) == want, e
-    assert 0 < raised < len(exponents)
-    assert workspace.current().sizes()["coeff"] == 3 * 4
 
 
 def test_dressed_coefficient_is_the_sum_of_its_parts():
@@ -632,25 +604,17 @@ def test_dressed_coefficient_is_the_sum_of_its_parts():
             + apply_mode(2, -2, va).scale(E("1/2")))
     target = (State.of(monomial(g1, ((1, 1),)))
               + State.vacuum(2, g2).scale(lam_pow(1)))
-    op = IntertwinerOp(IntertwinerSpec(head, cs), 6, beta)
-    parts = [(x, IntertwinerOp(IntertwinerSpec(st, cs), 6))
+    op = IntertwinerOp(IntertwinerSpec(head, cs), beta=beta)
+    parts = [(x, IntertwinerOp(IntertwinerSpec(st, cs)))
              for x, st in delta_dress(beta, head)]
     assert len(parts) > 1
     base = op.offset_on(g1)
-    raised = 0
     for n in range(-6, 6):
         e = base + n
-        try:
-            want = State.zero(2)
-            for x, part in parts:
-                want = want + part.coefficient(target, e - x)
-        except WindowError:
-            raised += 1
-            with pytest.raises(WindowError):
-                op.coefficient(target, e)
-        else:
-            assert op.coefficient(target, e) == want, n
-    assert 0 < raised < 12
+        want = State.zero(2)
+        for x, part in parts:
+            want = want + part.coefficient(target, e - x)
+        assert op.coefficient(target, e) == want, n
     # the shifted sector labels are built once per operator
     first, second = (op.coefficient(target, base + n).sectors for n in (0, 1))
     assert len(first) == 2 and first.keys() == second.keys()

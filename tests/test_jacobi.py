@@ -417,8 +417,8 @@ def test_jacobi_on_labels_off_the_first_axis(compared):
 
     # the twin: C12 off by the unit E(1/3) must fail
     twin = jacobi.three_term_jacobi(
-        name="generalized_jacobi", op1=IntertwinerOp(x, 6), op2=IntertwinerOp(y, 6),
-        op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, cs), 6),
+        name="generalized_jacobi", op1=IntertwinerOp(x), op2=IntertwinerOp(y),
+        op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, cs)),
         target=s, kappa12=-alpha.dot(beta), kappa_rhs=alpha.dot(gamma),
         c12=cs.commutator(alpha, beta) * E("1/3"), radius=1, cutoff=6)
     assert twin.outcome == "FAIL"
