@@ -4,7 +4,6 @@ from .fock import FockMonomial, Label, State, label, monomial, zero_label
 from .intertwiner import (
     CocycleSystem,
     IntertwinerOp,
-    IntertwinerSpec,
     apply_e,
 )
 from .scalars import (
@@ -28,7 +27,6 @@ __all__ = [
     "FockMonomial",
     "GaussRat",
     "IntertwinerOp",
-    "IntertwinerSpec",
     "Label",
     "Scalar",
     "State",

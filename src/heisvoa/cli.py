@@ -6,7 +6,7 @@ a deterministic status:
 
     0  every non-designed-failure check passed
     1  at least one check failed (or a designed failure unexpectedly passed)
-    2  malformed configuration
+    2  malformed configuration, or an unwritable --report or --profile path
     3  window starvation: some case had no comparable coefficients
 
 The report body is byte-identical for identical config and seed; wall
@@ -37,7 +37,6 @@ from .fock import (
 from .form import verify_gram_slices, verify_invariance
 from .intertwiner import (
     CocycleSystem,
-    IntertwinerSpec,
     verify_creativity,
     verify_e_conjugation,
     verify_shift_conj_lminus,
@@ -59,7 +58,6 @@ from .jacobi import (
 )
 from .lattice import (
     integral_lattice,
-    lattice_cocycle,
     twist,
     verify_dlm_jacobi,
     verify_li_equivalence,
@@ -161,8 +159,6 @@ class Scenario:
             raise ConfigError("rank must be positive")
         if scn.n_branch % 2 == 0:
             raise ConfigError("branch parameter N must be odd")
-        if scn.cutoff < scn.window:
-            raise ConfigError("cutoff must be at least the window radius")
         for key in ("suites", "labels", "jacobi_instances", "twists"):
             if not isinstance(getattr(scn, key), tuple):
                 raise ConfigError(f"{key} must be a list")
@@ -319,12 +315,12 @@ def suite_intertwiner_props(scn: Scenario) -> list[Case]:
         cases.append((f"{tag}/shift_conj_vertex",
                       verify_shift_conj_vertex(alpha, u, s, (-r, r),
                                                scn.cutoff)))
-        spec = IntertwinerSpec(head_state(((1, -1),), alpha), cs)
+        head = head_state(((1, -1),), alpha)
         cases.append((f"{tag}/e_conjugation",
-                      verify_e_conjugation(spec, beta, s, r, scn.cutoff)))
+                      verify_e_conjugation(head, beta, s, cs, r, scn.cutoff)))
         cases.append((f"{tag}/translation",
-                      verify_translation(spec, s, r, scn.cutoff)))
-        cases.append((f"{tag}/creativity", verify_creativity(spec, scn.cutoff)))
+                      verify_translation(head, s, cs, r, scn.cutoff)))
+        cases.append((f"{tag}/creativity", verify_creativity(head, cs, scn.cutoff)))
     return cases
 
 
@@ -339,20 +335,21 @@ def suite_jacobi(scn: Scenario) -> list[Case]:
         s = State.vacuum(rank, gamma)
         for hi_, hx in enumerate(scn.heads):
             for hj, hy in enumerate(scn.heads):
-                x = IntertwinerSpec(head_state(hx, alpha), cs)
-                y = IntertwinerSpec(head_state(hy, beta), cs)
-                rep = verify_generalized_jacobi(x, y, s, r, scn.n_branch, scn.cutoff)
+                x = head_state(hx, alpha)
+                y = head_state(hy, beta)
+                rep = verify_generalized_jacobi(x, y, s, cs, r, scn.n_branch,
+                                                scn.cutoff)
                 cases.append((f"inst{inst}/heads{hi_}{hj}", rep))
     u = State.of(monomial(zero_label(rank), ((1, 1),)))
     alpha, beta, _ = instances[0]
-    w = IntertwinerSpec(State.vacuum(rank, alpha), cs)
+    w = State.vacuum(rank, alpha)
     s0 = State.vacuum(rank, beta)
-    cases.append(("commutator", verify_commutator(u, w, 1, s0, min(r, 2), scn.cutoff)))
-    cases.append(("normal_order", verify_normal_order(u, w, s0, min(r, 2), scn.cutoff)))
-    cases.append(("locality", verify_locality(u, w, s0, 1, min(r, 2), min(r, 2),
-                                              scn.cutoff)))
-    cases.append(("associativity", verify_associativity(u, w, s0, 1, min(r, 2),
-                                                        min(r, 2), scn.cutoff)))
+    r2 = min(r, 2)
+    cases.append(("commutator", verify_commutator(u, w, 1, s0, cs, r2, scn.cutoff)))
+    cases.append(("normal_order", verify_normal_order(u, w, s0, cs, r2, scn.cutoff)))
+    cases.append(("locality", verify_locality(u, w, s0, cs, 1, r2, r2, scn.cutoff)))
+    cases.append(("associativity", verify_associativity(u, w, s0, cs, 1, r2, r2,
+                                                        scn.cutoff)))
     if scn.negative_controls:
         # on labels a, b and target b the corruption moves the first
         # ordering against the other two terms by zeta^(2|b|^2(|a|^2 - a.b)),
@@ -360,11 +357,9 @@ def suite_jacobi(scn: Scenario) -> list[Case]:
         # labels keep it off 1 whatever the Jacobi instances are
         bad = scn.cocycle(corruption=gr(1))
         a, b = (label(_coords(v, rank)) for v in ("1/2", "1/3"))
-        xb = IntertwinerSpec(State.vacuum(rank, a), bad)
-        yb = IntertwinerSpec(State.vacuum(rank, b), bad)
-        rep = verify_generalized_jacobi(xb, yb, State.vacuum(rank, b), 1,
-                                        scn.n_branch, scn.cutoff,
-                                        expected_failure=True)
+        xb, yb = State.vacuum(rank, a), State.vacuum(rank, b)
+        rep = verify_generalized_jacobi(xb, yb, yb, bad, 1, scn.n_branch,
+                                        scn.cutoff, expected_failure=True)
         cases.append(("negative/corrupt_cocycle", rep))
     return cases
 
@@ -376,12 +371,12 @@ def suite_locality(scn: Scenario) -> list[Case]:
     alpha = label(_coords("1/2", rank))
     beta = label(_coords("1/3", rank))
     u = State.of(monomial(zero_label(rank), ((1, 1),)))
-    w = IntertwinerSpec(State.vacuum(rank, alpha), cs)
+    w = State.vacuum(rank, alpha)
     s = State.vacuum(rank, beta)
-    cases = [("adequate_m", verify_locality(u, w, s, 1, r, r, scn.cutoff))]
+    cases = [("adequate_m", verify_locality(u, w, s, cs, 1, r, r, scn.cutoff))]
     if scn.negative_controls:
         cases.append(("negative/undersized_m",
-                      verify_locality(u, w, s, 0, r, r, scn.cutoff,
+                      verify_locality(u, w, s, cs, 0, r, r, scn.cutoff,
                                       expected_failure=True)))
     return cases
 
@@ -400,11 +395,11 @@ def suite_skew(scn: Scenario) -> list[Case]:
         pairs.append((pool[2 * k], pool[2 * k + 1]))
     for idx, (alpha, beta) in enumerate(pairs[:scn.pairs]):
         for hx in scn.heads[:2]:
-            x = IntertwinerSpec(head_state(hx, alpha), cs)
+            x = head_state(hx, alpha)
             y = State.vacuum(rank, beta)
             verdicts = []
             for n_branch in (1, 3):
-                rep = verify_skew_symmetry(x, y, r, n_branch, scn.cutoff)
+                rep = verify_skew_symmetry(x, y, cs, r, n_branch, scn.cutoff)
                 verdicts.append(rep.verdict)
                 cases.append((f"pair{idx:03d}/N{n_branch}", rep))
             agree = VerificationReport(f"skew_branch_agreement_{idx}",
@@ -421,21 +416,21 @@ def suite_form(scn: Scenario) -> list[Case]:
     rank = scn.rank
     cs = scn.cocycle()
     cases: list[Case] = [("gram", verify_gram_slices(("0", "1/2", "1/3*i"), 3, cs))]
-    for idx in range(max(1, scn.pairs // 2)):
-        alpha, beta = sample_labels(scn, rng, 2)
-        gamma = -(alpha + beta)
-        x = IntertwinerSpec(State.vacuum(rank, alpha), cs)
+    n = max(1, scn.pairs // 2)
+    pool = sample_labels(scn, rng, 2 * n)
+    for idx in range(n):
+        alpha, beta = pool[2 * idx:2 * idx + 2]
+        x = State.vacuum(rank, alpha)
         y = State.vacuum(rank, beta)
-        t = apply_mode(1, -1, State.vacuum(rank, gamma))
+        t = apply_mode(1, -1, State.vacuum(rank, -(alpha + beta)))
         cases.append((f"invariance{idx:03d}",
-                      verify_invariance(x, y, t, scn.n_branch,
+                      verify_invariance(x, y, t, cs, scn.n_branch,
                                         min(scn.radius("form"), 2), scn.cutoff)))
     return cases
 
 
 def suite_lattice_twist(scn: Scenario) -> list[Case]:
     lat = integral_lattice(scn.gram, scn.embedding)
-    cs = lattice_cocycle(lat)
     cases: list[Case] = []
     r = scn.radius("lattice-twist")
     x = State.vacuum(lat.heis_rank, lat.label_of(_coords(1, lat.rank)))
@@ -446,10 +441,10 @@ def suite_lattice_twist(scn: Scenario) -> list[Case]:
         tag = f"alpha={text}"
         s = State.vacuum(lat.heis_rank, td.alpha)
         cases.append((f"{tag}/twisted_jacobi",
-                      verify_twisted_jacobi(td, x, x, s, r, scn.cutoff, cs)))
+                      verify_twisted_jacobi(td, x, x, s, r, scn.cutoff)))
         cases.append((f"{tag}/li_equivalence",
                       verify_li_equivalence(td, x, State.vacuum(lat.heis_rank),
-                                            2, scn.cutoff, cs)))
+                                            2, scn.cutoff)))
         cases.append((f"{tag}/grading", verify_twist_grading(td, 3)))
         weight = min(scn.max_weight, 4)
         rep = VerificationReport(f"shifted_virasoro[{text}]",
@@ -461,7 +456,6 @@ def suite_lattice_twist(scn: Scenario) -> list[Case]:
 
 def suite_dlm(scn: Scenario) -> list[Case]:
     lat = integral_lattice(scn.gram, scn.embedding)
-    cs = lattice_cocycle(lat)
     r = min(scn.radius("dlm"), 2)
     e1 = lat.label_of(_coords(1, lat.rank))
     td1 = twist(lat, _coords(scn.twists[0], lat.rank))
@@ -472,7 +466,7 @@ def suite_dlm(scn: Scenario) -> list[Case]:
     cases: list[Case] = []
     for variant in ("delta", "hat"):
         rep = verify_dlm_jacobi(td1, td2, zero_label(lat.heis_rank), x, y, s,
-                                variant, scn.n_branch, r, scn.cutoff, cs)
+                                variant, scn.n_branch, r, scn.cutoff)
         cases.append((f"{variant}", rep))
     return cases
 
@@ -636,13 +630,20 @@ def main(argv: list[str] | None = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     text, status = render_report(scn, run_suites(scn), config_text)
-    if profiler is not None:
-        profiler.disable()
-        profiler.dump_stats(args.profile)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    path = None
+    try:
+        if profiler is not None:
+            profiler.disable()
+            path = args.profile
+            profiler.dump_stats(path)
+        if args.report:
+            path = args.report
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    if not args.report:
         sys.stdout.write(text)
     return status
 

@@ -48,7 +48,7 @@ from .fock import (
     translate_label,
     zero_label,
 )
-from .intertwiner import CocycleSystem, IntertwinerOp, IntertwinerSpec
+from .intertwiner import CocycleSystem, IntertwinerOp
 from .report import VerificationReport
 from .scalars import (
     GR_ONE,
@@ -145,25 +145,25 @@ class AdjointIntertwinerOp:
     and the read at x = -a.(a+c) + n needs level sums kt - ku - n.
     """
 
-    def __init__(self, spec: IntertwinerSpec, n_branch: int):
+    def __init__(self, head: State, cocycle: CocycleSystem, n_branch: int):
         if n_branch % 2 == 0:
             raise ValueError("branch parameter N must be odd")
         self.n_branch = n_branch
-        self.label = spec.label
-        self.weight_int = spec.weight_int
-        rank = spec.head.rank
+        self.label = head.single_label()
+        self.weight_int = head.max_levels()
+        rank = head.rank
         # lam^(-2h) c_h L(1)^q u_h / q! on label 0, summed per shift q - 2h
         shifted: dict[int, State] = {}
-        for hm, hc in spec.head.items_sorted():
+        for hm, hc in head.items_sorted():
             h = hm.levels_sum
             u = State.of(monomial(zero_label(rank), hm.parts), hc * lam_pow(-2 * h))
             for q, cur in enumerate(exp_virasoro_coeffs(1, u, h)):
                 if cur.is_zero:
                     break  # L(1) lowers the level sum: the rest vanishes too
                 shifted[q - 2 * h] = shifted.get(q - 2 * h, State.zero(rank)) + cur
-        self._ops = [(d, IntertwinerOp(IntertwinerSpec(
-            translate_label(v, self.label), spec.cocycle), beta=self.label))
-            for d, v in shifted.items() if not v.is_zero]
+        self._ops = [(d, IntertwinerOp(translate_label(v, self.label), cocycle,
+                                       beta=self.label))
+                     for d, v in shifted.items() if not v.is_zero]
 
     def offset_on(self, target_label: Label) -> GaussRat:
         return -self.label.dot(self.label + target_label)
@@ -189,20 +189,20 @@ class AdjointIntertwinerOp:
         return State(target.rank, out)
 
 
-def verify_invariance(x: IntertwinerSpec, y: State, t: State, n_branch: int,
-                      radius: int = 2, cutoff: int | None = None) -> VerificationReport:
+def verify_invariance(x: State, y: State, t: State, cocycle: CocycleSystem,
+                      n_branch: int, radius: int = 2,
+                      cutoff: int | None = None) -> VerificationReport:
     """<Y(u|a>,z) v|b>, w|c>> = E(-N a.b) C(a,b) <v|b>, Yd(u|a>,z) w|c>>.
 
     When a+b+c is nonzero both sides vanish identically; the window is
     still walked so the selection rule itself is what gets checked.
     """
-    cs = x.cocycle
-    alpha = x.label
+    op = IntertwinerOp(x, cocycle)
+    adj = AdjointIntertwinerOp(x, cocycle, n_branch)
+    alpha = op.label
     beta = y.single_label()
     gamma = t.single_label()
-    op = IntertwinerOp(x)
-    adj = AdjointIntertwinerOp(x, n_branch)
-    pref = branch_phase(-alpha.dot(beta), n_branch) * cs.commutator(alpha, beta)
+    pref = branch_phase(-alpha.dot(beta), n_branch) * cocycle.commutator(alpha, beta)
     rep = VerificationReport(
         "invariance", window_used=f"radius {radius}",
         meta={"alpha": str(alpha), "beta": str(beta), "gamma": str(gamma),
@@ -211,7 +211,7 @@ def verify_invariance(x: IntertwinerSpec, y: State, t: State, n_branch: int,
     # both sides are series in the same variable; compare at equal powers.
     # off-coset powers carry no term, i.e. a known zero coefficient.
     adj_offset = adj.offset_on(gamma)
-    ku, ky, kt = x.weight_int, y.max_levels(), t.max_levels()
+    ku, ky, kt = op.weight_int, y.max_levels(), t.max_levels()
     lo = -(ku + ky + kt) - radius
     for n in range(lo, radius + 1):
         e = alpha.dot(beta) + n
@@ -222,7 +222,8 @@ def verify_invariance(x: IntertwinerSpec, y: State, t: State, n_branch: int,
             need = max(need, kt - ku - m.a)
         if rep.past_cutoff((e,), need, cutoff):
             continue
-        left = gram(op.coefficient(y, e), t, cs)
-        right = pref * gram(y, adj.coefficient(t, e), cs) if m.is_integer else S_ZERO
+        left = gram(op.coefficient(y, e), t, cocycle)
+        right = (pref * gram(y, adj.coefficient(t, e), cocycle) if m.is_integer
+                 else S_ZERO)
         rep.record((e,), left, right)
     return rep

@@ -156,30 +156,6 @@ def apply_e_inverse(cs: CocycleSystem, alpha: Label, s: State) -> State:
                          lambda beta: cs.epsilon(alpha, beta - alpha).inverse())
 
 
-class IntertwinerSpec:
-    """The defining vector u|alpha> of a creative intertwiner."""
-
-    __slots__ = ("head", "cocycle")
-
-    def __init__(self, head: State, cocycle: CocycleSystem):
-        head.single_label()  # raises unless the head has one label
-        if head.rank != cocycle.rank:
-            raise ValueError("head rank != cocycle rank")
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "cocycle", cocycle)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntertwinerSpec is immutable")
-
-    @property
-    def label(self) -> Label:
-        return self.head.single_label()
-
-    @property
-    def weight_int(self) -> int:
-        return self.head.max_levels()
-
-
 # ---------------------------------------------------------------------------
 # exponentials of label modes
 
@@ -294,6 +270,11 @@ class IntertwinerOp:
     Delta(beta,z)-dressed head: Y(Delta(beta,z) u|alpha>, z) times a
     scalar per target label.
 
+    ``IntertwinerOp(head, cocycle, *, beta=None)``: the head u|alpha> is
+    a State on the one label alpha, of the cocycle's rank (ValueError
+    otherwise); the cocycle gives e^alpha its factor epsilon(alpha, t)
+    on each target sector t, and ``beta`` is the dressing label (None:
+    undressed).
     Its attributes are the coefficient-operator protocol that the
     lattice operators share and the three-term engine relies on:
     ``label``, ``head_state``, ``weight_int``, ``offset_on(target_label)``
@@ -310,12 +291,14 @@ class IntertwinerOp:
     in one per-operator dict.
     """
 
-    def __init__(self, spec: IntertwinerSpec, *, beta: Label | None = None):
-        head = spec.head
+    def __init__(self, head: State, cocycle: CocycleSystem, *,
+                 beta: Label | None = None):
+        self.label = head.single_label()  # raises unless the head has one label
+        if head.rank != cocycle.rank:
+            raise ValueError("head rank != cocycle rank")
         self.head_state = head
-        self.label = spec.label
-        self.cocycle = spec.cocycle
-        self.weight_int = spec.weight_int
+        self.cocycle = cocycle
+        self.weight_int = head.max_levels()
         self.beta = beta if beta is not None else zero_label(head.rank)
         # (parts, unit, coefficient, level sum) per term of the head
         self._heads = [(p, u, q, _levels(p)) for us in head.sectors.values()
@@ -662,15 +645,14 @@ def verify_shift_conj_vertex(alpha: Label, u: State, s: State,
 # structural checks of the intertwiner itself
 
 
-def verify_translation(spec: IntertwinerSpec, target: State, hi: int,
-                       cutoff: int | None = None) -> VerificationReport:
+def verify_translation(head: State, target: State, cocycle: CocycleSystem,
+                       hi: int, cutoff: int | None = None) -> VerificationReport:
     """The intertwiner of L(-1)head is the z-derivative of the intertwiner."""
     rep = VerificationReport("translation", window_used=f"[lo,{hi}]")
-    op = IntertwinerOp(spec)
-    lop = IntertwinerOp(IntertwinerSpec(virasoro_mode(-1, spec.head),
-                                        spec.cocycle))
+    op = IntertwinerOp(head, cocycle)
+    lop = IntertwinerOp(virasoro_mode(-1, head), cocycle)
     base = op.offset_on(target.single_label())
-    lo = -(spec.weight_int + target.max_levels() + 1)
+    lo = -(op.weight_int + target.max_levels() + 1)
     for n in range(lo, hi + 1):
         e = base + n
         # L(-1)u at z^e and u at z^(e+1) both need ku + ks + n + 1 = n - lo
@@ -681,42 +663,43 @@ def verify_translation(spec: IntertwinerSpec, target: State, hi: int,
     return rep
 
 
-def verify_creativity(spec: IntertwinerSpec, cutoff: int | None = None) -> VerificationReport:
+def verify_creativity(head: State, cocycle: CocycleSystem,
+                      cutoff: int | None = None) -> VerificationReport:
     """Applying to the vacuum returns the head at order zero and nothing below."""
     rep = VerificationReport("creativity")
-    op = IntertwinerOp(spec)
-    ku = spec.weight_int
-    vac = State.vacuum(spec.head.rank)
+    op = IntertwinerOp(head, cocycle)
+    ku = op.weight_int
+    vac = State.vacuum(head.rank)
     rep.window_used = f"[{-ku},0]"
-    zero = State.zero(spec.head.rank)
+    zero = State.zero(head.rank)
     # the head at z^0, then nothing below it; the vacuum read at z^n
     # needs level sums ku + n
     for n in [0, *range(-ku - 2, 0)]:
         e = as_gauss(n)
         if not rep.past_cutoff((e,), ku + n, cutoff):
-            rep.record((e,), op.coefficient(vac, e), spec.head if n == 0 else zero,
+            rep.record((e,), op.coefficient(vac, e), head if n == 0 else zero,
                        note="below-order vanishing" if n else "")
     return rep
 
 
-def verify_e_conjugation(spec: IntertwinerSpec, beta: Label, target: State,
-                         hi: int, cutoff: int | None = None) -> VerificationReport:
+def verify_e_conjugation(head: State, beta: Label, target: State,
+                         cocycle: CocycleSystem, hi: int,
+                         cutoff: int | None = None) -> VerificationReport:
     """(e^beta)^(-1) Y(u|alpha>, z) e^beta = C(alpha,beta) Y(Delta(beta,z) u|alpha>, z)."""
-    cs = spec.cocycle
-    alpha = spec.label
     rep = VerificationReport("e_conjugation", window_used=f"[lo,{hi}]")
-    op = IntertwinerOp(spec)
-    dop = IntertwinerOp(spec, beta=beta)
-    c_ab = cs.commutator(alpha, beta)
-    shifted = apply_e(cs, beta, target)
+    op = IntertwinerOp(head, cocycle)
+    dop = IntertwinerOp(head, cocycle, beta=beta)
+    alpha = op.label
+    c_ab = cocycle.commutator(alpha, beta)
+    shifted = apply_e(cocycle, beta, target)
     gamma = target.single_label()
     base = alpha.dot(beta + gamma)
-    lo = -(spec.weight_int + target.max_levels())
+    lo = -(op.weight_int + target.max_levels())
     for n in range(lo, hi + 1):
         e = base + n
         # both reads are at relative exponent n on level sum ks: ku + ks + n
         if rep.past_cutoff((e,), n - lo, cutoff):
             continue
-        rep.record((e,), apply_e_inverse(cs, beta, op.coefficient(shifted, e)),
+        rep.record((e,), apply_e_inverse(cocycle, beta, op.coefficient(shifted, e)),
                    dop.coefficient(target, e).scale(c_ab))
     return rep

@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .fock import Sectors, State, _add_sectors, exp_virasoro_coeffs, vertex_mode
-from .intertwiner import IntertwinerOp, IntertwinerSpec
+from .intertwiner import CocycleSystem, IntertwinerOp
 from .report import VerificationReport
 from .scalars import (
     Scalar,
@@ -194,36 +194,36 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
     return rep
 
 
-def verify_generalized_jacobi(x: IntertwinerSpec, y: IntertwinerSpec, s: State,
+def verify_generalized_jacobi(x: State, y: State, s: State, cocycle: CocycleSystem,
                               radius: int = 3, n_branch: int = 1,
                               cutoff: int | None = None,
                               expected_failure: bool = False) -> VerificationReport:
     """The three-term identity for two creative intertwiners.
 
-    The left kernels carry the binomial power -alpha.beta, the right
-    kernel the zero-mode eigenvalue alpha.gamma of the target, and the
-    second ordering is weighted by the cocycle commutator C(alpha,beta).
-    The identity is branch-free; n_branch is recorded for the report
-    only.
+    Both heads and every right-hand head read the one cocycle.  The left
+    kernels carry the binomial power -alpha.beta, the right kernel the
+    zero-mode eigenvalue alpha.gamma of the target, and the second
+    ordering is weighted by the cocycle commutator C(alpha,beta).  The
+    identity is branch-free; n_branch is recorded for the report only.
     """
-    cs = x.cocycle
-    alpha, beta = x.label, y.label
+    op1, op2 = IntertwinerOp(x, cocycle), IntertwinerOp(y, cocycle)
+    alpha, beta = op1.label, op2.label
     gamma = s.single_label()
     return three_term_jacobi(
         name="generalized_jacobi",
-        op1=IntertwinerOp(x), op2=IntertwinerOp(y),
-        op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, cs)),
+        op1=op1, op2=op2,
+        op12_factory=lambda head: IntertwinerOp(head, cocycle),
         target=s,
         kappa12=-alpha.dot(beta),
         kappa_rhs=alpha.dot(gamma),
-        c12=cs.commutator(alpha, beta),
+        c12=cocycle.commutator(alpha, beta),
         radius=radius, cutoff=cutoff,
         meta={"alpha": str(alpha), "beta": str(beta), "gamma": str(gamma),
               "branch_N": str(n_branch)},
         expected_failure=expected_failure)
 
 
-def verify_skew_symmetry(x: IntertwinerSpec, y: State, radius: int = 3,
+def verify_skew_symmetry(x: State, y: State, cocycle: CocycleSystem, radius: int = 3,
                          n_branch: int = 1, cutoff: int | None = None) -> VerificationReport:
     """Y(u|a>, z) v|b> = E(-N a.b) C(a,b) e^(zL(-1)) Y(v|b>, -z) u|a>.
 
@@ -231,22 +231,20 @@ def verify_skew_symmetry(x: IntertwinerSpec, y: State, radius: int = 3,
     the same odd N as the explicit prefactor, so the verdict must not
     depend on N.
     """
-    cs = x.cocycle
-    alpha = x.label
-    beta = y.single_label()
-    op_x = IntertwinerOp(x)
-    op_y = IntertwinerOp(IntertwinerSpec(y, cs))
+    op_x = IntertwinerOp(x, cocycle)
+    op_y = IntertwinerOp(y, cocycle)
+    alpha, beta = op_x.label, op_y.label
     ab = alpha.dot(beta)
-    ku, kv = x.weight_int, y.max_levels()
+    ku, kv = op_x.weight_int, op_y.weight_int
     lo = -(ku + kv)
     rep = VerificationReport("skew_symmetry",
                              window_used=f"[{lo},{radius}] around ({ab})",
                              meta={"branch_N": str(n_branch)})
-    pref = branch_phase(-ab, n_branch) * cs.commutator(alpha, beta)
+    pref = branch_phase(-ab, n_branch) * cocycle.commutator(alpha, beta)
     top = radius if cutoff is None else min(radius, cutoff - ku - kv)
     # chains[m][p] = L(-1)^p/p! of the Y(v|b>, -z) u|a> coefficient at
     # z^(ab+m), the branch resolving (-z)^kappa
-    chains = {m: exp_virasoro_coeffs(-1, op_y.coefficient(x.head, ab + m).scale(
+    chains = {m: exp_virasoro_coeffs(-1, op_y.coefficient(x, ab + m).scale(
         branch_phase(ab + m, n_branch)), top - m) for m in range(lo, top + 1)}
     for n in range(lo, radius + 1):
         if rep.past_cutoff((ab + n,), ku + kv + n, cutoff):
@@ -259,15 +257,14 @@ def verify_skew_symmetry(x: IntertwinerSpec, y: State, radius: int = 3,
     return rep
 
 
-def verify_commutator(u: State, w: IntertwinerSpec, k: int, s: State,
+def verify_commutator(u: State, w: State, k: int, s: State, cocycle: CocycleSystem,
                       radius: int = 3, cutoff: int | None = None) -> VerificationReport:
     """u(k) Y(w,z) - Y(w,z) u(k) = sum_j binom(k,j) Y(u(j)w, z) z^(k-j)."""
-    cs = w.cocycle
-    op_w = IntertwinerOp(w)
-    base = w.label.dot(s.single_label())
+    op_w = IntertwinerOp(w, cocycle)
+    base = op_w.label.dot(s.single_label())
     rep = VerificationReport("commutator", window_used=f"radius {radius}",
                              meta={"mode": str(k)})
-    kw, ks = w.weight_int, s.max_levels()
+    kw, ks = op_w.weight_int, s.max_levels()
     # the reads at relative exponent n: Y(w) on s and on u(k)s at n, and
     # each Y(u(j)w) with binom(k, j) != 0 on s at n - k + j; offset is the
     # largest level sum they need past n
@@ -275,10 +272,10 @@ def verify_commutator(u: State, w: IntertwinerSpec, k: int, s: State,
     offset = kw + max(ks, uks.max_levels())
     rhs_ops = []
     for j in range(u.max_levels() + kw + 1):
-        head = vertex_mode(u, j, w.head)
+        head = vertex_mode(u, j, w)
         coef = binom(k, j)
         if not head.is_zero and not coef.is_zero:
-            op = IntertwinerOp(IntertwinerSpec(head, cs))
+            op = IntertwinerOp(head, cocycle)
             rhs_ops.append((j, coef, op))
             offset = max(offset, op.weight_int + ks - k + j)
     lo = -(kw + ks + max(-k, 0))
@@ -294,19 +291,18 @@ def verify_commutator(u: State, w: IntertwinerSpec, k: int, s: State,
     return rep
 
 
-def verify_normal_order(u: State, w: IntertwinerSpec, s: State,
+def verify_normal_order(u: State, w: State, s: State, cocycle: CocycleSystem,
                         radius: int = 3, cutoff: int | None = None) -> VerificationReport:
     """:Y(u,z) Y(w,z): = Y(u(-1)w, z), creation modes of u on the left.
 
     The left side is local and creative, so its equality with the right
     side is one instance of uniqueness of creative fields.
     """
-    cs = w.cocycle
-    op_w = IntertwinerOp(w)
-    base = w.label.dot(s.single_label())
+    op_w = IntertwinerOp(w, cocycle)
+    base = op_w.label.dot(s.single_label())
     rep = VerificationReport("normal_order", window_used=f"radius {radius}")
-    rhs_op = IntertwinerOp(IntertwinerSpec(vertex_mode(u, -1, w.head), cs))
-    kw, ks, ku = w.weight_int, s.max_levels(), u.max_levels()
+    rhs_op = IntertwinerOp(vertex_mode(u, -1, w), cocycle)
+    kw, ks, ku = op_w.weight_int, s.max_levels(), u.max_levels()
     # the annihilation part reads Y(w) on each nonzero u(m)s at n + m + 1
     tails = [(m, vertex_mode(u, m, s)) for m in range(ku + ks)]
     tails = [(m, t) for m, t in tails if not t.is_zero]
@@ -330,8 +326,9 @@ def verify_normal_order(u: State, w: IntertwinerSpec, s: State,
     return rep
 
 
-def verify_associativity(u: State, w: IntertwinerSpec, s: State, n_power: int,
-                         r0: int = 2, r2: int = 2, cutoff: int | None = None,
+def verify_associativity(u: State, w: State, s: State, cocycle: CocycleSystem,
+                         n_power: int, r0: int = 2, r2: int = 2,
+                         cutoff: int | None = None,
                          expected_failure: bool = False) -> VerificationReport:
     """(z0+z2)^n Y(u,z0+z2) Y(w,z2) s = (z0+z2)^n Y(Y(u,z0)w, z2) s.
 
@@ -341,19 +338,18 @@ def verify_associativity(u: State, w: IntertwinerSpec, s: State, n_power: int,
     """
     if n_power < 0:
         raise ValueError("associativity power must be a natural number")
-    cs = w.cocycle
-    op_w = IntertwinerOp(w)
-    base = w.label.dot(s.single_label())
+    op_w = IntertwinerOp(w, cocycle)
+    base = op_w.label.dot(s.single_label())
     rep = VerificationReport(
         "associativity", window_used=f"z0 radius {r0}, z2 radius {r2}, n={n_power}",
         meta={"n": str(n_power)}, expected_failure=expected_failure)
-    kw, ks, ku = w.weight_int, s.max_levels(), u.max_levels()
+    kw, ks, ku = op_w.weight_int, s.max_levels(), u.max_levels()
     # right side only sees head exponents d = e0-n+mm with 0 <= mm <= n
     heads = {}
     for j in range(-(r0 + 1), min(n_power + r0, ku + kw) + 1):
-        head = vertex_mode(u, j, w.head)
+        head = vertex_mode(u, j, w)
         if not head.is_zero:
-            heads[-j - 1] = IntertwinerOp(IntertwinerSpec(head, cs))
+            heads[-j - 1] = IntertwinerOp(head, cocycle)
     # W[p, j] = u(j) of the coefficient of Y(w) s at z2^(base+p)
     W = _OffsetGrid(lambda p: op_w.coefficient(s, base + p),
                     lambda mid, j: vertex_mode(u, j, mid))
@@ -390,8 +386,9 @@ def verify_associativity(u: State, w: IntertwinerSpec, s: State, n_power: int,
     return rep
 
 
-def verify_locality(u: State, w: IntertwinerSpec, s: State, m_power: int,
-                    r1: int = 2, r2: int = 2, cutoff: int | None = None,
+def verify_locality(u: State, w: State, s: State, cocycle: CocycleSystem,
+                    m_power: int, r1: int = 2, r2: int = 2,
+                    cutoff: int | None = None,
                     expected_failure: bool = False) -> VerificationReport:
     """(z1-z2)^m [ Y(u,z1) Y(w,z2) - Y(w,z2) Y(u,z1) ] s = 0 coefficientwise.
 
@@ -400,8 +397,8 @@ def verify_locality(u: State, w: IntertwinerSpec, s: State, m_power: int,
     """
     if m_power < 0:
         raise ValueError("locality power must be a natural number")
-    op_w = IntertwinerOp(w)
-    base = w.label.dot(s.single_label())
+    op_w = IntertwinerOp(w, cocycle)
+    base = op_w.label.dot(s.single_label())
     rep = VerificationReport(
         "locality", window_used=f"z1 radius {r1}, z2 radius {r2}, m={m_power}",
         meta={"m": str(m_power)}, expected_failure=expected_failure)
@@ -410,7 +407,7 @@ def verify_locality(u: State, w: IntertwinerSpec, s: State, m_power: int,
                     lambda mid, e1: vertex_mode(u, -e1 - 1, mid))
     H = _OffsetGrid(lambda e1: vertex_mode(u, -e1 - 1, s),
                     lambda mid, p: op_w.coefficient(mid, base + p))
-    kw, ks = w.weight_int, s.max_levels()
+    kw, ks = op_w.weight_int, s.max_levels()
     zero = State.zero(s.rank)
     for e1 in range(-r1, r1 + 1):
         for n2 in range(-r2, r2 + 1):

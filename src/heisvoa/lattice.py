@@ -30,7 +30,6 @@ from .fock import (
 from .intertwiner import (
     CocycleSystem,
     IntertwinerOp,
-    IntertwinerSpec,
     apply_e,
 )
 from .jacobi import three_term_jacobi
@@ -307,34 +306,35 @@ class TwistedVertexOp(IntertwinerOp):
     lattice module."""
 
     def __init__(self, td: TwistData, head: State, cocycle: CocycleSystem):
-        super().__init__(IntertwinerSpec(head, cocycle), beta=td.alpha)
+        super().__init__(head, cocycle, beta=td.alpha)
 
 
 def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State,
-                          radius: int = 3, cutoff: int | None = None,
-                          cocycle: CocycleSystem | None = None) -> VerificationReport:
+                          radius: int = 3,
+                          cutoff: int | None = None) -> VerificationReport:
     """The three-term identity for twisted-sector targets.
 
     For lattice labels m1, m2 and a target in the alpha-shifted sector
     the kernels are integer-power deltas, the second ordering carries
     the parity sign (-1)^(m1^2 m2^2), and the right kernel the power
-    ((z1-z0)/z2)^(m1.alpha) with twist eigenvalue rho = -m1.alpha.
+    ((z1-z0)/z2)^(m1.alpha) with twist eigenvalue rho = -m1.alpha.  Every
+    operator reads the lattice's parity cocycle.
     """
-    cs = cocycle if cocycle is not None else lattice_cocycle(td.lattice)
     lat = td.lattice
+    cs = lattice_cocycle(lat)
     mu1 = lat.coords_of(x.single_label())
     mu2 = lat.coords_of(y.single_label())
     if mu1 is None or mu2 is None or \
             not all(c.denominator == 1 for c in list(mu1) + list(mu2)):
         raise ValueError("twisted Jacobi requires lattice-vector heads")
     p_sign = lat.pairing(mu1, mu1) * lat.pairing(mu2, mu2)
-    op1 = IntertwinerOp(IntertwinerSpec(x, cs))
-    op2 = IntertwinerOp(IntertwinerSpec(y, cs))
+    op1 = IntertwinerOp(x, cs)
+    op2 = IntertwinerOp(y, cs)
     rho = -x.single_label().dot(td.alpha)
     return three_term_jacobi(
         name="twisted_jacobi",
         op1=op1, op2=op2,
-        op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, cs)),
+        op12_factory=lambda head: IntertwinerOp(head, cs),
         target=s,
         kappa12=GR_ZERO,
         kappa_rhs=-rho,
@@ -347,20 +347,21 @@ def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State,
 
 
 def verify_li_equivalence(td: TwistData, x: State, target: State,
-                          order: int = 2, cutoff: int | None = None,
-                          cocycle: CocycleSystem | None = None) -> VerificationReport:
+                          order: int = 2,
+                          cutoff: int | None = None) -> VerificationReport:
     """Y(x,z) e^alpha t = C(mu,alpha) e^alpha Y_g(x,z) t coefficientwise.
 
     The label bijection e^alpha: mu -> mu+alpha intertwines the twisted
     operator on the plain sector with the plain operator on the shifted
-    sector, up to the conjugation commutator C(mu,alpha).
+    sector, up to the conjugation commutator C(mu,alpha), both read
+    through the lattice's parity cocycle.
     """
-    cs = cocycle if cocycle is not None else lattice_cocycle(td.lattice)
     lat = td.lattice
+    cs = lattice_cocycle(lat)
     mu = x.single_label()
     if not lat.in_lattice(mu):
         raise ValueError("head must carry a lattice label")
-    direct = IntertwinerOp(IntertwinerSpec(x, cs))
+    direct = IntertwinerOp(x, cs)
     li = TwistedVertexOp(td, x, cs)
     c_fix = cs.commutator(mu, td.alpha)
     shifted = apply_e(cs, td.alpha, target)
@@ -421,7 +422,7 @@ class DlmOp(IntertwinerOp):
                  n_branch: int = 1):
         if variant not in ("delta", "hat"):
             raise ValueError("variant must be 'delta' or 'hat'")
-        super().__init__(IntertwinerSpec(head, cocycle))
+        super().__init__(head, cocycle)
         self.lattice = td.lattice
         self.alpha = td.alpha
         self.sector = sector
@@ -446,17 +447,17 @@ class DlmOp(IntertwinerOp):
 def verify_dlm_jacobi(td1: TwistData, td2: TwistData, alpha3: Label,
                       x: State, y: State, s: State, variant: str = "delta",
                       n_branch: int = 1, radius: int = 2,
-                      cutoff: int | None = None,
-                      cocycle: CocycleSystem | None = None) -> VerificationReport:
+                      cutoff: int | None = None) -> VerificationReport:
     """The generalized three-term identity for the twisted-sector family.
 
     Both left kernels carry eta12 = -a1.a2 - mu1.a2 - mu2.a1, the right
     kernel carries -eta13 (same shape in the third slot), and the
     commutator is E(N(a1.mu2 - a2.mu1)) (-1)^(mu1^2 mu2^2) for the delta
-    variant, parity alone for the hat variant.
+    variant, parity alone for the hat variant.  Every operator reads the
+    lattice's parity cocycle.
     """
     lat = td1.lattice
-    cs = cocycle if cocycle is not None else lattice_cocycle(lat)
+    cs = lattice_cocycle(lat)
     a1, a2 = td1.alpha, td2.alpha
     mu1 = x.single_label() - a1
     mu2 = y.single_label() - a2

@@ -39,7 +39,6 @@ from heisvoa.fock import (
 from heisvoa.intertwiner import (
     CocycleSystem,
     IntertwinerOp,
-    IntertwinerSpec,
     annihilation_coeff,
     creation_coeff,
 )
@@ -212,15 +211,16 @@ def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:
     return out
 
 
-def coeff_product(x: IntertwinerSpec, y: IntertwinerSpec, s: State,
+def coeff_product(x: State, y: State, s: State, cocycle: CocycleSystem,
                   b, c) -> State:
-    """The exact coefficient of z1^b z2^c in Y(x,z1) Y(y,z2) s.
+    """The exact coefficient of z1^b z2^c in Y(x,z1) Y(y,z2) s, both
+    intertwiners reading the one cocycle.
 
     Each fixed exponent pair selects exactly one mode composition; the
     exponents must sit in the cosets dictated by the three labels.
     """
-    op1 = IntertwinerOp(x)
-    op2 = IntertwinerOp(y)
+    op1 = IntertwinerOp(x, cocycle)
+    op2 = IntertwinerOp(y, cocycle)
     return op1.coefficient(op2.coefficient(s, as_gauss(c)), as_gauss(b))
 
 
@@ -230,7 +230,6 @@ def coeff_product(x: IntertwinerSpec, y: IntertwinerSpec, s: State,
 
 def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,
                         exponent, n_branch: int = 1,
-                        cocycle: CocycleSystem | None = None,
                         variant: str = "delta") -> State:
     """One coefficient of the defining composition of the operator (used
     as an oracle for the closed form):
@@ -241,7 +240,7 @@ def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,
     the (-z)^(a(0)) powers) and D(z) = Yplus(a,z) z^(a(0)) for the hat
     variant; psi denotes the bare label shift.
     """
-    cs = cocycle if cocycle is not None else lattice_cocycle(td.lattice)
+    cs = lattice_cocycle(td.lattice)
     alpha = td.alpha
     beta = sector
     exponent = as_gauss(exponent)
@@ -249,7 +248,7 @@ def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,
     avec = alpha.alpha
     lab_x = x.single_label()
     # heads: psi_a Delta(b,z) x as (exponent, state) pairs
-    heads = [(exp, IntertwinerOp(IntertwinerSpec(translate_label(st, -alpha), cs)))
+    heads = [(exp, IntertwinerOp(translate_label(st, -alpha), cs))
              for exp, st in delta_dress(beta, x)]
     out = State.zero(rank)
     t0 = translate_label(target, -beta)

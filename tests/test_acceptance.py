@@ -21,7 +21,6 @@ from heisvoa.fock import (
 from heisvoa.form import verify_gram_slices, verify_invariance
 from heisvoa.intertwiner import (
     CocycleSystem,
-    IntertwinerSpec,
     verify_shift_conj_lminus,
     verify_shift_conj_lplus,
     verify_shift_conj_vertex,
@@ -37,7 +36,6 @@ from heisvoa.jacobi import (
 )
 from heisvoa.lattice import (
     integral_lattice,
-    lattice_cocycle,
     twist,
     verify_li_equivalence,
     verify_shifted_virasoro,
@@ -114,9 +112,9 @@ def test_criterion_3_generalized_jacobi():
         s = State.vacuum(1, label([gstr]))
         for hx in HEADS:
             for hy in HEADS:
-                x = IntertwinerSpec(head(hx, astr), CS)
-                y = IntertwinerSpec(head(hy, bstr), CS)
-                rep = verify_generalized_jacobi(x, y, s, radius=3, cutoff=6)
+                x = head(hx, astr)
+                y = head(hy, bstr)
+                rep = verify_generalized_jacobi(x, y, s, CS, radius=3, cutoff=6)
                 assert rep.verdict, (astr, hx, hy, rep.failures_detail)
                 assert len(rep.checked) >= 50, (astr, hx, hy, len(rep.checked))
     elapsed = _passline(3, "generalized Jacobi identity", t0)
@@ -129,11 +127,11 @@ def test_criterion_4_skew_symmetry():
     for astr, bstr in triples:
         for hx in HEADS:
             for hy in HEADS:
-                x = IntertwinerSpec(head(hx, astr), CS)
+                x = head(hx, astr)
                 y = head(hy, bstr)
                 verdicts = []
                 for n_branch in (1, 3):
-                    rep = verify_skew_symmetry(x, y, radius=3,
+                    rep = verify_skew_symmetry(x, y, CS, radius=3,
                                                n_branch=n_branch, cutoff=12)
                     verdicts.append(rep.verdict)
                     assert rep.verdict, (astr, hx, hy, n_branch,
@@ -152,10 +150,10 @@ def test_criterion_5_invariant_form():
     for astr, bstr in instances:
         alpha, beta = label([astr]), label([bstr])
         gamma = -(alpha + beta)
-        x = IntertwinerSpec(State.vacuum(1, alpha), CS)
+        x = State.vacuum(1, alpha)
         y = State.vacuum(1, beta)
         t = apply_mode(1, -1, State.vacuum(1, gamma))
-        rep = verify_invariance(x, y, t, 1, radius=2)
+        rep = verify_invariance(x, y, t, CS, 1, radius=2)
         assert rep.verdict, (astr, bstr, rep.failures_detail)
     elapsed = _passline(5, "invariant bilinear form", t0)
     assert elapsed < 60
@@ -165,16 +163,14 @@ def test_criterion_6_lattice_twists():
     t0 = time.monotonic()
     for gram_mat in ([[1]], [[2]]):
         lat = integral_lattice(gram_mat)
-        cs = lattice_cocycle(lat)
         rank = lat.heis_rank
         for tstr in ("1/2", "1/3"):
             td = twist(lat, [Fraction(tstr)])
             x = State.vacuum(rank, lat.label_of([1]))
             s = State.vacuum(rank, td.alpha)
-            rep = verify_twisted_jacobi(td, x, x, s, radius=3, cocycle=cs)
+            rep = verify_twisted_jacobi(td, x, x, s, radius=3)
             assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
-            rep = verify_li_equivalence(td, x, State.vacuum(rank), order=2,
-                                        cocycle=cs)
+            rep = verify_li_equivalence(td, x, State.vacuum(rank), order=2)
             assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
             rep = verify_shifted_virasoro(td, 4)
             assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
@@ -187,7 +183,6 @@ def test_criterion_7_dlm_jacobi():
     t0 = time.monotonic()
     from heisvoa.lattice import verify_dlm_jacobi
     lat = integral_lattice([[1]])
-    cs = lattice_cocycle(lat)
     td1 = twist(lat, [Fraction(1, 2)])
     td2 = twist(lat, [Fraction(1, 3)])
     # mu1 = mu2 = 1 is odd-odd, so the parity factor is -1, and the
@@ -198,7 +193,7 @@ def test_criterion_7_dlm_jacobi():
     for variant, n_branch in (("delta", 1), ("hat", 1)):
         rep = verify_dlm_jacobi(td1, td2, zero_label(1), x, y, s,
                                 variant=variant, n_branch=n_branch,
-                                radius=2, cocycle=cs)
+                                radius=2)
         assert rep.verdict, (variant, rep.failures_detail)
         if variant == "delta":
             assert "E(" in rep.meta["C12"]
@@ -213,16 +208,16 @@ def test_criterion_8_negative_controls():
     t0 = time.monotonic()
     # undersized locality power must fail and be reported as designed
     u = State.of(monomial(zero_label(1), ((1, 1),)))
-    w = IntertwinerSpec(State.vacuum(1, label(["1/2"])), CS)
+    w = State.vacuum(1, label(["1/2"]))
     s = State.vacuum(1, label(["1/3"]))
-    rep = verify_locality(u, w, s, 0, r1=2, r2=2, expected_failure=True)
+    rep = verify_locality(u, w, s, CS, 0, r1=2, r2=2, expected_failure=True)
     assert not rep.verdict
     assert rep.outcome == "XFAIL"
     # a corrupted cocycle (associativity broken) must break the identity
     bad = CocycleSystem(1, CS.f, CS.g, corruption=gr(1))
-    x = IntertwinerSpec(State.vacuum(1, label(["1/2"])), bad)
-    y = IntertwinerSpec(State.vacuum(1, label(["1/3"])), bad)
-    rep = verify_generalized_jacobi(x, y, State.vacuum(1, label(["-1/4"])),
+    x = State.vacuum(1, label(["1/2"]))
+    y = State.vacuum(1, label(["1/3"]))
+    rep = verify_generalized_jacobi(x, y, State.vacuum(1, label(["-1/4"])), bad,
                                     radius=2)
     assert not rep.verdict and rep.outcome == "FAIL"
     _passline(8, "negative controls", t0)

@@ -15,7 +15,6 @@ PUBLIC_API = [
     "FockMonomial",
     "GaussRat",
     "IntertwinerOp",
-    "IntertwinerSpec",
     "Label",
     "Scalar",
     "State",

@@ -15,7 +15,6 @@ from heisvoa.fock import State, apply_mode, label, monomial, zero_label
 from heisvoa.form import AdjointIntertwinerOp, verify_invariance
 from heisvoa.intertwiner import (
     IntertwinerOp,
-    IntertwinerSpec,
     verify_creativity,
     verify_e_conjugation,
     verify_translation,
@@ -30,7 +29,6 @@ from heisvoa.lattice import (
     DlmOp,
     TwistedVertexOp,
     integral_lattice,
-    lattice_cocycle,
     twist,
     verify_li_equivalence,
 )
@@ -92,35 +90,35 @@ def test_no_suite_builds_past_its_cutoff(built, suite, cutoff):
 # (verify(cutoff), cutoff, the keys past it, the largest level sum built)
 _CS = standard_cocycle(1)
 _U = State.of(monomial(zero_label(1), ((1, 1),)))  # a(-1)|0>
-_HEAD = IntertwinerSpec(apply_mode(1, -1, State.vacuum(1, label(["1/2"]))), _CS)
-_W = IntertwinerSpec(State.vacuum(1, label(["1/2"])), _CS)
+_HEAD = apply_mode(1, -1, State.vacuum(1, label(["1/2"])))
+_W = State.vacuum(1, label(["1/2"]))
 _S = apply_mode(1, -1, State.vacuum(1, label(["1/3"])))  # a(-1)|1/3>
 _TD = twist(integral_lattice([[2]]), ["1/2"])
 _X = apply_mode(1, -1, State.vacuum(_TD.rank, _TD.lattice.label_of([1])))
 
 CUT_SITES = {
-    "translation": (lambda c: verify_translation(_HEAD, _S, 3, c), 3,
+    "translation": (lambda c: verify_translation(_HEAD, _S, _CS, 3, c), 3,
                     ["7/6", "13/6", "19/6"], 3),
-    "creativity": (lambda c: verify_creativity(IntertwinerSpec(
-        apply_mode(1, -1, _HEAD.head), _CS), c), 1, ["0"], 0),
+    "creativity": (lambda c: verify_creativity(
+        apply_mode(1, -1, _HEAD), _CS, c), 1, ["0"], 0),
     "e_conjugation": (lambda c: verify_e_conjugation(
-        _HEAD, label(["1/3"]), _S, 3, c), 3, ["7/3", "10/3"], 3),
+        _HEAD, label(["1/3"]), _S, _CS, 3, c), 3, ["7/3", "10/3"], 3),
     "li_equivalence": (lambda c: verify_li_equivalence(
-        _TD, _X, apply_mode(1, -1, State.vacuum(_TD.rank)), 3, c,
-        lattice_cocycle(_TD.lattice)), 3, ["3", "4"], 3),
-    "commutator": (lambda c: verify_commutator(_U, _W, -1, _S, 3, c), 3,
+        _TD, _X, apply_mode(1, -1, State.vacuum(_TD.rank)), 3, c), 3,
+        ["3", "4"], 3),
+    "commutator": (lambda c: verify_commutator(_U, _W, -1, _S, _CS, 3, c), 3,
                    ["13/6", "19/6"], 3),
-    "normal_order": (lambda c: verify_normal_order(_U, _W, _S, 3, c), 3,
+    "normal_order": (lambda c: verify_normal_order(_U, _W, _S, _CS, 3, c), 3,
                      ["13/6", "19/6"], 3),
-    "associativity": (lambda c: verify_associativity(_U, _W, _S, 2, 2, 2, c), 3,
-                      ["2,13/6"], 3),
+    "associativity": (lambda c: verify_associativity(_U, _W, _S, _CS, 2, 2, 2, c),
+                      3, ["2,13/6"], 3),
     # a kept coefficient at z1^2 builds u(-3)s, of level sum 4, and reads
     # Y(w) on it at relative exponent -1: the need counts the read alone
-    "locality": (lambda c: verify_locality(_U, _W, _S, 1, 2, 2, c), 3,
+    "locality": (lambda c: verify_locality(_U, _W, _S, _CS, 1, 2, 2, c), 3,
                  ["1,13/6", "2,7/6", "2,13/6"], 4),
     "invariance": (lambda c: verify_invariance(
         _W, State.vacuum(1, label(["1/3"])),
-        apply_mode(1, -2, State.vacuum(1, label(["-5/6"]))), 1, 2, c), 2,
+        apply_mode(1, -2, State.vacuum(1, label(["-5/6"]))), _CS, 1, 2, c), 2,
         ["-23/6", "-17/6", "-11/6", "-5/6"], 2),
 }
 
@@ -151,4 +149,4 @@ def test_no_operator_takes_a_cutoff():
         assert "cutoff" not in inspect.signature(op).parameters, op
     # a stale positional cutoff fails at the call, not as a label
     with pytest.raises(TypeError):
-        IntertwinerOp(_HEAD, 6)
+        IntertwinerOp(_HEAD, _CS, 6)

@@ -124,6 +124,30 @@ def test_profile_dump_leaves_the_body_alone(tmp_path):
     assert any(fn == "run_suites" for _, _, fn in stats.stats)
 
 
+@pytest.mark.parametrize("flag", ["--report", "--profile"])
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys, flag):
+    # exit 1 is for a failed check; a path under a missing directory is
+    # found after the suites have run and named on one stderr line
+    config = write_config(tmp_path, max_weight=1)
+    path = tmp_path / "missing" / "out"
+    assert main(["verify", config, flag, str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cannot write {path}: "), err
+    assert not path.parent.exists()
+
+
+def test_form_invariance_cases_draw_distinct_configured_labels():
+    # one pool of 2n labels: the configured pair opens it, and the later
+    # cases draw past it instead of repeating it
+    scn = cli.Scenario.from_dict({"suites": ["form"], "pairs": 6, "window": 1,
+                                  "cutoff": 3, "labels": [["1/2"], ["1/3"]]})
+    metas = [(rep.meta["alpha"], rep.meta["beta"])
+             for name, rep in cli.run_suites(scn)["form"]
+             if name.startswith("invariance")]
+    assert len(metas) == 3 and metas[0] == ("1/2", "1/3")
+    assert len(set(metas)) == 3, metas
+
+
 def test_python_m_heisvoa_matches_main(tmp_path):
     config = write_config(tmp_path, max_weight=1)
     report = tmp_path / "module.txt"

@@ -16,7 +16,6 @@ from heisvoa.fock import (
 )
 from heisvoa.intertwiner import (
     CocycleSystem,
-    IntertwinerSpec,
     _shift_scaled,
     annihilation_coeff,
     apply_e,
@@ -54,20 +53,20 @@ def dagger(color, n, s):
 def e_dagger(cs, alpha, w):
     """e^(a+) w for a vacuum w: the top coefficient of the vacuum-head
     adjoint, E(-N a(0)) lam^(2a(0) - a.a) e^a with a(0) read after the shift."""
-    adj = AdjointIntertwinerOp(IntertwinerSpec(State.vacuum(w.rank, alpha), cs), 1)
+    adj = AdjointIntertwinerOp(State.vacuum(w.rank, alpha), cs, 1)
     return adj.coefficient(w, adj.offset_on(w.single_label()))
 
 
-def factorized_adjoint(spec, n_branch, target, exponent):
+def factorized_adjoint(head, cs, n_branch, target, exponent):
     """[z^exponent] Yd(u|a>, z) target from the factorization
     Yd = z^(a(0)^+) Yplus^+(a,z) Y^+(u,z) Yminus^+(a,z) e^(a+), with
     Ypm^+(a,z) = Ymp(a, -lam^2/z) and Y^+(u,z) the mode adjoint of Y(u,z):
     u(p)^+ pairs each part (-1)^q L(1)^q u/q! of e^(-z lam^-2 L(1)) u of
     weight h with the scalar lam^(2h-2q) (-1)^(p+1) lam^(-2p-2)."""
-    alpha = spec.label
-    avec, rank = alpha.alpha, spec.head.rank
+    alpha = head.single_label()
+    avec, rank = alpha.alpha, head.rank
     u_parts = []
-    for hm, hc in spec.head.items_sorted():
+    for hm, hc in head.items_sorted():
         h = hm.levels_sum
         u = State.of(monomial(zero_label(rank), hm.parts))
         for q, cur in enumerate(exp_virasoro_coeffs(1, u, h, sign=-1)):
@@ -75,7 +74,7 @@ def factorized_adjoint(spec, n_branch, target, exponent):
 
     def factor(beta):  # e^(a+) on the sector beta
         eig = alpha.dot(alpha + beta)
-        return (spec.cocycle.epsilon(alpha, beta) * branch_phase(-eig, n_branch)
+        return (cs.epsilon(alpha, beta) * branch_phase(-eig, n_branch)
                 * lam_pow(2 * eig - alpha.norm2()))
 
     out = State.zero(rank)
@@ -182,16 +181,14 @@ def test_gram_slices_fail_on_a_non_mirror_pairing(monkeypatch):
 
 
 def test_adjoint_intertwiner_needs_an_odd_branch():
-    spec = IntertwinerSpec(State.vacuum(1), cocycle_for(1))
     with pytest.raises(ValueError, match="branch parameter N must be odd"):
-        AdjointIntertwinerOp(spec, 2)
+        AdjointIntertwinerOp(State.vacuum(1), cocycle_for(1), 2)
 
 
 def test_adjoint_intertwiner_uncharged_matches_mode_adjoints():
     cs = cocycle_for(1)
     a = apply_mode(1, -1, State.vacuum(1))
-    spec = IntertwinerSpec(a, cs)
-    adj = AdjointIntertwinerOp(spec, 1)
+    adj = AdjointIntertwinerOp(a, cs, 1)
     t = State.of(monomial(zero_label(1), ((1, 2),)))
     for e in range(-3, 3):
         got = adj.coefficient(t, gr(e))
@@ -201,8 +198,7 @@ def test_adjoint_intertwiner_uncharged_matches_mode_adjoints():
 
 def test_adjoint_intertwiner_identity_and_e_dagger():
     cs = cocycle_for(1)
-    one_spec = IntertwinerSpec(State.vacuum(1), cs)
-    adj = AdjointIntertwinerOp(one_spec, 1)
+    adj = AdjointIntertwinerOp(State.vacuum(1), cs, 1)
     t = State.of(monomial(zero_label(1), ((1, 1),)))
     assert adj.coefficient(t, gr(0)) == t
     assert adj.coefficient(t, gr(2)).is_zero
@@ -215,8 +211,7 @@ def test_adjoint_intertwiner_identity_and_e_dagger():
 
 
 def test_adjoint_intertwiner_charged_series_window():
-    spec = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cocycle_for(1))
-    adj = AdjointIntertwinerOp(spec, 1)
+    adj = AdjointIntertwinerOp(State.vacuum(1, label(["1/2"])), cocycle_for(1), 1)
     t = State.vacuum(1, label(["1/3"]))
     base = adj.offset_on(t.single_label())
     # the exponents are bounded above by base + (kt - ku) = base
@@ -228,12 +223,12 @@ def test_adjoint_intertwiner_charged_series_window():
 def test_invariance_trivial_and_uncharged():
     cs = cocycle_for(1)
     one = State.vacuum(1)
-    rep = verify_invariance(IntertwinerSpec(one, cs), one, one, 1, radius=2)
+    rep = verify_invariance(one, one, one, cs, 1, radius=2)
     assert rep.verdict, rep.failures_detail
     # uncharged weight <= 2, lam-dependence included
     u = State.of(monomial(zero_label(1), ((1, 1), (1, 1))))
     v = apply_mode(1, -1, one)
-    rep = verify_invariance(IntertwinerSpec(u, cs), v, v, 1, radius=2)
+    rep = verify_invariance(u, v, v, cs, 1, radius=2)
     assert rep.verdict, rep.failures_detail
     # oracle: modewise <u(n)v, w> = <v, u+(n) w> for the generator
     a = apply_mode(1, -1, one)
@@ -248,31 +243,31 @@ def test_invariance_charged():
     for n_branch in (1, 3):
         alpha, beta = label(["1/2"]), label(["1/3"])
         gamma = -(alpha + beta)
-        x = IntertwinerSpec(State.vacuum(1, alpha), cs)
+        x = State.vacuum(1, alpha)
         y = State.vacuum(1, beta)
         t = apply_mode(1, -1, State.vacuum(1, gamma))
-        rep = verify_invariance(x, y, t, n_branch, radius=2)
+        rep = verify_invariance(x, y, t, cs, n_branch, radius=2)
         assert rep.verdict, rep.failures_detail
 
 
 def test_invariance_skips_an_adjoint_coefficient_past_the_cutoff():
     cs = cocycle_for(1)
-    x = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cs)
+    x = State.vacuum(1, label(["1/2"]))
     y = State.vacuum(1, label(["1/3"]))
     t = apply_mode(1, -1, State.vacuum(1, label(["-5/6"])))
-    rep = verify_invariance(x, y, t, 1, radius=2, cutoff=3)
+    rep = verify_invariance(x, y, t, cs, 1, radius=2, cutoff=3)
     assert rep.outcome == "PASS" and len(rep.checked) == 5, rep.failures_detail
     # Yd reads t (level sum 1) at relative exponent -3: 1 - 0 + 3 = 4
     assert rep.skipped == [((gr("-17/6"),), "needs level sums 4 > cutoff 3")]
-    assert len(verify_invariance(x, y, t, 1, radius=2).checked) == 6
+    assert len(verify_invariance(x, y, t, cs, 1, radius=2).checked) == 6
 
 
 def test_invariance_selection_rule(compared):
     cs = cocycle_for(1)
-    x = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cs)
+    x = State.vacuum(1, label(["1/2"]))
     y = State.vacuum(1, label(["1/3"]))
     t = State.vacuum(1, label(["1/7"]))  # labels do not cancel
-    rep = verify_invariance(x, y, t, 1, radius=1)
+    rep = verify_invariance(x, y, t, cs, 1, radius=1)
     assert rep.verdict
     assert rep.meta["selection"] == "nonzero"
     assert len(compared) == len(rep.checked) > 0
@@ -320,13 +315,13 @@ def test_adjoint_matches_the_factorized_composition():
         targets = [vac, apply_mode(1, -1, vac) + apply_mode(rank, -2, vac)]
         for n_branch in (1, 3):
             for head in heads:
-                spec = IntertwinerSpec(head, cocycle_for(rank))
-                adj = AdjointIntertwinerOp(spec, n_branch)
+                cs = cocycle_for(rank)
+                adj = AdjointIntertwinerOp(head, cs, n_branch)
                 base = adj.offset_on(gamma)
                 for t in targets:
                     for n in range(-4, 3):
                         got = adj.coefficient(t, base + n)
-                        assert got == factorized_adjoint(spec, n_branch, t, base + n), \
+                        assert got == factorized_adjoint(head, cs, n_branch, t, base + n), \
                             (rank, n_branch, head, t, n)
                         reads += 1
                         nonzero += not got.is_zero
@@ -336,10 +331,10 @@ def test_adjoint_matches_the_factorized_composition():
 def invariance_case(rank, head_parts):
     alpha = label(["1/2"] + ["1/3*i"] * (rank - 1))
     beta = label(["1/3"] + ["-1/5"] * (rank - 1))
-    x = IntertwinerSpec(State.of(monomial(alpha, head_parts)), cocycle_for(rank))
+    x = State.of(monomial(alpha, head_parts))
     y = State.vacuum(rank, beta)
     t = apply_mode(1, -1, State.vacuum(rank, -(alpha + beta)))
-    return lambda: verify_invariance(x, y, t, 1, radius=2)
+    return lambda: verify_invariance(x, y, t, cocycle_for(rank), 1, radius=2)
 
 
 def test_invariance_fails_without_the_commutator(monkeypatch):

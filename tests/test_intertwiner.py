@@ -15,7 +15,6 @@ from heisvoa.fock import (
 from heisvoa.intertwiner import (
     CocycleSystem,
     IntertwinerOp,
-    IntertwinerSpec,
     annihilation_coeff,
     apply_e,
     apply_e_inverse,
@@ -176,7 +175,7 @@ def test_delta_dressing_reproduces_shifted_zero_modes():
     for n in range(-3, 3):
         acc = State.zero(1)
         for exp, st in parts:
-            op = IntertwinerOp(IntertwinerSpec(st, cs))
+            op = IntertwinerOp(st, cs)
             acc = acc + op.coefficient(s, gr(-n - 1) - exp)
         expect = apply_mode(1, n, s)
         if n == 0:
@@ -187,9 +186,8 @@ def test_delta_dressing_reproduces_shifted_zero_modes():
 def test_intertwine_vacuum_head_series():
     cs = generic_cocycle(1)
     alpha, beta = label(["1/2"]), label(["1/3"])
-    x = IntertwinerSpec(State.vacuum(1, alpha), cs)
     target = State.vacuum(1, beta)
-    xop = IntertwinerOp(x)
+    xop = IntertwinerOp(State.vacuum(1, alpha), cs)
     eps = cs.epsilon(alpha, beta)
     ab = alpha.dot(beta)
     out_lab = alpha + beta
@@ -200,11 +198,11 @@ def test_intertwine_vacuum_head_series():
              + apply_mode(1, -2, vac).scale(Fraction(1, 4)))
     assert xop.coefficient(target, ab + 2) == third.scale(eps)
     # reduces to the plain vertex operator at label zero
-    y = IntertwinerSpec(State.of(monomial(zero_label(1), ((1, 1),))), cs)
+    y = State.of(monomial(zero_label(1), ((1, 1),)))
     s = State.of(monomial(zero_label(1), ((1, 2),)))
-    op = IntertwinerOp(y)
+    op = IntertwinerOp(y, cs)
     for n in range(-3, 3):
-        assert op.coefficient(s, gr(n)) == vertex_mode(y.head, -n - 1, s)
+        assert op.coefficient(s, gr(n)) == vertex_mode(y, -n - 1, s)
 
 
 def test_intertwine_derivative_is_weight_one_head():
@@ -212,11 +210,10 @@ def test_intertwine_derivative_is_weight_one_head():
     # the z^n coefficient of the one is (n+1) times the z^(n+1) one of the other
     cs = standard_cocycle(1)
     alpha = label(["2/3"])
-    x = IntertwinerSpec(State.vacuum(1, alpha), cs)
     one = State.vacuum(1)
-    base = IntertwinerOp(x)
-    dx = IntertwinerSpec(apply_mode(1, -1, State.vacuum(1, alpha)).scale(gr("2/3")), cs)
-    other = IntertwinerOp(dx)
+    base = IntertwinerOp(State.vacuum(1, alpha), cs)
+    dx = apply_mode(1, -1, State.vacuum(1, alpha)).scale(gr("2/3"))
+    other = IntertwinerOp(dx, cs)
     for n in range(-1, 2):
         assert other.coefficient(one, gr(n)) == \
             base.coefficient(one, gr(n + 1)).scale(gr(n + 1)), n
@@ -225,27 +222,27 @@ def test_intertwine_derivative_is_weight_one_head():
 def test_creativity_report():
     cs = generic_cocycle(1)
     head = apply_mode(1, -2, State.vacuum(1, label(["1/2", ]))).scale(as_scalar(3))
-    rep = verify_creativity(IntertwinerSpec(head, cs))
+    rep = verify_creativity(head, cs)
     assert rep.verdict, rep.failures_detail
 
 
 def test_translation_report():
     cs = generic_cocycle(1)
     head = apply_mode(1, -1, State.vacuum(1, label(["1/2"])))
-    rep = verify_translation(IntertwinerSpec(head, cs), State.vacuum(1, label(["1/3"])), hi=2)
+    rep = verify_translation(head, State.vacuum(1, label(["1/3"])), cs, hi=2)
     assert rep.verdict, rep.failures_detail
 
 
 # a(-1)|1/2> under f = [[1/2]], g = [[0]], read on |-1/4>
-PROPS_SPEC = IntertwinerSpec(apply_mode(1, -1, State.vacuum(1, label(["1/2"]))),
-                             CocycleSystem(1, ((gr("1/2"),),), ((gr(0),),)))
+PROPS_HEAD = apply_mode(1, -1, State.vacuum(1, label(["1/2"])))
+PROPS_CS = CocycleSystem(1, ((gr("1/2"),),), ((gr(0),),))
 
 
 def test_translation_designed_failure(monkeypatch):
     target = State.vacuum(1, label(["-1/4"]))
 
     def verify():
-        return verify_translation(PROPS_SPEC, target, hi=2, cutoff=6)
+        return verify_translation(PROPS_HEAD, target, PROPS_CS, hi=2, cutoff=6)
 
     rep = verify()
     assert rep.outcome == "PASS" and len(rep.checked) == 5, rep.failures_detail
@@ -260,7 +257,7 @@ def test_translation_designed_failure(monkeypatch):
 
 def test_creativity_designed_failure(monkeypatch):
     def verify():
-        return verify_creativity(PROPS_SPEC, cutoff=6)
+        return verify_creativity(PROPS_HEAD, PROPS_CS, cutoff=6)
 
     rep = verify()
     assert rep.outcome == "PASS" and len(rep.checked) == 4, rep.failures_detail
@@ -295,8 +292,7 @@ def test_e_conjugation_report():
     for _ in range(3):
         alpha, beta, gamma = (rand_label(rng) for _ in range(3))
         head = apply_mode(1, -1, State.vacuum(1, alpha))
-        rep = verify_e_conjugation(IntertwinerSpec(head, cs), beta,
-                                   State.vacuum(1, gamma), hi=2)
+        rep = verify_e_conjugation(head, beta, State.vacuum(1, gamma), cs, hi=2)
         assert rep.verdict, rep.failures_detail
 
 
@@ -305,8 +301,8 @@ def test_e_conjugation_designed_failure(monkeypatch):
     head = apply_mode(1, -1, State.vacuum(1, label(["1/2"])))
 
     def verify():
-        return verify_e_conjugation(IntertwinerSpec(head, cs), label(["-1/4"]),
-                                    State.vacuum(1, label(["1/3"])), hi=2)
+        return verify_e_conjugation(head, label(["-1/4"]),
+                                    State.vacuum(1, label(["1/3"])), cs, hi=2)
 
     assert verify().outcome == "PASS"
     # the dressed operator reads the head's Y(u,z) on the target sector t,
@@ -536,10 +532,19 @@ def test_two_variable_dressing_closed_form():
 
 def test_mixed_coset_target_rejected():
     cs = standard_cocycle(1)
-    x = IntertwinerSpec(State.vacuum(1, label(["1/2"])), cs)
+    x = State.vacuum(1, label(["1/2"]))
     mixed = State.vacuum(1, label(["1/3"])) + State.vacuum(1, label(["1/4"]))
     with pytest.raises(CosetError):
-        IntertwinerOp(x).coefficient(mixed, gr("1/6"))
+        IntertwinerOp(x, cs).coefficient(mixed, gr("1/6"))
+
+
+def test_intertwiner_op_needs_a_one_label_head_of_the_cocycle_rank():
+    cs = standard_cocycle(1)
+    two_labels = State.vacuum(1, label(["1/2"])) + State.vacuum(1, label(["1/3"]))
+    with pytest.raises(ValueError, match=r"not label-homogeneous \(2 labels\)"):
+        IntertwinerOp(two_labels, cs)
+    with pytest.raises(ValueError, match="head rank != cocycle rank"):
+        IntertwinerOp(State.vacuum(2, label(["1/2", "0"])), cs)
 
 
 def per_monomial_coefficient(op, target, exponent):
@@ -579,10 +584,9 @@ def test_coefficient_matches_the_per_monomial_kernels(monkeypatch):
               + State.of(monomial(g1, ((2, 2),)), coeff=E("1/3").scale(gr("1/2")))
               + State.vacuum(2, g2).scale(lam_pow(1))
               + State.of(monomial(g2, ((1, 1), (1, 1))), coeff=gr("-3/5")))
-    spec = IntertwinerSpec(head, cs)
     exponents = [alpha.dot(g1) + n for n in range(-7, 4)]
     monkeypatch.setattr(workspace, "_current", workspace.Workspace())
-    op = IntertwinerOp(spec)
+    op = IntertwinerOp(head, cs)
     values = [op.coefficient(target, e) for e in exponents]
     assert any(not v.is_zero for v in values)
     for e, got in zip(exponents, values):
@@ -604,8 +608,8 @@ def test_dressed_coefficient_is_the_sum_of_its_parts():
             + apply_mode(2, -2, va).scale(E("1/2")))
     target = (State.of(monomial(g1, ((1, 1),)))
               + State.vacuum(2, g2).scale(lam_pow(1)))
-    op = IntertwinerOp(IntertwinerSpec(head, cs), beta=beta)
-    parts = [(x, IntertwinerOp(IntertwinerSpec(st, cs)))
+    op = IntertwinerOp(head, cs, beta=beta)
+    parts = [(x, IntertwinerOp(st, cs))
              for x, st in delta_dress(beta, head)]
     assert len(parts) > 1
     base = op.offset_on(g1)
@@ -632,7 +636,7 @@ def test_shared_memo_matches_a_fresh_workspace(monkeypatch):
     exponents = [alpha.dot(gamma) + n for n in range(-2, 3)]
 
     def value(cs, head, e):
-        return IntertwinerOp(IntertwinerSpec(head, cs)).coefficient(target, e)
+        return IntertwinerOp(head, cs).coefficient(target, e)
 
     # the two cocycles interleaved on the same heads share every memo entry
     monkeypatch.setattr(workspace, "_current", workspace.Workspace())

@@ -11,11 +11,7 @@ from heisvoa.fock import (
     vertex_mode,
     zero_label,
 )
-from heisvoa.intertwiner import (
-    CocycleSystem,
-    IntertwinerOp,
-    IntertwinerSpec,
-)
+from heisvoa.intertwiner import CocycleSystem, IntertwinerOp
 from heisvoa.jacobi import (
     verify_commutator,
     verify_generalized_jacobi,
@@ -32,57 +28,56 @@ CS1 = CocycleSystem(
     1, ((gr("1/2"),),), ((gr("1/3"),),))
 
 
-def vac_spec(alpha, cs=CS1):
-    return IntertwinerSpec(State.vacuum(1, label([alpha])), cs)
+def vac_head(alpha):
+    return State.vacuum(1, label([alpha]))
 
 
-def head_spec(parts, alpha="0", cs=CS1):
-    return IntertwinerSpec(State.of(monomial(label([alpha]), parts)), cs)
+def head_of(parts, alpha="0"):
+    return State.of(monomial(label([alpha]), parts))
 
 
 def test_coeff_product_identity_ops():
     cs = standard_cocycle(1)
     one = State.vacuum(1)
-    x = IntertwinerSpec(one, cs)
-    assert coeff_product(x, x, one, gr(0), gr(0)) == one
-    assert coeff_product(x, x, one, gr(-1), gr(0)).is_zero
+    assert coeff_product(one, one, one, cs, gr(0), gr(0)) == one
+    assert coeff_product(one, one, one, cs, gr(-1), gr(0)).is_zero
 
 
 def test_coeff_product_mode_oracle():
-    x = head_spec(((1, 1),))
+    x = head_of(((1, 1),))
     one = State.vacuum(1)
     # coefficient of z1^-2 z2^0 picks the modes a(1) then a(-1)
-    got = coeff_product(x, x, one, gr(-2), gr(0))
+    got = coeff_product(x, x, one, CS1, gr(-2), gr(0))
     oracle = apply_mode(1, 1, apply_mode(1, -1, one))
     assert got == oracle == one
     # bilinearity spot check against mode compositions on a heavier state
     s = State.of(monomial(zero_label(1), ((1, 2),)))
     for b in range(-3, 3):
         for c in range(-3, 3):
-            got = coeff_product(x, x, s, gr(b), gr(c))
+            got = coeff_product(x, x, s, CS1, gr(b), gr(c))
             oracle = apply_mode(1, -b - 1, apply_mode(1, -c - 1, s))
             assert got == oracle
 
 
 def test_coeff_product_leading_charged():
     alpha, beta, gamma = gr("1/2"), gr("1/3"), gr("-1/4")
-    x, y = vac_spec(alpha), vac_spec(beta)
+    x, y = vac_head(alpha), vac_head(beta)
     s = State.vacuum(1, label([gamma]))
     b = alpha * (beta + gamma)
     c = beta * gamma
-    got = coeff_product(x, y, s, b, c)
+    got = coeff_product(x, y, s, CS1, b, c)
     la, lb, lg = label([alpha]), label([beta]), label([gamma])
     expect = State.vacuum(1, la + lb + lg).scale(
         CS1.epsilon(la, lb + lg) * CS1.epsilon(lb, lg))
     assert got == expect
     with pytest.raises(CosetError):
-        coeff_product(x, y, s, b + gr("1/7"), c)
+        coeff_product(x, y, s, CS1, b + gr("1/7"), c)
 
 
 def test_jacobi_pure_vacuum():
     cs = standard_cocycle(1)
-    x = IntertwinerSpec(State.vacuum(1), cs)
-    rep = verify_generalized_jacobi(x, x, State.vacuum(1), radius=2)
+    x = State.vacuum(1)
+    rep = verify_generalized_jacobi(x, x, State.vacuum(1), cs, radius=2)
     assert rep.verdict and len(rep.checked) == 125
 
 
@@ -105,26 +100,25 @@ def test_jacobi_reduces_to_voa_jacobi():
                         continue
                     rhs = rhs + vertex_mode(vertex_mode(u, i, v), k + j - i, s).scale(coef)
                 assert lhs == rhs, (k, j)
-        rep = verify_generalized_jacobi(IntertwinerSpec(u, cs),
-                                        IntertwinerSpec(v, cs), s, radius=2)
+        rep = verify_generalized_jacobi(u, v, s, cs, radius=2)
         assert rep.verdict, rep.failures_detail
 
 
 def test_jacobi_charged_instance():
-    x = head_spec(((1, 1),), alpha="1/2")
-    y = vac_spec(gr("1/3"))
+    x = head_of(((1, 1),), alpha="1/2")
+    y = vac_head(gr("1/3"))
     s = State.vacuum(1, label(["-1/4"]))
-    rep = verify_generalized_jacobi(x, y, s, radius=2, cutoff=8)
+    rep = verify_generalized_jacobi(x, y, s, CS1, radius=2, cutoff=8)
     assert rep.verdict, rep.failures_detail
     assert len(rep.checked) >= 50  # anti-vacuity
 
 
 def test_jacobi_corrupted_cocycle_fails():
     bad = CocycleSystem(1, CS1.f, CS1.g, corruption=gr(1))
-    x = IntertwinerSpec(State.vacuum(1, label(["1/2"])), bad)
-    y = IntertwinerSpec(State.vacuum(1, label(["1/3"])), bad)
+    x = State.vacuum(1, label(["1/2"]))
+    y = State.vacuum(1, label(["1/3"]))
     s = State.vacuum(1, label(["-1/4"]))
-    rep = verify_generalized_jacobi(x, y, s, radius=1, expected_failure=True)
+    rep = verify_generalized_jacobi(x, y, s, bad, radius=1, expected_failure=True)
     assert not rep.verdict
     assert rep.outcome == "XFAIL"
 
@@ -132,7 +126,7 @@ def test_jacobi_corrupted_cocycle_fails():
 def test_skew_trivial_and_oracle():
     cs = standard_cocycle(1)
     one = State.vacuum(1)
-    rep = verify_skew_symmetry(IntertwinerSpec(one, cs), one, radius=2)
+    rep = verify_skew_symmetry(one, one, cs, radius=2)
     assert rep.verdict
     # alpha = beta = 0, weight <= 2: independent oracle built from bare
     # mode compositions, u(-n-1)v = sum_p L(-1)^p/p! (-1)^(n-p) v(-(n-p)-1)u
@@ -150,37 +144,37 @@ def test_skew_trivial_and_oracle():
                 inner = virasoro_mode(-1, inner).scale(Fraction(1, q + 1))
             right = right + inner
         assert left == right, n
-    rep = verify_skew_symmetry(IntertwinerSpec(u, cs), v, radius=2)
+    rep = verify_skew_symmetry(u, v, cs, radius=2)
     assert rep.verdict, rep.failures_detail
 
 
 def test_skew_branch_invariance():
-    x = vac_spec(gr("1/2"))
+    x = vac_head(gr("1/2"))
     y = State.vacuum(1, label(["1/2*i"]))
     outcomes = []
     for n_branch in (1, 3, -1):
-        rep = verify_skew_symmetry(x, y, radius=3, n_branch=n_branch)
+        rep = verify_skew_symmetry(x, y, CS1, radius=3, n_branch=n_branch)
         outcomes.append(rep.verdict)
         assert rep.verdict, rep.failures_detail
     assert len(set(outcomes)) == 1
 
 
 def test_skew_charged_heavier():
-    x = head_spec(((1, 1),), alpha="1/2")
+    x = head_of(((1, 1),), alpha="1/2")
     y = apply_mode(1, -1, State.vacuum(1, label(["1/3"])))
-    rep = verify_skew_symmetry(x, y, radius=2)
+    rep = verify_skew_symmetry(x, y, CS1, radius=2)
     assert rep.verdict, rep.failures_detail
 
 
 def test_skew_fails_with_an_even_branch(monkeypatch):
     # E(k(N+1)) is the phase of the even branch N+1: the ratio of the
     # prefactor and the branch of (-z)^(ab+m) loses its sign (-1)^m
-    x = head_spec(((1, 1),), alpha="1/2")
+    x = head_of(((1, 1),), alpha="1/2")
     y = State.vacuum(1, label(["1/3"]))
-    rep = verify_skew_symmetry(x, y, radius=2, cutoff=6)
+    rep = verify_skew_symmetry(x, y, CS1, radius=2, cutoff=6)
     assert rep.outcome == "PASS" and len(rep.checked) == 4, rep.failures_detail
     monkeypatch.setattr(jacobi, "branch_phase", lambda k, n: E(as_gauss(k) * (n + 1)))
-    rep = verify_skew_symmetry(x, y, radius=2, cutoff=6)
+    rep = verify_skew_symmetry(x, y, CS1, radius=2, cutoff=6)
     assert rep.outcome == "FAIL"
     assert len(rep.failures) == len(rep.checked) == 4
 
@@ -189,9 +183,9 @@ def test_skew_fails_with_an_even_branch(monkeypatch):
 def test_skew_skips_each_coefficient_past_the_cutoff(cutoff, checked, skipped):
     # a coefficient at z^(ab+n) needs level sums 1 + n; the ones that fit
     # the cutoff are still compared
-    x = head_spec(((1, 1),), alpha="1/2")
+    x = head_of(((1, 1),), alpha="1/2")
     y = State.vacuum(1, label(["1/3"]))
-    rep = verify_skew_symmetry(x, y, radius=3, cutoff=cutoff)
+    rep = verify_skew_symmetry(x, y, CS1, radius=3, cutoff=cutoff)
     assert rep.outcome == "PASS" and len(rep.checked) == checked, rep.failures_detail
     assert [reason for _, reason in rep.skipped] == \
         [f"needs level sums {k} > cutoff {cutoff}" for k in skipped]
@@ -199,63 +193,64 @@ def test_skew_skips_each_coefficient_past_the_cutoff(cutoff, checked, skipped):
 
 def test_commutator_examples():
     a = State.of(monomial(zero_label(1), ((1, 1),)))
-    w = vac_spec(gr("1/2"))
+    w = vac_head(gr("1/2"))
     s = State.vacuum(1, label(["1/3"]))
-    rep = verify_commutator(a, w, 0, s, radius=2)
+    rep = verify_commutator(a, w, 0, s, CS1, radius=2)
     assert rep.verdict, rep.failures_detail
     # the j=0 term of the right side is the zero-mode eigenvalue alpha^1
-    lhs0 = (vertex_mode(a, 0, IntertwinerOp(w).coefficient(s, w.label.dot(s.single_label())))
-            - IntertwinerOp(w).coefficient(vertex_mode(a, 0, s),
-                                           w.label.dot(s.single_label())))
-    rhs0 = IntertwinerOp(w).coefficient(s, w.label.dot(s.single_label())).scale(gr("1/2"))
+    op = IntertwinerOp(w, CS1)
+    e0 = op.label.dot(s.single_label())
+    lhs0 = (vertex_mode(a, 0, op.coefficient(s, e0))
+            - op.coefficient(vertex_mode(a, 0, s), e0))
+    rhs0 = op.coefficient(s, e0).scale(gr("1/2"))
     assert lhs0 == rhs0
 
     omega = conformal_vector(1)
-    rep = verify_commutator(omega, w, 0, s, radius=2)
+    rep = verify_commutator(omega, w, 0, s, CS1, radius=2)
     assert rep.verdict, rep.failures_detail
 
     one = State.vacuum(1)
     for k in (-2, 0, 3):
-        rep = verify_commutator(one, w, k, s, radius=2)
+        rep = verify_commutator(one, w, k, s, CS1, radius=2)
         assert rep.verdict, rep.failures_detail
 
 
 def test_normal_order_examples():
     one = State.vacuum(1)
-    w = vac_spec(gr("1/2"))
+    w = vac_head(gr("1/2"))
     s = State.vacuum(1, label(["-1/5"]))
-    rep = verify_normal_order(one, w, s, radius=2)
+    rep = verify_normal_order(one, w, s, CS1, radius=2)
     assert rep.verdict, rep.failures_detail
     a = State.of(monomial(zero_label(1), ((1, 1),)))
-    rep = verify_normal_order(a, w, s, radius=2)
+    rep = verify_normal_order(a, w, s, CS1, radius=2)
     assert rep.verdict, rep.failures_detail
     omega = conformal_vector(1)
-    rep = verify_normal_order(omega, IntertwinerSpec(one, CS1), one, radius=2)
+    rep = verify_normal_order(omega, one, one, CS1, radius=2)
     assert rep.verdict, rep.failures_detail
 
 
 def test_locality_pass_and_designed_failure():
     one = State.vacuum(1)
-    w = vac_spec(gr("1/2"))
+    w = vac_head(gr("1/2"))
     s = State.vacuum(1, label(["1/3"]))
-    rep = verify_locality(one, w, s, 0, r1=2, r2=2)
+    rep = verify_locality(one, w, s, CS1, 0, r1=2, r2=2)
     assert rep.verdict
 
     a = State.of(monomial(zero_label(1), ((1, 1),)))
-    rep = verify_locality(a, w, s, 1, r1=2, r2=2)
+    rep = verify_locality(a, w, s, CS1, 1, r1=2, r2=2)
     assert rep.verdict, rep.failures_detail
-    rep = verify_locality(a, w, s, 0, r1=2, r2=2, expected_failure=True)
+    rep = verify_locality(a, w, s, CS1, 0, r1=2, r2=2, expected_failure=True)
     assert not rep.verdict and rep.outcome == "XFAIL"
 
     omega = conformal_vector(1)
-    rep = verify_locality(omega, w, s, 2, r1=2, r2=2)
+    rep = verify_locality(omega, w, s, CS1, 2, r1=2, r2=2)
     assert rep.verdict, rep.failures_detail
 
 
 def test_msum_bound_enlargement_is_sound():
     # adding terms beyond the lower-truncation bound changes nothing
     alpha, beta, gamma = gr("1/2"), gr("1/3"), gr("-1/4")
-    x, y = vac_spec(alpha), vac_spec(beta)
+    x, y = vac_head(alpha), vac_head(beta)
     s = State.vacuum(1, label([gamma]))
     kappa12 = -(alpha * beta)
     a = -kappa12 + 1
@@ -267,7 +262,7 @@ def test_msum_bound_enlargement_is_sound():
             coef = binom(kappa12 - 1 - 1, m)
             if m % 2:
                 coef = -coef
-            acc = acc + coeff_product(x, y, s, b + a + 1 + m, c - m).scale(coef)
+            acc = acc + coeff_product(x, y, s, CS1, b + a + 1 + m, c - m).scale(coef)
         return acc
     exact_bound = 0 + 0 + 1  # ky + ks + ic for this instance
     assert lhs1(exact_bound) == lhs1(exact_bound + 5)
@@ -275,19 +270,19 @@ def test_msum_bound_enlargement_is_sound():
 
 def test_jacobi_implies_specializations():
     u = State.of(monomial(zero_label(1), ((1, 1),)))
-    w = vac_spec(gr("1/2"), cs=CS1)
+    w = vac_head(gr("1/2"))
     s = State.vacuum(1, label(["1/4"]))
-    jac = verify_generalized_jacobi(IntertwinerSpec(u, CS1), w, s, radius=2)
-    com = verify_commutator(u, w, 1, s, radius=2)
-    loc = verify_locality(u, w, s, 1, r1=2, r2=2)
+    jac = verify_generalized_jacobi(u, w, s, CS1, radius=2)
+    com = verify_commutator(u, w, 1, s, CS1, radius=2)
+    loc = verify_locality(u, w, s, CS1, 1, r1=2, r2=2)
     assert jac.verdict and com.verdict and loc.verdict
 
 
 def test_starved_report_never_passes():
-    x = head_spec(((1, 1), (1, 1)), alpha="1/2")
-    y = head_spec(((1, 1), (1, 1)), alpha="1/3")
+    x = head_of(((1, 1), (1, 1)), alpha="1/2")
+    y = head_of(((1, 1), (1, 1)), alpha="1/3")
     s = State.vacuum(1, label(["-1/4"]))
-    rep = verify_generalized_jacobi(x, y, s, radius=1, cutoff=1)
+    rep = verify_generalized_jacobi(x, y, s, CS1, radius=1, cutoff=1)
     assert not rep.verdict
     assert rep.outcome == "STARVED"
     assert rep.skipped
@@ -302,34 +297,35 @@ def test_coeff_product_linearity():
     c = gr("2/3", "1/5")
     for b in range(-2, 2):
         for cc in range(-2, 2):
-            x_sum = IntertwinerSpec(a1 + a2.scale(c), CS1)
-            lhs = coeff_product(x_sum, head_spec(((1, 2),)), s, gr(b), gr(cc))
-            rhs = (coeff_product(head_spec(((1, 1),)), head_spec(((1, 2),)), s, gr(b), gr(cc))
-                   + coeff_product(head_spec(((1, 2),)), head_spec(((1, 2),)), s,
+            x_sum = a1 + a2.scale(c)
+            lhs = coeff_product(x_sum, head_of(((1, 2),)), s, CS1, gr(b), gr(cc))
+            rhs = (coeff_product(head_of(((1, 1),)), head_of(((1, 2),)), s, CS1,
+                                 gr(b), gr(cc))
+                   + coeff_product(head_of(((1, 2),)), head_of(((1, 2),)), s, CS1,
                                    gr(b), gr(cc)).scale(c))
             assert lhs == rhs
-            y_spec = head_spec(((1, 1),))
-            lin_s = coeff_product(y_spec, y_spec, s.scale(c) + one, gr(b), gr(cc))
-            rhs_s = (coeff_product(y_spec, y_spec, s, gr(b), gr(cc)).scale(c)
-                     + coeff_product(y_spec, y_spec, one, gr(b), gr(cc)))
+            y = head_of(((1, 1),))
+            lin_s = coeff_product(y, y, s.scale(c) + one, CS1, gr(b), gr(cc))
+            rhs_s = (coeff_product(y, y, s, CS1, gr(b), gr(cc)).scale(c)
+                     + coeff_product(y, y, one, CS1, gr(b), gr(cc)))
             assert lin_s == rhs_s
 
 
 def test_associativity():
     from heisvoa.jacobi import verify_associativity
     a = State.of(monomial(zero_label(1), ((1, 1),)))
-    w = vac_spec(gr("1/2"))
+    w = vac_head(gr("1/2"))
     s = State.vacuum(1, label(["1/3"]))
     # n=1 clears the simple pole of Y(a,z0)(vacuum head)
-    rep = verify_associativity(a, w, s, 1, r0=2, r2=2)
+    rep = verify_associativity(a, w, s, CS1, 1, r0=2, r2=2)
     assert rep.verdict, rep.failures_detail
-    rep = verify_associativity(a, w, s, 0, r0=2, r2=2, expected_failure=True)
+    rep = verify_associativity(a, w, s, CS1, 0, r0=2, r2=2, expected_failure=True)
     assert rep.outcome == "XFAIL"
     omega = conformal_vector(1)
-    rep = verify_associativity(omega, w, s, 2, r0=2, r2=2)
+    rep = verify_associativity(omega, w, s, CS1, 2, r0=2, r2=2)
     assert rep.verdict, rep.failures_detail
     one = State.vacuum(1)
-    rep = verify_associativity(one, w, s, 0, r0=1, r2=1)
+    rep = verify_associativity(one, w, s, CS1, 0, r0=1, r2=1)
     assert rep.verdict, rep.failures_detail
 
 
@@ -356,10 +352,10 @@ def test_jacobi_reads_each_right_hand_coefficient_once(monkeypatch):
         return engine(**{**kw, "op12_factory": counting_factory})
 
     monkeypatch.setattr(jacobi, "three_term_jacobi", counting_engine)
-    x = head_spec(((1, 1),), alpha="1/2")
-    y = head_spec(((1, 1),), alpha="1/3")
+    x = head_of(((1, 1),), alpha="1/2")
+    y = head_of(((1, 1),), alpha="1/3")
     s = State.vacuum(1, label(["-1/4"]))
-    rep = verify_generalized_jacobi(x, y, s, radius=2, cutoff=8)
+    rep = verify_generalized_jacobi(x, y, s, CS1, radius=2, cutoff=8)
     assert rep.verdict, rep.failures_detail
     # the verdict and the counts of the same check before the right-hand grid
     assert (len(rep.checked), len(rep.skipped)) == (124, 1)
@@ -370,14 +366,15 @@ def test_jacobi_reads_each_right_hand_coefficient_once(monkeypatch):
 def test_jacobi_fails_on_a_commutator_off_by_a_unit():
     # CS1 puts every coefficient on a nontrivial unit; E(1/3) moves the
     # second ordering to another unit, so the unit-free slots stay empty
-    x, y = vac_spec(gr("1/2")), vac_spec(gr("1/3"))
+    x, y = vac_head(gr("1/2")), vac_head(gr("1/3"))
     s = State.vacuum(1, label(["-1/4"]))
-    alpha, beta, gamma = x.label, y.label, s.single_label()
+    alpha, beta, gamma = x.single_label(), y.single_label(), s.single_label()
 
     def run(c12):
         return jacobi.three_term_jacobi(
-            name="generalized_jacobi", op1=IntertwinerOp(x), op2=IntertwinerOp(y),
-            op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, CS1)),
+            name="generalized_jacobi", op1=IntertwinerOp(x, CS1),
+            op2=IntertwinerOp(y, CS1),
+            op12_factory=lambda head: IntertwinerOp(head, CS1),
             target=s, kappa12=-alpha.dot(beta), kappa_rhs=alpha.dot(gamma),
             c12=c12, radius=1)
 
@@ -406,10 +403,10 @@ def test_jacobi_on_labels_off_the_first_axis(compared):
                        ((gr("1/3"), gr(0)), (gr("1/5"), gr("1/2"))))
     alpha, beta = label(["1/2", "1/3"]), label(["-1/5", "1/2*i"])
     gamma = label(["1/4", "-2/3"])
-    x = IntertwinerSpec(State.of(monomial(alpha, ((1, 1),))), cs)
-    y = IntertwinerSpec(State.of(monomial(beta, ((2, 1),))), cs)
+    x = State.of(monomial(alpha, ((1, 1),)))
+    y = State.of(monomial(beta, ((2, 1),)))
     s = State.vacuum(2, gamma)
-    rep = verify_generalized_jacobi(x, y, s, radius=1, cutoff=6)
+    rep = verify_generalized_jacobi(x, y, s, cs, radius=1, cutoff=6)
     assert rep.outcome == "PASS", rep.failures_detail
     assert (len(rep.checked), len(rep.skipped)) == (27, 0)
     assert len(compared) == 27
@@ -417,8 +414,8 @@ def test_jacobi_on_labels_off_the_first_axis(compared):
 
     # the twin: C12 off by the unit E(1/3) must fail
     twin = jacobi.three_term_jacobi(
-        name="generalized_jacobi", op1=IntertwinerOp(x), op2=IntertwinerOp(y),
-        op12_factory=lambda head: IntertwinerOp(IntertwinerSpec(head, cs)),
+        name="generalized_jacobi", op1=IntertwinerOp(x, cs), op2=IntertwinerOp(y, cs),
+        op12_factory=lambda head: IntertwinerOp(head, cs),
         target=s, kappa12=-alpha.dot(beta), kappa_rhs=alpha.dot(gamma),
         c12=cs.commutator(alpha, beta) * E("1/3"), radius=1, cutoff=6)
     assert twin.outcome == "FAIL"

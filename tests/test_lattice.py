@@ -14,7 +14,7 @@ from heisvoa.fock import (
     zero_label,
 )
 from heisvoa.form import verify_invariance
-from heisvoa.intertwiner import IntertwinerOp, IntertwinerSpec
+from heisvoa.intertwiner import IntertwinerOp
 from heisvoa.jacobi import three_term_jacobi
 from heisvoa.lattice import (
     DlmOp,
@@ -153,7 +153,7 @@ def test_twisted_vertex_examples():
     x = State.vacuum(1, Z1.label_of([1]))
     # zero twist reduces to the plain operator
     td0 = twist(Z1, [0])
-    plain = IntertwinerOp(IntertwinerSpec(x, cs))
+    plain = IntertwinerOp(x, cs)
     twisted = TwistedVertexOp(td0, x, cs)
     for n in range(0, 3):
         assert plain.coefficient(one, gr(n)) == twisted.coefficient(one, gr(n))
@@ -213,10 +213,10 @@ def test_lattice_invariant_form_parity_prefactor():
     mu1, mu2 = lat.label_of([1]), lat.label_of([1])
     pref = branch_phase(-mu1.dot(mu2), 1) * cs.commutator(mu1, mu2)
     assert pref == sign_pow(lat.pairing([1], [1]) ** 2)
-    x = IntertwinerSpec(State.vacuum(1, mu1), cs)
+    x = State.vacuum(1, mu1)
     y = State.vacuum(1, mu2)
     t = State.vacuum(1, lat.label_of([-2]))
-    rep = verify_invariance(x, y, t, 1, radius=2)
+    rep = verify_invariance(x, y, t, cs, 1, radius=2)
     assert rep.verdict, rep.failures_detail
 
 
@@ -226,7 +226,7 @@ def test_dlm_vertex_reduction_and_prefactor():
     td0 = twist(lat, [0])
     x = State.vacuum(1, lat.label_of([1]))
     t = State.vacuum(1, lat.label_of([1]))
-    plain = IntertwinerOp(IntertwinerSpec(x, cs))
+    plain = IntertwinerOp(x, cs)
     base = plain.offset_on(t.single_label())
     for variant in ("delta", "hat"):
         op = DlmOp(td0, x, zero_label(1), cs, variant)
@@ -415,7 +415,7 @@ def test_dlm_coefficient_scales_each_label_part_by_its_factor():
     op = DlmOp(td, x, zero_label(1), cs, "delta", 1)
     factors = [op.label_factor(p.single_label()) for p in (low, high)]
     assert all(f.as_rational() is None for f in factors)
-    plain = IntertwinerOp(IntertwinerSpec(x, cs))
+    plain = IntertwinerOp(x, cs)
     base = op.offset_on(low.single_label())
     for n in range(-2, 3):
         e = base + n
