@@ -7,6 +7,7 @@ a deterministic status:
     0  every non-designed-failure check passed
     1  at least one check failed (or a designed failure unexpectedly passed)
     2  malformed configuration, or an unwritable --report or --profile path
+       (one under a missing directory is refused before any suite runs)
     3  window starvation: some case had no comparable coefficients
 
 The report body is byte-identical for identical config and seed; wall
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -177,10 +179,9 @@ class Scenario:
                 k not in SUITES or type(v) is not int
                 for k, v in scn.windows.items()):
             raise ConfigError("windows must map suite names to integers")
-        radii = [scn.window] + list(scn.windows.values())
-        if min(radii) < 0:
+        if min([scn.window, *scn.windows.values()]) < 0:
             raise ConfigError("window radii must be nonnegative")
-        if scn.cutoff < max(radii):
+        if scn.cutoff < max(scn.radius(s) for s in scn.suites):
             raise ConfigError("cutoff must be at least every window radius")
         for head in scn.heads:
             for part in head:
@@ -272,7 +273,8 @@ Case = tuple[str, VerificationReport]
 
 
 def suite_heisenberg(scn: Scenario) -> list[Case]:
-    return [("brackets", verify_heisenberg_brackets(scn.rank, scn.max_weight))]
+    return [("brackets", verify_heisenberg_brackets(scn.rank, scn.max_weight,
+                                                    radius=3))]
 
 
 def suite_virasoro(scn: Scenario) -> list[Case]:
@@ -284,14 +286,14 @@ def suite_virasoro(scn: Scenario) -> list[Case]:
     rep = VerificationReport("virasoro_brackets",
                              f"weight<={scn.max_weight}, |m|,|n|<=3")
     return [("brackets", verify_virasoro_brackets(virasoro_mode, rank, states,
-                                                  report=rep))]
+                                                  radius=3, report=rep))]
 
 
 def suite_intertwiner_props(scn: Scenario) -> list[Case]:
     rng = random.Random(f"{scn.seed}:intertwiner-props")
     rank = scn.rank
     cs = scn.cocycle()
-    r = scn.radius("intertwiner-props")
+    r, cut = scn.radius("intertwiner-props"), scn.cutoff
     cases: list[Case] = []
     u = State.of(monomial(zero_label(rank), ((1, 1), (1, 1))))
     pool = sample_labels(scn, rng, 3 * scn.pairs)
@@ -300,27 +302,26 @@ def suite_intertwiner_props(scn: Scenario) -> list[Case]:
         s = State.vacuum(rank, gamma)
         tag = f"pair{idx:03d}"
         cases.append((f"{tag}/ypm_commutation",
-                      verify_ypm_commutation(alpha, beta, s, r, r, scn.cutoff)))
-        cases.append((f"{tag}/y_conj_minus",
-                      verify_y_conj_minus(alpha, u, s, (-r, r), min(r, 2), scn.cutoff)))
+                      verify_ypm_commutation(alpha, beta, s, radius=r, cutoff=cut)))
+        cases.append((f"{tag}/y_conj_minus", verify_y_conj_minus(
+            alpha, u, s, radius=r, z2_radius=min(r, 2), cutoff=cut)))
         cases.append((f"{tag}/y_conj_plus",
-                      verify_y_conj_plus(alpha, u, s, r, (-r, r), scn.cutoff)))
-        cases.append((f"{tag}/yy_conj",
-                      verify_yy_conj(alpha, u, s, min(r, 2), (-r, r), scn.cutoff)))
+                      verify_y_conj_plus(alpha, u, s, radius=r, cutoff=cut)))
+        cases.append((f"{tag}/yy_conj", verify_yy_conj(
+            alpha, u, s, radius=r, z1_radius=min(r, 2), cutoff=cut)))
         cases.append((f"{tag}/shift_conj_lminus",
-                      verify_shift_conj_lminus(alpha, s, r, scn.cutoff)))
+                      verify_shift_conj_lminus(alpha, s, radius=r, cutoff=cut)))
         cases.append((f"{tag}/shift_conj_lplus",
                       verify_shift_conj_lplus(alpha, State.of(
                           monomial(gamma, ((1, 1),))))))
         cases.append((f"{tag}/shift_conj_vertex",
-                      verify_shift_conj_vertex(alpha, u, s, (-r, r),
-                                               scn.cutoff)))
+                      verify_shift_conj_vertex(alpha, u, s, radius=r, cutoff=cut)))
         head = head_state(((1, -1),), alpha)
         cases.append((f"{tag}/e_conjugation",
-                      verify_e_conjugation(head, beta, s, cs, r, scn.cutoff)))
+                      verify_e_conjugation(head, beta, s, cs, radius=r, cutoff=cut)))
         cases.append((f"{tag}/translation",
-                      verify_translation(head, s, cs, r, scn.cutoff)))
-        cases.append((f"{tag}/creativity", verify_creativity(head, cs, scn.cutoff)))
+                      verify_translation(head, s, cs, radius=r, cutoff=cut)))
+        cases.append((f"{tag}/creativity", verify_creativity(head, cs, cutoff=cut)))
     return cases
 
 
@@ -337,19 +338,20 @@ def suite_jacobi(scn: Scenario) -> list[Case]:
             for hj, hy in enumerate(scn.heads):
                 x = head_state(hx, alpha)
                 y = head_state(hy, beta)
-                rep = verify_generalized_jacobi(x, y, s, cs, r, scn.n_branch,
-                                                scn.cutoff)
+                rep = verify_generalized_jacobi(x, y, s, cs, scn.n_branch,
+                                                radius=r, cutoff=scn.cutoff)
                 cases.append((f"inst{inst}/heads{hi_}{hj}", rep))
     u = State.of(monomial(zero_label(rank), ((1, 1),)))
     alpha, beta, _ = instances[0]
     w = State.vacuum(rank, alpha)
     s0 = State.vacuum(rank, beta)
-    r2 = min(r, 2)
-    cases.append(("commutator", verify_commutator(u, w, 1, s0, cs, r2, scn.cutoff)))
-    cases.append(("normal_order", verify_normal_order(u, w, s0, cs, r2, scn.cutoff)))
-    cases.append(("locality", verify_locality(u, w, s0, cs, 1, r2, r2, scn.cutoff)))
-    cases.append(("associativity", verify_associativity(u, w, s0, cs, 1, r2, r2,
-                                                        scn.cutoff)))
+    r2, cut = min(r, 2), scn.cutoff
+    cases += [
+        ("commutator", verify_commutator(u, w, 1, s0, cs, radius=r2, cutoff=cut)),
+        ("normal_order", verify_normal_order(u, w, s0, cs, radius=r2, cutoff=cut)),
+        ("locality", verify_locality(u, w, s0, cs, 1, radius=r2, cutoff=cut)),
+        ("associativity",
+         verify_associativity(u, w, s0, cs, 1, radius=r2, cutoff=cut))]
     if scn.negative_controls:
         # on labels a, b and target b the corruption moves the first
         # ordering against the other two terms by zeta^(2|b|^2(|a|^2 - a.b)),
@@ -358,8 +360,8 @@ def suite_jacobi(scn: Scenario) -> list[Case]:
         bad = scn.cocycle(corruption=gr(1))
         a, b = (label(_coords(v, rank)) for v in ("1/2", "1/3"))
         xb, yb = State.vacuum(rank, a), State.vacuum(rank, b)
-        rep = verify_generalized_jacobi(xb, yb, yb, bad, 1, scn.n_branch,
-                                        scn.cutoff, expected_failure=True)
+        rep = verify_generalized_jacobi(xb, yb, yb, bad, scn.n_branch, radius=1,
+                                        cutoff=scn.cutoff, expected_failure=True)
         cases.append(("negative/corrupt_cocycle", rep))
     return cases
 
@@ -367,16 +369,16 @@ def suite_jacobi(scn: Scenario) -> list[Case]:
 def suite_locality(scn: Scenario) -> list[Case]:
     rank = scn.rank
     cs = scn.cocycle()
-    r = min(scn.radius("locality"), 2)
+    r, cut = min(scn.radius("locality"), 2), scn.cutoff
     alpha = label(_coords("1/2", rank))
     beta = label(_coords("1/3", rank))
     u = State.of(monomial(zero_label(rank), ((1, 1),)))
     w = State.vacuum(rank, alpha)
     s = State.vacuum(rank, beta)
-    cases = [("adequate_m", verify_locality(u, w, s, cs, 1, r, r, scn.cutoff))]
+    cases = [("adequate_m", verify_locality(u, w, s, cs, 1, radius=r, cutoff=cut))]
     if scn.negative_controls:
         cases.append(("negative/undersized_m",
-                      verify_locality(u, w, s, cs, 0, r, r, scn.cutoff,
+                      verify_locality(u, w, s, cs, 0, radius=r, cutoff=cut,
                                       expected_failure=True)))
     return cases
 
@@ -399,7 +401,8 @@ def suite_skew(scn: Scenario) -> list[Case]:
             y = State.vacuum(rank, beta)
             verdicts = []
             for n_branch in (1, 3):
-                rep = verify_skew_symmetry(x, y, cs, r, n_branch, scn.cutoff)
+                rep = verify_skew_symmetry(x, y, cs, n_branch, radius=r,
+                                           cutoff=scn.cutoff)
                 verdicts.append(rep.verdict)
                 cases.append((f"pair{idx:03d}/N{n_branch}", rep))
             agree = VerificationReport(f"skew_branch_agreement_{idx}",
@@ -425,7 +428,8 @@ def suite_form(scn: Scenario) -> list[Case]:
         t = apply_mode(1, -1, State.vacuum(rank, -(alpha + beta)))
         cases.append((f"invariance{idx:03d}",
                       verify_invariance(x, y, t, cs, scn.n_branch,
-                                        min(scn.radius("form"), 2), scn.cutoff)))
+                                        radius=min(scn.radius("form"), 2),
+                                        cutoff=scn.cutoff)))
     return cases
 
 
@@ -441,10 +445,10 @@ def suite_lattice_twist(scn: Scenario) -> list[Case]:
         tag = f"alpha={text}"
         s = State.vacuum(lat.heis_rank, td.alpha)
         cases.append((f"{tag}/twisted_jacobi",
-                      verify_twisted_jacobi(td, x, x, s, r, scn.cutoff)))
+                      verify_twisted_jacobi(td, x, x, s, radius=r, cutoff=scn.cutoff)))
         cases.append((f"{tag}/li_equivalence",
                       verify_li_equivalence(td, x, State.vacuum(lat.heis_rank),
-                                            2, scn.cutoff)))
+                                            radius=2, cutoff=scn.cutoff)))
         cases.append((f"{tag}/grading", verify_twist_grading(td, 3)))
         weight = min(scn.max_weight, 4)
         rep = VerificationReport(f"shifted_virasoro[{text}]",
@@ -466,7 +470,7 @@ def suite_dlm(scn: Scenario) -> list[Case]:
     cases: list[Case] = []
     for variant in ("delta", "hat"):
         rep = verify_dlm_jacobi(td1, td2, zero_label(lat.heis_rank), x, y, s,
-                                variant, scn.n_branch, r, scn.cutoff)
+                                variant, scn.n_branch, radius=r, cutoff=scn.cutoff)
         cases.append((f"{variant}", rep))
     return cases
 
@@ -624,6 +628,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    for path in filter(None, (args.profile, args.report)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            print(f"cannot write {path}: no such directory", file=sys.stderr)
+            return 2
     profiler = None
     if args.profile:
         import cProfile

@@ -628,8 +628,8 @@ def basis_monomials(rank: int, max_levels: int, lab: Label | None = None,
 # bracket verifiers
 
 
-def verify_heisenberg_brackets(rank: int, max_weight: int,
-                               radius: int = 3) -> VerificationReport:
+def verify_heisenberg_brackets(rank: int, max_weight: int, *,
+                               radius: int) -> VerificationReport:
     """[a_i(n), a_j(m)] = n delta_{ij} delta_{n,-m} on every basis state of
     level sum <= max_weight, for |n|, |m| <= radius."""
     rep = VerificationReport("heisenberg_brackets",
@@ -651,7 +651,7 @@ def verify_heisenberg_brackets(rank: int, max_weight: int,
     return rep
 
 
-def verify_virasoro_brackets(mode, central_charge, states, radius: int = 3,
+def verify_virasoro_brackets(mode, central_charge, states, *, radius: int,
                              report: VerificationReport | None = None
                              ) -> VerificationReport:
     """[L(m), L(n)] = (m-n) L(m+n) + c (m^3-m)/12 delta_{m,-n} for |m|,|n| <=

@@ -190,8 +190,7 @@ class AdjointIntertwinerOp:
 
 
 def verify_invariance(x: State, y: State, t: State, cocycle: CocycleSystem,
-                      n_branch: int, radius: int = 2,
-                      cutoff: int | None = None) -> VerificationReport:
+                      n_branch: int, *, radius: int, cutoff: int) -> VerificationReport:
     """<Y(u|a>,z) v|b>, w|c>> = E(-N a.b) C(a,b) <v|b>, Yd(u|a>,z) w|c>>.
 
     When a+b+c is nonzero both sides vanish identically; the window is

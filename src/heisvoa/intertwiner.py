@@ -381,18 +381,18 @@ class IntertwinerOp:
 # verifiers for the exponential-operator identities
 
 
-def verify_ypm_commutation(alpha: Label, beta: Label, s: State, r1: int, r2: int,
-                           cutoff: int | None = None) -> VerificationReport:
+def verify_ypm_commutation(alpha: Label, beta: Label, s: State, *, radius: int,
+                           cutoff: int) -> VerificationReport:
     """Yplus(alpha,z1) Yminus(beta,z2) = (1 - z2/z1)^(alpha.beta)
     Yminus(beta,z2) Yplus(alpha,z1), coefficientwise on the grid
-    z1^(-i) z2^(j), 0 <= i <= r1, 0 <= j <= r2."""
+    z1^(-i) z2^(j), 0 <= i, j <= radius."""
     rep = VerificationReport("ypm_commutation",
-                             window_used=f"z1^[{-r1},0] z2^[0,{r2}]")
+                             window_used=f"z1^[{-radius},0] z2^[0,{radius}]")
     va, vb = alpha.alpha, beta.alpha
     ab = alpha.dot(beta)
     ks = s.max_levels()
     # Yminus's z2^j on s has level sum ks + j, and neither side goes higher
-    grid = [(i, j) for i in range(r1 + 1) for j in range(r2 + 1)
+    grid = [(i, j) for i in range(radius + 1) for j in range(radius + 1)
             if not rep.past_cutoff((as_gauss(-i), as_gauss(j)), ks + j, cutoff)]
     # right side grid: creation chains of beta on the Yplus(alpha) tail of s,
     # read at (i - m, j - m) alone, so no z2 order past the kept ones
@@ -417,21 +417,21 @@ def verify_ypm_commutation(alpha: Label, beta: Label, s: State, r1: int, r2: int
     return rep
 
 
-def verify_y_conj_minus(alpha: Label, u: State, s: State, w1: tuple[int, int],
-                        r2: int, cutoff: int | None = None) -> VerificationReport:
+def verify_y_conj_minus(alpha: Label, u: State, s: State, *, radius: int,
+                        z2_radius: int, cutoff: int) -> VerificationReport:
     """Y(Yplus(alpha,-z1)u, z1) Yminus(alpha,z2)
        = Yminus(alpha,z2) Y(Yplus(alpha,-z1+z2)u, z1)."""
     rep = VerificationReport("y_conj_minus",
-                             window_used=f"z1^[{w1[0]},{w1[1]}] z2^[0,{r2}]")
+                             window_used=f"z1^[{-radius},{radius}] z2^[0,{z2_radius}]")
     va = alpha.alpha
     rank = s.rank
     ku, ks = u.max_levels(), s.max_levels()
-    dressed = _ypm_dress({(0, 0): u}, 1, va, -1, 1, None, r2)
+    dressed = _ypm_dress({(0, 0): u}, 1, va, -1, 1, None, z2_radius)
     plain = {p: annihilation_coeff(va, p, u, arg=S_MINUS_ONE)
              for p in range(ku + 1)}
-    for j in range(r2 + 1):
+    for j in range(z2_radius + 1):
         a_j = None
-        for e1 in range(w1[0], w1[1] + 1):
+        for e1 in range(-radius, radius + 1):
             # both sides at z1^e1 z2^j are a vertex mode of level sum
             # ku + ks + e1 + j, and the left one reads Yminus's z2^j on s
             need = max(ks + j, ku + ks + e1 + j)
@@ -455,20 +455,20 @@ def verify_y_conj_minus(alpha: Label, u: State, s: State, w1: tuple[int, int],
     return rep
 
 
-def verify_y_conj_plus(alpha: Label, u: State, s: State, r1: int,
-                       w2: tuple[int, int], cutoff: int | None = None) -> VerificationReport:
+def verify_y_conj_plus(alpha: Label, u: State, s: State, *, radius: int,
+                       cutoff: int) -> VerificationReport:
     """Yplus(alpha,z1) Y(u,z2) = Y(Yplus(alpha,z1-z2)u, z2) Yplus(alpha,z1)."""
     rep = VerificationReport("y_conj_plus",
-                             window_used=f"z1^[{-r1},0] z2^[{w2[0]},{w2[1]}]")
+                             window_used=f"z1^[{-radius},0] z2^[{-radius},{radius}]")
     va = alpha.alpha
     rank = s.rank
     ku, ks = u.max_levels(), s.max_levels()
     # an entry at z2-shift c2 > ku + ks + e2 meets t as a mode that
     # lowers the level sum below 0, so the z2 cap is exact
-    dressed = _ypm_dress({(0, 0): u}, 1, va, 1, -1, None, max(w2[1], 0) + ku + ks)
+    dressed = _ypm_dress({(0, 0): u}, 1, va, 1, -1, None, radius + ku + ks)
     tails = {i: annihilation_coeff(va, i, s) for i in range(s.max_levels() + 1)}
-    for i in range(r1 + 1):
-        for e2 in range(w2[0], w2[1] + 1):
+    for i in range(radius + 1):
+        for e2 in range(-radius, radius + 1):
             # u(-e2-1)s has level sum ku + ks + e2, and the right side's
             # z2-shifts c2 >= 0 never take it higher
             if rep.past_cutoff((as_gauss(-i), as_gauss(e2)), ku + ks + e2, cutoff):
@@ -487,25 +487,25 @@ def verify_y_conj_plus(alpha: Label, u: State, s: State, r1: int,
     return rep
 
 
-def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
-                   w2: tuple[int, int], cutoff: int | None = None) -> VerificationReport:
+def verify_yy_conj(alpha: Label, u: State, s: State, *, radius: int,
+                   z1_radius: int, cutoff: int) -> VerificationReport:
     """Y(Yminus(alpha,z1)u, z2) Yplus(alpha,z2) =
        z2^(-alpha(0)) (z2+z1)^(alpha(0)) Yminus(-alpha,z2)
        Yminus(alpha,z1+z2) Y(u,z2) Yplus(alpha,z2+z1)."""
     rep = VerificationReport("yy_conj",
-                             window_used=f"z1^[0,{r1}] z2^[{w2[0]},{w2[1]}]")
+                             window_used=f"z1^[0,{z1_radius}] z2^[{-radius},{radius}]")
     va = alpha.alpha
     rank = s.rank
     ku, ks = u.max_levels(), s.max_levels()
     gamma = s.single_label()
     ag = alpha.dot(gamma)
-    e2cap = w2[1] + r1
+    e2cap = radius + z1_radius
     # left side
     tails = {k: annihilation_coeff(va, k, s) for k in range(ks + 1)}
     lhs_grid = {}
-    for j in range(r1 + 1):
+    for j in range(z1_radius + 1):
         dj = None
-        for e2 in range(w2[0], w2[1] + 1):
+        for e2 in range(-radius, radius + 1):
             # both sides at z1^j z2^e2 are a vertex mode of level sum
             # ku + ks + j + e2, and the left one reads Yminus's z1^j on u
             need = max(ku + j, ku + ks + j + e2)
@@ -520,7 +520,7 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
             lhs_grid[(j, e2)] = acc
     # right side pipeline; the primary variable of Yplus(alpha, z2+z1) is
     # z2, so the dressing is built with slots (z2, z1) and swapped after
-    entries = _ypm_dress({(0, 0): s}, 1, va, 1, 1, None, r1)
+    entries = _ypm_dress({(0, 0): s}, 1, va, 1, 1, None, z1_radius)
     entries = {(e1, e2): st for (e2, e1), st in entries.items()}
     step2: dict[tuple[int, int], State] = {}
     for (e1, e2), st in entries.items():
@@ -528,8 +528,7 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
         # an entry (e1, tot) has level sum ku + ks + e1 + tot at most and
         # reaches only coefficients with j + e2 >= e1 + tot, so one past
         # the cutoff would feed skipped coefficients alone
-        hi = e2cap if cutoff is None else min(e2cap, cutoff - ku - ks - e1)
-        for tot in range(lo, hi + 1):
+        for tot in range(lo, min(e2cap, cutoff - ku - ks - e1) + 1):
             v = vertex_mode(u, e2 - tot - 1, st)
             if v.is_zero:
                 continue
@@ -538,9 +537,9 @@ def verify_yy_conj(alpha: Label, u: State, s: State, r1: int,
             step2[key] = v if acc is None else acc + v
     # the final sum reads step4 at z1^f1 z2^f2 with f1 + f2 = j + e2 alone,
     # so neither Yminus builds past the largest compared j + e2
-    top = e2cap if cutoff is None else min(e2cap, cutoff - ku - ks)
-    step3 = _ypm_dress(step2, -1, va, 1, 1, r1, e2cap, top)
-    step4 = _ypm_dress(step3, -1, (-alpha).alpha, 0, 1, r1, e2cap, top)
+    top = min(e2cap, cutoff - ku - ks)
+    step3 = _ypm_dress(step2, -1, va, 1, 1, z1_radius, e2cap, top)
+    step4 = _ypm_dress(step3, -1, (-alpha).alpha, 0, 1, z1_radius, e2cap, top)
     for (j, e2), lhs in lhs_grid.items():
         rhs = State.zero(rank)
         for m in range(j + 1):
@@ -571,16 +570,16 @@ def _shift_conj_virasoro(n: int, alpha: Label, s: State, order: int,
     return [translate_label(x, -shift) for x in lhs]
 
 
-def verify_shift_conj_lminus(alpha: Label, s: State, order: int,
-                             cutoff: int | None = None) -> VerificationReport:
+def verify_shift_conj_lminus(alpha: Label, s: State, *, radius: int,
+                             cutoff: int) -> VerificationReport:
     """exp(-t a.q) exp(zL(-1)) exp(t a.q) exp(-zL(-1)) = Yminus(t*alpha, z).
 
     At z^r each L(-1) brings at most one zero mode and Yminus at most r
     label modes, so both sides are compared at t = 0..r.
     """
-    rep = VerificationReport("shift_conj_lminus", window_used=f"z^[0,{order}]")
+    rep = VerificationReport("shift_conj_lminus", window_used=f"z^[0,{radius}]")
     # z^r needs level sums ks + r, so the kept orders are 0..len(kept) - 1
-    kept = [r for r in range(order + 1)
+    kept = [r for r in range(radius + 1)
             if not rep.past_cutoff((as_gauss(r),), s.max_levels() + r, cutoff)]
     lhs = [_shift_conj_virasoro(-1, alpha, s, len(kept) - 1, t) for t in kept]
     for r in kept:
@@ -598,9 +597,8 @@ def verify_shift_conj_lplus(alpha: Label, s: State) -> VerificationReport:
     sides terminate, so the whole series is compared exactly, at z^r for
     t = 0..r as in the L(-1) identity.
     """
-    rep = VerificationReport("shift_conj_lplus")
     order = s.max_levels()
-    rep.window_used = f"z^[0,{order}] (exact)"
+    rep = VerificationReport("shift_conj_lplus", window_used=f"z^[0,{order}] (exact)")
     lhs = [_shift_conj_virasoro(1, alpha, s, order, t) for t in range(order + 1)]
     for r in range(order + 1):
         rep.record((as_gauss(r),), tuple(lhs[t][r] for t in range(r + 1)),
@@ -610,21 +608,20 @@ def verify_shift_conj_lplus(alpha: Label, s: State) -> VerificationReport:
     return rep
 
 
-def verify_shift_conj_vertex(alpha: Label, u: State, s: State,
-                             window: tuple[int, int],
-                             cutoff: int | None = None) -> VerificationReport:
+def verify_shift_conj_vertex(alpha: Label, u: State, s: State, *, radius: int,
+                             cutoff: int) -> VerificationReport:
     """exp(-t a.q) Y(u,z) exp(t a.q) = Y(Yplus(t*alpha,-z)u, z).
 
     Each coefficient has degree at most the level sum of u in t, so it is
     compared at t = 0..u.max_levels().
     """
     rep = VerificationReport("shift_conj_vertex",
-                             window_used=f"z^[{window[0]},{window[1]}]")
+                             window_used=f"z^[{-radius},{radius}]")
     ku = u.max_levels()
     shifts = [alpha.scale(t) for t in range(ku + 1)]
     dressed = [[annihilation_coeff(shift.alpha, p, u, arg=S_MINUS_ONE)
                 for p in range(ku + 1)] for shift in shifts]
-    for e in range(window[0], window[1] + 1):
+    for e in range(-radius, radius + 1):
         # both sides at z^e are vertex modes of level sum ku + ks + e
         if rep.past_cutoff((as_gauss(e),), ku + s.max_levels() + e, cutoff):
             continue
@@ -645,15 +642,15 @@ def verify_shift_conj_vertex(alpha: Label, u: State, s: State,
 # structural checks of the intertwiner itself
 
 
-def verify_translation(head: State, target: State, cocycle: CocycleSystem,
-                       hi: int, cutoff: int | None = None) -> VerificationReport:
+def verify_translation(head: State, target: State, cocycle: CocycleSystem, *,
+                       radius: int, cutoff: int) -> VerificationReport:
     """The intertwiner of L(-1)head is the z-derivative of the intertwiner."""
-    rep = VerificationReport("translation", window_used=f"[lo,{hi}]")
+    rep = VerificationReport("translation", window_used=f"[lo,{radius}]")
     op = IntertwinerOp(head, cocycle)
     lop = IntertwinerOp(virasoro_mode(-1, head), cocycle)
     base = op.offset_on(target.single_label())
     lo = -(op.weight_int + target.max_levels() + 1)
-    for n in range(lo, hi + 1):
+    for n in range(lo, radius + 1):
         e = base + n
         # L(-1)u at z^e and u at z^(e+1) both need ku + ks + n + 1 = n - lo
         if rep.past_cutoff((e,), n - lo, cutoff):
@@ -663,14 +660,13 @@ def verify_translation(head: State, target: State, cocycle: CocycleSystem,
     return rep
 
 
-def verify_creativity(head: State, cocycle: CocycleSystem,
-                      cutoff: int | None = None) -> VerificationReport:
+def verify_creativity(head: State, cocycle: CocycleSystem, *,
+                      cutoff: int) -> VerificationReport:
     """Applying to the vacuum returns the head at order zero and nothing below."""
-    rep = VerificationReport("creativity")
     op = IntertwinerOp(head, cocycle)
     ku = op.weight_int
     vac = State.vacuum(head.rank)
-    rep.window_used = f"[{-ku},0]"
+    rep = VerificationReport("creativity", window_used=f"[{-ku},0]")
     zero = State.zero(head.rank)
     # the head at z^0, then nothing below it; the vacuum read at z^n
     # needs level sums ku + n
@@ -683,10 +679,10 @@ def verify_creativity(head: State, cocycle: CocycleSystem,
 
 
 def verify_e_conjugation(head: State, beta: Label, target: State,
-                         cocycle: CocycleSystem, hi: int,
-                         cutoff: int | None = None) -> VerificationReport:
+                         cocycle: CocycleSystem, *, radius: int,
+                         cutoff: int) -> VerificationReport:
     """(e^beta)^(-1) Y(u|alpha>, z) e^beta = C(alpha,beta) Y(Delta(beta,z) u|alpha>, z)."""
-    rep = VerificationReport("e_conjugation", window_used=f"[lo,{hi}]")
+    rep = VerificationReport("e_conjugation", window_used=f"[lo,{radius}]")
     op = IntertwinerOp(head, cocycle)
     dop = IntertwinerOp(head, cocycle, beta=beta)
     alpha = op.label
@@ -695,7 +691,7 @@ def verify_e_conjugation(head: State, beta: Label, target: State,
     gamma = target.single_label()
     base = alpha.dot(beta + gamma)
     lo = -(op.weight_int + target.max_levels())
-    for n in range(lo, hi + 1):
+    for n in range(lo, radius + 1):
         e = base + n
         # both reads are at relative exponent n on level sum ks: ku + ks + n
         if rep.past_cutoff((e,), n - lo, cutoff):

@@ -90,7 +90,7 @@ class _OffsetGrid(dict):
 
 def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
                       target: State, kappa12, kappa_rhs, c12: Scalar,
-                      radius: int = 3, cutoff: int | None = None,
+                      radius: int, cutoff: int,
                       meta: dict | None = None, expected_failure: bool = False,
                       op1_lhs2=None, op2_lhs2=None, op1_rhs=None) -> VerificationReport:
     """Run the generic three-term check on an (2r+1)^3 exponent window.
@@ -195,8 +195,7 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
 
 
 def verify_generalized_jacobi(x: State, y: State, s: State, cocycle: CocycleSystem,
-                              radius: int = 3, n_branch: int = 1,
-                              cutoff: int | None = None,
+                              n_branch: int = 1, *, radius: int, cutoff: int,
                               expected_failure: bool = False) -> VerificationReport:
     """The three-term identity for two creative intertwiners.
 
@@ -223,8 +222,8 @@ def verify_generalized_jacobi(x: State, y: State, s: State, cocycle: CocycleSyst
         expected_failure=expected_failure)
 
 
-def verify_skew_symmetry(x: State, y: State, cocycle: CocycleSystem, radius: int = 3,
-                         n_branch: int = 1, cutoff: int | None = None) -> VerificationReport:
+def verify_skew_symmetry(x: State, y: State, cocycle: CocycleSystem, n_branch: int = 1,
+                         *, radius: int, cutoff: int) -> VerificationReport:
     """Y(u|a>, z) v|b> = E(-N a.b) C(a,b) e^(zL(-1)) Y(v|b>, -z) u|a>.
 
     Fractional powers of -z are resolved through the branch unit with
@@ -241,7 +240,7 @@ def verify_skew_symmetry(x: State, y: State, cocycle: CocycleSystem, radius: int
                              window_used=f"[{lo},{radius}] around ({ab})",
                              meta={"branch_N": str(n_branch)})
     pref = branch_phase(-ab, n_branch) * cocycle.commutator(alpha, beta)
-    top = radius if cutoff is None else min(radius, cutoff - ku - kv)
+    top = min(radius, cutoff - ku - kv)
     # chains[m][p] = L(-1)^p/p! of the Y(v|b>, -z) u|a> coefficient at
     # z^(ab+m), the branch resolving (-z)^kappa
     chains = {m: exp_virasoro_coeffs(-1, op_y.coefficient(x, ab + m).scale(
@@ -258,7 +257,7 @@ def verify_skew_symmetry(x: State, y: State, cocycle: CocycleSystem, radius: int
 
 
 def verify_commutator(u: State, w: State, k: int, s: State, cocycle: CocycleSystem,
-                      radius: int = 3, cutoff: int | None = None) -> VerificationReport:
+                      *, radius: int, cutoff: int) -> VerificationReport:
     """u(k) Y(w,z) - Y(w,z) u(k) = sum_j binom(k,j) Y(u(j)w, z) z^(k-j)."""
     op_w = IntertwinerOp(w, cocycle)
     base = op_w.label.dot(s.single_label())
@@ -292,7 +291,7 @@ def verify_commutator(u: State, w: State, k: int, s: State, cocycle: CocycleSyst
 
 
 def verify_normal_order(u: State, w: State, s: State, cocycle: CocycleSystem,
-                        radius: int = 3, cutoff: int | None = None) -> VerificationReport:
+                        *, radius: int, cutoff: int) -> VerificationReport:
     """:Y(u,z) Y(w,z): = Y(u(-1)w, z), creation modes of u on the left.
 
     The left side is local and creative, so its equality with the right
@@ -327,8 +326,7 @@ def verify_normal_order(u: State, w: State, s: State, cocycle: CocycleSystem,
 
 
 def verify_associativity(u: State, w: State, s: State, cocycle: CocycleSystem,
-                         n_power: int, r0: int = 2, r2: int = 2,
-                         cutoff: int | None = None,
+                         n_power: int, *, radius: int, cutoff: int,
                          expected_failure: bool = False) -> VerificationReport:
     """(z0+z2)^n Y(u,z0+z2) Y(w,z2) s = (z0+z2)^n Y(Y(u,z0)w, z2) s.
 
@@ -341,20 +339,21 @@ def verify_associativity(u: State, w: State, s: State, cocycle: CocycleSystem,
     op_w = IntertwinerOp(w, cocycle)
     base = op_w.label.dot(s.single_label())
     rep = VerificationReport(
-        "associativity", window_used=f"z0 radius {r0}, z2 radius {r2}, n={n_power}",
+        "associativity",
+        window_used=f"z0 radius {radius}, z2 radius {radius}, n={n_power}",
         meta={"n": str(n_power)}, expected_failure=expected_failure)
     kw, ks, ku = op_w.weight_int, s.max_levels(), u.max_levels()
     # right side only sees head exponents d = e0-n+mm with 0 <= mm <= n
     heads = {}
-    for j in range(-(r0 + 1), min(n_power + r0, ku + kw) + 1):
+    for j in range(-(radius + 1), min(n_power + radius, ku + kw) + 1):
         head = vertex_mode(u, j, w)
         if not head.is_zero:
             heads[-j - 1] = IntertwinerOp(head, cocycle)
     # W[p, j] = u(j) of the coefficient of Y(w) s at z2^(base+p)
     W = _OffsetGrid(lambda p: op_w.coefficient(s, base + p),
                     lambda mid, j: vertex_mode(u, j, mid))
-    for e0 in range(-r0, r0 + 1):
-        for n2 in range(-r2, r2 + 1):
+    for e0 in range(-radius, radius + 1):
+        for n2 in range(-radius, radius + 1):
             e2 = base + n2
             rights = []
             for d, op in heads.items():
@@ -387,8 +386,7 @@ def verify_associativity(u: State, w: State, s: State, cocycle: CocycleSystem,
 
 
 def verify_locality(u: State, w: State, s: State, cocycle: CocycleSystem,
-                    m_power: int, r1: int = 2, r2: int = 2,
-                    cutoff: int | None = None,
+                    m_power: int, *, radius: int, cutoff: int,
                     expected_failure: bool = False) -> VerificationReport:
     """(z1-z2)^m [ Y(u,z1) Y(w,z2) - Y(w,z2) Y(u,z1) ] s = 0 coefficientwise.
 
@@ -400,7 +398,7 @@ def verify_locality(u: State, w: State, s: State, cocycle: CocycleSystem,
     op_w = IntertwinerOp(w, cocycle)
     base = op_w.label.dot(s.single_label())
     rep = VerificationReport(
-        "locality", window_used=f"z1 radius {r1}, z2 radius {r2}, m={m_power}",
+        "locality", window_used=f"z1 radius {radius}, z2 radius {radius}, m={m_power}",
         meta={"m": str(m_power)}, expected_failure=expected_failure)
     # G[p, e1] = u(-e1-1) Y(w) s and H[e1, p] = Y(w) u(-e1-1) s at z2^(base+p)
     G = _OffsetGrid(lambda p: op_w.coefficient(s, base + p),
@@ -409,8 +407,8 @@ def verify_locality(u: State, w: State, s: State, cocycle: CocycleSystem,
                     lambda mid, p: op_w.coefficient(mid, base + p))
     kw, ks = op_w.weight_int, s.max_levels()
     zero = State.zero(s.rank)
-    for e1 in range(-r1, r1 + 1):
-        for n2 in range(-r2, r2 + 1):
+    for e1 in range(-radius, radius + 1):
+        for n2 in range(-radius, radius + 1):
             # at each j, G reads Y(w) on s and H on u(-d1-1)s at z2-offset
             # n2 - j, with d1 = e1 - m + j
             need = max(kw + max(ks, H.mid(e1 - m_power + j).max_levels()) + n2 - j

@@ -294,7 +294,8 @@ def verify_shifted_virasoro(td: TwistData, max_weight: int,
         rig = twisted_virasoro_mode(td, 0, st) - st.scale(Fraction(td.rank, 24))
         rep.record((bi, 0), low, rig, note="normalized grading match")
     return verify_virasoro_brackets(lambda n, s: shifted_virasoro(td, n, s), c_a,
-                                    [((), State.of(basis[0]))], report=rep)
+                                    [((), State.of(basis[0]))], radius=3,
+                                    report=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +310,8 @@ class TwistedVertexOp(IntertwinerOp):
         super().__init__(head, cocycle, beta=td.alpha)
 
 
-def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State,
-                          radius: int = 3,
-                          cutoff: int | None = None) -> VerificationReport:
+def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State, *,
+                          radius: int, cutoff: int) -> VerificationReport:
     """The three-term identity for twisted-sector targets.
 
     For lattice labels m1, m2 and a target in the alpha-shifted sector
@@ -346,9 +346,8 @@ def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State,
               "note": "right kernel ((z1-z0)/z2)^(mu1.alpha), twisted-module shape"})
 
 
-def verify_li_equivalence(td: TwistData, x: State, target: State,
-                          order: int = 2,
-                          cutoff: int | None = None) -> VerificationReport:
+def verify_li_equivalence(td: TwistData, x: State, target: State, *,
+                          radius: int, cutoff: int) -> VerificationReport:
     """Y(x,z) e^alpha t = C(mu,alpha) e^alpha Y_g(x,z) t coefficientwise.
 
     The label bijection e^alpha: mu -> mu+alpha intertwines the twisted
@@ -368,9 +367,9 @@ def verify_li_equivalence(td: TwistData, x: State, target: State,
     base = li.offset_on(target.single_label())
     lo = -(x.max_levels() + target.max_levels())
     rep = VerificationReport(
-        "li_equivalence", window_used=f"[{lo},{order}]",
+        "li_equivalence", window_used=f"[{lo},{radius}]",
         meta={"mu": str(mu), "alpha": str(td.alpha), "C(mu,alpha)": str(c_fix)})
-    for n in range(lo, order + 1):
+    for n in range(lo, radius + 1):
         e = base + n
         # both reads are at relative exponent n on level sum kt: kx + kt + n
         if rep.past_cutoff((e,), n - lo, cutoff):
@@ -446,8 +445,8 @@ class DlmOp(IntertwinerOp):
 
 def verify_dlm_jacobi(td1: TwistData, td2: TwistData, alpha3: Label,
                       x: State, y: State, s: State, variant: str = "delta",
-                      n_branch: int = 1, radius: int = 2,
-                      cutoff: int | None = None) -> VerificationReport:
+                      n_branch: int = 1, *, radius: int,
+                      cutoff: int) -> VerificationReport:
     """The generalized three-term identity for the twisted-sector family.
 
     Both left kernels carry eta12 = -a1.a2 - mu1.a2 - mu2.a1, the right

@@ -53,10 +53,10 @@ class VerificationReport:
     def skip(self, exponents: tuple, reason: str) -> None:
         self.skipped.append((tuple(exponents), reason))
 
-    def past_cutoff(self, exponents: tuple, need: int, cutoff: int | None) -> bool:
+    def past_cutoff(self, exponents: tuple, need: int, cutoff: int) -> bool:
         """Skip the coefficient at exponents if it needs level sums past
         the cutoff; every verifier asks before it reads the coefficient."""
-        if cutoff is None or need <= cutoff:
+        if need <= cutoff:
             return False
         self.skip(exponents, f"needs level sums {need} > cutoff {cutoff}")
         return True

@@ -48,6 +48,9 @@ CS = CocycleSystem(1, ((gr("1/2"),),), ((gr("1/3"),),))
 
 HEADS = ((), ((1, 1),), ((1, 2),), ((1, 1), (1, 1)))
 
+# a cutoff above every level sum the windows below need, so nothing is skipped
+UNCUT = 16
+
 
 def head(parts, alpha):
     return State.of(monomial(label([alpha]), parts))
@@ -62,11 +65,11 @@ def _passline(num, name, t0):
 def test_criterion_1_heisenberg_virasoro():
     t0 = time.monotonic()
     for rank, n_states in ((1, 19), (2, 74)):  # basis sizes at weight <= 5
-        rep = verify_heisenberg_brackets(rank, 5)
+        rep = verify_heisenberg_brackets(rank, 5, radius=3)
         assert rep.verdict, rep.failures_detail
         assert len(rep.checked) == n_states * rank * rank * 49
         states = [((), State.of(bm)) for bm in basis_monomials(rank, 5)]
-        rep = verify_virasoro_brackets(virasoro_mode, rank, states)
+        rep = verify_virasoro_brackets(virasoro_mode, rank, states, radius=3)
         assert rep.verdict, rep.failures_detail
         assert len(rep.checked) == n_states * 49
     elapsed = _passline(1, "heisenberg+virasoro algebras", t0)
@@ -87,19 +90,19 @@ def test_criterion_2_conjugation_identities():
         alpha, beta, gamma = rand_lab(), rand_lab(), rand_lab()
         s = State.vacuum(rank, gamma)
         r = 3
-        rep = verify_ypm_commutation(alpha, beta, s, r, r)
+        rep = verify_ypm_commutation(alpha, beta, s, radius=r, cutoff=UNCUT)
         assert rep.verdict, f"Ypm pair {k}: " + rep.failures_detail
-        rep = verify_y_conj_minus(alpha, u, s, (-r, r), r)
+        rep = verify_y_conj_minus(alpha, u, s, radius=r, z2_radius=r, cutoff=UNCUT)
         assert rep.verdict, f"conj- pair {k}: " + rep.failures_detail
-        rep = verify_y_conj_plus(alpha, u, s, r, (-r, r))
+        rep = verify_y_conj_plus(alpha, u, s, radius=r, cutoff=UNCUT)
         assert rep.verdict, f"conj+ pair {k}: " + rep.failures_detail
-        rep = verify_yy_conj(alpha, u, s, r, (-r, r))
+        rep = verify_yy_conj(alpha, u, s, radius=r, z1_radius=r, cutoff=UNCUT)
         assert rep.verdict, f"yy pair {k}: " + rep.failures_detail
-        rep = verify_shift_conj_lminus(alpha, s, r)
+        rep = verify_shift_conj_lminus(alpha, s, radius=r, cutoff=UNCUT)
         assert rep.verdict, f"L- pair {k}: " + rep.failures_detail
         rep = verify_shift_conj_lplus(alpha, State.of(monomial(gamma, ((1, 3),))))
         assert rep.verdict, f"L+ pair {k}: " + rep.failures_detail
-        rep = verify_shift_conj_vertex(alpha, u, s, (-r, r))
+        rep = verify_shift_conj_vertex(alpha, u, s, radius=r, cutoff=UNCUT)
         assert rep.verdict, f"q-conj pair {k}: " + rep.failures_detail
     elapsed = _passline(2, "exponential-operator conjugation identities", t0)
     assert elapsed < 60
@@ -153,7 +156,7 @@ def test_criterion_5_invariant_form():
         x = State.vacuum(1, alpha)
         y = State.vacuum(1, beta)
         t = apply_mode(1, -1, State.vacuum(1, gamma))
-        rep = verify_invariance(x, y, t, CS, 1, radius=2)
+        rep = verify_invariance(x, y, t, CS, 1, radius=2, cutoff=UNCUT)
         assert rep.verdict, (astr, bstr, rep.failures_detail)
     elapsed = _passline(5, "invariant bilinear form", t0)
     assert elapsed < 60
@@ -168,9 +171,10 @@ def test_criterion_6_lattice_twists():
             td = twist(lat, [Fraction(tstr)])
             x = State.vacuum(rank, lat.label_of([1]))
             s = State.vacuum(rank, td.alpha)
-            rep = verify_twisted_jacobi(td, x, x, s, radius=3)
+            rep = verify_twisted_jacobi(td, x, x, s, radius=3, cutoff=UNCUT)
             assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
-            rep = verify_li_equivalence(td, x, State.vacuum(rank), order=2)
+            rep = verify_li_equivalence(td, x, State.vacuum(rank), radius=2,
+                                        cutoff=UNCUT)
             assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
             rep = verify_shifted_virasoro(td, 4)
             assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
@@ -193,7 +197,7 @@ def test_criterion_7_dlm_jacobi():
     for variant, n_branch in (("delta", 1), ("hat", 1)):
         rep = verify_dlm_jacobi(td1, td2, zero_label(1), x, y, s,
                                 variant=variant, n_branch=n_branch,
-                                radius=2)
+                                radius=2, cutoff=UNCUT)
         assert rep.verdict, (variant, rep.failures_detail)
         if variant == "delta":
             assert "E(" in rep.meta["C12"]
@@ -210,7 +214,8 @@ def test_criterion_8_negative_controls():
     u = State.of(monomial(zero_label(1), ((1, 1),)))
     w = State.vacuum(1, label(["1/2"]))
     s = State.vacuum(1, label(["1/3"]))
-    rep = verify_locality(u, w, s, CS, 0, r1=2, r2=2, expected_failure=True)
+    rep = verify_locality(u, w, s, CS, 0, radius=2, cutoff=UNCUT,
+                          expected_failure=True)
     assert not rep.verdict
     assert rep.outcome == "XFAIL"
     # a corrupted cocycle (associativity broken) must break the identity
@@ -218,6 +223,6 @@ def test_criterion_8_negative_controls():
     x = State.vacuum(1, label(["1/2"]))
     y = State.vacuum(1, label(["1/3"]))
     rep = verify_generalized_jacobi(x, y, State.vacuum(1, label(["-1/4"])), bad,
-                                    radius=2)
+                                    radius=2, cutoff=UNCUT)
     assert not rep.verdict and rep.outcome == "FAIL"
     _passline(8, "negative controls", t0)

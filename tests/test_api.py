@@ -1,12 +1,13 @@
 import ast
 import importlib
+import inspect
 import json
 import pkgutil
 import re
 from pathlib import Path
 
 import heisvoa
-from heisvoa import cli, workspace
+from heisvoa import cli, fock, workspace
 
 PUBLIC_API = [
     "CocycleSystem",
@@ -162,3 +163,86 @@ def test_every_parameter_is_read():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{name}({p})" for p in params if p not in read]
     assert unread == []
+
+
+# The second radius of the two conjugation checks whose other variable runs
+# over a window of its own size.
+SECOND_RADIUS = {"verify_y_conj_minus": {"z2_radius"}, "verify_yy_conj": {"z1_radius"}}
+WINDOW_NAMES_RETIRED = {"r0", "r1", "r2", "w1", "w2", "hi", "order", "window"}
+
+
+def _src_functions():
+    for info in pkgutil.iter_modules(heisvoa.__path__):
+        module = importlib.import_module(f"heisvoa.{info.name}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                yield name, inspect.signature(fn).parameters
+
+
+def _required_keyword(params, name) -> bool:
+    p = params.get(name)
+    return p is not None and p.kind is p.KEYWORD_ONLY and p.default is p.empty
+
+
+def test_every_budgeted_verifier_is_sized_by_a_keyword_only_radius_and_cutoff():
+    # a positional window or cutoff would bind silently to another int
+    # parameter, such as n_branch; keyword-only, a stale call is a TypeError
+    budgeted = 0
+    for name, params in _src_functions():
+        if name.startswith("verify_") or "cutoff" in params:
+            assert not WINDOW_NAMES_RETIRED & params.keys(), name
+        if "cutoff" not in params:
+            continue
+        budgeted += 1
+        assert _required_keyword(params, "cutoff"), name
+        radii = {p for p in params if "radius" in p}
+        want = set() if name == "verify_creativity" else {"radius"}
+        want |= SECOND_RADIUS.get(name, set())
+        assert radii == want, name
+        assert all(_required_keyword(params, p) for p in radii), name
+    assert budgeted == 20
+    for fn in (fock.verify_heisenberg_brackets, fock.verify_virasoro_brackets):
+        assert _required_keyword(inspect.signature(fn).parameters, "radius"), fn
+
+
+# Defaults that no call under src/ overrides, kept on purpose, with the reason.
+DEFAULTS_KEPT_WITHOUT_AN_OVERRIDE_IN_SRC = {
+    "cli.main(argv)": "bench/worker.py and the tests pass it",
+    "scalars.gr(im)": "public API",
+    "intertwiner.creation_coeff(arg)":
+        "the adjoint-factorization oracle in tests/test_form.py reads it",
+    "jacobi.verify_associativity(expected_failure)":
+        "the designed-failure twin stays tests-only until ROADMAP item 1",
+}
+
+
+def test_every_default_is_overridden_in_src():
+    # a default that every call under src/ leaves alone is a constant in
+    # disguise; a call through * or ** counts as overriding every default
+    defaults: dict[str, list] = {}
+    calls = []
+    for path in sorted(Path(heisvoa.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            pos = [*a.posonlyargs, *a.args]
+            first = len(pos) - len(a.defaults)
+            found = [(i, p.arg) for i, p in enumerate(pos) if i >= first]
+            found += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+            defaults.setdefault(node.name, []).extend(
+                (f"{path.stem}.{node.name}({arg})", i, arg) for i, arg in found)
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    overridden = set()
+    for call in calls:
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        keywords = {k.arg for k in call.keywords}
+        spread = None in keywords or any(isinstance(x, ast.Starred) for x in call.args)
+        overridden |= {qual for qual, i, arg in defaults.get(name, ())
+                       if spread or arg in keywords
+                       or (i is not None and len(call.args) > i)}
+    never = {qual for quals in defaults.values() for qual, _, _ in quals} - overridden
+    assert never == set(DEFAULTS_KEPT_WITHOUT_AN_OVERRIDE_IN_SRC)

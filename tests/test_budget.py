@@ -87,7 +87,9 @@ def test_no_suite_builds_past_its_cutoff(built, suite, cutoff):
 # one library case per verifier that neither CUT_CONJ (test_intertwiner.py)
 # nor the three-term and skew tests cut, each at a cutoff that cuts inside
 # its window:
-# (verify(cutoff), cutoff, the keys past it, the largest level sum built)
+# (verify(cutoff), cutoff, the keys past it, the largest level sum built);
+# at UNCUT, above every need of these windows, nothing is skipped
+UNCUT = 16
 _CS = standard_cocycle(1)
 _U = State.of(monomial(zero_label(1), ((1, 1),)))  # a(-1)|0>
 _HEAD = apply_mode(1, -1, State.vacuum(1, label(["1/2"])))
@@ -97,29 +99,29 @@ _TD = twist(integral_lattice([[2]]), ["1/2"])
 _X = apply_mode(1, -1, State.vacuum(_TD.rank, _TD.lattice.label_of([1])))
 
 CUT_SITES = {
-    "translation": (lambda c: verify_translation(_HEAD, _S, _CS, 3, c), 3,
-                    ["7/6", "13/6", "19/6"], 3),
+    "translation": (lambda c: verify_translation(
+        _HEAD, _S, _CS, radius=3, cutoff=c), 3, ["7/6", "13/6", "19/6"], 3),
     "creativity": (lambda c: verify_creativity(
-        apply_mode(1, -1, _HEAD), _CS, c), 1, ["0"], 0),
+        apply_mode(1, -1, _HEAD), _CS, cutoff=c), 1, ["0"], 0),
     "e_conjugation": (lambda c: verify_e_conjugation(
-        _HEAD, label(["1/3"]), _S, _CS, 3, c), 3, ["7/3", "10/3"], 3),
+        _HEAD, label(["1/3"]), _S, _CS, radius=3, cutoff=c), 3, ["7/3", "10/3"], 3),
     "li_equivalence": (lambda c: verify_li_equivalence(
-        _TD, _X, apply_mode(1, -1, State.vacuum(_TD.rank)), 3, c), 3,
+        _TD, _X, apply_mode(1, -1, State.vacuum(_TD.rank)), radius=3, cutoff=c), 3,
         ["3", "4"], 3),
-    "commutator": (lambda c: verify_commutator(_U, _W, -1, _S, _CS, 3, c), 3,
-                   ["13/6", "19/6"], 3),
-    "normal_order": (lambda c: verify_normal_order(_U, _W, _S, _CS, 3, c), 3,
-                     ["13/6", "19/6"], 3),
-    "associativity": (lambda c: verify_associativity(_U, _W, _S, _CS, 2, 2, 2, c),
-                      3, ["2,13/6"], 3),
+    "commutator": (lambda c: verify_commutator(
+        _U, _W, -1, _S, _CS, radius=3, cutoff=c), 3, ["13/6", "19/6"], 3),
+    "normal_order": (lambda c: verify_normal_order(
+        _U, _W, _S, _CS, radius=3, cutoff=c), 3, ["13/6", "19/6"], 3),
+    "associativity": (lambda c: verify_associativity(
+        _U, _W, _S, _CS, 2, radius=2, cutoff=c), 3, ["2,13/6"], 3),
     # a kept coefficient at z1^2 builds u(-3)s, of level sum 4, and reads
     # Y(w) on it at relative exponent -1: the need counts the read alone
-    "locality": (lambda c: verify_locality(_U, _W, _S, _CS, 1, 2, 2, c), 3,
-                 ["1,13/6", "2,7/6", "2,13/6"], 4),
+    "locality": (lambda c: verify_locality(_U, _W, _S, _CS, 1, radius=2, cutoff=c),
+                 3, ["1,13/6", "2,7/6", "2,13/6"], 4),
     "invariance": (lambda c: verify_invariance(
         _W, State.vacuum(1, label(["1/3"])),
-        apply_mode(1, -2, State.vacuum(1, label(["-5/6"]))), _CS, 1, 2, c), 2,
-        ["-23/6", "-17/6", "-11/6", "-5/6"], 2),
+        apply_mode(1, -2, State.vacuum(1, label(["-5/6"]))), _CS, 1, radius=2,
+        cutoff=c), 2, ["-23/6", "-17/6", "-11/6", "-5/6"], 2),
 }
 
 
@@ -127,7 +129,7 @@ CUT_SITES = {
 def test_cut_sites_skip_exactly_the_coefficients_past_the_cutoff(
         monkeypatch, built, compared, name):
     verify, cutoff, past, top = CUT_SITES[name]
-    whole = verify(None)
+    whole = verify(UNCUT)
     assert whole.verdict and not whole.skipped
     uncut = {e: (left, right) for e, left, right in compared}
     # a fresh workspace, so the cut run reads back no memo of the uncut one

@@ -125,11 +125,16 @@ def test_profile_dump_leaves_the_body_alone(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--report", "--profile"])
-def test_an_unwritable_output_path_exits_2(tmp_path, capsys, flag):
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, flag):
     # exit 1 is for a failed check; a path under a missing directory is
-    # found after the suites have run and named on one stderr line
+    # found before any suite runs and named on one stderr line
     config = write_config(tmp_path, max_weight=1)
     path = tmp_path / "missing" / "out"
+
+    def no_run(scn):
+        raise AssertionError("a suite ran before the output path was checked")
+
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "virasoro", no_run)
     assert main(["verify", config, flag, str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"cannot write {path}: "), err
@@ -243,6 +248,14 @@ def test_malformed_config_exits_2(tmp_path, overrides):
     with pytest.raises(ConfigError):
         load_scenario(config)
     assert main(["verify", config]) == 2
+
+
+def test_cutoff_is_checked_against_the_selected_suites_alone(tmp_path):
+    # desk's dlm and form windows of 2 do not bind a run of neither suite
+    config = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+    status, text = run(tmp_path, str(config), "--suite", "heisenberg",
+                       "--window", "1", "--cutoff", "1")
+    assert status == 0 and "verdict: PASS" in text
 
 
 def test_config_not_an_object_exits_2(tmp_path, capsys):

@@ -67,7 +67,7 @@ def test_heisenberg_verifier_fails_on_a_doubled_annihilator(monkeypatch):
     plain = fock.apply_mode
     monkeypatch.setattr(fock, "apply_mode", lambda i, n, s: (
         plain(i, n, s).scale(2) if n > 0 else plain(i, n, s)))
-    rep = verify_heisenberg_brackets(2, 2)
+    rep = verify_heisenberg_brackets(2, 2, radius=3)
     assert rep.outcome == "FAIL" and len(rep.checked) == 8 * 4 * 49
     assert [r.exponents for r in rep.failures] == [
         (i, i, n, -n, bi) for bi in range(8) for i in (1, 2)
@@ -92,7 +92,8 @@ def test_virasoro_algebra():
     for rank in (1, 2):
         states = [State.of(bm) for bm in basis_monomials(rank, 3)[:6]]
         states.append(State.vacuum(rank, label(["1/2"] + ["0"] * (rank - 1))))
-        rep = verify_virasoro_brackets(virasoro_mode, rank, [((), s) for s in states])
+        rep = verify_virasoro_brackets(virasoro_mode, rank, [((), s) for s in states],
+                                       radius=3)
         assert rep.verdict, rep.failures_detail
         assert len(rep.checked) == 7 * 49
 
@@ -100,7 +101,7 @@ def test_virasoro_algebra():
 def test_virasoro_verifier_fails_on_a_wrong_central_charge():
     # c + 1 breaks exactly the m = -n records with |m| >= 2, 4 per state
     states = [((bi,), State.of(bm)) for bi, bm in enumerate(basis_monomials(1, 2))]
-    rep = verify_virasoro_brackets(virasoro_mode, 2, states)
+    rep = verify_virasoro_brackets(virasoro_mode, 2, states, radius=3)
     assert rep.outcome == "FAIL" and len(rep.checked) == 4 * 49
     assert [r.exponents for r in rep.failures] == [
         (bi, m, -m) for bi in range(4) for m in (-3, -2, 2, 3)]

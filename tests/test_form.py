@@ -30,6 +30,10 @@ from heisvoa.form import (
 from heisvoa.scalars import E, S_ONE, S_ZERO, branch_phase, gr, lam_pow, sign_pow
 from heisvoa.series import exponent_index
 
+# a cutoff above every level sum the windows of these tests need, so that
+# nothing is skipped unless a test passes a smaller one
+UNCUT = 16
+
 
 def cocycle_for(rank, diagonal_fix=False):
     f = tuple(tuple(gr("1/2") if i > j else gr(0) for j in range(rank))
@@ -223,12 +227,12 @@ def test_adjoint_intertwiner_charged_series_window():
 def test_invariance_trivial_and_uncharged():
     cs = cocycle_for(1)
     one = State.vacuum(1)
-    rep = verify_invariance(one, one, one, cs, 1, radius=2)
+    rep = verify_invariance(one, one, one, cs, 1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     # uncharged weight <= 2, lam-dependence included
     u = State.of(monomial(zero_label(1), ((1, 1), (1, 1))))
     v = apply_mode(1, -1, one)
-    rep = verify_invariance(u, v, v, cs, 1, radius=2)
+    rep = verify_invariance(u, v, v, cs, 1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     # oracle: modewise <u(n)v, w> = <v, u+(n) w> for the generator
     a = apply_mode(1, -1, one)
@@ -246,7 +250,7 @@ def test_invariance_charged():
         x = State.vacuum(1, alpha)
         y = State.vacuum(1, beta)
         t = apply_mode(1, -1, State.vacuum(1, gamma))
-        rep = verify_invariance(x, y, t, cs, n_branch, radius=2)
+        rep = verify_invariance(x, y, t, cs, n_branch, radius=2, cutoff=UNCUT)
         assert rep.verdict, rep.failures_detail
 
 
@@ -259,7 +263,7 @@ def test_invariance_skips_an_adjoint_coefficient_past_the_cutoff():
     assert rep.outcome == "PASS" and len(rep.checked) == 5, rep.failures_detail
     # Yd reads t (level sum 1) at relative exponent -3: 1 - 0 + 3 = 4
     assert rep.skipped == [((gr("-17/6"),), "needs level sums 4 > cutoff 3")]
-    assert len(verify_invariance(x, y, t, cs, 1, radius=2).checked) == 6
+    assert len(verify_invariance(x, y, t, cs, 1, radius=2, cutoff=UNCUT).checked) == 6
 
 
 def test_invariance_selection_rule(compared):
@@ -267,7 +271,7 @@ def test_invariance_selection_rule(compared):
     x = State.vacuum(1, label(["1/2"]))
     y = State.vacuum(1, label(["1/3"]))
     t = State.vacuum(1, label(["1/7"]))  # labels do not cancel
-    rep = verify_invariance(x, y, t, cs, 1, radius=1)
+    rep = verify_invariance(x, y, t, cs, 1, radius=1, cutoff=UNCUT)
     assert rep.verdict
     assert rep.meta["selection"] == "nonzero"
     assert len(compared) == len(rep.checked) > 0
@@ -334,7 +338,8 @@ def invariance_case(rank, head_parts):
     x = State.of(monomial(alpha, head_parts))
     y = State.vacuum(rank, beta)
     t = apply_mode(1, -1, State.vacuum(rank, -(alpha + beta)))
-    return lambda: verify_invariance(x, y, t, cocycle_for(rank), 1, radius=2)
+    return lambda: verify_invariance(x, y, t, cocycle_for(rank), 1, radius=2,
+                                     cutoff=UNCUT)
 
 
 def test_invariance_fails_without_the_commutator(monkeypatch):

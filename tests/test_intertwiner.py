@@ -34,6 +34,10 @@ from heisvoa.scalars import E, S_ONE, as_gauss, as_scalar, gr, lam_pow, zeta_pow
 from heisvoa.series import CosetError, exponent_index
 from oracles import delta_dress, standard_cocycle
 
+# a cutoff above every level sum the windows of these tests need, so that
+# nothing is skipped unless a test passes a smaller one
+UNCUT = 16
+
 
 def rand_label(rng, rank=1, den=3, num=3):
     return label([gr(Fraction(rng.randint(-num, num), rng.randint(1, den)),
@@ -145,7 +149,7 @@ def test_ypm_commutation_identity():
         for _ in range(3):
             a, b = rand_label(rng, rank), rand_label(rng, rank)
             s = State.vacuum(rank, rand_label(rng, rank))
-            rep = verify_ypm_commutation(a, b, s, r1=3, r2=3)
+            rep = verify_ypm_commutation(a, b, s, radius=3, cutoff=UNCUT)
             assert rep.verdict, rep.failures_detail
 
 
@@ -222,14 +226,15 @@ def test_intertwine_derivative_is_weight_one_head():
 def test_creativity_report():
     cs = generic_cocycle(1)
     head = apply_mode(1, -2, State.vacuum(1, label(["1/2", ]))).scale(as_scalar(3))
-    rep = verify_creativity(head, cs)
+    rep = verify_creativity(head, cs, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
 
 
 def test_translation_report():
     cs = generic_cocycle(1)
     head = apply_mode(1, -1, State.vacuum(1, label(["1/2"])))
-    rep = verify_translation(head, State.vacuum(1, label(["1/3"])), cs, hi=2)
+    rep = verify_translation(head, State.vacuum(1, label(["1/3"])), cs, radius=2,
+                             cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
 
 
@@ -242,7 +247,7 @@ def test_translation_designed_failure(monkeypatch):
     target = State.vacuum(1, label(["-1/4"]))
 
     def verify():
-        return verify_translation(PROPS_HEAD, target, PROPS_CS, hi=2, cutoff=6)
+        return verify_translation(PROPS_HEAD, target, PROPS_CS, radius=2, cutoff=6)
 
     rep = verify()
     assert rep.outcome == "PASS" and len(rep.checked) == 5, rep.failures_detail
@@ -274,7 +279,7 @@ def test_ypm_commutation_designed_failure(monkeypatch):
     def verify():
         return verify_ypm_commutation(label(["1/2"]), label(["1/3"]),
                                       State.vacuum(1, label(["-1/4"])),
-                                      r1=2, r2=2, cutoff=6)
+                                      radius=2, cutoff=6)
 
     rep = verify()
     assert rep.outcome == "PASS" and len(rep.checked) == 9, rep.failures_detail
@@ -292,7 +297,8 @@ def test_e_conjugation_report():
     for _ in range(3):
         alpha, beta, gamma = (rand_label(rng) for _ in range(3))
         head = apply_mode(1, -1, State.vacuum(1, alpha))
-        rep = verify_e_conjugation(head, beta, State.vacuum(1, gamma), cs, hi=2)
+        rep = verify_e_conjugation(head, beta, State.vacuum(1, gamma), cs, radius=2,
+                                   cutoff=UNCUT)
         assert rep.verdict, rep.failures_detail
 
 
@@ -302,7 +308,8 @@ def test_e_conjugation_designed_failure(monkeypatch):
 
     def verify():
         return verify_e_conjugation(head, label(["-1/4"]),
-                                    State.vacuum(1, label(["1/3"])), cs, hi=2)
+                                    State.vacuum(1, label(["1/3"])), cs, radius=2,
+                                    cutoff=UNCUT)
 
     assert verify().outcome == "PASS"
     # the dressed operator reads the head's Y(u,z) on the target sector t,
@@ -322,11 +329,11 @@ def test_prop_conjugation_identities():
         alpha = rand_label(rng, rank)
         gamma = rand_label(rng, rank)
         s = State.vacuum(rank, gamma)
-        rep = verify_y_conj_minus(alpha, u, s, w1=(-3, 2), r2=2)
+        rep = verify_y_conj_minus(alpha, u, s, radius=3, z2_radius=2, cutoff=UNCUT)
         assert rep.verdict, "minus: " + rep.failures_detail
-        rep = verify_y_conj_plus(alpha, u, s, r1=3, w2=(-3, 2))
+        rep = verify_y_conj_plus(alpha, u, s, radius=3, cutoff=UNCUT)
         assert rep.verdict, "plus: " + rep.failures_detail
-        rep = verify_yy_conj(alpha, u, s, r1=2, w2=(-2, 2))
+        rep = verify_yy_conj(alpha, u, s, radius=2, z1_radius=2, cutoff=UNCUT)
         assert rep.verdict, "yy: " + rep.failures_detail
 
 
@@ -336,7 +343,7 @@ def test_y_conj_plus_skips_a_zero_yplus_tail():
     u = State.of(monomial(zero_label(1), ((1, 1), (1, 1))))
     s = State.of(monomial(label(["1/3"]), ((1, 2),)))
     assert annihilation_coeff(alpha.alpha, 1, s).is_zero
-    rep = verify_y_conj_plus(alpha, u, s, r1=2, w2=(-2, 2))
+    rep = verify_y_conj_plus(alpha, u, s, radius=2, cutoff=UNCUT)
     assert rep.verdict and len(rep.checked) == 15, rep.failures_detail
 
 
@@ -346,12 +353,12 @@ def test_shift_conjugation_identities():
     for _ in range(2):
         alpha = rand_label(rng, rank)
         s = State.of(monomial(label(["1/3"]), ((1, 1),)))
-        rep = verify_shift_conj_lminus(alpha, s, order=3)
+        rep = verify_shift_conj_lminus(alpha, s, radius=3, cutoff=UNCUT)
         assert rep.verdict, rep.failures_detail
         rep = verify_shift_conj_lplus(alpha, s)
         assert rep.verdict, rep.failures_detail
         u = State.of(monomial(zero_label(rank), ((1, 2),)))
-        rep = verify_shift_conj_vertex(alpha, u, s, window=(-3, 2))
+        rep = verify_shift_conj_vertex(alpha, u, s, radius=3, cutoff=UNCUT)
         assert rep.verdict, rep.failures_detail
 
 
@@ -366,11 +373,11 @@ def _doubled(coeff):
 # (the Yminus/Yplus side) must come out as a failure
 SHIFT_CONJ_MUTANTS = {
     "lminus": ("creation_coeff", lambda alpha, s, u:
-               verify_shift_conj_lminus(alpha, s, order=3)),
+               verify_shift_conj_lminus(alpha, s, radius=3, cutoff=UNCUT)),
     "lplus": ("annihilation_coeff", lambda alpha, s, u:
               verify_shift_conj_lplus(alpha, s)),
     "vertex": ("annihilation_coeff", lambda alpha, s, u:
-               verify_shift_conj_vertex(alpha, u, s, window=(-3, 2))),
+               verify_shift_conj_vertex(alpha, u, s, radius=3, cutoff=UNCUT)),
 }
 
 
@@ -395,11 +402,12 @@ def _flipped_s1(dress):
 # each conjugation identity dresses with Y(alpha, s1*z1 + s2*z2); the
 # wrong sign on z1 must come out as a failure
 CONJ_MUTANTS = {
-    "y_conj_minus": lambda alpha, u, s: verify_y_conj_minus(alpha, u, s, w1=(-2, 2),
-                                                            r2=2),
-    "y_conj_plus": lambda alpha, u, s: verify_y_conj_plus(alpha, u, s, r1=2,
-                                                          w2=(-2, 2)),
-    "yy_conj": lambda alpha, u, s: verify_yy_conj(alpha, u, s, r1=2, w2=(-2, 2)),
+    "y_conj_minus": lambda alpha, u, s: verify_y_conj_minus(
+        alpha, u, s, radius=2, z2_radius=2, cutoff=UNCUT),
+    "y_conj_plus": lambda alpha, u, s: verify_y_conj_plus(
+        alpha, u, s, radius=2, cutoff=UNCUT),
+    "yy_conj": lambda alpha, u, s: verify_yy_conj(
+        alpha, u, s, radius=2, z1_radius=2, cutoff=UNCUT),
 }
 
 
@@ -423,26 +431,25 @@ def test_conjugation_designed_failure(monkeypatch, name):
 # of the target; z1^-i z2^j of ypm_commutation and z^r of
 # shift_conj_lminus need ks + j and ks + r
 CUT_CONJ = {
-    "y_conj_minus": (lambda alpha, u, s, cutoff:
-                     verify_y_conj_minus(alpha, u, s, (-3, 3), 2, cutoff),
+    "y_conj_minus": (lambda alpha, u, s, cutoff: verify_y_conj_minus(
+        alpha, u, s, radius=3, z2_radius=2, cutoff=cutoff),
                      {0: ["3,2"], 1: ["3,1", "2,2", "3,2"]}),
-    "yy_conj": (lambda alpha, u, s, cutoff:
-                verify_yy_conj(alpha, u, s, 2, (-3, 3), cutoff),
+    "yy_conj": (lambda alpha, u, s, cutoff: verify_yy_conj(
+        alpha, u, s, radius=3, z1_radius=2, cutoff=cutoff),
                 {0: ["2,3"], 1: ["1,3", "2,2", "2,3"]}),
-    "y_conj_plus": (lambda alpha, u, s, cutoff:
-                    verify_y_conj_plus(alpha, u, s, 2, (-3, 5), cutoff),
-                    {0: ["0,5", "-1,5", "-2,5"],
-                     1: ["0,4", "0,5", "-1,4", "-1,5", "-2,4", "-2,5"]}),
-    "shift_conj_vertex": (lambda alpha, u, s, cutoff:
-                          verify_shift_conj_vertex(alpha, u, s, (-3, 5), cutoff),
+    "y_conj_plus": (lambda alpha, u, s, cutoff: verify_y_conj_plus(
+        alpha, u, s, radius=5, cutoff=cutoff),
+                    {0: [f"{-i},5" for i in range(6)],
+                     1: [f"{-i},{e2}" for i in range(6) for e2 in (4, 5)]}),
+    "shift_conj_vertex": (lambda alpha, u, s, cutoff: verify_shift_conj_vertex(
+        alpha, u, s, radius=5, cutoff=cutoff),
                           {0: ["5"], 1: ["4", "5"]}),
-    "ypm_commutation": (lambda alpha, u, s, cutoff:
-                        verify_ypm_commutation(alpha, label(["-1/4"]), s, 2, 7,
-                                               cutoff),
-                        {0: ["0,7", "-1,7", "-2,7"],
-                         1: ["0,6", "0,7", "-1,6", "-1,7", "-2,6", "-2,7"]}),
-    "shift_conj_lminus": (lambda alpha, u, s, cutoff:
-                          verify_shift_conj_lminus(alpha, s, 7, cutoff),
+    "ypm_commutation": (lambda alpha, u, s, cutoff: verify_ypm_commutation(
+        alpha, label(["-1/4"]), s, radius=7, cutoff=cutoff),
+                        {0: [f"{-i},7" for i in range(8)],
+                         1: [f"{-i},{j}" for i in range(8) for j in (6, 7)]}),
+    "shift_conj_lminus": (lambda alpha, u, s, cutoff: verify_shift_conj_lminus(
+        alpha, s, radius=7, cutoff=cutoff),
                           {0: ["7"], 1: ["6", "7"]}),
 }
 
@@ -464,7 +471,7 @@ def test_conjugation_cutoff_skips_only_the_coefficients_past_it(
     alpha = label(["1/2"])
     u = State.of(monomial(zero_label(1), ((1, 1), (1, 1))))
     s = State.of(monomial(label(["1/3"]), ((1, 1),) * ks))
-    whole = verify(alpha, u, s, None)
+    whole = verify(alpha, u, s, UNCUT)
     assert whole.verdict and not whole.skipped
     uncut = {e: (left, right) for e, left, right in compared}
     levels = []
@@ -499,7 +506,7 @@ def test_yy_conj_builds_no_creation_chain_past_the_cutoff(monkeypatch):
         return out
 
     monkeypatch.setattr(intertwiner, "_ypm_coeff", measured)
-    rep = verify_yy_conj(alpha, u, s, 2, (-2, 2), 6)
+    rep = verify_yy_conj(alpha, u, s, radius=2, z1_radius=2, cutoff=6)
     assert rep.verdict and len(rep.checked) == 15 and not rep.skipped
     assert max(levels) == 6
 
@@ -679,9 +686,9 @@ def test_prop_conjugation_identities_rank2():
     alpha = rand_label(rng, rank)
     gamma = rand_label(rng, rank)
     s = State.vacuum(rank, gamma)
-    rep = verify_y_conj_minus(alpha, u, s, w1=(-2, 2), r2=2)
+    rep = verify_y_conj_minus(alpha, u, s, radius=2, z2_radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
-    rep = verify_y_conj_plus(alpha, u, s, r1=2, w2=(-2, 2))
+    rep = verify_y_conj_plus(alpha, u, s, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
-    rep = verify_yy_conj(alpha, u, s, r1=2, w2=(-2, 1))
+    rep = verify_yy_conj(alpha, u, s, radius=2, z1_radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail

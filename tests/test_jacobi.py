@@ -24,6 +24,10 @@ from heisvoa.series import CosetError
 from oracles import coeff_product, conformal_vector, standard_cocycle
 
 
+# a cutoff above every level sum the windows of these tests need, so that
+# nothing is skipped unless a test passes a smaller one
+UNCUT = 16
+
 CS1 = CocycleSystem(
     1, ((gr("1/2"),),), ((gr("1/3"),),))
 
@@ -77,7 +81,7 @@ def test_coeff_product_leading_charged():
 def test_jacobi_pure_vacuum():
     cs = standard_cocycle(1)
     x = State.vacuum(1)
-    rep = verify_generalized_jacobi(x, x, State.vacuum(1), cs, radius=2)
+    rep = verify_generalized_jacobi(x, x, State.vacuum(1), cs, radius=2, cutoff=UNCUT)
     assert rep.verdict and len(rep.checked) == 125
 
 
@@ -100,7 +104,7 @@ def test_jacobi_reduces_to_voa_jacobi():
                         continue
                     rhs = rhs + vertex_mode(vertex_mode(u, i, v), k + j - i, s).scale(coef)
                 assert lhs == rhs, (k, j)
-        rep = verify_generalized_jacobi(u, v, s, cs, radius=2)
+        rep = verify_generalized_jacobi(u, v, s, cs, radius=2, cutoff=UNCUT)
         assert rep.verdict, rep.failures_detail
 
 
@@ -118,7 +122,8 @@ def test_jacobi_corrupted_cocycle_fails():
     x = State.vacuum(1, label(["1/2"]))
     y = State.vacuum(1, label(["1/3"]))
     s = State.vacuum(1, label(["-1/4"]))
-    rep = verify_generalized_jacobi(x, y, s, bad, radius=1, expected_failure=True)
+    rep = verify_generalized_jacobi(x, y, s, bad, radius=1, cutoff=UNCUT,
+                                    expected_failure=True)
     assert not rep.verdict
     assert rep.outcome == "XFAIL"
 
@@ -126,7 +131,7 @@ def test_jacobi_corrupted_cocycle_fails():
 def test_skew_trivial_and_oracle():
     cs = standard_cocycle(1)
     one = State.vacuum(1)
-    rep = verify_skew_symmetry(one, one, cs, radius=2)
+    rep = verify_skew_symmetry(one, one, cs, radius=2, cutoff=UNCUT)
     assert rep.verdict
     # alpha = beta = 0, weight <= 2: independent oracle built from bare
     # mode compositions, u(-n-1)v = sum_p L(-1)^p/p! (-1)^(n-p) v(-(n-p)-1)u
@@ -144,7 +149,7 @@ def test_skew_trivial_and_oracle():
                 inner = virasoro_mode(-1, inner).scale(Fraction(1, q + 1))
             right = right + inner
         assert left == right, n
-    rep = verify_skew_symmetry(u, v, cs, radius=2)
+    rep = verify_skew_symmetry(u, v, cs, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
 
 
@@ -153,7 +158,7 @@ def test_skew_branch_invariance():
     y = State.vacuum(1, label(["1/2*i"]))
     outcomes = []
     for n_branch in (1, 3, -1):
-        rep = verify_skew_symmetry(x, y, CS1, radius=3, n_branch=n_branch)
+        rep = verify_skew_symmetry(x, y, CS1, n_branch, radius=3, cutoff=UNCUT)
         outcomes.append(rep.verdict)
         assert rep.verdict, rep.failures_detail
     assert len(set(outcomes)) == 1
@@ -162,7 +167,7 @@ def test_skew_branch_invariance():
 def test_skew_charged_heavier():
     x = head_of(((1, 1),), alpha="1/2")
     y = apply_mode(1, -1, State.vacuum(1, label(["1/3"])))
-    rep = verify_skew_symmetry(x, y, CS1, radius=2)
+    rep = verify_skew_symmetry(x, y, CS1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
 
 
@@ -195,7 +200,7 @@ def test_commutator_examples():
     a = State.of(monomial(zero_label(1), ((1, 1),)))
     w = vac_head(gr("1/2"))
     s = State.vacuum(1, label(["1/3"]))
-    rep = verify_commutator(a, w, 0, s, CS1, radius=2)
+    rep = verify_commutator(a, w, 0, s, CS1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     # the j=0 term of the right side is the zero-mode eigenvalue alpha^1
     op = IntertwinerOp(w, CS1)
@@ -206,12 +211,12 @@ def test_commutator_examples():
     assert lhs0 == rhs0
 
     omega = conformal_vector(1)
-    rep = verify_commutator(omega, w, 0, s, CS1, radius=2)
+    rep = verify_commutator(omega, w, 0, s, CS1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
 
     one = State.vacuum(1)
     for k in (-2, 0, 3):
-        rep = verify_commutator(one, w, k, s, CS1, radius=2)
+        rep = verify_commutator(one, w, k, s, CS1, radius=2, cutoff=UNCUT)
         assert rep.verdict, rep.failures_detail
 
 
@@ -219,13 +224,13 @@ def test_normal_order_examples():
     one = State.vacuum(1)
     w = vac_head(gr("1/2"))
     s = State.vacuum(1, label(["-1/5"]))
-    rep = verify_normal_order(one, w, s, CS1, radius=2)
+    rep = verify_normal_order(one, w, s, CS1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     a = State.of(monomial(zero_label(1), ((1, 1),)))
-    rep = verify_normal_order(a, w, s, CS1, radius=2)
+    rep = verify_normal_order(a, w, s, CS1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     omega = conformal_vector(1)
-    rep = verify_normal_order(omega, one, one, CS1, radius=2)
+    rep = verify_normal_order(omega, one, one, CS1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
 
 
@@ -233,17 +238,18 @@ def test_locality_pass_and_designed_failure():
     one = State.vacuum(1)
     w = vac_head(gr("1/2"))
     s = State.vacuum(1, label(["1/3"]))
-    rep = verify_locality(one, w, s, CS1, 0, r1=2, r2=2)
+    rep = verify_locality(one, w, s, CS1, 0, radius=2, cutoff=UNCUT)
     assert rep.verdict
 
     a = State.of(monomial(zero_label(1), ((1, 1),)))
-    rep = verify_locality(a, w, s, CS1, 1, r1=2, r2=2)
+    rep = verify_locality(a, w, s, CS1, 1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
-    rep = verify_locality(a, w, s, CS1, 0, r1=2, r2=2, expected_failure=True)
+    rep = verify_locality(a, w, s, CS1, 0, radius=2, cutoff=UNCUT,
+                          expected_failure=True)
     assert not rep.verdict and rep.outcome == "XFAIL"
 
     omega = conformal_vector(1)
-    rep = verify_locality(omega, w, s, CS1, 2, r1=2, r2=2)
+    rep = verify_locality(omega, w, s, CS1, 2, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
 
 
@@ -272,9 +278,9 @@ def test_jacobi_implies_specializations():
     u = State.of(monomial(zero_label(1), ((1, 1),)))
     w = vac_head(gr("1/2"))
     s = State.vacuum(1, label(["1/4"]))
-    jac = verify_generalized_jacobi(u, w, s, CS1, radius=2)
-    com = verify_commutator(u, w, 1, s, CS1, radius=2)
-    loc = verify_locality(u, w, s, CS1, 1, r1=2, r2=2)
+    jac = verify_generalized_jacobi(u, w, s, CS1, radius=2, cutoff=UNCUT)
+    com = verify_commutator(u, w, 1, s, CS1, radius=2, cutoff=UNCUT)
+    loc = verify_locality(u, w, s, CS1, 1, radius=2, cutoff=UNCUT)
     assert jac.verdict and com.verdict and loc.verdict
 
 
@@ -317,15 +323,16 @@ def test_associativity():
     w = vac_head(gr("1/2"))
     s = State.vacuum(1, label(["1/3"]))
     # n=1 clears the simple pole of Y(a,z0)(vacuum head)
-    rep = verify_associativity(a, w, s, CS1, 1, r0=2, r2=2)
+    rep = verify_associativity(a, w, s, CS1, 1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
-    rep = verify_associativity(a, w, s, CS1, 0, r0=2, r2=2, expected_failure=True)
+    rep = verify_associativity(a, w, s, CS1, 0, radius=2, cutoff=UNCUT,
+                               expected_failure=True)
     assert rep.outcome == "XFAIL"
     omega = conformal_vector(1)
-    rep = verify_associativity(omega, w, s, CS1, 2, r0=2, r2=2)
+    rep = verify_associativity(omega, w, s, CS1, 2, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     one = State.vacuum(1)
-    rep = verify_associativity(one, w, s, CS1, 0, r0=1, r2=1)
+    rep = verify_associativity(one, w, s, CS1, 0, radius=1, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
 
 
@@ -376,7 +383,7 @@ def test_jacobi_fails_on_a_commutator_off_by_a_unit():
             op2=IntertwinerOp(y, CS1),
             op12_factory=lambda head: IntertwinerOp(head, CS1),
             target=s, kappa12=-alpha.dot(beta), kappa_rhs=alpha.dot(gamma),
-            c12=c12, radius=1)
+            c12=c12, radius=1, cutoff=UNCUT)
 
     c12 = CS1.commutator(alpha, beta)
     rep = run(c12)

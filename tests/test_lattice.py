@@ -35,6 +35,10 @@ from heisvoa.lattice import (
 from heisvoa.scalars import E, S_ONE, branch_phase, gr, sign_pow
 from oracles import dlm_vertex_defining
 
+# a cutoff above every level sum the windows of these tests need, so that
+# nothing is skipped unless a test passes a smaller one
+UNCUT = 16
+
 Z1 = integral_lattice([[1]])
 Z2 = integral_lattice([[2]])
 
@@ -170,7 +174,7 @@ def test_twisted_jacobi():
     td = twist(Z1, [Fraction(1, 2)])
     x = State.vacuum(1, Z1.label_of([1]))
     s = State.vacuum(1, td.alpha)  # mu3 = 0 in the shifted sector
-    rep = verify_twisted_jacobi(td, x, x, s, radius=2)
+    rep = verify_twisted_jacobi(td, x, x, s, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     assert rep.meta["rho"] == "-1/2"
     assert rep.meta["parity_sign"] == "-1"  # odd times odd flips the sign
@@ -180,13 +184,13 @@ def test_li_equivalence():
     td0 = twist(Z1, [0])
     x = State.vacuum(1, Z1.label_of([1]))
     one = State.vacuum(1)
-    rep = verify_li_equivalence(td0, x, one, order=2)
+    rep = verify_li_equivalence(td0, x, one, radius=2, cutoff=UNCUT)
     assert rep.verdict
     td = twist(Z1, [Fraction(1, 2)])
-    rep = verify_li_equivalence(td, x, one, order=2)
+    rep = verify_li_equivalence(td, x, one, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     heavier = apply_mode(1, -1, State.vacuum(1, Z1.label_of([1])))
-    rep = verify_li_equivalence(td, heavier, one, order=2)
+    rep = verify_li_equivalence(td, heavier, one, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     rep = verify_twist_grading(td, 3)
     assert rep.verdict, rep.failures_detail
@@ -198,11 +202,11 @@ def test_li_equivalence_designed_failure(monkeypatch):
     td = twist(Z1, [Fraction(1, 2)])
     x = apply_mode(1, -1, State.vacuum(1, Z1.label_of([1])))
     one = State.vacuum(1)
-    assert verify_li_equivalence(td, x, one, order=2).outcome == "PASS"
+    assert verify_li_equivalence(td, x, one, radius=2, cutoff=UNCUT).outcome == "PASS"
     sector = IntertwinerOp._sector
     monkeypatch.setattr(IntertwinerOp, "_sector",
                         lambda self, t: sector(self, t)[:3] + (t,))
-    rep = verify_li_equivalence(td, x, one, order=2)
+    rep = verify_li_equivalence(td, x, one, radius=2, cutoff=UNCUT)
     assert len(rep.failures) == len(rep.checked) == 4
 
 
@@ -216,7 +220,7 @@ def test_lattice_invariant_form_parity_prefactor():
     x = State.vacuum(1, mu1)
     y = State.vacuum(1, mu2)
     t = State.vacuum(1, lat.label_of([-2]))
-    rep = verify_invariance(x, y, t, cs, 1, radius=2)
+    rep = verify_invariance(x, y, t, cs, 1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
 
 
@@ -272,7 +276,8 @@ def test_dlm_jacobi():
     for variant in ("delta", "hat"):
         for n_branch in (1, 3):
             rep = verify_dlm_jacobi(td1, td2, alpha3, x, y, s,
-                                    variant=variant, n_branch=n_branch, radius=2)
+                                    variant=variant, n_branch=n_branch, radius=2,
+                                    cutoff=UNCUT)
             assert rep.verdict, f"{variant} N={n_branch}: " + rep.failures_detail
             verdicts[(variant, n_branch)] = rep.verdict
             metas[(variant, n_branch)] = rep.meta["C12"]
@@ -368,7 +373,7 @@ def test_dlm_eta_values():
     x = State.vacuum(1, td1.alpha + lat.label_of([1]))
     y = State.vacuum(1, td2.alpha + lat.label_of([2]))
     s = State.vacuum(1, lat.label_of([0]))
-    rep = verify_dlm_jacobi(td1, td2, zero_label(1), x, y, s, radius=1)
+    rep = verify_dlm_jacobi(td1, td2, zero_label(1), x, y, s, radius=1, cutoff=UNCUT)
     assert rep.meta["eta12"] == "-3/2"  # -1/6 - 1/3 - 1
     assert rep.verdict, rep.failures_detail
 
@@ -379,7 +384,7 @@ def test_shifted_virasoro_invariant_set():
     for a in ("1/2", "1/3", "1/2*i"):
         td = TwistData(Z1, label([a]))
         rep = verify_virasoro_brackets(partial(shifted_virasoro, td),
-                                       shifted_central_charge(td), states)
+                                       shifted_central_charge(td), states, radius=3)
         assert rep.verdict, (a, rep.failures_detail)
         assert len(rep.checked) == 12 * 49
 
@@ -388,7 +393,7 @@ def test_twisted_jacobi_zero_twist_reduction():
     td0 = twist(Z1, [0])
     x = State.vacuum(1, Z1.label_of([1]))
     s = State.vacuum(1)
-    rep = verify_twisted_jacobi(td0, x, x, s, radius=2)
+    rep = verify_twisted_jacobi(td0, x, x, s, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     assert rep.meta["rho"] == "0"
 
@@ -399,7 +404,7 @@ def test_dlm_jacobi_zero_twist_reduction():
     s = State.vacuum(1)
     for variant in ("delta", "hat"):
         rep = verify_dlm_jacobi(td0, td0, zero_label(1), x, x, s,
-                                variant=variant, radius=2)
+                                variant=variant, radius=2, cutoff=UNCUT)
         assert rep.verdict, rep.failures_detail
         assert rep.meta["eta12"] == "0"
 
