@@ -60,7 +60,6 @@ from .jacobi import (
 )
 from .lattice import (
     integral_lattice,
-    twist,
     verify_dlm_jacobi,
     verify_li_equivalence,
     verify_shifted_virasoro,
@@ -72,6 +71,8 @@ from .scalars import GaussRat, as_gauss, as_scalar, gr
 
 SUITES = ("heisenberg", "virasoro", "intertwiner-props", "jacobi", "skew",
           "form", "lattice-twist", "dlm", "locality")
+# the suites whose cases run at min(window, cap), whatever their window
+RADIUS_CAPS = {"dlm": 2, "form": 2, "locality": 2}
 
 
 class ConfigError(ValueError):
@@ -119,7 +120,8 @@ class Scenario:
             self.windows = {}  # a dict of its own, not the table's
 
     def radius(self, suite: str) -> int:
-        return int(self.windows.get(suite, self.window))
+        r = int(self.windows.get(suite, self.window))
+        return min(r, RADIUS_CAPS.get(suite, r))
 
     def cocycle(self, corruption=None) -> CocycleSystem:
         r = self.rank
@@ -369,7 +371,7 @@ def suite_jacobi(scn: Scenario) -> list[Case]:
 def suite_locality(scn: Scenario) -> list[Case]:
     rank = scn.rank
     cs = scn.cocycle()
-    r, cut = min(scn.radius("locality"), 2), scn.cutoff
+    r, cut = scn.radius("locality"), scn.cutoff
     alpha = label(_coords("1/2", rank))
     beta = label(_coords("1/3", rank))
     u = State.of(monomial(zero_label(rank), ((1, 1),)))
@@ -428,7 +430,7 @@ def suite_form(scn: Scenario) -> list[Case]:
         t = apply_mode(1, -1, State.vacuum(rank, -(alpha + beta)))
         cases.append((f"invariance{idx:03d}",
                       verify_invariance(x, y, t, cs, scn.n_branch,
-                                        radius=min(scn.radius("form"), 2),
+                                        radius=scn.radius("form"),
                                         cutoff=scn.cutoff)))
     return cases
 
@@ -439,38 +441,38 @@ def suite_lattice_twist(scn: Scenario) -> list[Case]:
     r = scn.radius("lattice-twist")
     x = State.vacuum(lat.heis_rank, lat.label_of(_coords(1, lat.rank)))
     for tstr in scn.twists:
-        td = twist(lat, _coords(tstr, lat.rank))
+        alpha = lat.label_of(_coords(tstr, lat.rank))
         # a coordinate list is tagged by its entries, as in the config
         text = ",".join(map(str, tstr)) if isinstance(tstr, tuple) else tstr
         tag = f"alpha={text}"
-        s = State.vacuum(lat.heis_rank, td.alpha)
-        cases.append((f"{tag}/twisted_jacobi",
-                      verify_twisted_jacobi(td, x, x, s, radius=r, cutoff=scn.cutoff)))
-        cases.append((f"{tag}/li_equivalence",
-                      verify_li_equivalence(td, x, State.vacuum(lat.heis_rank),
-                                            radius=2, cutoff=scn.cutoff)))
-        cases.append((f"{tag}/grading", verify_twist_grading(td, 3)))
+        s = State.vacuum(lat.heis_rank, alpha)
+        cases.append((f"{tag}/twisted_jacobi", verify_twisted_jacobi(
+            lat, alpha, x, x, s, radius=r, cutoff=scn.cutoff)))
+        cases.append((f"{tag}/li_equivalence", verify_li_equivalence(
+            lat, alpha, x, State.vacuum(lat.heis_rank), radius=2,
+            cutoff=scn.cutoff)))
+        cases.append((f"{tag}/grading", verify_twist_grading(lat, alpha, 3)))
         weight = min(scn.max_weight, 4)
         rep = VerificationReport(f"shifted_virasoro[{text}]",
                                  f"weight<={weight}, |m|,|n|<=3")
         cases.append((f"{tag}/shifted_virasoro",
-                      verify_shifted_virasoro(td, weight, rep)))
+                      verify_shifted_virasoro(lat, alpha, weight, rep)))
     return cases
 
 
 def suite_dlm(scn: Scenario) -> list[Case]:
     lat = integral_lattice(scn.gram, scn.embedding)
-    r = min(scn.radius("dlm"), 2)
+    r, cut = scn.radius("dlm"), scn.cutoff
     e1 = lat.label_of(_coords(1, lat.rank))
-    td1 = twist(lat, _coords(scn.twists[0], lat.rank))
-    td2 = twist(lat, _coords(scn.twists[-1], lat.rank))
-    x = State.vacuum(lat.heis_rank, td1.alpha + e1)
-    y = State.vacuum(lat.heis_rank, td2.alpha + e1)
+    a1 = lat.label_of(_coords(scn.twists[0], lat.rank))
+    a2 = lat.label_of(_coords(scn.twists[-1], lat.rank))
+    x = State.vacuum(lat.heis_rank, a1 + e1)
+    y = State.vacuum(lat.heis_rank, a2 + e1)
     s = State.vacuum(lat.heis_rank)
     cases: list[Case] = []
     for variant in ("delta", "hat"):
-        rep = verify_dlm_jacobi(td1, td2, zero_label(lat.heis_rank), x, y, s,
-                                variant, scn.n_branch, radius=r, cutoff=scn.cutoff)
+        rep = verify_dlm_jacobi(lat, a1, a2, zero_label(lat.heis_rank), x, y,
+                                s, variant, scn.n_branch, radius=r, cutoff=cut)
         cases.append((f"{variant}", rep))
     return cases
 

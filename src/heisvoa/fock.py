@@ -652,13 +652,10 @@ def verify_heisenberg_brackets(rank: int, max_weight: int, *,
 
 
 def verify_virasoro_brackets(mode, central_charge, states, *, radius: int,
-                             report: VerificationReport | None = None
-                             ) -> VerificationReport:
+                             report: VerificationReport) -> VerificationReport:
     """[L(m), L(n)] = (m-n) L(m+n) + c (m^3-m)/12 delta_{m,-n} for |m|,|n| <=
     radius, L(n) s = mode(n, s) and c = central_charge, on each (key, state)
     of ``states``; records are keyed key + (m, n) and go into ``report``."""
-    rep = report if report is not None else VerificationReport(
-        "virasoro_brackets", f"|m|,|n|<={radius}")
     c = as_gauss(central_charge)
     window = range(-radius, radius + 1)
     for key, s in states:
@@ -672,8 +669,8 @@ def verify_virasoro_brackets(mode, central_charge, states, *, radius: int,
                 rhs = once[m + n].scale(m - n)
                 if m == -n:
                     rhs = rhs + s.scale(c * Fraction(m ** 3 - m, 12))
-                rep.record(key + (m, n), lhs, rhs)
-    return rep
+                report.record(key + (m, n), lhs, rhs)
+    return report
 
 
 # ---------------------------------------------------------------------------

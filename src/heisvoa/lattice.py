@@ -224,78 +224,55 @@ def lattice_cocycle(lattice: IntegralLattice) -> CocycleSystem:
     return CocycleSystem(l, f, zero)
 
 
-class TwistData:
-    __slots__ = ("lattice", "alpha")
-
-    def __init__(self, lattice: IntegralLattice, alpha: Label):
-        object.__setattr__(self, "lattice", lattice)
-        # Heisenberg twist parameter, an embedded-space label
-        object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistData is immutable")
-
-    @property
-    def rank(self) -> int:
-        return self.lattice.heis_rank
-
-
-def twist(lattice: IntegralLattice, alpha_coords: Sequence) -> TwistData:
-    """Twist by the automorphism generated by the Heisenberg vector of the
-    given lattice-coordinate tuple (Gaussian rationals allowed)."""
-    return TwistData(lattice, lattice.label_of(alpha_coords))
-
-
 # ---------------------------------------------------------------------------
-# twisted modes and gradings
+# twisted modes and gradings: a twist is the embedded-space Label alpha of a
+# Heisenberg vector, passed beside the one IntegralLattice where one is needed
 
 
-def twisted_virasoro_mode(td: TwistData, n: int, s: State) -> State:
+def twisted_virasoro_mode(alpha: Label, n: int, s: State) -> State:
     """L_g(n) = L(n) + alpha(n) + alpha.alpha/2 delta_{n,0}."""
     out = virasoro_mode(n, s)
-    for i, a in enumerate(td.alpha.alpha, start=1):
+    for i, a in enumerate(alpha.alpha, start=1):
         if not a.is_zero:
             out = out + apply_mode(i, n, s).scale(a)
     if n == 0:
-        out = out + s.scale(td.alpha.norm2() / 2)
+        out = out + s.scale(alpha.norm2() / 2)
     return out
 
 
-def shifted_virasoro(td: TwistData, n: int, s: State) -> State:
+def shifted_virasoro(alpha: Label, n: int, s: State) -> State:
     """L_a(n) = L(n) + (n+1) alpha(n), the modes of omega - alpha(-2)vac."""
     out = virasoro_mode(n, s)
     if n != -1:
-        for i, a in enumerate(td.alpha.alpha, start=1):
+        for i, a in enumerate(alpha.alpha, start=1):
             if not a.is_zero:
                 out = out + apply_mode(i, n, s).scale(a * (n + 1))
     return out
 
 
-def shifted_central_charge(td: TwistData) -> GaussRat:
+def shifted_central_charge(alpha: Label) -> GaussRat:
     """c_a = l - 12 alpha.alpha for the shifted conformal vector."""
-    return gr(td.rank) - td.alpha.norm2() * 12
+    return gr(alpha.rank) - alpha.norm2() * 12
 
 
-def verify_shifted_virasoro(td: TwistData, max_weight: int,
-                            report: VerificationReport | None = None
-                            ) -> VerificationReport:
+def verify_shifted_virasoro(lat: IntegralLattice, alpha: Label, max_weight: int,
+                            report: VerificationReport) -> VerificationReport:
     """On the sector of the first lattice basis vector: the normalized
     grading match L_a(0) - c_a/24 = L_g(0) - l/24 on each basis state of
     level sum <= max_weight, then the Virasoro brackets of the L_a(n) at
     central charge c_a on the lowest one; records go into ``report``."""
-    rep = report if report is not None else VerificationReport(
-        "shifted_virasoro", f"weight<={max_weight}, |m|,|n|<=3")
-    c_a = shifted_central_charge(td)
-    basis = basis_monomials(td.rank, max_weight, td.lattice.label_of(
-        [1] + [0] * (td.lattice.rank - 1)))
+    c_a = shifted_central_charge(alpha)
+    rank = lat.heis_rank
+    basis = basis_monomials(rank, max_weight,
+                            lat.label_of([1] + [0] * (lat.rank - 1)))
     for bi, bm in enumerate(basis):
         st = State.of(bm)
-        low = shifted_virasoro(td, 0, st) - st.scale(c_a / 24)
-        rig = twisted_virasoro_mode(td, 0, st) - st.scale(Fraction(td.rank, 24))
-        rep.record((bi, 0), low, rig, note="normalized grading match")
-    return verify_virasoro_brackets(lambda n, s: shifted_virasoro(td, n, s), c_a,
-                                    [((), State.of(basis[0]))], radius=3,
-                                    report=rep)
+        low = shifted_virasoro(alpha, 0, st) - st.scale(c_a / 24)
+        rig = twisted_virasoro_mode(alpha, 0, st) - st.scale(Fraction(rank, 24))
+        report.record((bi, 0), low, rig, note="normalized grading match")
+    return verify_virasoro_brackets(lambda n, s: shifted_virasoro(alpha, n, s),
+                                    c_a, [((), State.of(basis[0]))], radius=3,
+                                    report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +283,13 @@ class TwistedVertexOp(IntertwinerOp):
     """Y_g(u|mu>, z) = Y(Delta(alpha,z) u|mu>, z) acting on the plain
     lattice module."""
 
-    def __init__(self, td: TwistData, head: State, cocycle: CocycleSystem):
-        super().__init__(head, cocycle, beta=td.alpha)
+    def __init__(self, head: State, cocycle: CocycleSystem, alpha: Label):
+        super().__init__(head, cocycle, beta=alpha)
 
 
-def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State, *,
-                          radius: int, cutoff: int) -> VerificationReport:
+def verify_twisted_jacobi(lat: IntegralLattice, alpha: Label, x: State,
+                          y: State, s: State, *, radius: int,
+                          cutoff: int) -> VerificationReport:
     """The three-term identity for twisted-sector targets.
 
     For lattice labels m1, m2 and a target in the alpha-shifted sector
@@ -320,7 +298,6 @@ def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State, *,
     ((z1-z0)/z2)^(m1.alpha) with twist eigenvalue rho = -m1.alpha.  Every
     operator reads the lattice's parity cocycle.
     """
-    lat = td.lattice
     cs = lattice_cocycle(lat)
     mu1 = lat.coords_of(x.single_label())
     mu2 = lat.coords_of(y.single_label())
@@ -330,7 +307,7 @@ def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State, *,
     p_sign = lat.pairing(mu1, mu1) * lat.pairing(mu2, mu2)
     op1 = IntertwinerOp(x, cs)
     op2 = IntertwinerOp(y, cs)
-    rho = -x.single_label().dot(td.alpha)
+    rho = -x.single_label().dot(alpha)
     return three_term_jacobi(
         name="twisted_jacobi",
         op1=op1, op2=op2,
@@ -346,8 +323,9 @@ def verify_twisted_jacobi(td: TwistData, x: State, y: State, s: State, *,
               "note": "right kernel ((z1-z0)/z2)^(mu1.alpha), twisted-module shape"})
 
 
-def verify_li_equivalence(td: TwistData, x: State, target: State, *,
-                          radius: int, cutoff: int) -> VerificationReport:
+def verify_li_equivalence(lat: IntegralLattice, alpha: Label, x: State,
+                          target: State, *, radius: int,
+                          cutoff: int) -> VerificationReport:
     """Y(x,z) e^alpha t = C(mu,alpha) e^alpha Y_g(x,z) t coefficientwise.
 
     The label bijection e^alpha: mu -> mu+alpha intertwines the twisted
@@ -355,43 +333,42 @@ def verify_li_equivalence(td: TwistData, x: State, target: State, *,
     sector, up to the conjugation commutator C(mu,alpha), both read
     through the lattice's parity cocycle.
     """
-    lat = td.lattice
     cs = lattice_cocycle(lat)
     mu = x.single_label()
     if not lat.in_lattice(mu):
         raise ValueError("head must carry a lattice label")
     direct = IntertwinerOp(x, cs)
-    li = TwistedVertexOp(td, x, cs)
-    c_fix = cs.commutator(mu, td.alpha)
-    shifted = apply_e(cs, td.alpha, target)
+    li = TwistedVertexOp(x, cs, alpha)
+    c_fix = cs.commutator(mu, alpha)
+    shifted = apply_e(cs, alpha, target)
     base = li.offset_on(target.single_label())
     lo = -(x.max_levels() + target.max_levels())
     rep = VerificationReport(
         "li_equivalence", window_used=f"[{lo},{radius}]",
-        meta={"mu": str(mu), "alpha": str(td.alpha), "C(mu,alpha)": str(c_fix)})
+        meta={"mu": str(mu), "alpha": str(alpha), "C(mu,alpha)": str(c_fix)})
     for n in range(lo, radius + 1):
         e = base + n
         # both reads are at relative exponent n on level sum kt: kx + kt + n
         if rep.past_cutoff((e,), n - lo, cutoff):
             continue
         rep.record((e,), direct.coefficient(shifted, e),
-                   apply_e(cs, td.alpha, li.coefficient(target, e)).scale(c_fix))
+                   apply_e(cs, alpha, li.coefficient(target, e)).scale(c_fix))
     return rep
 
 
-def verify_twist_grading(td: TwistData, max_weight: int) -> VerificationReport:
+def verify_twist_grading(lat: IntegralLattice, alpha: Label,
+                         max_weight: int) -> VerificationReport:
     """L_g(0) spectrum on the plain sector matches L(0) on the shifted one."""
     rep = VerificationReport("twist_grading", window_used=f"weight<= {max_weight}")
-    lat = td.lattice
-    rank = td.rank
+    rank = lat.heis_rank
     # the record key prints the label's sort key padded with one zero pair
     # per coordinate, the fixed key text of this report
     pad = ((Fraction(0), Fraction(0)),) * rank
     for mu_val in (0, 1, -1):
         mu = lat.label_of([mu_val] + [0] * (lat.rank - 1))
         for m in basis_monomials(rank, max_weight, mu):
-            shifted = m._replace(label=mu + td.alpha)
-            got = dict(twisted_virasoro_mode(td, 0, State.of(m)).items_sorted())
+            shifted = m._replace(label=mu + alpha)
+            got = dict(twisted_virasoro_mode(alpha, 0, State.of(m)).items_sorted())
             want = dict(virasoro_mode(0, State.of(shifted)).items_sorted())
             rep.record((str((m.label.sort_key() + pad, m.parts)),),
                        got.get(m, S_ZERO), want.get(shifted, S_ZERO))
@@ -416,14 +393,14 @@ class DlmOp(IntertwinerOp):
     (-z)^(a(0)) factor in its defining dressing.
     """
 
-    def __init__(self, td: TwistData, head: State, sector: Label,
-                 cocycle: CocycleSystem, variant: str = "delta",
-                 n_branch: int = 1):
+    def __init__(self, head: State, cocycle: CocycleSystem,
+                 lattice: IntegralLattice, alpha: Label, sector: Label,
+                 variant: str, n_branch: int):
         if variant not in ("delta", "hat"):
             raise ValueError("variant must be 'delta' or 'hat'")
         super().__init__(head, cocycle)
-        self.lattice = td.lattice
-        self.alpha = td.alpha
+        self.lattice = lattice
+        self.alpha = alpha
         self.sector = sector
         self.variant = variant
         self.n_branch = n_branch
@@ -443,10 +420,10 @@ class DlmOp(IntertwinerOp):
         return factor
 
 
-def verify_dlm_jacobi(td1: TwistData, td2: TwistData, alpha3: Label,
-                      x: State, y: State, s: State, variant: str = "delta",
-                      n_branch: int = 1, *, radius: int,
-                      cutoff: int) -> VerificationReport:
+def verify_dlm_jacobi(lat: IntegralLattice, a1: Label, a2: Label,
+                      alpha3: Label, x: State, y: State, s: State,
+                      variant: str = "delta", n_branch: int = 1, *,
+                      radius: int, cutoff: int) -> VerificationReport:
     """The generalized three-term identity for the twisted-sector family.
 
     Both left kernels carry eta12 = -a1.a2 - mu1.a2 - mu2.a1, the right
@@ -455,9 +432,7 @@ def verify_dlm_jacobi(td1: TwistData, td2: TwistData, alpha3: Label,
     variant, parity alone for the hat variant.  Every operator reads the
     lattice's parity cocycle.
     """
-    lat = td1.lattice
     cs = lattice_cocycle(lat)
-    a1, a2 = td1.alpha, td2.alpha
     mu1 = x.single_label() - a1
     mu2 = y.single_label() - a2
     mu3 = s.single_label() - alpha3
@@ -474,24 +449,23 @@ def verify_dlm_jacobi(td1: TwistData, td2: TwistData, alpha3: Label,
         c12 = c12 * branch_phase(a1.dot(mu2) - a2.dot(mu1), n_branch)
 
     def op1_for(sector: Label) -> DlmOp:
-        return DlmOp(td1, x, sector, cs, variant, n_branch)
+        return DlmOp(x, cs, lat, a1, sector, variant, n_branch)
 
-    op2_lhs1 = DlmOp(td2, y, alpha3, cs, variant, n_branch)
-    td12 = TwistData(lat, a1 + a2)
+    op2_lhs1 = DlmOp(y, cs, lat, a2, alpha3, variant, n_branch)
 
     return three_term_jacobi(
         name=f"dlm_jacobi_{variant}",
         op1=op1_for(a2 + alpha3),
         op2=op2_lhs1,
-        op12_factory=lambda head: DlmOp(td12, head, alpha3, cs, variant,
-                                        n_branch),
+        op12_factory=lambda head: DlmOp(head, cs, lat, a1 + a2, alpha3,
+                                        variant, n_branch),
         target=s,
         kappa12=eta12,
         kappa_rhs=-eta13,
         c12=c12,
         radius=radius, cutoff=cutoff,
         op1_lhs2=op1_for(alpha3),
-        op2_lhs2=DlmOp(td2, y, a1 + alpha3, cs, variant, n_branch),
+        op2_lhs2=DlmOp(y, cs, lat, a2, a1 + alpha3, variant, n_branch),
         op1_rhs=op1_for(a2),
         meta={"eta12": str(eta12), "eta13": str(eta13), "C12": str(c12),
               "variant": variant, "branch_N": str(n_branch),

@@ -42,7 +42,7 @@ from heisvoa.intertwiner import (
     annihilation_coeff,
     creation_coeff,
 )
-from heisvoa.lattice import TwistData, lattice_cocycle
+from heisvoa.lattice import IntegralLattice, lattice_cocycle
 from heisvoa.scalars import (
     GR_ONE,
     GR_ZERO,
@@ -228,9 +228,9 @@ def coeff_product(x: State, y: State, s: State, cocycle: CocycleSystem,
 # lattice twists
 
 
-def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,
-                        exponent, n_branch: int = 1,
-                        variant: str = "delta") -> State:
+def dlm_vertex_defining(lat: IntegralLattice, alpha: Label, x: State,
+                        sector: Label, target: State, exponent,
+                        n_branch: int = 1, variant: str = "delta") -> State:
     """One coefficient of the defining composition of the operator (used
     as an oracle for the closed form):
 
@@ -240,8 +240,7 @@ def dlm_vertex_defining(td: TwistData, x: State, sector: Label, target: State,
     the (-z)^(a(0)) powers) and D(z) = Yplus(a,z) z^(a(0)) for the hat
     variant; psi denotes the bare label shift.
     """
-    cs = lattice_cocycle(td.lattice)
-    alpha = td.alpha
+    cs = lattice_cocycle(lat)
     beta = sector
     exponent = as_gauss(exponent)
     rank = target.rank

@@ -36,11 +36,11 @@ from heisvoa.jacobi import (
 )
 from heisvoa.lattice import (
     integral_lattice,
-    twist,
     verify_li_equivalence,
     verify_shifted_virasoro,
     verify_twisted_jacobi,
 )
+from heisvoa.report import VerificationReport
 from heisvoa.scalars import gr
 import random
 
@@ -69,7 +69,9 @@ def test_criterion_1_heisenberg_virasoro():
         assert rep.verdict, rep.failures_detail
         assert len(rep.checked) == n_states * rank * rank * 49
         states = [((), State.of(bm)) for bm in basis_monomials(rank, 5)]
-        rep = verify_virasoro_brackets(virasoro_mode, rank, states, radius=3)
+        rep = verify_virasoro_brackets(
+            virasoro_mode, rank, states, radius=3,
+            report=VerificationReport("virasoro_brackets", "|m|,|n|<=3"))
         assert rep.verdict, rep.failures_detail
         assert len(rep.checked) == n_states * 49
     elapsed = _passline(1, "heisenberg+virasoro algebras", t0)
@@ -168,15 +170,16 @@ def test_criterion_6_lattice_twists():
         lat = integral_lattice(gram_mat)
         rank = lat.heis_rank
         for tstr in ("1/2", "1/3"):
-            td = twist(lat, [Fraction(tstr)])
+            alpha = lat.label_of([Fraction(tstr)])
             x = State.vacuum(rank, lat.label_of([1]))
-            s = State.vacuum(rank, td.alpha)
-            rep = verify_twisted_jacobi(td, x, x, s, radius=3, cutoff=UNCUT)
+            s = State.vacuum(rank, alpha)
+            rep = verify_twisted_jacobi(lat, alpha, x, x, s, radius=3, cutoff=UNCUT)
             assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
-            rep = verify_li_equivalence(td, x, State.vacuum(rank), radius=2,
-                                        cutoff=UNCUT)
+            rep = verify_li_equivalence(lat, alpha, x, State.vacuum(rank),
+                                        radius=2, cutoff=UNCUT)
             assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
-            rep = verify_shifted_virasoro(td, 4)
+            rep = verify_shifted_virasoro(lat, alpha, 4, VerificationReport(
+                "shifted_virasoro", "weight<=4, |m|,|n|<=3"))
             assert rep.verdict, (gram_mat, tstr, rep.failures_detail)
             assert len(rep.checked) == {1: 12, 2: 38}[rank] + 49  # basis + 7 x 7
     elapsed = _passline(6, "lattice twisted modules", t0)
@@ -187,15 +190,15 @@ def test_criterion_7_dlm_jacobi():
     t0 = time.monotonic()
     from heisvoa.lattice import verify_dlm_jacobi
     lat = integral_lattice([[1]])
-    td1 = twist(lat, [Fraction(1, 2)])
-    td2 = twist(lat, [Fraction(1, 3)])
+    a1 = lat.label_of([Fraction(1, 2)])
+    a2 = lat.label_of([Fraction(1, 3)])
     # mu1 = mu2 = 1 is odd-odd, so the parity factor is -1, and the
     # distinct twists make the branch factor of the delta variant nontrivial
-    x = State.vacuum(1, td1.alpha + lat.label_of([1]))
-    y = State.vacuum(1, td2.alpha + lat.label_of([1]))
+    x = State.vacuum(1, a1 + lat.label_of([1]))
+    y = State.vacuum(1, a2 + lat.label_of([1]))
     s = State.vacuum(1)
     for variant, n_branch in (("delta", 1), ("hat", 1)):
-        rep = verify_dlm_jacobi(td1, td2, zero_label(1), x, y, s,
+        rep = verify_dlm_jacobi(lat, a1, a2, zero_label(1), x, y, s,
                                 variant=variant, n_branch=n_branch,
                                 radius=2, cutoff=UNCUT)
         assert rep.verdict, (variant, rep.failures_detail)

@@ -246,3 +246,22 @@ def test_every_default_is_overridden_in_src():
                        or (i is not None and len(call.args) > i)}
     never = {qual for quals in defaults.values() for qual, _, _ in quals} - overridden
     assert never == set(DEFAULTS_KEPT_WITHOUT_AN_OVERRIDE_IN_SRC)
+
+
+def test_a_twist_is_a_label_beside_one_lattice():
+    # the twisted-sector functions take the one IntegralLattice they need
+    # and the twist labels, so no call can hand them a second lattice
+    from heisvoa import lattice
+    own = [obj for obj in vars(lattice).values()
+           if (inspect.isfunction(obj) or inspect.isclass(obj))
+           and obj.__module__ == lattice.__name__]
+    # no twist bundle class and no helper that builds one
+    assert {obj.__name__ for obj in own if inspect.isclass(obj)} == {
+        "IntegralLattice", "TwistedVertexOp", "DlmOp"}
+    assert not hasattr(lattice, "twist")
+    for obj in own:
+        params = inspect.signature(obj).parameters
+        assert not {"td", "td1", "td2"} & params.keys(), obj
+    dlm = inspect.signature(lattice.verify_dlm_jacobi, eval_str=True)
+    assert [p.annotation for p in dlm.parameters.values()].count(
+        lattice.IntegralLattice) == 1

@@ -29,7 +29,6 @@ from heisvoa.lattice import (
     DlmOp,
     TwistedVertexOp,
     integral_lattice,
-    twist,
     verify_li_equivalence,
 )
 from oracles import standard_cocycle
@@ -95,8 +94,9 @@ _U = State.of(monomial(zero_label(1), ((1, 1),)))  # a(-1)|0>
 _HEAD = apply_mode(1, -1, State.vacuum(1, label(["1/2"])))
 _W = State.vacuum(1, label(["1/2"]))
 _S = apply_mode(1, -1, State.vacuum(1, label(["1/3"])))  # a(-1)|1/3>
-_TD = twist(integral_lattice([[2]]), ["1/2"])
-_X = apply_mode(1, -1, State.vacuum(_TD.rank, _TD.lattice.label_of([1])))
+_LAT = integral_lattice([[2]])
+_ALPHA = _LAT.label_of(["1/2"])
+_X = apply_mode(1, -1, State.vacuum(_LAT.heis_rank, _LAT.label_of([1])))
 
 CUT_SITES = {
     "translation": (lambda c: verify_translation(
@@ -106,8 +106,8 @@ CUT_SITES = {
     "e_conjugation": (lambda c: verify_e_conjugation(
         _HEAD, label(["1/3"]), _S, _CS, radius=3, cutoff=c), 3, ["7/3", "10/3"], 3),
     "li_equivalence": (lambda c: verify_li_equivalence(
-        _TD, _X, apply_mode(1, -1, State.vacuum(_TD.rank)), radius=3, cutoff=c), 3,
-        ["3", "4"], 3),
+        _LAT, _ALPHA, _X, apply_mode(1, -1, State.vacuum(_LAT.heis_rank)),
+        radius=3, cutoff=c), 3, ["3", "4"], 3),
     "commutator": (lambda c: verify_commutator(
         _U, _W, -1, _S, _CS, radius=3, cutoff=c), 3, ["13/6", "19/6"], 3),
     "normal_order": (lambda c: verify_normal_order(

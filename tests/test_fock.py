@@ -23,6 +23,7 @@ from heisvoa.fock import (
     zero_label,
 )
 from heisvoa.intertwiner import annihilation_coeff, creation_coeff
+from heisvoa.report import VerificationReport
 from heisvoa.scalars import (
     GR_ONE,
     GR_ZERO,
@@ -87,13 +88,17 @@ def test_virasoro_examples():
     assert virasoro_mode(-1, va) == apply_mode(1, -1, va).scale(gr("1/2", "1/3"))
 
 
+def _brackets_report():
+    return VerificationReport("virasoro_brackets", "|m|,|n|<=3")
+
+
 def test_virasoro_algebra():
     # [L(m), L(n)] = (m-n) L(m+n) + (rank/12)(m^3 - m) delta_{m,-n}
     for rank in (1, 2):
         states = [State.of(bm) for bm in basis_monomials(rank, 3)[:6]]
         states.append(State.vacuum(rank, label(["1/2"] + ["0"] * (rank - 1))))
         rep = verify_virasoro_brackets(virasoro_mode, rank, [((), s) for s in states],
-                                       radius=3)
+                                       radius=3, report=_brackets_report())
         assert rep.verdict, rep.failures_detail
         assert len(rep.checked) == 7 * 49
 
@@ -101,7 +106,8 @@ def test_virasoro_algebra():
 def test_virasoro_verifier_fails_on_a_wrong_central_charge():
     # c + 1 breaks exactly the m = -n records with |m| >= 2, 4 per state
     states = [((bi,), State.of(bm)) for bi, bm in enumerate(basis_monomials(1, 2))]
-    rep = verify_virasoro_brackets(virasoro_mode, 2, states, radius=3)
+    rep = verify_virasoro_brackets(virasoro_mode, 2, states, radius=3,
+                                   report=_brackets_report())
     assert rep.outcome == "FAIL" and len(rep.checked) == 4 * 49
     assert [r.exponents for r in rep.failures] == [
         (bi, m, -m) for bi in range(4) for m in (-3, -2, 2, 3)]

@@ -18,13 +18,11 @@ from heisvoa.intertwiner import IntertwinerOp
 from heisvoa.jacobi import three_term_jacobi
 from heisvoa.lattice import (
     DlmOp,
-    TwistData,
     TwistedVertexOp,
     integral_lattice,
     lattice_cocycle,
     shifted_central_charge,
     shifted_virasoro,
-    twist,
     twisted_virasoro_mode,
     verify_dlm_jacobi,
     verify_li_equivalence,
@@ -32,6 +30,7 @@ from heisvoa.lattice import (
     verify_twist_grading,
     verify_twisted_jacobi,
 )
+from heisvoa.report import VerificationReport
 from heisvoa.scalars import E, S_ONE, branch_phase, gr, sign_pow
 from oracles import dlm_vertex_defining
 
@@ -41,6 +40,10 @@ UNCUT = 16
 
 Z1 = integral_lattice([[1]])
 Z2 = integral_lattice([[2]])
+
+
+def _brackets_report(radius):
+    return VerificationReport("virasoro_brackets", f"|m|,|n|<={radius}")
 
 
 def test_rational_embeddings():
@@ -102,51 +105,53 @@ def test_parity():
 
 
 def test_twisted_modes():
-    td = twist(Z1, [Fraction(1, 2)])
+    alpha = Z1.label_of([Fraction(1, 2)])
     mu = Z1.label_of([1])
     s = State.vacuum(1, mu)
-    assert twisted_virasoro_mode(td, 0, s) == s.scale((mu + td.alpha).norm2() / 2)
-    td0 = twist(Z1, [0])
+    assert twisted_virasoro_mode(alpha, 0, s) == s.scale((mu + alpha).norm2() / 2)
     for n in (-2, 0, 1):
-        assert twisted_virasoro_mode(td0, n, s) == virasoro_mode(n, s)
+        assert twisted_virasoro_mode(zero_label(1), n, s) == virasoro_mode(n, s)
 
 
 def test_twisted_algebra_brackets():
     # L_g satisfies the untwisted Virasoro algebra of central charge l = 1
-    td = twist(Z1, [Fraction(1, 3)])
+    alpha = Z1.label_of([Fraction(1, 3)])
     states = [((), State.of(bm)) for bm in basis_monomials(1, 3, Z1.label_of([1]))[:5]]
-    rep = verify_virasoro_brackets(partial(twisted_virasoro_mode, td), 1, states, radius=2)
+    rep = verify_virasoro_brackets(partial(twisted_virasoro_mode, alpha), 1, states,
+                                   radius=2, report=_brackets_report(2))
     assert rep.verdict, rep.failures_detail
     assert len(rep.checked) == 5 * 25
 
 
 def test_shifted_virasoro():
     for alpha, lat in ((Fraction(1, 2), Z1), (Fraction(1, 3), Z1)):
-        td = twist(lat, [alpha])
-        c_a = shifted_central_charge(td)
-        assert c_a == gr(1) - td.alpha.norm2() * 12
+        a = lat.label_of([alpha])
+        c_a = shifted_central_charge(a)
+        assert c_a == gr(1) - a.norm2() * 12
         one = State.vacuum(1)
-        lhs = (shifted_virasoro(td, 2, shifted_virasoro(td, -2, one))
-               - shifted_virasoro(td, -2, shifted_virasoro(td, 2, one)))
-        rhs = shifted_virasoro(td, 0, one).scale(4) + one.scale(c_a / 2)
+        lhs = (shifted_virasoro(a, 2, shifted_virasoro(a, -2, one))
+               - shifted_virasoro(a, -2, shifted_virasoro(a, 2, one)))
+        rhs = shifted_virasoro(a, 0, one).scale(4) + one.scale(c_a / 2)
         assert lhs == rhs
     # complex twist: L_a(0) = L(0) + a(0) and the normalized-grading match
-    td = TwistData(Z1, label(["1/2*i"]))
+    a = label(["1/2*i"])
     basis = basis_monomials(1, 4, Z1.label_of([1]))
     for bm in basis:
         s = State.of(bm)
-        a0 = apply_mode(1, 0, s).scale(td.alpha.alpha[0])
-        assert shifted_virasoro(td, 0, s) == virasoro_mode(0, s) + a0
-    rep = verify_shifted_virasoro(td, 4)
+        a0 = apply_mode(1, 0, s).scale(a.alpha[0])
+        assert shifted_virasoro(a, 0, s) == virasoro_mode(0, s) + a0
+    rep = verify_shifted_virasoro(Z1, a, 4, VerificationReport(
+        "shifted_virasoro", "weight<=4, |m|,|n|<=3"))
     assert rep.verdict, rep.failures_detail
     assert len(rep.checked) == len(basis) + 49
 
 
 def test_shifted_virasoro_algebra():
-    td = TwistData(Z1, label(["1/2"]))
+    a = label(["1/2"])
     states = [((), State.of(bm)) for bm in basis_monomials(1, 2, Z1.label_of([1]))]
-    rep = verify_virasoro_brackets(partial(shifted_virasoro, td),
-                                   shifted_central_charge(td), states, radius=2)
+    rep = verify_virasoro_brackets(partial(shifted_virasoro, a),
+                                   shifted_central_charge(a), states, radius=2,
+                                   report=_brackets_report(2))
     assert rep.verdict, rep.failures_detail
     assert len(rep.checked) == len(states) * 25
 
@@ -156,57 +161,56 @@ def test_twisted_vertex_examples():
     one = State.vacuum(1)
     x = State.vacuum(1, Z1.label_of([1]))
     # zero twist reduces to the plain operator
-    td0 = twist(Z1, [0])
     plain = IntertwinerOp(x, cs)
-    twisted = TwistedVertexOp(td0, x, cs)
+    twisted = TwistedVertexOp(x, cs, zero_label(1))
     for n in range(0, 3):
         assert plain.coefficient(one, gr(n)) == twisted.coefficient(one, gr(n))
     # vacuum head acts as the identity
-    td = twist(Z1, [Fraction(1, 2)])
-    assert TwistedVertexOp(td, one, cs).coefficient(one, gr(0)) == one
+    alpha = Z1.label_of([Fraction(1, 2)])
+    assert TwistedVertexOp(one, cs, alpha).coefficient(one, gr(0)) == one
     # leading coefficient of the twisted operator carries z^(mu.alpha)
-    op = TwistedVertexOp(td, x, cs)
+    op = TwistedVertexOp(x, cs, alpha)
     assert op.offset_on(one.single_label()) == gr("1/2")  # coset 1/2 + Z
     assert op.coefficient(one, gr("1/2")) == x
 
 
 def test_twisted_jacobi():
-    td = twist(Z1, [Fraction(1, 2)])
+    alpha = Z1.label_of([Fraction(1, 2)])
     x = State.vacuum(1, Z1.label_of([1]))
-    s = State.vacuum(1, td.alpha)  # mu3 = 0 in the shifted sector
-    rep = verify_twisted_jacobi(td, x, x, s, radius=2, cutoff=UNCUT)
+    s = State.vacuum(1, alpha)  # mu3 = 0 in the shifted sector
+    rep = verify_twisted_jacobi(Z1, alpha, x, x, s, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     assert rep.meta["rho"] == "-1/2"
     assert rep.meta["parity_sign"] == "-1"  # odd times odd flips the sign
 
 
 def test_li_equivalence():
-    td0 = twist(Z1, [0])
     x = State.vacuum(1, Z1.label_of([1]))
     one = State.vacuum(1)
-    rep = verify_li_equivalence(td0, x, one, radius=2, cutoff=UNCUT)
+    rep = verify_li_equivalence(Z1, zero_label(1), x, one, radius=2, cutoff=UNCUT)
     assert rep.verdict
-    td = twist(Z1, [Fraction(1, 2)])
-    rep = verify_li_equivalence(td, x, one, radius=2, cutoff=UNCUT)
+    alpha = Z1.label_of([Fraction(1, 2)])
+    rep = verify_li_equivalence(Z1, alpha, x, one, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     heavier = apply_mode(1, -1, State.vacuum(1, Z1.label_of([1])))
-    rep = verify_li_equivalence(td, heavier, one, radius=2, cutoff=UNCUT)
+    rep = verify_li_equivalence(Z1, alpha, heavier, one, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
-    rep = verify_twist_grading(td, 3)
+    rep = verify_twist_grading(Z1, alpha, 3)
     assert rep.verdict, rep.failures_detail
 
 
 def test_li_equivalence_designed_failure(monkeypatch):
     # the twisted operator reads the head's Y(x,z) on the target sector t,
     # not on t + alpha
-    td = twist(Z1, [Fraction(1, 2)])
+    alpha = Z1.label_of([Fraction(1, 2)])
     x = apply_mode(1, -1, State.vacuum(1, Z1.label_of([1])))
     one = State.vacuum(1)
-    assert verify_li_equivalence(td, x, one, radius=2, cutoff=UNCUT).outcome == "PASS"
+    assert verify_li_equivalence(Z1, alpha, x, one, radius=2,
+                                 cutoff=UNCUT).outcome == "PASS"
     sector = IntertwinerOp._sector
     monkeypatch.setattr(IntertwinerOp, "_sector",
                         lambda self, t: sector(self, t)[:3] + (t,))
-    rep = verify_li_equivalence(td, x, one, radius=2, cutoff=UNCUT)
+    rep = verify_li_equivalence(Z1, alpha, x, one, radius=2, cutoff=UNCUT)
     assert len(rep.failures) == len(rep.checked) == 4
 
 
@@ -227,21 +231,20 @@ def test_lattice_invariant_form_parity_prefactor():
 def test_dlm_vertex_reduction_and_prefactor():
     lat = Z1
     cs = lattice_cocycle(lat)
-    td0 = twist(lat, [0])
     x = State.vacuum(1, lat.label_of([1]))
     t = State.vacuum(1, lat.label_of([1]))
     plain = IntertwinerOp(x, cs)
     base = plain.offset_on(t.single_label())
     for variant in ("delta", "hat"):
-        op = DlmOp(td0, x, zero_label(1), cs, variant)
+        op = DlmOp(x, cs, lat, zero_label(1), zero_label(1), variant, 1)
         assert op.offset_on(t.single_label()) == base
         for n in range(0, 3):
             assert op.coefficient(t, base + n) == plain.coefficient(t, base + n)
     # branch phase appears only in the delta variant
-    td = twist(lat, [Fraction(1, 2)])
-    xh = State.vacuum(1, td.alpha + lat.label_of([1]))
-    op_d = DlmOp(td, xh, zero_label(1), cs, "delta", 1)
-    op_h = DlmOp(td, xh, zero_label(1), cs, "hat", 1)
+    alpha = lat.label_of([Fraction(1, 2)])
+    xh = State.vacuum(1, alpha + lat.label_of([1]))
+    op_d = DlmOp(xh, cs, lat, alpha, zero_label(1), "delta", 1)
+    op_h = DlmOp(xh, cs, lat, alpha, zero_label(1), "hat", 1)
     e = op_d.offset_on(t.single_label())
     cd = op_d.coefficient(t, e)
     ch = op_h.coefficient(t, e)
@@ -251,31 +254,32 @@ def test_dlm_vertex_reduction_and_prefactor():
 
 def test_dlm_closed_form_matches_defining_composition():
     lat = Z1
-    td = twist(lat, [Fraction(1, 2)])
-    beta = twist(lat, [Fraction(1, 3)]).alpha
-    x = State.vacuum(1, td.alpha + lat.label_of([1]))
+    alpha = lat.label_of([Fraction(1, 2)])
+    beta = lat.label_of([Fraction(1, 3)])
+    x = State.vacuum(1, alpha + lat.label_of([1]))
     t = apply_mode(1, -1, State.vacuum(1, beta + lat.label_of([1])))
-    op = DlmOp(td, x, beta, lattice_cocycle(lat), "delta", 1)
+    op = DlmOp(x, lattice_cocycle(lat), lat, alpha, beta, "delta", 1)
     base = op.offset_on(t.single_label())
     for n in range(-2, 3):
         closed = op.coefficient(t, base + n)
-        defining = dlm_vertex_defining(td, x, beta, t, base + n, n_branch=1)
+        defining = dlm_vertex_defining(lat, alpha, x, beta, t, base + n,
+                                       n_branch=1)
         assert closed == defining, n
 
 
 def test_dlm_jacobi():
     lat = Z1
-    td1 = twist(lat, [Fraction(1, 2)])
-    td2 = twist(lat, [Fraction(1, 3)])
+    a1 = lat.label_of([Fraction(1, 2)])
+    a2 = lat.label_of([Fraction(1, 3)])
     alpha3 = zero_label(1)
-    x = State.vacuum(1, td1.alpha + lat.label_of([1]))
-    y = State.vacuum(1, td2.alpha + lat.label_of([1]))
+    x = State.vacuum(1, a1 + lat.label_of([1]))
+    y = State.vacuum(1, a2 + lat.label_of([1]))
     s = State.vacuum(1, lat.label_of([0]))
     verdicts = {}
     metas = {}
     for variant in ("delta", "hat"):
         for n_branch in (1, 3):
-            rep = verify_dlm_jacobi(td1, td2, alpha3, x, y, s,
+            rep = verify_dlm_jacobi(lat, a1, a2, alpha3, x, y, s,
                                     variant=variant, n_branch=n_branch, radius=2,
                                     cutoff=UNCUT)
             assert rep.verdict, f"{variant} N={n_branch}: " + rep.failures_detail
@@ -300,13 +304,13 @@ def _without_branch_phase(op, target_label):
 def test_dlm_jacobi_designed_failure(monkeypatch, gram, failed):
     lat = integral_lattice(gram)
     rank = lat.heis_rank
-    td1, td2 = twist(lat, [Fraction(1, 2)]), twist(lat, [Fraction(1, 3)])
-    x = State.vacuum(rank, td1.alpha + lat.label_of([1]))
-    y = State.vacuum(rank, td2.alpha + lat.label_of([1]))
+    a1, a2 = lat.label_of([Fraction(1, 2)]), lat.label_of([Fraction(1, 3)])
+    x = State.vacuum(rank, a1 + lat.label_of([1]))
+    y = State.vacuum(rank, a2 + lat.label_of([1]))
     s = State.vacuum(rank)
 
     def verify():
-        return verify_dlm_jacobi(td1, td2, zero_label(rank), x, y, s,
+        return verify_dlm_jacobi(lat, a1, a2, zero_label(rank), x, y, s,
                                  variant="delta", radius=2, cutoff=6)
 
     assert verify().outcome == "PASS"
@@ -329,11 +333,11 @@ def test_twisted_jacobi_designed_failure(monkeypatch, gram, failed):
     rank = lat.heis_rank
     x = State.vacuum(rank, lat.label_of([1]))
     for alpha in ("1/2", "1/3"):
-        td = twist(lat, [Fraction(alpha)])
-        s = State.vacuum(rank, td.alpha)
+        a = lat.label_of([Fraction(alpha)])
+        s = State.vacuum(rank, a)
 
         def verify():
-            return verify_twisted_jacobi(td, x, x, s, radius=2, cutoff=6)
+            return verify_twisted_jacobi(lat, a, x, x, s, radius=2, cutoff=6)
 
         assert verify().outcome == "PASS"
         # the second ordering weighted by -C12
@@ -349,13 +353,13 @@ def test_hat_dlm_jacobi_designed_failure(monkeypatch, gram, failed):
     # so an integer shift of it still passes
     lat = integral_lattice(gram)
     rank = lat.heis_rank
-    td1, td2 = twist(lat, [Fraction(1, 2)]), twist(lat, [Fraction(1, 3)])
-    x = State.vacuum(rank, td1.alpha + lat.label_of([1]))
-    y = State.vacuum(rank, td2.alpha + lat.label_of([1]))
+    a1, a2 = lat.label_of([Fraction(1, 2)]), lat.label_of([Fraction(1, 3)])
+    x = State.vacuum(rank, a1 + lat.label_of([1]))
+    y = State.vacuum(rank, a2 + lat.label_of([1]))
     s = State.vacuum(rank)
 
     def verify():
-        return verify_dlm_jacobi(td1, td2, zero_label(rank), x, y, s,
+        return verify_dlm_jacobi(lat, a1, a2, zero_label(rank), x, y, s,
                                  variant="hat", radius=2, cutoff=6)
 
     assert verify().outcome == "PASS"
@@ -368,12 +372,13 @@ def test_hat_dlm_jacobi_designed_failure(monkeypatch, gram, failed):
 
 def test_dlm_eta_values():
     lat = Z1
-    td1 = twist(lat, [Fraction(1, 2)])
-    td2 = twist(lat, [Fraction(1, 3)])
-    x = State.vacuum(1, td1.alpha + lat.label_of([1]))
-    y = State.vacuum(1, td2.alpha + lat.label_of([2]))
+    a1 = lat.label_of([Fraction(1, 2)])
+    a2 = lat.label_of([Fraction(1, 3)])
+    x = State.vacuum(1, a1 + lat.label_of([1]))
+    y = State.vacuum(1, a2 + lat.label_of([2]))
     s = State.vacuum(1, lat.label_of([0]))
-    rep = verify_dlm_jacobi(td1, td2, zero_label(1), x, y, s, radius=1, cutoff=UNCUT)
+    rep = verify_dlm_jacobi(lat, a1, a2, zero_label(1), x, y, s, radius=1,
+                            cutoff=UNCUT)
     assert rep.meta["eta12"] == "-3/2"  # -1/6 - 1/3 - 1
     assert rep.verdict, rep.failures_detail
 
@@ -382,28 +387,28 @@ def test_shifted_virasoro_invariant_set():
     # c_a = l - 12 a.a for a in {1/2, 1/3, i/2}, brackets on weight <= 4
     states = [((), State.of(bm)) for bm in basis_monomials(1, 4, Z1.label_of([1]))]
     for a in ("1/2", "1/3", "1/2*i"):
-        td = TwistData(Z1, label([a]))
-        rep = verify_virasoro_brackets(partial(shifted_virasoro, td),
-                                       shifted_central_charge(td), states, radius=3)
+        alpha = label([a])
+        rep = verify_virasoro_brackets(partial(shifted_virasoro, alpha),
+                                       shifted_central_charge(alpha), states,
+                                       radius=3, report=_brackets_report(3))
         assert rep.verdict, (a, rep.failures_detail)
         assert len(rep.checked) == 12 * 49
 
 
 def test_twisted_jacobi_zero_twist_reduction():
-    td0 = twist(Z1, [0])
     x = State.vacuum(1, Z1.label_of([1]))
     s = State.vacuum(1)
-    rep = verify_twisted_jacobi(td0, x, x, s, radius=2, cutoff=UNCUT)
+    rep = verify_twisted_jacobi(Z1, zero_label(1), x, x, s, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
     assert rep.meta["rho"] == "0"
 
 
 def test_dlm_jacobi_zero_twist_reduction():
-    td0 = twist(Z1, [0])
+    zero = zero_label(1)
     x = State.vacuum(1, Z1.label_of([1]))
     s = State.vacuum(1)
     for variant in ("delta", "hat"):
-        rep = verify_dlm_jacobi(td0, td0, zero_label(1), x, x, s,
+        rep = verify_dlm_jacobi(Z1, zero, zero, zero, x, x, s,
                                 variant=variant, radius=2, cutoff=UNCUT)
         assert rep.verdict, rep.failures_detail
         assert rep.meta["eta12"] == "0"
@@ -413,11 +418,11 @@ def test_dlm_coefficient_scales_each_label_part_by_its_factor():
     # target labels 1 and 3 give the delta factors E(1/2) and E(3/2) = -E(1/2)
     lat = Z1
     cs = lattice_cocycle(lat)
-    td = twist(lat, [Fraction(1, 2)])
-    x = apply_mode(1, -1, State.vacuum(1, td.alpha + lat.label_of([1])))
+    alpha = lat.label_of([Fraction(1, 2)])
+    x = apply_mode(1, -1, State.vacuum(1, alpha + lat.label_of([1])))
     low = State.vacuum(1, lat.label_of([1]))
     high = apply_mode(1, -1, State.vacuum(1, lat.label_of([3]))).scale(gr("1/2"))
-    op = DlmOp(td, x, zero_label(1), cs, "delta", 1)
+    op = DlmOp(x, cs, lat, alpha, zero_label(1), "delta", 1)
     factors = [op.label_factor(p.single_label()) for p in (low, high)]
     assert all(f.as_rational() is None for f in factors)
     plain = IntertwinerOp(x, cs)
