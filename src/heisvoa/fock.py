@@ -407,7 +407,7 @@ def _mode_on_monomial(color: int, n: int, parts: tuple[Part, ...]) -> Terms:
 
 
 def _mode_chain(avec: tuple, sign: int, parts: tuple[Part, ...],
-                order: int, table: dict | None = None) -> list[Terms]:
+                order: int) -> list[Terms]:
     """Coefficients B_0..B_order of exp(-+ sum_{n>0} a(+-n)/n z^(+-n))
     on the oscillator monomial ``parts``, for a = avec.
 
@@ -416,11 +416,11 @@ def _mode_chain(avec: tuple, sign: int, parts: tuple[Part, ...],
     n != 0 enter, so the chain never reads a sector label and one chain
     serves every sector.  A series argument enters B_k as the factor
     arg^k, which the callers apply when they read a coefficient, so one
-    chain serves every argument.  ``table`` defaults to the run's ``chain``.
+    chain serves every argument.
     """
     if sign > 0:
         order = min(order, _levels(parts))
-    table = current().chain if table is None else table
+    table = current().chain
     key = (avec, sign, parts)
     chain = table.get(key)
     if chain is None:

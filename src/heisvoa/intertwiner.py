@@ -13,10 +13,10 @@ epsilon(alpha,beta).  Every coefficient of the resulting series in the
 coset alpha.beta + Z is an exact finite sum, never truncated; the
 operator takes no cutoff, and each verifier decides per coefficient,
 before it reads one, whether the level sums it needs fit its budget.
-The same operator with the head dressed as Delta(gamma,z)u|alpha> and a
-scalar per target label is the twisted and the DLM operator of the
-lattice module; by Li's Delta, the dressed operator reads Y(u,z) on the
-sector beta + gamma.
+The same operator with the head dressed as Delta(gamma,z)u|alpha> and
+its own e^alpha constant per target sector is the twisted and the DLM
+operator of the lattice module; by Li's Delta, the dressed operator
+reads Y(u,z) on the sector beta + gamma.
 """
 
 from __future__ import annotations
@@ -160,11 +160,10 @@ def apply_e_inverse(cs: CocycleSystem, alpha: Label, s: State) -> State:
 # exponentials of label modes
 
 
-def _ypm_coeff(sign: int, avec: tuple, k: int, s: State, arg: Scalar,
-               table: dict | None = None) -> State:
+def _ypm_coeff(sign: int, avec: tuple, k: int, s: State, arg: Scalar) -> State:
     # the annihilation chain of p stops at its level sum
     return _map(s, lambda lab, p: {} if sign > 0 and k > _levels(p)
-                else _mode_chain(avec, sign, p, k, table)[k]).scale(arg ** k)
+                else _mode_chain(avec, sign, p, k)[k]).scale(arg ** k)
 
 
 def creation_coeff(avec: tuple, k: int, s: State, arg: Scalar = S_ONE) -> State:
@@ -199,8 +198,6 @@ def _ypm_dress(entries: dict[tuple[int, int], State], sign: int, avec: tuple,
       - e2; Yplus reads no cap_sum.
     """
     out: dict[tuple[int, int], Sectors] = {}
-    # creation chains on this call's entries serve this call alone
-    chains = {} if sign < 0 else None
     for (e1, e2), st in entries.items():
         room2 = cap2 - e2
         if sign > 0:
@@ -210,7 +207,7 @@ def _ypm_dress(entries: dict[tuple[int, int], State], sign: int, avec: tuple,
             if cap_sum is not None:
                 kmax = min(kmax, cap_sum - e1 - e2)
         for k in range(kmax + 1):
-            ck = _ypm_coeff(sign, avec, k, st, S_ONE, chains)
+            ck = _ypm_coeff(sign, avec, k, st, S_ONE)
             if ck.is_zero:
                 continue
             n = -sign * k
@@ -267,8 +264,8 @@ def _half_kernel(lab: Label, head_parts: tuple, tlab: Label, tparts: tuple,
 
 class IntertwinerOp:
     """Coefficient extractor for one creative intertwiner, optionally of a
-    Delta(beta,z)-dressed head: Y(Delta(beta,z) u|alpha>, z) times a
-    scalar per target label.
+    Delta(beta,z)-dressed head: Y(Delta(beta,z) u|alpha>, z) with an
+    e^alpha constant per target sector.
 
     ``IntertwinerOp(head, cocycle, *, beta=None)``: the head u|alpha> is
     a State on the one label alpha, of the cocycle's rank (ValueError
@@ -283,12 +280,12 @@ class IntertwinerOp:
     ``State``.  By Li's Delta, Y(Delta(beta,z)u, z) on the sector t is
     Y(u,z) on the sector t + beta times z^(alpha.beta), so the dressed
     operator is the plain one with the offset alpha.(beta + t), reading
-    its half-kernels on the sector t + beta.  Subclasses supply the
-    per-label scalar through ``label_factor``.  A coefficient is computed
-    sector by sector of the target: the sector of t goes to the sector
-    label + t, and the exponent offset, the cocycle value times the label
-    factor, the shifted label and the sector that Y(u,z) reads are kept
-    in one per-operator dict.
+    its half-kernels on the sector t + beta.  Subclasses override the
+    e^alpha constant on the sector t through ``sector_factor``.  A
+    coefficient is computed sector by sector of the target: the sector
+    of t goes to the sector label + t, and the exponent offset, the
+    sector factor, the shifted label and the sector that Y(u,z) reads
+    are kept in one per-operator dict.
     """
 
     def __init__(self, head: State, cocycle: CocycleSystem, *,
@@ -308,22 +305,19 @@ class IntertwinerOp:
     def offset_on(self, target_label: Label) -> GaussRat:
         return self.label.dot(self.beta + target_label)
 
-    def label_factor(self, target_label: Label) -> Scalar:
-        """The scalar multiplying the part of the target on this label."""
-        return S_ONE
+    def sector_factor(self, t: Label) -> Scalar:
+        """The constant of e^alpha on the target sector t: epsilon(alpha, t)."""
+        return self.cocycle.epsilon(self.label, t)
 
     def _sector(self, t: Label) -> tuple[GaussRat, Scalar, Label, Label]:
-        """The exponent offset, epsilon(label, t) times the label factor,
-        the shifted label label + t and the sector t + beta that Y(u,z)
-        reads, on the target sector t."""
+        """The exponent offset, the sector factor, the shifted label
+        label + t and the sector t + beta that Y(u,z) reads, on the
+        target sector t."""
         hit = self._sectors.get(t)
         if hit is None:
-            c = self.cocycle.epsilon(self.label, t)
-            factor = self.label_factor(t)
-            if not factor.is_one:
-                c = c * factor
             read = t if self.beta.is_zero else t + self.beta
-            hit = self._sectors[t] = (self.offset_on(t), c, self.label + t, read)
+            hit = self._sectors[t] = (self.offset_on(t), self.sector_factor(t),
+                                      self.label + t, read)
         return hit
 
     def coefficient(self, target: State, exponent) -> State:

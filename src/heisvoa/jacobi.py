@@ -90,8 +90,7 @@ class _OffsetGrid(dict):
 
 def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
                       target: State, kappa12, kappa_rhs, c12: Scalar,
-                      radius: int, cutoff: int,
-                      meta: dict | None = None, expected_failure: bool = False,
+                      radius: int, cutoff: int, meta: dict | None = None,
                       op1_lhs2=None, op2_lhs2=None, op1_rhs=None) -> VerificationReport:
     """Run the generic three-term check on an (2r+1)^3 exponent window.
 
@@ -125,8 +124,7 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
         raise CosetError(f"{name}: z1 coset does not match the right-hand "
                          f"kernel (off by {b_base - kappa_rhs})")
 
-    rep = VerificationReport(name, window_used=f"radius {radius} cube",
-                             expected_failure=expected_failure)
+    rep = VerificationReport(name, window_used=f"radius {radius} cube")
     rep.meta.update(meta or {})
     rep.meta["z0_coset"] = f"({a_base})+Z"
     rep.meta["z1_coset"] = f"({b_base})+Z"
@@ -195,8 +193,8 @@ def three_term_jacobi(*, name: str, op1, op2, op12_factory: Callable,
 
 
 def verify_generalized_jacobi(x: State, y: State, s: State, cocycle: CocycleSystem,
-                              n_branch: int = 1, *, radius: int, cutoff: int,
-                              expected_failure: bool = False) -> VerificationReport:
+                              n_branch: int = 1, *, radius: int,
+                              cutoff: int) -> VerificationReport:
     """The three-term identity for two creative intertwiners.
 
     Both heads and every right-hand head read the one cocycle.  The left
@@ -218,8 +216,7 @@ def verify_generalized_jacobi(x: State, y: State, s: State, cocycle: CocycleSyst
         c12=cocycle.commutator(alpha, beta),
         radius=radius, cutoff=cutoff,
         meta={"alpha": str(alpha), "beta": str(beta), "gamma": str(gamma),
-              "branch_N": str(n_branch)},
-        expected_failure=expected_failure)
+              "branch_N": str(n_branch)})
 
 
 def verify_skew_symmetry(x: State, y: State, cocycle: CocycleSystem, n_branch: int = 1,
@@ -326,8 +323,8 @@ def verify_normal_order(u: State, w: State, s: State, cocycle: CocycleSystem,
 
 
 def verify_associativity(u: State, w: State, s: State, cocycle: CocycleSystem,
-                         n_power: int, *, radius: int, cutoff: int,
-                         expected_failure: bool = False) -> VerificationReport:
+                         n_power: int, *, radius: int,
+                         cutoff: int) -> VerificationReport:
     """(z0+z2)^n Y(u,z0+z2) Y(w,z2) s = (z0+z2)^n Y(Y(u,z0)w, z2) s.
 
     Powers of z0+z2 expand in nonnegative powers of the second summand
@@ -341,7 +338,7 @@ def verify_associativity(u: State, w: State, s: State, cocycle: CocycleSystem,
     rep = VerificationReport(
         "associativity",
         window_used=f"z0 radius {radius}, z2 radius {radius}, n={n_power}",
-        meta={"n": str(n_power)}, expected_failure=expected_failure)
+        meta={"n": str(n_power)})
     kw, ks, ku = op_w.weight_int, s.max_levels(), u.max_levels()
     # right side only sees head exponents d = e0-n+mm with 0 <= mm <= n
     heads = {}
@@ -386,12 +383,12 @@ def verify_associativity(u: State, w: State, s: State, cocycle: CocycleSystem,
 
 
 def verify_locality(u: State, w: State, s: State, cocycle: CocycleSystem,
-                    m_power: int, *, radius: int, cutoff: int,
-                    expected_failure: bool = False) -> VerificationReport:
+                    m_power: int, *, radius: int,
+                    cutoff: int) -> VerificationReport:
     """(z1-z2)^m [ Y(u,z1) Y(w,z2) - Y(w,z2) Y(u,z1) ] s = 0 coefficientwise.
 
-    With m below the pole order the check fails; callers flag that case
-    as a designed failure and the report records it as such.
+    With m below the pole order the check fails; a caller that builds
+    that case marks the report it gets back as a designed failure.
     """
     if m_power < 0:
         raise ValueError("locality power must be a natural number")
@@ -399,7 +396,7 @@ def verify_locality(u: State, w: State, s: State, cocycle: CocycleSystem,
     base = op_w.label.dot(s.single_label())
     rep = VerificationReport(
         "locality", window_used=f"z1 radius {radius}, z2 radius {radius}, m={m_power}",
-        meta={"m": str(m_power)}, expected_failure=expected_failure)
+        meta={"m": str(m_power)})
     # G[p, e1] = u(-e1-1) Y(w) s and H[e1, p] = Y(w) u(-e1-1) s at z2^(base+p)
     G = _OffsetGrid(lambda p: op_w.coefficient(s, base + p),
                     lambda mid, e1: vertex_mode(u, -e1 - 1, mid))

@@ -383,11 +383,11 @@ class DlmOp(IntertwinerOp):
     """The generalized vertex operator on twisted sectors, closed form.
 
     For a head u|mu1+a> acting on a target v|mu2+b> (b the declared
-    sector twist of the target) the operator is a per-label scalar times
-    the plain intertwiner:
+    sector twist of the target) the operator is the plain intertwiner
+    with the e^alpha constant eps(mu1+a, mu2+b) replaced by
 
-        delta variant: E(N a.mu2) eps(mu1,mu2) / eps(mu1+a, mu2+b)
-        hat variant:   eps(mu1,mu2) / eps(mu1+a, mu2+b)
+        delta variant: E(N a.mu2) eps(mu1,mu2)
+        hat variant:   eps(mu1,mu2)
 
     The branch phase of the delta variant is the surviving trace of the
     (-z)^(a(0)) factor in its defining dressing.
@@ -408,13 +408,12 @@ class DlmOp(IntertwinerOp):
         if not self.lattice.in_lattice(self.mu1):
             raise ValueError("head label minus twist must be a lattice vector")
 
-    def label_factor(self, target_label: Label) -> Scalar:
-        mu2 = target_label - self.sector
+    def sector_factor(self, t: Label) -> Scalar:
+        mu2 = t - self.sector
         if not self.lattice.in_lattice(mu2):
             raise ValueError("target label minus sector twist must be a "
                              "lattice vector")
-        factor = (self.cocycle.epsilon(self.mu1, mu2)
-                  * self.cocycle.epsilon(self.label, target_label).inverse())
+        factor = self.cocycle.epsilon(self.mu1, mu2)
         if self.variant == "delta":
             factor = factor * branch_phase(self.alpha.dot(mu2), self.n_branch)
         return factor
@@ -451,12 +450,10 @@ def verify_dlm_jacobi(lat: IntegralLattice, a1: Label, a2: Label,
     def op1_for(sector: Label) -> DlmOp:
         return DlmOp(x, cs, lat, a1, sector, variant, n_branch)
 
-    op2_lhs1 = DlmOp(y, cs, lat, a2, alpha3, variant, n_branch)
-
     return three_term_jacobi(
         name=f"dlm_jacobi_{variant}",
         op1=op1_for(a2 + alpha3),
-        op2=op2_lhs1,
+        op2=DlmOp(y, cs, lat, a2, alpha3, variant, n_branch),
         op12_factory=lambda head: DlmOp(head, cs, lat, a1 + a2, alpha3,
                                         variant, n_branch),
         target=s,
@@ -468,6 +465,4 @@ def verify_dlm_jacobi(lat: IntegralLattice, a1: Label, a2: Label,
         op2_lhs2=DlmOp(y, cs, lat, a2, a1 + alpha3, variant, n_branch),
         op1_rhs=op1_for(a2),
         meta={"eta12": str(eta12), "eta13": str(eta13), "C12": str(c12),
-              "variant": variant, "branch_N": str(n_branch),
-              "z2_coset": "derived from label bookkeeping: "
-                          f"({op2_lhs1.offset_on(s.single_label())})+Z"})
+              "variant": variant, "branch_N": str(n_branch)})

@@ -13,9 +13,7 @@ Every memo that outlives a single operator lives in one ``Workspace``:
 * ``chain``: the coefficients of the label-mode exponentials, keyed
   (alpha, side, parts) for the coordinate tuple alpha of the
   exponential's label, without the series argument; they serve the
-  intertwiner and Li's Delta.  The creation chains of the two-variable
-  dressings of the conjugation identities serve one call and are kept
-  in a dict of that call;
+  intertwiner, Li's Delta and the two-variable dressings;
 * ``coeff``: the intertwiner half-kernels H(j) = [z^j] Y(u,z) Yplus t,
   one lazily grown list per (label, head parts, sector that Y(u,z)
   reads, target parts), over the exponents j read so far.

@@ -217,8 +217,8 @@ def test_criterion_8_negative_controls():
     u = State.of(monomial(zero_label(1), ((1, 1),)))
     w = State.vacuum(1, label(["1/2"]))
     s = State.vacuum(1, label(["1/3"]))
-    rep = verify_locality(u, w, s, CS, 0, radius=2, cutoff=UNCUT,
-                          expected_failure=True)
+    rep = verify_locality(u, w, s, CS, 0, radius=2, cutoff=UNCUT)
+    rep.expected_failure = True
     assert not rep.verdict
     assert rep.outcome == "XFAIL"
     # a corrupted cocycle (associativity broken) must break the identity

@@ -133,11 +133,6 @@ def test_each_run_starts_on_a_fresh_workspace(tmp_path, monkeypatch):
     assert first.sizes()["virasoro"] > 0
 
 
-# Defs whose unread parameters are an interface: an override hook keeps the
-# signature its overrides read.
-UNREAD_PARAMETERS_KEPT = {"intertwiner.IntertwinerOp.label_factor"}
-
-
 def test_every_parameter_is_read():
     # a parameter that its def's body never reads is an argument every
     # caller passes for nothing; dunders keep the signature Python calls
@@ -153,8 +148,7 @@ def test_every_parameter_is_read():
     for path in sorted(Path(heisvoa.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, node in defs(tree.body, path.stem):
-            if node.name.startswith("__") and node.name.endswith("__") \
-                    or name in UNREAD_PARAMETERS_KEPT:
+            if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             a = node.args
             params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
@@ -211,8 +205,6 @@ DEFAULTS_KEPT_WITHOUT_AN_OVERRIDE_IN_SRC = {
     "scalars.gr(im)": "public API",
     "intertwiner.creation_coeff(arg)":
         "the adjoint-factorization oracle in tests/test_form.py reads it",
-    "jacobi.verify_associativity(expected_failure)":
-        "the designed-failure twin stays tests-only until ROADMAP item 1",
 }
 
 
@@ -265,3 +257,27 @@ def test_a_twist_is_a_label_beside_one_lattice():
     dlm = inspect.signature(lattice.verify_dlm_jacobi, eval_str=True)
     assert [p.annotation for p in dlm.parameters.values()].count(
         lattice.IntegralLattice) == 1
+
+
+def test_the_engine_takes_no_one_caller_knobs():
+    # a designed failure is marked on the report by the code that builds
+    # its case, every chain lives in the workspace, and an operator's
+    # e^alpha constant is the one method sector_factor
+    from heisvoa.lattice import DlmOp
+    src = Path(heisvoa.__file__).parent
+    knobs = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                knobs += [f"{path.stem}.{node.name}({p.arg})"
+                          for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)
+                          if p.arg in ("expected_failure", "table")]
+    assert knobs == []
+
+    def methods(cls):
+        return {name for name in vars(cls) if not name.startswith("_")}
+
+    assert methods(heisvoa.IntertwinerOp) == {"offset_on", "sector_factor",
+                                              "coefficient"}
+    assert methods(DlmOp) == {"sector_factor"}

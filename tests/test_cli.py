@@ -236,7 +236,7 @@ MALFORMED = {
     "suites_empty": dict(suites=[]),
     "suites_string": dict(suites="jacobi"),
     "rank_zero": dict(rank=0),
-    "cutoff_below_window": dict(cutoff=2, window=3),
+    "cutoff_below_window": dict(cutoff=2, window=3, suites=["skew"]),
     "cutoff_below_a_suite_window": dict(cutoff=3, window=2, windows={"skew": 4},
                                         suites=["skew"]),
 }
@@ -255,6 +255,14 @@ def test_cutoff_is_checked_against_the_selected_suites_alone(tmp_path):
     config = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
     status, text = run(tmp_path, str(config), "--suite", "heisenberg",
                        "--window", "1", "--cutoff", "1")
+    assert status == 0 and "verdict: PASS" in text
+
+
+@pytest.mark.parametrize("suite", ["heisenberg", "virasoro"])
+def test_cutoff_is_not_checked_against_a_suite_that_takes_none(tmp_path, suite):
+    # both suites run at radius 3 whatever their window, and read no cutoff
+    config = write_config(tmp_path, suites=[suite], window=3, cutoff=2)
+    status, text = run(tmp_path, config)
     assert status == 0 and "verdict: PASS" in text
 
 

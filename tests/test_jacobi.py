@@ -122,8 +122,8 @@ def test_jacobi_corrupted_cocycle_fails():
     x = State.vacuum(1, label(["1/2"]))
     y = State.vacuum(1, label(["1/3"]))
     s = State.vacuum(1, label(["-1/4"]))
-    rep = verify_generalized_jacobi(x, y, s, bad, radius=1, cutoff=UNCUT,
-                                    expected_failure=True)
+    rep = verify_generalized_jacobi(x, y, s, bad, radius=1, cutoff=UNCUT)
+    rep.expected_failure = True
     assert not rep.verdict
     assert rep.outcome == "XFAIL"
 
@@ -244,8 +244,8 @@ def test_locality_pass_and_designed_failure():
     a = State.of(monomial(zero_label(1), ((1, 1),)))
     rep = verify_locality(a, w, s, CS1, 1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
-    rep = verify_locality(a, w, s, CS1, 0, radius=2, cutoff=UNCUT,
-                          expected_failure=True)
+    rep = verify_locality(a, w, s, CS1, 0, radius=2, cutoff=UNCUT)
+    rep.expected_failure = True
     assert not rep.verdict and rep.outcome == "XFAIL"
 
     omega = conformal_vector(1)
@@ -325,8 +325,8 @@ def test_associativity():
     # n=1 clears the simple pole of Y(a,z0)(vacuum head)
     rep = verify_associativity(a, w, s, CS1, 1, radius=2, cutoff=UNCUT)
     assert rep.verdict, rep.failures_detail
-    rep = verify_associativity(a, w, s, CS1, 0, radius=2, cutoff=UNCUT,
-                               expected_failure=True)
+    rep = verify_associativity(a, w, s, CS1, 0, radius=2, cutoff=UNCUT)
+    rep.expected_failure = True
     assert rep.outcome == "XFAIL"
     omega = conformal_vector(1)
     rep = verify_associativity(omega, w, s, CS1, 2, radius=2, cutoff=UNCUT)

@@ -293,11 +293,9 @@ def test_dlm_jacobi():
     assert "E(" not in metas[("hat", 1)]
 
 
-def _without_branch_phase(op, target_label):
-    """The delta-variant label factor with its branch phase left out."""
-    mu2 = target_label - op.sector
-    return (op.cocycle.epsilon(op.mu1, mu2)
-            * op.cocycle.epsilon(op.label, target_label).inverse())
+def _without_branch_phase(op, t):
+    """The delta-variant sector factor with its branch phase left out."""
+    return op.cocycle.epsilon(op.mu1, t - op.sector)
 
 
 @pytest.mark.parametrize("gram, failed", [([[1]], 70), ([[2]], 73)])
@@ -314,7 +312,7 @@ def test_dlm_jacobi_designed_failure(monkeypatch, gram, failed):
                                  variant="delta", radius=2, cutoff=6)
 
     assert verify().outcome == "PASS"
-    monkeypatch.setattr(DlmOp, "label_factor", _without_branch_phase)
+    monkeypatch.setattr(DlmOp, "sector_factor", _without_branch_phase)
     rep = verify()
     assert (len(rep.failures), len(rep.checked)) == (failed, 124)
 
@@ -423,7 +421,9 @@ def test_dlm_coefficient_scales_each_label_part_by_its_factor():
     low = State.vacuum(1, lat.label_of([1]))
     high = apply_mode(1, -1, State.vacuum(1, lat.label_of([3]))).scale(gr("1/2"))
     op = DlmOp(x, cs, lat, alpha, zero_label(1), "delta", 1)
-    factors = [op.label_factor(p.single_label()) for p in (low, high)]
+    # the per-label factor on top of the plain operator's epsilon(alpha, t)
+    factors = [op.sector_factor(t) * cs.epsilon(op.label, t).inverse()
+               for t in (p.single_label() for p in (low, high))]
     assert all(f.as_rational() is None for f in factors)
     plain = IntertwinerOp(x, cs)
     base = op.offset_on(low.single_label())
@@ -433,6 +433,34 @@ def test_dlm_coefficient_scales_each_label_part_by_its_factor():
                 + plain.coefficient(high, e).scale(factors[1]))
         assert op.coefficient(low + high, e) == want, n
     assert not op.coefficient(low + high, base + 2).is_zero
+
+
+@pytest.mark.parametrize("gram", [[[2]], [[2, -1], [-1, 2]]], ids=["A1", "A2"])
+def test_dlm_sector_factor_is_the_closed_form(gram):
+    # on the target sector t = mu2 + b the e^alpha constant of a head on
+    # mu1 + a is eps(mu1, mu2) E(N a.mu2) (delta) or eps(mu1, mu2) (hat)
+    lat = integral_lattice(gram)
+    cs = lattice_cocycle(lat)
+    rank, zeros = lat.heis_rank, [0] * (lat.rank - 1)
+    a = lat.label_of([Fraction(1, 3)] + [Fraction(1, 4)] * (lat.rank - 1))
+    b = lat.label_of([Fraction(1, 5)] + zeros)
+    mu1 = lat.label_of([1] + [-1] * (lat.rank - 1))
+    head = apply_mode(1, -1, State.vacuum(rank, mu1 + a))
+    mu2s = [lat.label_of(c) for c in ([0] + zeros, [1] + zeros, [2] + zeros,
+                                      [-1] + [1] * (lat.rank - 1))]
+    phases = set()
+    for n_branch in (1, 3):
+        delta = DlmOp(head, cs, lat, a, b, "delta", n_branch)
+        hat = DlmOp(head, cs, lat, a, b, "hat", n_branch)
+        for mu2 in mu2s:
+            eps = cs.epsilon(mu1, mu2)
+            phase = E(a.dot(mu2) * n_branch)
+            assert delta.sector_factor(mu2 + b) == eps * phase
+            assert hat.sector_factor(mu2 + b) == eps
+            phases.add(str(phase))
+        with pytest.raises(ValueError, match="sector twist"):
+            delta.sector_factor(a + b)
+    assert len(phases) > 2
 
 
 def test_gram_inverse_is_computed_once_per_lattice(monkeypatch):
