@@ -7,7 +7,8 @@ a deterministic status:
     0  every non-designed-failure check passed
     1  at least one check failed (or a designed failure unexpectedly passed)
     2  malformed configuration, or an unwritable --report or --profile path
-       (one under a missing directory is refused before any suite runs)
+       (a directory, or a path under a missing one, is refused before any
+       suite runs)
     3  window starvation: some case had no comparable coefficients
 
 The report body is byte-identical for identical config and seed; wall
@@ -629,9 +630,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     for path in filter(None, (args.profile, args.report)):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            print(f"cannot write {path}: no such directory", file=sys.stderr)
-            return 2
+        if os.path.isdir(path):
+            problem = "Is a directory"
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            problem = "no such directory"
+        else:
+            continue
+        print(f"cannot write {path}: {problem}", file=sys.stderr)
+        return 2
     profiler = None
     if args.profile:
         import cProfile

@@ -328,8 +328,7 @@ def _add_units(out: UnitSum, q: GaussRat, us: UnitSum,
     """out += q * c * us for a rational q and an optional Scalar c.
 
     Each unit key of c multiplies each unit key of us through
-    ``_unit_mul``, with the sign of the wrapped E-exponent folded into the
-    rational factor.  Slots that cancel stay behind empty; ``State`` drops
+    ``_unit_mul``.  Slots that cancel stay behind empty; ``State`` drops
     them.
     """
     if c is None:
@@ -339,8 +338,8 @@ def _add_units(out: UnitSum, q: GaussRat, us: UnitSum,
     for cu, cq in c.terms.items():
         x = q * cq
         for u, terms in us.items():
-            sign, v = _unit_mul(u, cu)
-            _accumulate(out.setdefault(v, {}), -x if sign < 0 else x, terms)
+            v, y = _unit_mul(u, cu, x)
+            _accumulate(out.setdefault(v, {}), y, terms)
 
 
 def _add_sectors(out: Sectors, q: GaussRat, sectors: Sectors,
@@ -522,9 +521,8 @@ def vertex_mode(u: State, n: int, s: State) -> State:
                 for up, uq in ht.items():
                     terms = _delta_terms(up, lab)
                     for su, st in sus.items():
-                        sign, v = _unit_mul(hu, su)
+                        v, x = _unit_mul(hu, su, uq)
                         acc = sec.setdefault(v, {})
-                        x = -uq if sign < 0 else uq
                         for sp, sq in st.items():
                             w = x * sq
                             for c, bp, k in terms:

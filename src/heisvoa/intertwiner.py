@@ -281,11 +281,12 @@ class IntertwinerOp:
     Y(u,z) on the sector t + beta times z^(alpha.beta), so the dressed
     operator is the plain one with the offset alpha.(beta + t), reading
     its half-kernels on the sector t + beta.  Subclasses override the
-    e^alpha constant on the sector t through ``sector_factor``.  A
-    coefficient is computed sector by sector of the target: the sector
-    of t goes to the sector label + t, and the exponent offset, the
-    sector factor, the shifted label and the sector that Y(u,z) reads
-    are kept in one per-operator dict.
+    e^alpha constant on the sector t through ``sector_factor``, one unit
+    times a rational.  A coefficient is computed sector by sector of the
+    target: the sector of t goes to the sector label + t, and the
+    exponent offset, the head terms times the sector factor, the shifted
+    label and the sector that Y(u,z) reads are kept in one per-operator
+    dict.
     """
 
     def __init__(self, head: State, cocycle: CocycleSystem, *,
@@ -309,15 +310,16 @@ class IntertwinerOp:
         """The constant of e^alpha on the target sector t: epsilon(alpha, t)."""
         return self.cocycle.epsilon(self.label, t)
 
-    def _sector(self, t: Label) -> tuple[GaussRat, Scalar, Label, Label]:
-        """The exponent offset, the sector factor, the shifted label
-        label + t and the sector t + beta that Y(u,z) reads, on the
-        target sector t."""
+    def _sector(self, t: Label) -> tuple[GaussRat, list, Label, Label]:
+        """The exponent offset, the head terms times the sector factor, the
+        shifted label label + t and the sector t + beta that Y(u,z) reads,
+        on the target sector t."""
         hit = self._sectors.get(t)
         if hit is None:
+            (cu, cq), = self.sector_factor(t).terms.items()
+            heads = [(p, *_unit_mul(u, cu, q * cq), k) for p, u, q, k in self._heads]
             read = t if self.beta.is_zero else t + self.beta
-            hit = self._sectors[t] = (self.offset_on(t), self.sector_factor(t),
-                                      self.label + t, read)
+            hit = self._sectors[t] = (self.offset_on(t), heads, self.label + t, read)
         return hit
 
     def coefficient(self, target: State, exponent) -> State:
@@ -328,8 +330,8 @@ class IntertwinerOp:
         creation chain B of the label and the half-kernels H of
         ``_half_kernel``: the half-kernels of every head term and target
         monomial are summed per creation order kp first, so each chain is
-        applied once per (kp, monomial) of that sum.  The sector scalar
-        enters once per target sector and kp.  On a target monomial of
+        applied once per (kp, monomial) of that sum.  The sector factor
+        enters with the head terms.  On a target monomial of
         level sum kt the read builds level sums up to weight_int + kt + n,
         the need a verifier weighs against its cutoff before reading.
         """
@@ -338,19 +340,18 @@ class IntertwinerOp:
         avec = lab.alpha
         out: Sectors = {}
         for t_lab, us in target.sectors.items():
-            offset, c, shifted, read = self._sector(t_lab)
+            offset, heads, shifted, read = self._sector(t_lab)
             n_rel = exponent_index(offset, exponent)
             sums: dict[int, UnitSum] = {}  # by creation order kp
             for tu, t in us.items():
                 for tparts, tq in t.items():
                     kt = _levels(tparts)
-                    for hparts, hu, hq, kh in self._heads:
+                    for hparts, hu, hq, kh in heads:
                         lo = -(kh + kt)
                         if n_rel < lo:
                             continue
                         half = _half_kernel(lab, hparts, read, tparts, lo, n_rel)
-                        sign, u = _unit_mul(tu, hu)
-                        x = -tq * hq if sign < 0 else tq * hq
+                        u, x = _unit_mul(tu, hu, tq * hq)
                         for kp in range(n_rel - lo + 1):
                             terms = half[n_rel - kp - lo]
                             if terms:
@@ -360,10 +361,6 @@ class IntertwinerOp:
                 continue
             dst = out.setdefault(shifted, {})
             for kp, kus in sums.items():
-                if not c.is_one:
-                    scaled: UnitSum = {}
-                    _add_units(scaled, GR_ONE, kus, c)
-                    kus = scaled
                 for u, terms in kus.items():
                     acc = dst.setdefault(u, {})
                     for gp, gc in terms.items():

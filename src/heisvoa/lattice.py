@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fock import (
     Label,
@@ -114,19 +114,10 @@ def rational_embedding(gram: Sequence[Sequence[int]]) -> Mat:
     return tuple(tuple(row) for row in rows)
 
 
-class IntegralLattice:
-    __slots__ = ("gram", "embedding", "gram_inv")
-
-    def __init__(self, gram: tuple[tuple[int, ...], ...], embedding: Mat,
-                 gram_inv: Mat):
-        object.__setattr__(self, "gram", gram)
-        # heis_rank x lattice_rank, columns are basis images
-        object.__setattr__(self, "embedding", embedding)
-        # G^-1, inverted once when the lattice is built
-        object.__setattr__(self, "gram_inv", gram_inv)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegralLattice is immutable")
+class IntegralLattice(NamedTuple):
+    gram: tuple[tuple[int, ...], ...]
+    embedding: Mat  # heis_rank x lattice_rank, columns are basis images
+    gram_inv: Mat  # G^-1, inverted once when the lattice is built
 
     @property
     def rank(self) -> int:
@@ -135,10 +126,6 @@ class IntegralLattice:
     @property
     def heis_rank(self) -> int:
         return len(self.embedding)
-
-    def pairing(self, m1: Sequence[int], m2: Sequence[int]) -> int:
-        return sum(int(a) * self.gram[i][j] * int(b)
-                   for i, a in enumerate(m1) for j, b in enumerate(m2))
 
     def label_of(self, coords: Sequence) -> Label:
         """The embedded label of a coordinate tuple (Gaussian rationals OK)."""
@@ -296,18 +283,20 @@ def verify_twisted_jacobi(lat: IntegralLattice, alpha: Label, x: State,
     the kernels are integer-power deltas, the second ordering carries
     the parity sign (-1)^(m1^2 m2^2), and the right kernel the power
     ((z1-z0)/z2)^(m1.alpha) with twist eigenvalue rho = -m1.alpha.  Every
-    operator reads the lattice's parity cocycle.
+    operator reads the lattice's parity cocycle.  The embedding is an
+    isometry, so m1^2 and m2^2 are the norms of the head labels.
     """
     cs = lattice_cocycle(lat)
-    mu1 = lat.coords_of(x.single_label())
-    mu2 = lat.coords_of(y.single_label())
+    m1, m2 = x.single_label(), y.single_label()
+    mu1 = lat.coords_of(m1)
+    mu2 = lat.coords_of(m2)
     if mu1 is None or mu2 is None or \
             not all(c.denominator == 1 for c in list(mu1) + list(mu2)):
         raise ValueError("twisted Jacobi requires lattice-vector heads")
-    p_sign = lat.pairing(mu1, mu1) * lat.pairing(mu2, mu2)
+    parity = sign_pow(int((m1.norm2() * m2.norm2()).re))
     op1 = IntertwinerOp(x, cs)
     op2 = IntertwinerOp(y, cs)
-    rho = -x.single_label().dot(alpha)
+    rho = -m1.dot(alpha)
     return three_term_jacobi(
         name="twisted_jacobi",
         op1=op1, op2=op2,
@@ -315,9 +304,9 @@ def verify_twisted_jacobi(lat: IntegralLattice, alpha: Label, x: State,
         target=s,
         kappa12=GR_ZERO,
         kappa_rhs=-rho,
-        c12=sign_pow(p_sign),
+        c12=parity,
         radius=radius, cutoff=cutoff,
-        meta={"rho": str(rho), "parity_sign": str(sign_pow(p_sign)),
+        meta={"rho": str(rho), "parity_sign": str(parity),
               "mu1": ",".join(str(c) for c in mu1),
               "mu2": ",".join(str(c) for c in mu2),
               "note": "right kernel ((z1-z0)/z2)^(mu1.alpha), twisted-module shape"})
@@ -428,7 +417,8 @@ def verify_dlm_jacobi(lat: IntegralLattice, a1: Label, a2: Label,
     Both left kernels carry eta12 = -a1.a2 - mu1.a2 - mu2.a1, the right
     kernel carries -eta13 (same shape in the third slot), and the
     commutator is E(N(a1.mu2 - a2.mu1)) (-1)^(mu1^2 mu2^2) for the delta
-    variant, parity alone for the hat variant.  Every operator reads the
+    variant, parity alone for the hat variant, with mu1^2 and mu2^2 the
+    norms of the embedded lattice labels.  Every operator reads the
     lattice's parity cocycle.
     """
     cs = lattice_cocycle(lat)
@@ -440,10 +430,7 @@ def verify_dlm_jacobi(lat: IntegralLattice, a1: Label, a2: Label,
             raise ValueError("labels must decompose as lattice + twist")
     eta12 = -(a1.dot(a2) + mu1.dot(a2) + mu2.dot(a1))
     eta13 = -(a1.dot(alpha3) + mu1.dot(alpha3) + mu3.dot(a1))
-    m1c = lat.coords_of(mu1)
-    m2c = lat.coords_of(mu2)
-    p_sign = lat.pairing(m1c, m1c) * lat.pairing(m2c, m2c)
-    c12 = sign_pow(p_sign)
+    c12 = sign_pow(int((mu1.norm2() * mu2.norm2()).re))
     if variant == "delta":
         c12 = c12 * branch_phase(a1.dot(mu2) - a2.dot(mu1), n_branch)
 

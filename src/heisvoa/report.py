@@ -2,23 +2,18 @@
 
 from __future__ import annotations
 
+from typing import Any, NamedTuple
 
-class CheckRecord:
+
+class CheckRecord(NamedTuple):
     """One compared coefficient; ``left`` and ``right`` are ``None`` when
     the two sides agreed, since only a mismatch prints them."""
 
-    __slots__ = ("exponents", "left", "right", "passed", "note")
-
-    def __init__(self, exponents: tuple, left, right, passed: bool,
-                 note: str = ""):
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "note", note)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckRecord is immutable")
+    exponents: tuple
+    left: Any
+    right: Any
+    passed: bool
+    note: str = ""
 
     def key(self) -> str:
         return ",".join(str(e) for e in self.exponents)

@@ -322,15 +322,18 @@ def _unit(e_norm: GaussRat, lam_exp: GaussRat, zeta_exp: GaussRat) -> Unit | Non
     return None if u == UNIT_ONE else u
 
 
-def _unit_mul(u: Unit | None, v: Unit | None) -> tuple[int, Unit | None]:
-    """The product of two unit keys as a sign and a key: the E-exponents
-    add and wrap through ``_normalize_e``, the lam and zeta exponents add."""
+def _unit_mul(u: Unit | None, v: Unit | None,
+              q: GaussRat) -> tuple[Unit | None, GaussRat]:
+    """The product of two unit keys with the rational q, as a key and a
+    coefficient: the E-exponents add and wrap through ``_normalize_e``,
+    whose sign goes into q, and the lam and zeta exponents add."""
     if u is None:
-        return 1, v
+        return v, q
     if v is None:
-        return 1, u
+        return u, q
     sign, e_norm = _normalize_e(u.e_exp + v.e_exp)
-    return sign, _unit(e_norm, u.lam_exp + v.lam_exp, u.zeta_exp + v.zeta_exp)
+    return (_unit(e_norm, u.lam_exp + v.lam_exp, u.zeta_exp + v.zeta_exp),
+            -q if sign < 0 else q)
 
 
 class Scalar:
@@ -427,10 +430,7 @@ class Scalar:
         out: dict[Unit | None, GaussRat] = {}
         for u1, c1 in self.terms.items():
             for u2, c2 in other.terms.items():
-                sign, u = _unit_mul(u1, u2)
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
+                u, c = _unit_mul(u1, u2, c1 * c2)
                 acc = out.get(u)
                 if acc is None:
                     out[u] = c
@@ -476,9 +476,10 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if other.__class__ is not Scalar:
             if other.__class__ is GaussRat or isinstance(other, (int, Fraction)):
-                other = as_scalar(other)
-            else:
-                return NotImplemented
+                # a rational scalar equals what its coefficient equals
+                c = self.as_rational()
+                return c is not None and c == other
+            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):

@@ -13,7 +13,9 @@ engine to an independent derivation:
 * ``delta_dress``: Li's Delta(beta,z) as (exponent, state) pairs, a
   second implementation of the dressing that ``IntertwinerOp`` reads;
 * ``coeff_product``: the naive product coefficient of two intertwiners;
-* ``dlm_vertex_defining``: the defining composition of the DLM operator.
+* ``dlm_vertex_defining``: the defining composition of the DLM operator;
+* ``gram_pairing``: the lattice pairing m1^T G m2 from the integer Gram
+  matrix, which the engine reads as the dot product of embedded labels.
 
 ``tests/`` has no ``__init__.py``, so pytest puts this directory on
 ``sys.path`` and the tests import it as ``oracles``.
@@ -272,3 +274,13 @@ def dlm_vertex_defining(lat: IntegralLattice, alpha: Label, x: State,
                     lifted = creation_coeff(avec, km, inner)
                     out = out + translate_label(lifted, alpha + beta).scale(d_scale)
     return out
+
+
+# ---------------------------------------------------------------------------
+# lattices
+
+
+def gram_pairing(lat: IntegralLattice, m1, m2) -> int:
+    """m1^T G m2 for integer coordinate vectors, from the Gram matrix alone."""
+    return sum(int(a) * lat.gram[i][j] * int(b)
+               for i, a in enumerate(m1) for j, b in enumerate(m2))

@@ -42,7 +42,6 @@ def test_public_api_is_pinned():
 
 # Public names that no code under src/ uses, kept on purpose, with the reason.
 KEPT_WITHOUT_A_CALLER_IN_SRC = {
-    "as_rational": "bench/spans.py tells rational from unit-carrying scalars with it",
     "load_scenario": "bench/worker.py loads its workload configs with it",
     "sizes": "the table sizes of a workspace, for cache counters and the fresh-run test",
     "failures_detail": "the failure message of a report, used in test assertions",
@@ -281,3 +280,27 @@ def test_the_engine_takes_no_one_caller_knobs():
     assert methods(heisvoa.IntertwinerOp) == {"offset_on", "sector_factor",
                                               "coefficient"}
     assert methods(DlmOp) == {"sector_factor"}
+
+
+def test_the_wrapped_unit_sign_is_applied_only_inside_scalars():
+    # _normalize_e folds the integer part of an E-exponent to a sign, and
+    # _unit_mul applies that sign to the coefficient it is handed, so no
+    # module outside scalars.py names _normalize_e or negates by hand
+    from heisvoa.scalars import E, _unit_mul, gr
+
+    src = Path(heisvoa.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "scalars.py" and "_normalize_e" in text:
+            found.append(f"{path.name}: _normalize_e")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_unit_mul" \
+                    and len(node.args) != 3:
+                found.append(f"{path.name}:{node.lineno} _unit_mul without a coefficient")
+    assert found == []
+    # E(3/4) E(3/4) = E(3/2) = -E(1/2): the key of E(1/2), the sign in q
+    (u, _), = E("3/4").terms.items()
+    (v, _), = E("1/2").terms.items()
+    assert _unit_mul(u, u, gr(2)) == (v, gr(-2))
+    assert _unit_mul(None, u, gr(2)) == (u, gr(2))

@@ -126,19 +126,24 @@ def test_profile_dump_leaves_the_body_alone(tmp_path):
 
 @pytest.mark.parametrize("flag", ["--report", "--profile"])
 def test_an_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, flag):
-    # exit 1 is for a failed check; a path under a missing directory is
-    # found before any suite runs and named on one stderr line
+    # exit 1 is for a failed check; a path under a missing directory, or one
+    # that names a directory, is found before any suite runs and named on
+    # one stderr line, and nothing is created
     config = write_config(tmp_path, max_weight=1)
     path = tmp_path / "missing" / "out"
+    directory = tmp_path / "out"
+    directory.mkdir()
 
     def no_run(scn):
         raise AssertionError("a suite ran before the output path was checked")
 
     monkeypatch.setitem(cli.SUITE_RUNNERS, "virasoro", no_run)
-    assert main(["verify", config, flag, str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"cannot write {path}: "), err
+    for target in (path, directory):
+        assert main(["verify", config, flag, str(target)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot write {target}: "), err
     assert not path.parent.exists()
+    assert list(directory.iterdir()) == []
 
 
 def test_form_invariance_cases_draw_distinct_configured_labels():
@@ -549,6 +554,23 @@ def test_a2_lattice_twisted_suites_report_body(tmp_path):
     assert status == 0
     assert "summary: cases=10 checked=1320 failing-cases=0 " in text
     assert hashlib.sha256(body_of(text).encode()).hexdigest() == A2_BODY_SHA256
+
+
+# sha256 of the report body of configs/braided.json at window 2, whose
+# rank-2 instances have a cocycle commutator C(alpha,beta) that is not 1;
+# recorded before the wrapped unit sign moved into scalars._unit_mul, so
+# it pins that the move left the body unchanged
+BRAIDED_BODY_SHA256 = "ebeccc51048af51b86db2e1f90b88490e2447afade5f5dc520f4e8ee98627488"
+
+
+def test_braided_config_report_body(tmp_path):
+    # the config ships at window 3; window 2 runs the same cases in less time
+    config = Path(__file__).resolve().parent.parent / "configs" / "braided.json"
+    status, text = run(tmp_path, str(config), "--window", "2")
+    assert status == 0
+    assert ("summary: cases=51 checked=3783 failing-cases=0 designed-failures=2 "
+            "starved=0 skipped-coefficients=384\n") in text
+    assert hashlib.sha256(body_of(text).encode()).hexdigest() == BRAIDED_BODY_SHA256
 
 
 def test_config_digest_is_the_sha256_of_the_config(tmp_path):

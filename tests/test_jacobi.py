@@ -1,8 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from heisvoa import jacobi
+from heisvoa.cli import _coords, load_scenario
 from heisvoa.fock import (
     State,
     apply_mode,
@@ -19,7 +21,7 @@ from heisvoa.jacobi import (
     verify_normal_order,
     verify_skew_symmetry,
 )
-from heisvoa.scalars import E, as_gauss, binom, gr
+from heisvoa.scalars import E, S_ONE, as_gauss, binom, gr
 from heisvoa.series import CosetError
 from oracles import coeff_product, conformal_vector, standard_cocycle
 
@@ -427,3 +429,25 @@ def test_jacobi_on_labels_off_the_first_axis(compared):
         c12=cs.commutator(alpha, beta) * E("1/3"), radius=1, cutoff=6)
     assert twin.outcome == "FAIL"
     assert len(twin.failures) == len(twin.checked) == 27
+
+
+@pytest.mark.parametrize("config, failed", [("braided.json", 26), ("desk.json", 0)])
+def test_jacobi_without_the_braiding_phase(config, failed):
+    # three_term_jacobi with c12 = 1 on the first Jacobi instance of a shipped
+    # config: it fails on the rank-2 braided instance, where C(alpha,beta) is
+    # not 1, and passes on desk's rank-1 instance, where C is 1, so only a
+    # braided config catches a verifier that drops C12
+    scn = load_scenario(str(Path(__file__).resolve().parent.parent / "configs" / config))
+    cs = scn.cocycle()
+    alpha, beta, gamma = (label(_coords(v, scn.rank)) for v in scn.jacobi_instances[0])
+    assert cs.commutator(alpha, beta).is_one == (not failed)
+    x = State.of(monomial(alpha, ((1, 1),)))
+    y = State.vacuum(scn.rank, beta)
+    s = State.vacuum(scn.rank, gamma)
+    assert verify_generalized_jacobi(x, y, s, cs, radius=1, cutoff=6).outcome == "PASS"
+    twin = jacobi.three_term_jacobi(
+        name="generalized_jacobi", op1=IntertwinerOp(x, cs), op2=IntertwinerOp(y, cs),
+        op12_factory=lambda head: IntertwinerOp(head, cs),
+        target=s, kappa12=-alpha.dot(beta), kappa_rhs=alpha.dot(gamma),
+        c12=S_ONE, radius=1, cutoff=6)
+    assert (len(twin.failures), len(twin.checked)) == (failed, 27)

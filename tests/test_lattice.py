@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -32,7 +33,7 @@ from heisvoa.lattice import (
 )
 from heisvoa.report import VerificationReport
 from heisvoa.scalars import E, S_ONE, branch_phase, gr, sign_pow
-from oracles import dlm_vertex_defining
+from oracles import dlm_vertex_defining, gram_pairing
 
 # a cutoff above every level sum the windows of these tests need, so that
 # nothing is skipped unless a test passes a smaller one
@@ -83,8 +84,8 @@ def test_lattice_cocycle_commutators():
         vecs += [tuple(1 for _ in range(r)), tuple(2 - j for j in range(r))]
         for m1 in vecs:
             for m2 in vecs:
-                want = sign_pow(lat.pairing(m1, m2)
-                                + lat.pairing(m1, m1) * lat.pairing(m2, m2))
+                want = sign_pow(gram_pairing(lat, m1, m2)
+                                + gram_pairing(lat, m1, m1) * gram_pairing(lat, m2, m2))
                 got = cs.commutator(lat.label_of(m1), lat.label_of(m2))
                 assert got == want, (gram, m1, m2)
 
@@ -99,9 +100,38 @@ def test_lattice_cocycle_examples():
 
 def test_parity():
     # the parity of a lattice vector is its norm mod 2
-    assert Z1.pairing([1], [1]) % 2 == 1
-    assert Z2.pairing([1], [1]) % 2 == 0
-    assert Z1.pairing([0], [0]) % 2 == 0
+    assert gram_pairing(Z1, [1], [1]) % 2 == 1
+    assert gram_pairing(Z2, [1], [1]) % 2 == 0
+    assert gram_pairing(Z1, [0], [0]) % 2 == 0
+
+
+# Cartan matrices of root lattices; the four-squares embedding realizes
+# each in a free boson of larger rank, so the dot of embedded labels must
+# reproduce the Gram pairing across coordinates
+ROOT_GRAMS = {
+    "A1": [[2]],
+    "A2": [[2, -1], [-1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "E8": [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+           [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
+           [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+           [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_GRAMS))
+def test_embedded_dot_is_the_gram_pairing(name):
+    lat = integral_lattice(ROOT_GRAMS[name])
+    r = lat.rank
+    rng = random.Random(name)
+    # the basis, the all-ones vector and random vectors in the box [-2, 2]^r
+    vecs = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    vecs += [(1,) * r] + [tuple(rng.randint(-2, 2) for _ in range(r))
+                          for _ in range(6)]
+    labels = [lat.label_of(v) for v in vecs]
+    for m1, l1 in zip(vecs, labels):
+        for m2, l2 in zip(vecs, labels):
+            assert l1.dot(l2) == gram_pairing(lat, m1, m2), (name, m1, m2)
 
 
 def test_twisted_modes():
@@ -220,7 +250,7 @@ def test_lattice_invariant_form_parity_prefactor():
     cs = lattice_cocycle(lat)
     mu1, mu2 = lat.label_of([1]), lat.label_of([1])
     pref = branch_phase(-mu1.dot(mu2), 1) * cs.commutator(mu1, mu2)
-    assert pref == sign_pow(lat.pairing([1], [1]) ** 2)
+    assert pref == sign_pow(gram_pairing(lat, [1], [1]) ** 2)
     x = State.vacuum(1, mu1)
     y = State.vacuum(1, mu2)
     t = State.vacuum(1, lat.label_of([-2]))

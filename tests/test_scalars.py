@@ -136,6 +136,22 @@ def test_scalar_edge_cases():
     assert S_ONE != 2 and lam_pow(1) != 1
 
 
+def test_scalar_equality_with_a_rational_answers_as_gaussrat_does():
+    # a bool is an int, so S_ONE == True as gr(1) == True and Fraction(1) ==
+    # True; comparing a scalar with a rational never raises
+    values = [True, False, 0, 1, -2, Fraction(1, 2), gr(1), gr(0, 1)]
+    # each scalar with its rational value, None when a unit is nontrivial
+    scalars = [(S_ZERO, GR_ZERO), (S_ONE, GR_ONE), (as_scalar("1/2"), gr("1/2")),
+               (as_scalar(gr(0, 1)), gr(0, 1)), (E("1/2"), None),
+               (S_ONE + lam_pow(1), None)]
+    for x, c in scalars:
+        for v in values:
+            want = c is not None and c == v
+            assert (x == v) is want and (v == x) is want, (x, v)
+            assert (x != v) is not want
+    assert S_ONE == True and S_ZERO == False and gr(1) == True  # noqa: E712
+
+
 def test_scalar_text_roundtrip():
     rng = random.Random(7)
     for _ in range(60):
