@@ -108,7 +108,6 @@ class Scenario:
                              ("0", "0", "0")),
         "cocycle_f": None,
         "cocycle_g": None,
-        "diagonal_fix": False,
         "gram": ((1,),),
         "embedding": None,
         "twists": ("1/2", "1/3"),
@@ -140,7 +139,7 @@ class Scenario:
             g = tuple(tuple(gr(v) for v in row) for row in self.cocycle_g)
         else:
             g = tuple((gr(0),) * r for _ in range(r))
-        return CocycleSystem(r, f, g, self.diagonal_fix,
+        return CocycleSystem(r, f, g,
                              corruption if corruption is not None else gr(0))
 
     @classmethod

@@ -71,32 +71,17 @@ def _bilinear(matrix, a: Label, b: Label) -> GaussRat:
     return out
 
 
-def gauss_positive(z: GaussRat) -> bool:
-    """The ordering used by the diagonal renormalization: Re > 0, ties by Im."""
-    if z.re:
-        return z.re > 0
-    return z.im > 0
-
-
-def label_positive(lab: Label) -> bool:
-    for a in lab.alpha:
-        if not a.is_zero:
-            return gauss_positive(a)
-    return False
-
-
 class CocycleSystem:
     """Bimultiplicative two-cocycle data on rank-l labels.
 
-    epsilon(a,b) = E(a.f.b) * zeta^(a.g.b), optionally renormalized by the
-    diagonal coboundary that forces epsilon(a,-a) = 1.  ``corruption``
-    multiplies in zeta^(c * a^2 b^2), a deliberately non-bilinear factor
-    that breaks associativity; it exists solely for negative controls.
+    epsilon(a,b) = E(a.f.b) * zeta^(a.g.b).  ``corruption`` multiplies in
+    zeta^(c * a^2 b^2), a deliberately non-bilinear factor that breaks
+    associativity; it exists solely for negative controls.
     """
 
-    __slots__ = ("rank", "f", "g", "diagonal_fix", "corruption")
+    __slots__ = ("rank", "f", "g", "corruption")
 
-    def __init__(self, rank: int, f: tuple, g: tuple, diagonal_fix: bool = False,
+    def __init__(self, rank: int, f: tuple, g: tuple,
                  corruption: GaussRat = GR_ZERO):
         for m in (f, g):
             if len(m) != rank or any(len(row) != rank for row in m):
@@ -104,31 +89,17 @@ class CocycleSystem:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "diagonal_fix", diagonal_fix)
         object.__setattr__(self, "corruption", corruption)
 
     def __setattr__(self, name, value):
         raise AttributeError("CocycleSystem is immutable")
 
-    def _check(self, lab: Label) -> None:
-        if lab.rank != self.rank:
-            raise ValueError(f"label rank {lab.rank} != cocycle rank {self.rank}")
-
-    def epsilon_base(self, a: Label, b: Label) -> Scalar:
-        self._check(a)
-        self._check(b)
-        return E(_bilinear(self.f, a, b)) * zeta_pow(_bilinear(self.g, a, b))
-
-    def _coboundary(self, a: Label) -> Scalar:
-        if label_positive(a):
-            return self.epsilon_base(a, -a).inverse()
-        return S_ONE
-
     def epsilon(self, a: Label, b: Label) -> Scalar:
-        out = self.epsilon_base(a, b)
-        if self.diagonal_fix:
-            out = out * self._coboundary(a) * self._coboundary(b) \
-                * self._coboundary(a + b).inverse()
+        for lab in (a, b):
+            if lab.rank != self.rank:
+                raise ValueError(
+                    f"label rank {lab.rank} != cocycle rank {self.rank}")
+        out = E(_bilinear(self.f, a, b)) * zeta_pow(_bilinear(self.g, a, b))
         if not self.corruption.is_zero:
             out = out * zeta_pow(self.corruption * a.norm2() * b.norm2())
         return out

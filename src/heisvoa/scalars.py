@@ -344,7 +344,7 @@ class Scalar:
     scalar c is ``{None: c}``.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Unit | None, GaussRat] | None = None, *,
                  _clean=False):
@@ -353,7 +353,6 @@ class Scalar:
         if not _clean:
             terms = {u: c for u, c in terms.items() if not c.is_zero}
         _set_terms(self, terms)
-        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -482,13 +481,6 @@ class Scalar:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            _set_hash(self, h)
-        return h
-
     def sorted_terms(self) -> list[tuple[Unit, GaussRat]]:
         """The terms in unit order, the trivial unit spelled ``UNIT_ONE``."""
         return sorted(
@@ -516,7 +508,6 @@ class Scalar:
 
 
 _set_terms = Scalar.terms.__set__
-_set_hash = Scalar._hash.__set__
 
 
 def as_scalar(x) -> Scalar:

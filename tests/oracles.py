@@ -179,9 +179,9 @@ def _split_factors(term: str) -> list[str]:
 # intertwiners
 
 
-def standard_cocycle(rank: int, diagonal_fix: bool = False) -> CocycleSystem:
+def standard_cocycle(rank: int) -> CocycleSystem:
     zero = tuple((GR_ZERO,) * rank for _ in range(rank))
-    return CocycleSystem(rank, zero, zero, diagonal_fix)
+    return CocycleSystem(rank, zero, zero)
 
 
 def delta_dress(beta: Label, s: State) -> list[tuple[GaussRat, State]]:

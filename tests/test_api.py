@@ -70,6 +70,30 @@ def test_no_public_code_without_a_caller_in_src():
     assert private - used == set()
 
 
+# Config fields that no file under configs/ or bench/workloads/ sets, kept
+# on purpose, with the reason.
+KEPT_WITHOUT_A_SETTING_CONFIG = {
+    "labels": "fixed labels instead of sampled ones",
+    "cocycle_f": "the only way to run at a commutator other than the default",
+    "cocycle_g": "the only way to run at a commutator other than the default",
+    "embedding": "keeps an explicit lattice embedding reproducible",
+}
+
+
+def test_every_config_field_is_set_by_a_config():
+    # a field that no shipped config sets serves no run; it is either
+    # kept on purpose or an option to delete
+    root = Path(__file__).resolve().parent.parent
+    configs = [*(root / "configs").glob("*.json"),
+               *(root / "bench" / "workloads").glob("*.json")]
+    assert configs
+    set_by_a_config = set()
+    for path in configs:
+        set_by_a_config |= json.loads(path.read_text(encoding="utf-8")).keys()
+    unset = set(cli.Scenario.FIELDS) - set_by_a_config
+    assert unset == set(KEPT_WITHOUT_A_SETTING_CONFIG)
+
+
 def test_every_stored_attribute_is_read():
     # an attribute that src/ stores on self and that no code under src/,
     # tests/ or bench/ reads back is state nothing uses

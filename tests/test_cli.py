@@ -217,7 +217,8 @@ MALFORMED = {
     "gram_entry_boolean": dict(gram=[[True]], suites=["lattice-twist"]),
     "negative_controls_not_boolean": dict(negative_controls="no",
                                           suites=["locality"]),
-    "diagonal_fix_not_boolean": dict(diagonal_fix="yes"),
+    # a retired field is refused as unknown, whatever its value
+    "diagonal_fix_not_boolean": dict(diagonal_fix=False),
     "jacobi_label_i_without_star": dict(jacobi_instances=[["1/2i", "0", "0"]],
                                         suites=["jacobi"]),
     "label_boolean": dict(labels=[[True]]),
@@ -253,6 +254,12 @@ def test_malformed_config_exits_2(tmp_path, overrides):
     with pytest.raises(ConfigError):
         load_scenario(config)
     assert main(["verify", config]) == 2
+
+
+def test_retired_field_is_named(tmp_path):
+    config = write_config(tmp_path, diagonal_fix=False)
+    with pytest.raises(ConfigError, match="diagonal_fix"):
+        load_scenario(config)
 
 
 def test_cutoff_is_checked_against_the_selected_suites_alone(tmp_path):

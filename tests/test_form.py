@@ -35,12 +35,12 @@ from heisvoa.series import exponent_index
 UNCUT = 16
 
 
-def cocycle_for(rank, diagonal_fix=False):
+def cocycle_for(rank):
     f = tuple(tuple(gr("1/2") if i > j else gr(0) for j in range(rank))
               for i in range(rank))
     g = tuple(tuple(gr("1/5") if i < j else gr(0) for j in range(rank))
               for i in range(rank))
-    return CocycleSystem(rank, f, g, diagonal_fix)
+    return CocycleSystem(rank, f, g)
 
 
 def rand_label(rng, rank=1):
@@ -145,14 +145,6 @@ def test_gram_symmetry_and_zero_mode_antisymmetry():
                 lhs = gram(apply_mode(1, 0, x), y, cs)
                 rhs = gram(x, apply_mode(1, 0, y), cs)
                 assert lhs == -rhs
-
-
-def test_gram_diagonal_fix_uniqueness():
-    cs = cocycle_for(1, diagonal_fix=True)
-    for b in ("1/2", "1/3*i", "2-1/5*i"):
-        beta = label([b])
-        got = gram(State.vacuum(1, beta), State.vacuum(1, -beta), cs)
-        assert got == lam_pow(-beta.norm2())
 
 
 def test_gram_matrix_symmetric_unit_determinant():

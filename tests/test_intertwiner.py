@@ -30,6 +30,7 @@ from heisvoa.intertwiner import (
     verify_ypm_commutation,
     verify_yy_conj,
 )
+from heisvoa.lattice import integral_lattice, lattice_cocycle
 from heisvoa.scalars import E, S_ONE, as_gauss, as_scalar, gr, lam_pow, zeta_pow
 from heisvoa.series import CosetError, exponent_index
 from oracles import delta_dress, standard_cocycle
@@ -45,12 +46,12 @@ def rand_label(rng, rank=1, den=3, num=3):
                   for _ in range(rank)])
 
 
-def generic_cocycle(rank, diagonal_fix=False):
+def generic_cocycle(rank):
     f = tuple(tuple(gr(Fraction(1, 2)) if i > j else gr(0) for j in range(rank))
               for i in range(rank))
     g = tuple(tuple(gr(Fraction(1, 3)) if i < j else gr(0) for j in range(rank))
               for i in range(rank))
-    return CocycleSystem(rank, f, g, diagonal_fix)
+    return CocycleSystem(rank, f, g)
 
 
 def test_epsilon_examples():
@@ -59,12 +60,6 @@ def test_epsilon_examples():
     zero = zero_label(2)
     assert cs.epsilon(a, zero).is_one
     assert cs.epsilon(zero, a).is_one
-
-    rng = random.Random(3)
-    fixed = generic_cocycle(2, diagonal_fix=True)
-    for _ in range(25):
-        b = rand_label(rng, 2)
-        assert fixed.epsilon(b, -b).is_one
 
     # rank 2 with C(a,b) = zeta^(a1 b2 - a2 b1)
     g = (("0", "1/2"), ("-1/2", "0"))
@@ -86,13 +81,20 @@ def test_commutator_properties():
         assert cs.commutator(a, b) == cs.commutator(b, a).inverse()
 
 
-def test_diagonal_fix_keeps_commutator():
-    plain = generic_cocycle(2)
-    fixed = generic_cocycle(2, diagonal_fix=True)
-    rng = random.Random(17)
-    for _ in range(20):
-        a, b = rand_label(rng, 2), rand_label(rng, 2)
-        assert plain.commutator(a, b) == fixed.commutator(a, b)
+@pytest.mark.parametrize("name", ["generic", "A1", "A2"])
+def test_epsilon_is_bimultiplicative(name):
+    # the DlmOp closed form and the cocycle division in the lattice
+    # suites read epsilon(a+b,c) = epsilon(a,c) epsilon(b,c) and its mirror
+    if name == "generic":
+        cs = generic_cocycle(2)
+    else:
+        cs = lattice_cocycle(integral_lattice(
+            {"A1": [[2]], "A2": [[2, -1], [-1, 2]]}[name]))
+    rng = random.Random(name)
+    for _ in range(15):
+        a, b, c = (rand_label(rng, cs.rank) for _ in range(3))
+        assert cs.epsilon(a + b, c) == cs.epsilon(a, c) * cs.epsilon(b, c)
+        assert cs.epsilon(a, b + c) == cs.epsilon(a, b) * cs.epsilon(a, c)
 
 
 def test_corrupted_cocycle_breaks_associativity():
@@ -102,6 +104,8 @@ def test_corrupted_cocycle_breaks_associativity():
     lhs = bad.epsilon(a, b) * bad.epsilon(a + b, c)
     rhs = bad.epsilon(b, c) * bad.epsilon(a, b + c)
     assert lhs != rhs
+    assert bad.epsilon(a + b, c) != bad.epsilon(a, c) * bad.epsilon(b, c)
+    assert bad.epsilon(a, b + c) != bad.epsilon(a, b) * bad.epsilon(a, c)
     assert bad.epsilon(a, zero_label(1)).is_one
     good_lhs = base.epsilon(a, b) * base.epsilon(a + b, c)
     good_rhs = base.epsilon(b, c) * base.epsilon(a, b + c)

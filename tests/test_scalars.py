@@ -136,6 +136,14 @@ def test_scalar_edge_cases():
     assert S_ONE != 2 and lam_pow(1) != 1
 
 
+def test_scalar_is_unhashable():
+    # S_ONE == gr(1), so a hash would have to agree with GaussRat's and
+    # with every rational's; a Scalar is unhashable, like the dict it wraps
+    assert S_ONE == gr(1)
+    with pytest.raises(TypeError):
+        hash(S_ONE)
+
+
 def test_scalar_equality_with_a_rational_answers_as_gaussrat_does():
     # a bool is an int, so S_ONE == True as gr(1) == True and Fraction(1) ==
     # True; comparing a scalar with a rational never raises
