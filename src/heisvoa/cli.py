@@ -316,8 +316,9 @@ def suite_intertwiner_props(scn: Scenario) -> list[Case]:
         cases.append((f"{tag}/shift_conj_vertex",
                       verify_shift_conj_vertex(alpha, u, s, radius=r, cutoff=cut)))
         head = head_state(((1, -1),), alpha)
-        cases.append((f"{tag}/e_conjugation",
-                      verify_e_conjugation(head, beta, s, cs, radius=r, cutoff=cut)))
+        cases.append((f"{tag}/e_conjugation", verify_e_conjugation(
+            head, beta, s, cs, radius=r, cutoff=cut,
+            report=VerificationReport("e_conjugation", window_used=f"[lo,{r}]"))))
         cases.append((f"{tag}/translation",
                       verify_translation(head, s, cs, radius=r, cutoff=cut)))
         cases.append((f"{tag}/creativity", verify_creativity(head, cs, cutoff=cut)))

@@ -172,7 +172,8 @@ class AdjointIntertwinerOp:
         """At exponent x = -eig + n on the sector c, the sum over shifts
         d of the dressed intertwiner's coefficient at d - x (that is,
         eig + d - n) on the sector a + c, times the unit
-        E(n - N eig) lam^(-a.a - 2x) of that sector."""
+        E(n - N eig) lam^(-a.a - 2x) of that sector, whose branch phase
+        E(-N eig) is ``branch_phase``."""
         exponent = as_gauss(exponent)
         alpha = self.label
         lam_exp = -alpha.norm2() - 2 * exponent
@@ -180,8 +181,8 @@ class AdjointIntertwinerOp:
         for gamma, us in target.sectors.items():
             eig = -self.offset_on(gamma)
             n_rel = exponent_index(-eig, exponent)
-            factors[alpha + gamma] = Scalar.from_unit(
-                e_exp=n_rel - self.n_branch * eig, lam_exp=lam_exp)
+            factors[alpha + gamma] = branch_phase(-eig, self.n_branch) * \
+                Scalar.from_unit(e_exp=n_rel, lam_exp=lam_exp)
         out: Sectors = {}
         for d, op in self._ops:
             for lab, us in op.coefficient(target, d - exponent).sectors.items():

@@ -108,23 +108,13 @@ class CocycleSystem:
         return self.epsilon(a, b) * self.epsilon(b, a).inverse()
 
 
-def _shift_scaled(s: State, dalpha: Label, factor) -> State:
-    """Shift each label beta of s by dalpha and scale its part by factor(beta)."""
-    out: Sectors = {}
-    for beta, us in s.sectors.items():
-        _add_units(out.setdefault(beta + dalpha, {}), GR_ONE, us, factor(beta))
-    return State(s.rank, out)
-
-
 def apply_e(cs: CocycleSystem, alpha: Label, s: State) -> State:
     """e^alpha: label beta -> alpha+beta with scalar epsilon(alpha, beta)."""
-    return _shift_scaled(s, alpha, lambda beta: cs.epsilon(alpha, beta))
-
-
-def apply_e_inverse(cs: CocycleSystem, alpha: Label, s: State) -> State:
-    """(e^alpha)^(-1): label beta -> beta-alpha dividing the cocycle factor."""
-    return _shift_scaled(s, -alpha,
-                         lambda beta: cs.epsilon(alpha, beta - alpha).inverse())
+    out: Sectors = {}
+    for beta, us in s.sectors.items():
+        _add_units(out.setdefault(beta + alpha, {}), GR_ONE, us,
+                   cs.epsilon(alpha, beta))
+    return State(s.rank, out)
 
 
 # ---------------------------------------------------------------------------
@@ -641,23 +631,22 @@ def verify_creativity(head: State, cocycle: CocycleSystem, *,
 
 
 def verify_e_conjugation(head: State, beta: Label, target: State,
-                         cocycle: CocycleSystem, *, radius: int,
-                         cutoff: int) -> VerificationReport:
-    """(e^beta)^(-1) Y(u|alpha>, z) e^beta = C(alpha,beta) Y(Delta(beta,z) u|alpha>, z)."""
-    rep = VerificationReport("e_conjugation", window_used=f"[lo,{radius}]")
+                         cocycle: CocycleSystem, *, radius: int, cutoff: int,
+                         report: VerificationReport) -> VerificationReport:
+    """Y(u|alpha>, z) e^beta t = C(alpha,beta) e^beta Y(Delta(beta,z) u|alpha>, z) t
+    coefficientwise, the one fact about moving e^beta through Y(u,z);
+    records go into ``report``."""
     op = IntertwinerOp(head, cocycle)
     dop = IntertwinerOp(head, cocycle, beta=beta)
-    alpha = op.label
-    c_ab = cocycle.commutator(alpha, beta)
+    c_ab = cocycle.commutator(op.label, beta)
     shifted = apply_e(cocycle, beta, target)
-    gamma = target.single_label()
-    base = alpha.dot(beta + gamma)
+    base = dop.offset_on(target.single_label())
     lo = -(op.weight_int + target.max_levels())
     for n in range(lo, radius + 1):
         e = base + n
         # both reads are at relative exponent n on level sum ks: ku + ks + n
-        if rep.past_cutoff((e,), n - lo, cutoff):
+        if report.past_cutoff((e,), n - lo, cutoff):
             continue
-        rep.record((e,), apply_e_inverse(cocycle, beta, op.coefficient(shifted, e)),
-                   dop.coefficient(target, e).scale(c_ab))
-    return rep
+        report.record((e,), op.coefficient(shifted, e),
+                      apply_e(cocycle, beta, dop.coefficient(target, e)).scale(c_ab))
+    return report

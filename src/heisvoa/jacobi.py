@@ -257,7 +257,7 @@ def verify_commutator(u: State, w: State, k: int, s: State, cocycle: CocycleSyst
                       *, radius: int, cutoff: int) -> VerificationReport:
     """u(k) Y(w,z) - Y(w,z) u(k) = sum_j binom(k,j) Y(u(j)w, z) z^(k-j)."""
     op_w = IntertwinerOp(w, cocycle)
-    base = op_w.label.dot(s.single_label())
+    base = op_w.offset_on(s.single_label())
     rep = VerificationReport("commutator", window_used=f"radius {radius}",
                              meta={"mode": str(k)})
     kw, ks = op_w.weight_int, s.max_levels()
@@ -295,7 +295,7 @@ def verify_normal_order(u: State, w: State, s: State, cocycle: CocycleSystem,
     side is one instance of uniqueness of creative fields.
     """
     op_w = IntertwinerOp(w, cocycle)
-    base = op_w.label.dot(s.single_label())
+    base = op_w.offset_on(s.single_label())
     rep = VerificationReport("normal_order", window_used=f"radius {radius}")
     rhs_op = IntertwinerOp(vertex_mode(u, -1, w), cocycle)
     kw, ks, ku = op_w.weight_int, s.max_levels(), u.max_levels()
@@ -334,7 +334,7 @@ def verify_associativity(u: State, w: State, s: State, cocycle: CocycleSystem,
     if n_power < 0:
         raise ValueError("associativity power must be a natural number")
     op_w = IntertwinerOp(w, cocycle)
-    base = op_w.label.dot(s.single_label())
+    base = op_w.offset_on(s.single_label())
     rep = VerificationReport(
         "associativity",
         window_used=f"z0 radius {radius}, z2 radius {radius}, n={n_power}",
@@ -393,7 +393,7 @@ def verify_locality(u: State, w: State, s: State, cocycle: CocycleSystem,
     if m_power < 0:
         raise ValueError("locality power must be a natural number")
     op_w = IntertwinerOp(w, cocycle)
-    base = op_w.label.dot(s.single_label())
+    base = op_w.offset_on(s.single_label())
     rep = VerificationReport(
         "locality", window_used=f"z1 radius {radius}, z2 radius {radius}, m={m_power}",
         meta={"m": str(m_power)})

@@ -30,7 +30,7 @@ from .fock import (
 from .intertwiner import (
     CocycleSystem,
     IntertwinerOp,
-    apply_e,
+    verify_e_conjugation,
 )
 from .jacobi import three_term_jacobi
 from .report import VerificationReport
@@ -51,6 +51,13 @@ Mat = tuple[tuple[Fraction, ...], ...]
 
 def _mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(tuple(_frac(x) for x in row) for row in rows)
+
+
+def _mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
+    """The exact matrix product a b of two row-major matrices."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
 
 
 def _mat_inv(m: Mat) -> Mat:
@@ -132,25 +139,16 @@ class IntegralLattice(NamedTuple):
         coords = [as_gauss(c) for c in coords]
         if len(coords) != self.rank:
             raise ValueError("coordinate length != lattice rank")
-        out = []
-        for row in self.embedding:
-            acc = GR_ZERO
-            for j in range(self.rank):
-                acc = acc + coords[j] * row[j]
-            out.append(acc)
+        (out,) = _mul((coords,), tuple(zip(*self.embedding)))
         return label(out)
 
     def coords_of(self, lab: Label) -> tuple[Fraction, ...] | None:
         """Lattice coordinates of an embedded label, or None if outside."""
         if not all(a.im == 0 for a in lab.alpha):
             return None
-        # coords = G^-1 B^T lab
-        bt_lab = [sum(self.embedding[i][k] * lab.alpha[i].re
-                      for i in range(self.heis_rank))
-                  for k in range(self.rank)]
-        coords = tuple(sum(self.gram_inv[k][j] * bt_lab[j]
-                           for j in range(self.rank))
-                       for k in range(self.rank))
+        # coords = G^-1 B^T lab, as a row: lab^T B G^-1 (G^-1 is symmetric)
+        (coords,) = _mul((tuple(a.re for a in lab.alpha),),
+                         _mul(self.embedding, self.gram_inv))
         if self.label_of(coords) != lab:
             return None
         return coords
@@ -174,11 +172,8 @@ def integral_lattice(gram: Sequence[Sequence[int]],
     if any(len(row) != r for row in b):
         raise ValueError("each embedding row must have one entry per lattice "
                          "basis vector")
-    for j in range(r):
-        for k in range(r):
-            got = sum(b[i][j] * b[i][k] for i in range(len(b)))
-            if got != g[j][k]:
-                raise ValueError("embedding does not reproduce the gram matrix")
+    if _mul(tuple(zip(*b)), b) != g:
+        raise ValueError("embedding does not reproduce the gram matrix")
     return IntegralLattice(g, b, _mat_inv(_mat(g)))
 
 
@@ -190,23 +185,14 @@ def lattice_cocycle(lattice: IntegralLattice) -> CocycleSystem:
     i > j are then forced by the required commutator.  The exponent
     matrix extends to all labels Q(i)-bilinearly through G^-1 B^T.
     """
-    r = lattice.rank
     g = lattice.gram
-    f_lat = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            if i > j:
-                f_lat[i][j] = Fraction(g[i][j] + g[i][i] * g[j][j])
-    gram_inv = lattice.gram_inv
-    b = lattice.embedding
-    l = lattice.heis_rank
+    f_lat = tuple(tuple(g[i][j] + g[i][i] * g[j][j] if i > j else 0
+                        for j in range(len(g))) for i in range(len(g)))
     # f = B G^-1 f_lat G^-1 B^T
-    proj = [[sum(gram_inv[k][j] * b[i][j] for j in range(r))
-             for k in range(r)] for i in range(l)]  # B G^-1, l x r
-    mid = [[sum(f_lat[i][j] * proj[q][j] for j in range(r))
-            for q in range(l)] for i in range(r)]   # f_lat (B G^-1)^T, r x l
-    f = tuple(tuple(gr(sum(proj[i][k] * mid[k][q] for k in range(r)))
-                    for q in range(l)) for i in range(l))
+    proj = _mul(lattice.embedding, lattice.gram_inv)  # B G^-1, l x r
+    f = tuple(tuple(gr(x) for x in row)
+              for row in _mul(_mul(proj, f_lat), tuple(zip(*proj))))
+    l = lattice.heis_rank
     zero = tuple((GR_ZERO,) * l for _ in range(l))
     return CocycleSystem(l, f, zero)
 
@@ -288,11 +274,9 @@ def verify_twisted_jacobi(lat: IntegralLattice, alpha: Label, x: State,
     """
     cs = lattice_cocycle(lat)
     m1, m2 = x.single_label(), y.single_label()
-    mu1 = lat.coords_of(m1)
-    mu2 = lat.coords_of(m2)
-    if mu1 is None or mu2 is None or \
-            not all(c.denominator == 1 for c in list(mu1) + list(mu2)):
+    if not (lat.in_lattice(m1) and lat.in_lattice(m2)):
         raise ValueError("twisted Jacobi requires lattice-vector heads")
+    mu1, mu2 = lat.coords_of(m1), lat.coords_of(m2)
     parity = sign_pow(int((m1.norm2() * m2.norm2()).re))
     op1 = IntertwinerOp(x, cs)
     op2 = IntertwinerOp(y, cs)
@@ -318,31 +302,22 @@ def verify_li_equivalence(lat: IntegralLattice, alpha: Label, x: State,
     """Y(x,z) e^alpha t = C(mu,alpha) e^alpha Y_g(x,z) t coefficientwise.
 
     The label bijection e^alpha: mu -> mu+alpha intertwines the twisted
-    operator on the plain sector with the plain operator on the shifted
-    sector, up to the conjugation commutator C(mu,alpha), both read
-    through the lattice's parity cocycle.
+    operator Y_g(x,z) = Y(Delta(alpha,z)x, z) on the plain sector with the
+    plain operator on the shifted sector, up to the conjugation
+    commutator C(mu,alpha): ``verify_e_conjugation`` at a lattice head
+    mu, read through the lattice's parity cocycle.
     """
     cs = lattice_cocycle(lat)
     mu = x.single_label()
     if not lat.in_lattice(mu):
         raise ValueError("head must carry a lattice label")
-    direct = IntertwinerOp(x, cs)
-    li = TwistedVertexOp(x, cs, alpha)
-    c_fix = cs.commutator(mu, alpha)
-    shifted = apply_e(cs, alpha, target)
-    base = li.offset_on(target.single_label())
     lo = -(x.max_levels() + target.max_levels())
     rep = VerificationReport(
         "li_equivalence", window_used=f"[{lo},{radius}]",
-        meta={"mu": str(mu), "alpha": str(alpha), "C(mu,alpha)": str(c_fix)})
-    for n in range(lo, radius + 1):
-        e = base + n
-        # both reads are at relative exponent n on level sum kt: kx + kt + n
-        if rep.past_cutoff((e,), n - lo, cutoff):
-            continue
-        rep.record((e,), direct.coefficient(shifted, e),
-                   apply_e(cs, alpha, li.coefficient(target, e)).scale(c_fix))
-    return rep
+        meta={"mu": str(mu), "alpha": str(alpha),
+              "C(mu,alpha)": str(cs.commutator(mu, alpha))})
+    return verify_e_conjugation(x, alpha, target, cs, radius=radius,
+                                cutoff=cutoff, report=rep)
 
 
 def verify_twist_grading(lat: IntegralLattice, alpha: Label,

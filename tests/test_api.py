@@ -45,6 +45,8 @@ KEPT_WITHOUT_A_CALLER_IN_SRC = {
     "load_scenario": "bench/worker.py loads its workload configs with it",
     "sizes": "the table sizes of a workspace, for cache counters and the fresh-run test",
     "failures_detail": "the failure message of a report, used in test assertions",
+    "TwistedVertexOp": "bench/spans.py traces its coefficient; ROADMAP item 15 "
+                       "deletes it",
 }
 
 
@@ -328,3 +330,28 @@ def test_the_wrapped_unit_sign_is_applied_only_inside_scalars():
     (v, _), = E("1/2").terms.items()
     assert _unit_mul(u, u, gr(2)) == (v, gr(-2))
     assert _unit_mul(None, u, gr(2)) == (u, gr(2))
+
+
+def test_the_branch_phase_is_built_only_by_branch_phase():
+    # E(N kappa) comes from scalars.branch_phase alone: no other
+    # expression multiplies by the branch parameter n_branch
+    def names_n_branch(node):
+        return "n_branch" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    src = Path(heisvoa.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+                operands = (node.target, node.value)
+            else:
+                continue
+            if any(names_n_branch(x) for x in operands):
+                found.append((path.name, node.lineno))
+    phase = next(node for node in ast.parse((src / "scalars.py").read_text(
+        encoding="utf-8")).body if getattr(node, "name", None) == "branch_phase")
+    assert [name for name, _ in found] == ["scalars.py"], found
+    assert phase.lineno <= found[0][1] <= phase.end_lineno

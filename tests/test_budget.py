@@ -31,6 +31,7 @@ from heisvoa.lattice import (
     integral_lattice,
     verify_li_equivalence,
 )
+from heisvoa.report import VerificationReport
 from oracles import standard_cocycle
 
 KERNELS = ("vertex_mode", "_half_kernel", "_mode_chain", "exp_virasoro_coeffs",
@@ -104,7 +105,8 @@ CUT_SITES = {
     "creativity": (lambda c: verify_creativity(
         apply_mode(1, -1, _HEAD), _CS, cutoff=c), 1, ["0"], 0),
     "e_conjugation": (lambda c: verify_e_conjugation(
-        _HEAD, label(["1/3"]), _S, _CS, radius=3, cutoff=c), 3, ["7/3", "10/3"], 3),
+        _HEAD, label(["1/3"]), _S, _CS, radius=3, cutoff=c,
+        report=VerificationReport("e_conjugation")), 3, ["7/3", "10/3"], 3),
     "li_equivalence": (lambda c: verify_li_equivalence(
         _LAT, _ALPHA, _X, apply_mode(1, -1, State.vacuum(_LAT.heis_rank)),
         radius=3, cutoff=c), 3, ["3", "4"], 3),

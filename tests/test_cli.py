@@ -245,6 +245,17 @@ MALFORMED = {
     "cutoff_below_window": dict(cutoff=2, window=3, suites=["skew"]),
     "cutoff_below_a_suite_window": dict(cutoff=3, window=2, windows={"skew": 4},
                                         suites=["skew"]),
+    "embedding_not_reproducing_gram": dict(gram=[[2]], embedding=[[1]],
+                                           suites=["lattice-twist"]),
+    "gram_not_symmetric": dict(gram=[[2, 1], [0, 2]], suites=["lattice-twist"]),
+    "gram_not_square": dict(gram=[[2, 1]], suites=["lattice-twist"]),
+}
+
+# the lattice refusals, each named in the error line
+MALFORMED_LATTICE_REASONS = {
+    "embedding_not_reproducing_gram": "does not reproduce",
+    "gram_not_symmetric": "symmetric",
+    "gram_not_square": "square",
 }
 
 
@@ -254,6 +265,15 @@ def test_malformed_config_exits_2(tmp_path, overrides):
     with pytest.raises(ConfigError):
         load_scenario(config)
     assert main(["verify", config]) == 2
+
+
+@pytest.mark.parametrize("name", MALFORMED_LATTICE_REASONS)
+def test_a_malformed_lattice_names_its_reason(tmp_path, capsys, name):
+    config = write_config(tmp_path, **MALFORMED[name])
+    assert main(["verify", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad cocycle or lattice: ")
+    assert MALFORMED_LATTICE_REASONS[name] in err
 
 
 def test_retired_field_is_named(tmp_path):

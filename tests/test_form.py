@@ -11,12 +11,12 @@ from heisvoa.fock import (
     exp_virasoro_coeffs,
     label,
     monomial,
+    translate_label,
     vertex_mode,
     zero_label,
 )
 from heisvoa.intertwiner import (
     CocycleSystem,
-    _shift_scaled,
     annihilation_coeff,
     apply_e,
     creation_coeff,
@@ -84,7 +84,7 @@ def factorized_adjoint(head, cs, n_branch, target, exponent):
     out = State.zero(rank)
     for tm, tc in target.items_sorted():
         n_rel = exponent_index(-alpha.dot(alpha + tm.label), exponent)
-        t1 = _shift_scaled(State.of(tm, coeff=tc), alpha, factor)
+        t1 = translate_label(State.of(tm, coeff=tc), alpha).scale(factor(tm.label))
         for k2 in range(tm.levels_sum + 1):
             x = annihilation_coeff(avec, k2, t1, arg=-lam_pow(-2))
             for d_exp, uq, uscale in u_parts:

@@ -17,7 +17,6 @@ from heisvoa.intertwiner import (
     IntertwinerOp,
     annihilation_coeff,
     apply_e,
-    apply_e_inverse,
     creation_coeff,
     verify_creativity,
     verify_e_conjugation,
@@ -31,6 +30,7 @@ from heisvoa.intertwiner import (
     verify_yy_conj,
 )
 from heisvoa.lattice import integral_lattice, lattice_cocycle
+from heisvoa.report import VerificationReport
 from heisvoa.scalars import E, S_ONE, as_gauss, as_scalar, gr, lam_pow, zeta_pow
 from heisvoa.series import CosetError, exponent_index
 from oracles import delta_dress, standard_cocycle
@@ -124,12 +124,12 @@ def test_apply_e_examples():
     assert lhs == rhs
     swapped = apply_e(cs, b, apply_e(cs, a, s)).scale(cs.commutator(a, b))
     assert lhs == swapped
-    assert apply_e_inverse(cs, a, apply_e(cs, a, s)) == s
+    assert apply_e(cs, -a, apply_e(cs, a, s)) == s.scale(cs.epsilon(-a, a))
     # several terms on several labels: the shift keeps them apart
     mixed = s + State.of(monomial(b, ((1, 1), (2, 2)))) + State.vacuum(2, a)
     assert len(mixed.items_sorted()) == 3
-    assert apply_e_inverse(cs, a, apply_e(cs, a, mixed)) == mixed
-    assert apply_e(cs, a, apply_e_inverse(cs, a, mixed)) == mixed
+    assert apply_e(cs, -a, apply_e(cs, a, mixed)) == mixed.scale(cs.epsilon(-a, a))
+    assert apply_e(cs, a, apply_e(cs, -a, mixed)) == mixed.scale(cs.epsilon(a, -a))
 
 
 def test_ypm_examples():
@@ -302,7 +302,8 @@ def test_e_conjugation_report():
         alpha, beta, gamma = (rand_label(rng) for _ in range(3))
         head = apply_mode(1, -1, State.vacuum(1, alpha))
         rep = verify_e_conjugation(head, beta, State.vacuum(1, gamma), cs, radius=2,
-                                   cutoff=UNCUT)
+                                   cutoff=UNCUT,
+                                   report=VerificationReport("e_conjugation"))
         assert rep.verdict, rep.failures_detail
 
 
@@ -313,7 +314,8 @@ def test_e_conjugation_designed_failure(monkeypatch):
     def verify():
         return verify_e_conjugation(head, label(["-1/4"]),
                                     State.vacuum(1, label(["1/3"])), cs, radius=2,
-                                    cutoff=UNCUT)
+                                    cutoff=UNCUT,
+                                    report=VerificationReport("e_conjugation"))
 
     assert verify().outcome == "PASS"
     # the dressed operator reads the head's Y(u,z) on the target sector t,

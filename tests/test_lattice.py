@@ -15,7 +15,7 @@ from heisvoa.fock import (
     zero_label,
 )
 from heisvoa.form import verify_invariance
-from heisvoa.intertwiner import IntertwinerOp
+from heisvoa.intertwiner import IntertwinerOp, verify_e_conjugation
 from heisvoa.jacobi import three_term_jacobi
 from heisvoa.lattice import (
     DlmOp,
@@ -242,6 +242,32 @@ def test_li_equivalence_designed_failure(monkeypatch):
                         lambda self, t: sector(self, t)[:3] + (t,))
     rep = verify_li_equivalence(Z1, alpha, x, one, radius=2, cutoff=UNCUT)
     assert len(rep.failures) == len(rep.checked) == 4
+
+
+@pytest.mark.parametrize("gram", [[[2]], [[2, -1], [-1, 2]]], ids=["A1", "A2"])
+def test_li_equivalence_is_e_conjugation_at_a_lattice_head(gram):
+    # Y(x,z) e^alpha t = C(mu,alpha) e^alpha Y_g(x,z) t is the e^beta
+    # conjugation identity with beta the twist, read through the parity
+    # cocycle: the same records, skips and report lines
+    lat = integral_lattice(gram)
+    zeros = [0] * (lat.rank - 1)
+    mu = lat.label_of([1, *zeros])
+    x = apply_mode(1, -1, State.vacuum(lat.heis_rank, mu))
+    alpha = lat.label_of([Fraction(1, 2), *zeros])
+    assert not lat.in_lattice(alpha)
+    target = State.vacuum(lat.heis_rank)
+    cs = lattice_cocycle(lat)
+    # the window is z^[-1,2] past the coset base; cutoff 2 skips z^2's
+    li = verify_li_equivalence(lat, alpha, x, target, radius=2, cutoff=2)
+    assert li.verdict and len(li.checked) == 3 and len(li.skipped) == 1
+    rep = VerificationReport(
+        "li_equivalence", "[-1,2]",
+        {"mu": str(mu), "alpha": str(alpha),
+         "C(mu,alpha)": str(cs.commutator(mu, alpha))})
+    conj = verify_e_conjugation(x, alpha, target, cs, radius=2, cutoff=2,
+                                report=rep)
+    assert conj is rep
+    assert conj.to_lines() == li.to_lines()
 
 
 def test_lattice_invariant_form_parity_prefactor():
