@@ -165,7 +165,7 @@ class State:
     stays the public monomial type: ``of`` and ``items_sorted`` translate.
     """
 
-    __slots__ = ("rank", "sectors", "_hash")
+    __slots__ = ("rank", "sectors")
 
     def __init__(self, rank: int, sectors: Sectors | None = None):
         object.__setattr__(self, "rank", rank)
@@ -176,7 +176,6 @@ class State:
                 if us:
                     out[lab] = us
         object.__setattr__(self, "sectors", out)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("State is immutable")
@@ -245,7 +244,7 @@ class State:
             for u, t in us.items():
                 for p, q in t.items():
                     merged.setdefault(p, {})[u] = q
-            out += [(FockMonomial(lab, p), Scalar(merged[p], _clean=True))
+            out += [(FockMonomial(lab, p), Scalar(merged[p]))
                     for p in sorted(merged)]
         return out
 
@@ -253,15 +252,6 @@ class State:
         if not isinstance(other, State):
             return NotImplemented
         return self.rank == other.rank and self.sectors == other.sectors
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.rank, frozenset(
-                (lab, frozenset((u, frozenset(t.items())) for u, t in us.items()))
-                for lab, us in self.sectors.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __str__(self) -> str:
         return format_state(self)

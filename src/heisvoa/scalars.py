@@ -12,7 +12,7 @@ commuting generators:
   constant), both with Gaussian-rational exponents and no relations.
 
 No floating point ever appears; equality of scalars is literal equality
-of normalized terms.
+of normalized terms, and a value equals only a value of its own type.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ class GaussRat:
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other) -> "GaussRat":
         if other.__class__ is not GaussRat:
+            if other.__class__ is Scalar:
+                return NotImplemented
             other = as_gauss(other)
         d = self.d
         e = other.d
@@ -98,20 +100,9 @@ class GaussRat:
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussRat":
-        if other.__class__ is not GaussRat:
-            other = as_gauss(other)
-        d = self.d
-        e = other.d
-        if d == e:
-            a = self.a - other.a
-            b = self.b - other.b
-            if d == 1:
-                return _make(a, b, 1)
-        else:
-            a = self.a * e - other.a * d
-            b = self.b * e - other.b * d
-            d *= e
-        return _reduce(a, b, d)
+        if other.__class__ is Scalar:
+            return NotImplemented
+        return self + -as_gauss(other)
 
     def __rsub__(self, other) -> "GaussRat":
         return as_gauss(other) - self
@@ -121,6 +112,8 @@ class GaussRat:
 
     def __mul__(self, other) -> "GaussRat":
         if other.__class__ is not GaussRat:
+            if other.__class__ is Scalar:
+                return NotImplemented
             other = as_gauss(other)
         a, b, d = self.a, self.b, self.d
         c, e, f = other.a, other.b, other.d
@@ -165,12 +158,9 @@ class GaussRat:
 
     # -- container protocol -------------------------------------------
     def __eq__(self, other) -> bool:
-        if other.__class__ is GaussRat:
-            return self.a == other.a and self.b == other.b and self.d == other.d
-        if isinstance(other, (int, Fraction)):
-            return not self.b and self.a == other.numerator \
-                and self.d == other.denominator
-        return NotImplemented
+        if other.__class__ is not GaussRat:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))
@@ -316,24 +306,26 @@ def _normalize_e(kappa: GaussRat) -> tuple[int, GaussRat]:
     return sign, _make(a, kappa.b, kappa.d)
 
 
-def _unit(e_norm: GaussRat, lam_exp: GaussRat, zeta_exp: GaussRat) -> Unit | None:
-    """The key of a unit with a normalized E-exponent: None when it is trivial."""
+def _unit(e_exp: GaussRat, lam_exp: GaussRat, zeta_exp: GaussRat,
+          q: GaussRat) -> tuple[Unit | None, GaussRat]:
+    """The unit E(e_exp) lam^lam_exp zeta^zeta_exp with the rational q, as a
+    key and a coefficient: the E-exponent wraps through ``_normalize_e``,
+    whose sign goes into q, and the trivial unit is keyed None."""
+    sign, e_norm = _normalize_e(e_exp)
     u = Unit(e_norm, lam_exp, zeta_exp)
-    return None if u == UNIT_ONE else u
+    return (None if u == UNIT_ONE else u), (-q if sign < 0 else q)
 
 
 def _unit_mul(u: Unit | None, v: Unit | None,
               q: GaussRat) -> tuple[Unit | None, GaussRat]:
     """The product of two unit keys with the rational q, as a key and a
-    coefficient: the E-exponents add and wrap through ``_normalize_e``,
-    whose sign goes into q, and the lam and zeta exponents add."""
+    coefficient: the exponents add, and ``_unit`` keys the sum."""
     if u is None:
         return v, q
     if v is None:
         return u, q
-    sign, e_norm = _normalize_e(u.e_exp + v.e_exp)
-    return (_unit(e_norm, u.lam_exp + v.lam_exp, u.zeta_exp + v.zeta_exp),
-            -q if sign < 0 else q)
+    return _unit(u.e_exp + v.e_exp, u.lam_exp + v.lam_exp,
+                 u.zeta_exp + v.zeta_exp, q)
 
 
 class Scalar:
@@ -341,18 +333,14 @@ class Scalar:
 
     ``terms`` maps each unit to its nonzero coefficient, and the trivial
     unit is keyed ``None``, as in the unit sums of a ``State``: a rational
-    scalar c is ``{None: c}``.
+    scalar c is ``{None: c}``.  The constructor is the one place that drops
+    a zero coefficient.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Unit | None, GaussRat] | None = None, *,
-                 _clean=False):
-        if terms is None:
-            terms = {}
-        if not _clean:
-            terms = {u: c for u, c in terms.items() if not c.is_zero}
-        _set_terms(self, terms)
+    def __init__(self, terms: Mapping[Unit | None, GaussRat] | None = None):
+        _set_terms(self, {u: c for u, c in (terms or {}).items() if c.a or c.b})
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -361,14 +349,9 @@ class Scalar:
     @classmethod
     def from_unit(cls, e_exp=GR_ZERO, lam_exp=GR_ZERO, zeta_exp=GR_ZERO,
                   coeff=GR_ONE) -> "Scalar":
-        coeff = as_gauss(coeff)
-        if coeff.is_zero:
-            return S_ZERO
-        sign, e_norm = _normalize_e(as_gauss(e_exp))
-        if sign < 0:
-            coeff = -coeff
-        unit = _unit(e_norm, as_gauss(lam_exp), as_gauss(zeta_exp))
-        return cls({unit: coeff}, _clean=True)
+        unit, coeff = _unit(as_gauss(e_exp), as_gauss(lam_exp),
+                            as_gauss(zeta_exp), as_gauss(coeff))
+        return cls({unit: coeff})
 
     # -- queries ----------------------------------------------------------
     @property
@@ -403,23 +386,19 @@ class Scalar:
         out = dict(self.terms)
         for u, c in other.terms.items():
             acc = out.get(u)
-            if acc is None:
-                out[u] = c
-            else:
-                s = acc + c
-                if s.is_zero:
-                    del out[u]
-                else:
-                    out[u] = s
-        return Scalar(out, _clean=True)
+            out[u] = c if acc is None else acc + c
+        return Scalar(out)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
         return self + (-as_scalar(other))
 
+    def __rsub__(self, other) -> "Scalar":
+        return as_scalar(other) - self
+
     def __neg__(self) -> "Scalar":
-        return Scalar({u: -c for u, c in self.terms.items()}, _clean=True)
+        return Scalar({u: -c for u, c in self.terms.items()})
 
     def __mul__(self, other):
         if other.__class__ is not Scalar:
@@ -431,22 +410,15 @@ class Scalar:
             for u2, c2 in other.terms.items():
                 u, c = _unit_mul(u1, u2, c1 * c2)
                 acc = out.get(u)
-                if acc is None:
-                    out[u] = c
-                else:
-                    s = acc + c
-                    if s.is_zero:
-                        del out[u]
-                    else:
-                        out[u] = s
-        return Scalar(out, _clean=True)
+                out[u] = c if acc is None else acc + c
+        return Scalar(out)
+
+    __rmul__ = __mul__
 
     def scale(self, x) -> "Scalar":
         if x.__class__ is not GaussRat:
             x = as_gauss(x)
-        if not x.a and not x.b:
-            return S_ZERO
-        return Scalar({u: c * x for u, c in self.terms.items()}, _clean=True)
+        return Scalar({u: c * x for u, c in self.terms.items()})
 
     def inverse(self) -> "Scalar":
         """Invert a one-term scalar; anything else is not a unit here."""
@@ -457,11 +429,8 @@ class Scalar:
         (u, c), = self.terms.items()
         if u is None:
             u = UNIT_ONE
-        sign, e_norm = _normalize_e(-u.e_exp)
-        coeff = GR_ONE / c
-        if sign < 0:
-            coeff = -coeff
-        return Scalar({_unit(e_norm, -u.lam_exp, -u.zeta_exp): coeff}, _clean=True)
+        u, c = _unit(-u.e_exp, -u.lam_exp, -u.zeta_exp, GR_ONE / c)
+        return Scalar({u: c})
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
@@ -474,10 +443,6 @@ class Scalar:
     # -- container protocol ----------------------------------------------
     def __eq__(self, other) -> bool:
         if other.__class__ is not Scalar:
-            if other.__class__ is GaussRat or isinstance(other, (int, Fraction)):
-                # a rational scalar equals what its coefficient equals
-                c = self.as_rational()
-                return c is not None and c == other
             return NotImplemented
         return self.terms == other.terms
 
@@ -513,13 +478,12 @@ _set_terms = Scalar.terms.__set__
 def as_scalar(x) -> Scalar:
     if x.__class__ is Scalar:
         return x
-    c = as_gauss(x)
-    return S_ZERO if c.is_zero else Scalar({None: c}, _clean=True)
+    return Scalar({None: as_gauss(x)})
 
 
-S_ZERO = Scalar({}, _clean=True)
-S_ONE = Scalar({None: GR_ONE}, _clean=True)
-S_MINUS_ONE = Scalar({None: -GR_ONE}, _clean=True)
+S_ZERO = Scalar()
+S_ONE = Scalar({None: GR_ONE})
+S_MINUS_ONE = Scalar({None: -GR_ONE})
 
 
 def E(kappa) -> Scalar:

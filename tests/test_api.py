@@ -47,6 +47,7 @@ KEPT_WITHOUT_A_CALLER_IN_SRC = {
     "failures_detail": "the failure message of a report, used in test assertions",
     "TwistedVertexOp": "bench/spans.py traces its coefficient; ROADMAP item 15 "
                        "deletes it",
+    "as_rational": "bench/spans.py counts unit-carrying Scalar products with it",
 }
 
 
@@ -310,9 +311,11 @@ def test_the_engine_takes_no_one_caller_knobs():
 
 def test_the_wrapped_unit_sign_is_applied_only_inside_scalars():
     # _normalize_e folds the integer part of an E-exponent to a sign, and
-    # _unit_mul applies that sign to the coefficient it is handed, so no
-    # module outside scalars.py names _normalize_e or negates by hand
-    from heisvoa.scalars import E, _unit_mul, gr
+    # _unit applies that sign to the coefficient it is handed, so no module
+    # outside scalars.py names _normalize_e or negates by hand; inside it,
+    # _unit builds every unit key, and the Scalar constructor drops zero
+    # terms on every call, so it takes no flag to skip that
+    from heisvoa.scalars import E, Scalar, _unit_mul, gr
 
     src = Path(heisvoa.__file__).parent
     found = []
@@ -325,6 +328,17 @@ def test_the_wrapped_unit_sign_is_applied_only_inside_scalars():
                     and len(node.args) != 3:
                 found.append(f"{path.name}:{node.lineno} _unit_mul without a coefficient")
     assert found == []
+    # the top-level def, method or assignment that holds each call
+    builders = {}
+    for top in ast.parse((src / "scalars.py").read_text(encoding="utf-8")).body:
+        for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+            for node in ast.walk(scope):
+                callee = getattr(getattr(node, "func", None), "id", None)
+                if isinstance(node, ast.Call) and callee in ("_normalize_e", "Unit"):
+                    owner = getattr(scope, "name", None) or scope.targets[0].id
+                    builders.setdefault(callee, set()).add(owner)
+    assert builders == {"_normalize_e": {"_unit"}, "Unit": {"_unit", "UNIT_ONE"}}
+    assert list(inspect.signature(Scalar).parameters) == ["terms"]
     # E(3/4) E(3/4) = E(3/2) = -E(1/2): the key of E(1/2), the sign in q
     (u, _), = E("3/4").terms.items()
     (v, _), = E("1/2").terms.items()

@@ -252,7 +252,7 @@ unit_factors = st.one_of(
     st.lists(st.tuples(st.sampled_from(UNIT_KEYS), nonzero_gauss), min_size=1,
              max_size=3).map(lambda ts: sum(
                  (as_scalar(x) if u is None else
-                  Scalar({u: GR_ONE}, _clean=True).scale(x) for u, x in ts),
+                  Scalar({u: GR_ONE}).scale(x) for u, x in ts),
                  as_scalar(0))))
 
 
@@ -261,7 +261,7 @@ def sum_scalars(us, scale=S_ONE):
     built by Scalar arithmetic alone."""
     out = {}
     for u, t in us.items():
-        unit = S_ONE if u is None else Scalar({u: GR_ONE}, _clean=True)
+        unit = S_ONE if u is None else Scalar({u: GR_ONE})
         for m, q in t.items():
             out[m] = out.get(m, S_ZERO) + unit.scale(q) * scale
     return {m: c for m, c in out.items() if not c.is_zero}
@@ -363,6 +363,12 @@ def assert_canonical(s):
                 assert not x.is_zero and x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
 
 
+def test_state_is_unhashable():
+    # a State is unhashable, like the Scalars and dicts it holds
+    with pytest.raises(TypeError):
+        hash(State.zero(1))
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(state_steps, state_steps, state_coeffs)
 def test_state_layout_is_canonical(steps1, steps2, c):
@@ -374,8 +380,6 @@ def test_state_layout_is_canonical(steps1, steps2, c):
     for x, y in ((s, t), ((s + t) - t, s), (s.scale(c) - s.scale(c), State.zero(1))):
         same = dict(x.items_sorted()) == dict(y.items_sorted())
         assert (x == y) == same
-        if same:
-            assert hash(x) == hash(y)
     assert (s + t) - t == s
     assert s - s == State.zero(1)
 

@@ -351,7 +351,7 @@ def test_jacobi_reads_each_right_hand_coefficient_once(monkeypatch):
             read = op.coefficient
 
             def coefficient(target, exponent):
-                key = (head, str(exponent))
+                key = (str(head), str(exponent))
                 reads[key] = reads.get(key, 0) + 1
                 return read(target, exponent)
 

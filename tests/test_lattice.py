@@ -131,7 +131,7 @@ def test_embedded_dot_is_the_gram_pairing(name):
     labels = [lat.label_of(v) for v in vecs]
     for m1, l1 in zip(vecs, labels):
         for m2, l2 in zip(vecs, labels):
-            assert l1.dot(l2) == gram_pairing(lat, m1, m2), (name, m1, m2)
+            assert l1.dot(l2) == gr(gram_pairing(lat, m1, m2)), (name, m1, m2)
 
 
 def test_twisted_modes():
